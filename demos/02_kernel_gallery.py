@@ -49,7 +49,7 @@ print("convolving the indicator of one cell recovers the kernel profile:")
 j = grid.n // 3
 rho = np.zeros(grid.num_nodes)
 rho[j] = 1.0 / grid.cell_volume
-profile = nlch.convolve(op, rho)
+profile = op.convolve(rho)
 for i in range(j - 2, j + 3):
     print(f"  x = {x[i]:.4f}   K*delta = {profile[i]:.5f}   "
           f"K(|x - x_j|) = {np.exp(-((x[i] - x[j]) ** 2) / 0.05):.5f}")

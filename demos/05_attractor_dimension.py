@@ -20,7 +20,7 @@ grid = nlch.build_grid(1, 256, 1.0)
 x = grid.axis_coords()
 direction = np.cos(np.pi * x / grid.length)
 direction /= nlch.l2_norm(grid, direction)
-cfg = nlch.SolverConfig(dt=0.01, t_end=4.0, record_every=10, cg_tol=1e-12)
+cfg = nlch.SolverConfig(dt=0.01, t_end=4.0, record_every=10)
 eps_list = [1e-2, 3e-3, 1e-3, 3e-4]
 
 print("differentiability of the solution map")

@@ -24,7 +24,6 @@ from .equilibrium import (
 from .grid import (
     Grid,
     build_grid,
-    div_mu_grad,
     h1_seminorm,
     inner,
     integrate,
@@ -35,7 +34,6 @@ from .kernels import (
     KernelOp,
     KernelSpec,
     assemble_kernel,
-    convolve,
     gaussian_kernel,
     kernel_constants,
     mollifier_kernel,

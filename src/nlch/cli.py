@@ -22,7 +22,7 @@ from . import diagnostics
 from .equilibrium import EquilibriumConfig, multistart_equilibria, solve_equilibrium
 from .grid import Grid, build_grid, l2_norm, neumann_mode
 from .io import read_field, write_field
-from .kernels import KernelOp, KernelSpec, assemble_kernel
+from .kernels import KernelOp, KernelSpec, assemble_kernel, zero_kernel
 from .model import (
     ReactionSpec,
     balanced_cubic_reaction,
@@ -61,8 +61,6 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "solver.record_every": (int, 1),
     "solver.bound_tol": (float, 1e-8),
     "solver.clamp_policy": (str, "clamp_and_count"),
-    "solver.cg_tol": (float, 1e-10),
-    "solver.cg_max_iter": (int, 500),
     "init.kind": (str, "constant"),
     "init.value": (float, 0.5),
     "init.amplitude": (float, 0.1),
@@ -187,7 +185,7 @@ def _validate(cfg: RunConfig) -> None:
 def build_kernel_spec(cfg: RunConfig) -> KernelSpec:
     fam = cfg["kernel.family"]
     if fam == "zero":
-        return KernelSpec(family="gaussian", c=0.0, lam=1.0)
+        return zero_kernel()
     if fam == "gaussian":
         return KernelSpec(family="gaussian", c=cfg["kernel.c"], lam=cfg["kernel.lam"])
     if fam == "mollifier":
@@ -253,8 +251,6 @@ def build_scenario(cfg: RunConfig, seed_override: int | None = None) -> Scenario
         record_every=cfg["solver.record_every"],
         bound_tol=cfg["solver.bound_tol"],
         clamp_policy=cfg["solver.clamp_policy"],
-        cg_tol=cfg["solver.cg_tol"],
-        cg_max_iter=cfg["solver.cg_max_iter"],
     )
     u0 = build_initial(cfg, grid, "init", seed_override)
     u0_second = None

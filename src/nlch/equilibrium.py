@@ -116,16 +116,11 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
         stall_residual = np.inf
         for _ in range(cfg.max_iter):
             total_iters += 1
-            b = _rhs(u, spec, op)
-            # inner solves run well below residual_tol so the CG floor
-            # cannot block the certification gate
-            if shift > 0:
-                gamma = solver.solve(b + shift * u, x0=u, tol=1e-12)
-            else:
-                # reaction-free limit problem: solve on the mean-zero
-                # complement and keep the iterate's mean
-                lift = solver.solve(b - np.mean(b), x0=u - np.mean(u), tol=1e-12)
-                gamma = np.mean(u) + lift
+            gamma = solver.solve(_rhs(u, spec, op) + shift * u)
+            if shift == 0:
+                # reaction-free limit problem: the solve lands on the
+                # mean-zero complement, so keep the iterate's mean
+                gamma += np.mean(u)
             u_next = (1.0 - theta) * u + theta * gamma
             lo, hi = float(np.min(u_next)), float(np.max(u_next))
             clamp_excursion = max(clamp_excursion, -lo, hi - 1.0, 0.0)

@@ -156,20 +156,6 @@ def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def div_mu_grad(grid: Grid, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """div(mu(u) grad w) with the degenerate mobility mu(s) = s(1-s) on [0,1]."""
-    from .model import mobility
-
-    return div_flux(grid, mobility(u), w)
-
-
-def node_gradient(grid: Grid, f: np.ndarray) -> list[np.ndarray]:
-    """Node-centered gradient components (central differences, one-sided at
-    the boundary).  Used for operator-norm probing, not for the dynamics."""
-    v = grid.reshape(f)
-    return [np.gradient(v, grid.h, axis=axis).ravel() for axis in range(grid.dim)]
-
-
 # -- spectral helpers (exact for the constant-coefficient Neumann stencil) ----
 
 def laplacian_eigenvalues(grid: Grid) -> np.ndarray:

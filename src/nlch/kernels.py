@@ -120,10 +120,6 @@ class KernelOp:
         rho = check_field(self.grid, rho)
         return self.weights @ rho
 
-    def convolve_many(self, rhos: np.ndarray) -> np.ndarray:
-        """Apply the operator to the columns of an (N, m) array."""
-        return self.weights @ rhos
-
 
 def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
     """Assemble W[i,j] = K(|x_i - x_j|) h^dim and its derived constants."""
@@ -150,10 +146,6 @@ def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
     r2, rinf, k2 = kernel_constants(op)
     return KernelOp(grid=grid, spec=spec, weights=w, kbar=kbar,
                     r2_est=r2, rinf_est=rinf, k2_sup=k2)
-
-
-def convolve(op: KernelOp, rho: np.ndarray) -> np.ndarray:
-    return op.convolve(rho)
 
 
 def _power_iteration_l2_h1(op: KernelOp, max_iter: int = 300, tol: float = 1e-12) -> float:

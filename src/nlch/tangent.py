@@ -50,7 +50,7 @@ def tangent_step(U: np.ndarray, u: np.ndarray, w: np.ndarray, spec: ReactionSpec
     if solver is None:
         solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     rhs = U + cfg.dt * _tangent_rhs_terms(U, u, w, spec, op)
-    return solver.solve(rhs, x0=U, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+    return solver.solve(rhs)
 
 
 def propagate_tangent(U0: np.ndarray, rec: TrajectoryRecord, spec: ReactionSpec,

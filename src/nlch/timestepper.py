@@ -5,7 +5,7 @@ Cahn-Hilliard system with reaction:
     u_t - Lap u - div(mu(u) grad w) = g(u),     w = K * (1 - 2u).
 
 Each step solves (I - dt Lap) u_new = u + dt div(mu(u) grad w) + dt g(u)
-with conjugate gradients; the nonlocal flux and the reaction are explicit.
+directly in the DCT-II basis; the nonlocal flux and the reaction are explicit.
 The per-step mass identity mean(u_new) = mean(u) + dt mean(g(u)) is enforced
 exactly by a zero-mean correction of the solve (both divergence terms have
 zero mean by construction).
@@ -13,6 +13,7 @@ zero mean by construction).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,22 +35,25 @@ class SolverConfig:
     record_every: int = 1
     bound_tol: float = 1e-8
     clamp_policy: str = "clamp_and_count"
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 500
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not (math.isfinite(self.t_end / self.dt) and self.n_steps >= 1):
+            raise ValueError(f"t_end / dt = {self.t_end / self.dt:.3g} must round "
+                             f"to a finite number of steps >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if not (0 < self.bound_tol < HARD_BOUND_TOL):
             raise ValueError(f"bound_tol must be in (0, {HARD_BOUND_TOL})")
         if self.clamp_policy not in ("off", "clamp_and_count"):
             raise ValueError(f"unknown clamp_policy: {self.clamp_policy!r}")
-        if self.cg_tol <= 0 or self.cg_max_iter < 1:
-            raise ValueError("cg_tol must be positive and cg_max_iter >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -86,7 +90,7 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
     g_vals = reaction_eval(spec, u)
     rhs = u + cfg.dt * div_flux(grid, mobility(u), w) + cfg.dt * g_vals
     target_mean = float(np.mean(u)) + cfg.dt * float(np.mean(g_vals))
-    u_new = solver.solve(rhs, x0=u, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+    u_new = solver.solve(rhs)
     u_new += target_mean - float(np.mean(u_new))
 
     lo, hi = float(np.min(u_new)), float(np.max(u_new))
@@ -140,7 +144,7 @@ def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
 
     solver = SpdNeumannSolver(grid, 1.0, cfg.dt)
     state = initial_state(u0, op)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     rec = TrajectoryRecord(grid=grid, dt=cfg.dt)
     if store_states:
         rec.states = [state.u.copy()]
@@ -189,7 +193,7 @@ def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
     solver = SpdNeumannSolver(grid, 1.0, cfg.dt)
     s1 = initial_state(u01, op)
     s2 = initial_state(u02, op)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     times = [0.0]
     dist = [l2_norm(grid, s1.u - s2.u)]
     for k in range(n_steps):

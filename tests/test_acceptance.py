@@ -172,7 +172,7 @@ def test_criterion_06_continuous_dependence(grid, kernels, suite):
     inward constant shift, the slowest eigendirection; mixed perturbations
     would superpose several exponentials and say nothing sharper."""
     checks = []
-    cfg = SolverConfig(dt=0.01, t_end=1.5, record_every=5, cg_tol=1e-12)
+    cfg = SolverConfig(dt=0.01, t_end=1.5, record_every=5)
     for rname, spec in _reactions(grid).items():
         for kname, op in kernels.items():
             for seed in SEEDS:
@@ -236,7 +236,7 @@ def test_criterion_08_uniform_differentiability(grid, kernels):
 
     nonlinear = logistic_reaction(grid, 1.0)
     u0 = 0.5 + 0.2 * np.cos(np.pi * x / grid.length)
-    cfg = SolverConfig(dt=0.01, t_end=1.0, cg_tol=1e-12)
+    cfg = SolverConfig(dt=0.01, t_end=1.0)
     study = remainder_order(u0, direction, eps_list, nonlinear,
                             kernels["gaussian"], cfg, t=1.0)
 

@@ -62,7 +62,6 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(OONO_CFG)
         assert cfg["solver.bound_tol"] == 1e-8
-        assert cfg["solver.cg_tol"] == 1e-10
         assert cfg["reaction.sigma"] == 1.0
         assert cfg["init.seed"] == 7
 
@@ -204,7 +203,6 @@ kernel.family = zero
 reaction.preset = oono
 reaction.sigma = 1.0
 solver.dt = 0.01
-solver.cg_tol = 1e-12
 init.kind = random
 init.lo = 0.3
 init.hi = 0.7
@@ -259,6 +257,19 @@ class TestMain:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("solver.dt = -1\n")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_cli_infinite_t_end_returns_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text(OONO_CFG.replace("solver.t_end = 2.0", "solver.t_end = inf"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert "t_end must be positive and finite" in (out / "report.txt").read_text()
+
+    def test_removed_solver_keys_are_unknown(self):
+        for key in ("solver.cg_tol", "solver.cg_max_iter"):
+            with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                parse_config(f"{key} = 1")
 
     def test_cli_missing_config_returns_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -8,7 +8,6 @@ from nlch.grid import build_grid
 from nlch.kernels import (
     KernelSpec,
     assemble_kernel,
-    convolve,
     gaussian_kernel,
     kernel_constants,
     mollifier_kernel,
@@ -96,14 +95,14 @@ class TestAssembly:
 
 class TestConvolve:
     def test_ones_gives_kbar(self, gaussian_op):
-        out = convolve(gaussian_op, np.ones(gaussian_op.grid.num_nodes))
+        out = gaussian_op.convolve(np.ones(gaussian_op.grid.num_nodes))
         assert np.allclose(out, gaussian_op.kbar, rtol=1e-12, atol=0)
 
     def test_indicator_probe_extracts_kernel_profile(self, grid1d, gaussian_op):
         j = 20
         rho = np.zeros(grid1d.num_nodes)
         rho[j] = 1.0 / grid1d.cell_volume
-        out = convolve(gaussian_op, rho)
+        out = gaussian_op.convolve(rho)
         x = grid1d.axis_coords()
         profile = np.exp(-((x - x[j]) ** 2) / 0.1)
         assert np.allclose(out, profile, rtol=1e-12)
@@ -111,20 +110,20 @@ class TestConvolve:
     def test_symmetric_input_symmetric_output(self, grid1d, gaussian_op):
         x = grid1d.axis_coords()
         rho = np.exp(-((x - 0.5) ** 2) * 3.0)
-        out = convolve(gaussian_op, rho)
+        out = gaussian_op.convolve(rho)
         assert np.allclose(out, out[::-1], rtol=1e-12)
 
     def test_linearity(self, grid1d, gaussian_op):
         rng = np.random.default_rng(7)
         r1 = rng.standard_normal(grid1d.num_nodes)
         r2 = rng.standard_normal(grid1d.num_nodes)
-        lhs = convolve(gaussian_op, 2.5 * r1 - 0.7 * r2)
-        rhs = 2.5 * convolve(gaussian_op, r1) - 0.7 * convolve(gaussian_op, r2)
+        lhs = gaussian_op.convolve(2.5 * r1 - 0.7 * r2)
+        rhs = 2.5 * gaussian_op.convolve(r1) - 0.7 * gaussian_op.convolve(r2)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
     def test_grid_mismatch_rejected(self, gaussian_op):
         with pytest.raises(ValueError):
-            convolve(gaussian_op, np.ones(12))
+            gaussian_op.convolve(np.ones(12))
 
 
 class TestQuadratureConvergence:
@@ -143,7 +142,7 @@ class TestQuadratureConvergence:
         for n in (32, 64):
             g = build_grid(1, n, L)
             op = assemble_kernel(gaussian_kernel(1.0, lam), g)
-            coarse = convolve(op, rho_fn(g.axis_coords()))
+            coarse = op.convolve(rho_fn(g.axis_coords()))
             kmat = np.exp(-((g.axis_coords()[:, None] - yf[None, :]) ** 2) / lam)
             oracle = kmat @ rho_f * fine.h
             errors.append(np.max(np.abs(coarse - oracle)))

@@ -1,0 +1,87 @@
+"""Direct DCT solves against a dense oracle of (a I - b Lap)."""
+
+import numpy as np
+import pytest
+
+from nlch.grid import build_grid, laplacian_neumann
+from nlch.solvers import SolverError, SpdNeumannSolver
+
+GRIDS = [(1, 16), (2, 8)]
+SHIFTS = [(1.0, 0.01), (1e-3, 1.0), (0.0, 1.0)]
+
+
+def dense_operator(grid, mass_coef, diff_coef):
+    """Dense a I - b Lap, assembled column by column from the stencil."""
+    eye = np.eye(grid.num_nodes)
+    lap = np.column_stack([laplacian_neumann(grid, e) for e in eye])
+    return mass_coef * eye - diff_coef * lap
+
+
+def oracle_solve(grid, mass_coef, diff_coef, b):
+    """Dense LU solve plus one refinement sweep with the stencil residual.
+
+    Assembling the matrix rounds its diagonal (512 + 1e-3 at n = 16 loses
+    about 2e-14), which moves the smallest eigenvalue by about 2e-11
+    relative at shift 1e-3; the refinement sweep removes that error.
+    """
+    a = dense_operator(grid, mass_coef, diff_coef)
+    if mass_coef == 0.0:
+        # constants span the kernel: adding the projector onto them makes the
+        # matrix regular without changing the mean-zero solution
+        a = a + np.full(a.shape, 1.0 / grid.num_nodes)
+        b = b - np.mean(b)
+    x = np.linalg.solve(a, b)
+    resid = b - (mass_coef * x - diff_coef * laplacian_neumann(grid, x))
+    return x + np.linalg.solve(a, resid)
+
+
+@pytest.mark.parametrize("mass_coef,diff_coef", SHIFTS)
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_matches_dense_oracle(dim, n, mass_coef, diff_coef):
+    grid = build_grid(dim, n, 1.0)
+    b = np.random.default_rng(n + dim).uniform(0.0, 1.0, grid.num_nodes)
+    x = SpdNeumannSolver(grid, mass_coef, diff_coef).solve(b)
+    want = oracle_solve(grid, mass_coef, diff_coef, b)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_singular_solve_is_mean_zero_and_ignores_constants(dim, n):
+    grid = build_grid(dim, n, 1.0)
+    solver = SpdNeumannSolver(grid, 0.0, 1.0)
+    b = np.random.default_rng(7).standard_normal(grid.num_nodes)
+    x = solver.solve(b)
+    assert abs(np.mean(x)) <= 1e-15 * np.max(np.abs(x))
+    shifted = solver.solve(b + 3.0)
+    assert np.linalg.norm(shifted - x) <= 1e-13 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("mass_coef,diff_coef", SHIFTS)
+def test_nan_right_side_raises(mass_coef, diff_coef):
+    grid = build_grid(1, 16, 1.0)
+    b = np.ones(grid.num_nodes)
+    b[5] = np.nan
+    with pytest.raises(SolverError, match="backward error"):
+        SpdNeumannSolver(grid, mass_coef, diff_coef).solve(b)
+
+
+def test_zero_right_side_gives_zero():
+    grid = build_grid(1, 16, 1.0)
+    x = SpdNeumannSolver(grid, 1.0, 0.01).solve(np.zeros(grid.num_nodes))
+    assert np.all(x == 0.0)
+
+
+def test_rejects_degenerate_coefficients():
+    grid = build_grid(1, 16, 1.0)
+    with pytest.raises(ValueError):
+        SpdNeumannSolver(grid, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        SpdNeumannSolver(grid, -1.0, 1.0)
+
+
+def test_certificate_rejects_a_wrong_inverse():
+    grid = build_grid(1, 16, 1.0)
+    solver = SpdNeumannSolver(grid, 1.0, 0.01)
+    solver._diag = solver._diag * (1.0 + 1e-6)
+    with pytest.raises(SolverError, match="backward error"):
+        solver.solve(np.random.default_rng(3).uniform(0.0, 1.0, grid.num_nodes))

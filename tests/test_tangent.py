@@ -51,7 +51,7 @@ class TestTangentStep:
         assert np.all(out == 0.0)
 
     def test_scaling_linearity(self, grid, weak_op):
-        cfg = SolverConfig(dt=0.01, t_end=1.0, cg_tol=1e-13)
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
         spec = logistic_reaction(grid, 1.0)
         rng = np.random.default_rng(0)
         u = rng.uniform(0.2, 0.8, grid.num_nodes)
@@ -65,7 +65,7 @@ class TestTangentStep:
         """With zero kernel and a linear reaction the solution map is affine,
         so the tangent step must equal a difference of nonlinear steps."""
         spec = oono_reaction(grid, 0.8)
-        cfg = SolverConfig(dt=0.01, t_end=1.0, cg_tol=1e-13)
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
         rng = np.random.default_rng(1)
         u = rng.uniform(0.3, 0.7, grid.num_nodes)
         U = 0.05 * rng.standard_normal(grid.num_nodes)
@@ -79,7 +79,7 @@ class TestTangentStep:
 class TestPropagatedMap:
     def test_linearity_of_propagator(self, grid, weak_op):
         spec = logistic_reaction(grid, 1.0)
-        cfg = SolverConfig(dt=0.01, t_end=0.3, cg_tol=1e-12)
+        cfg = SolverConfig(dt=0.01, t_end=0.3)
         rng = np.random.default_rng(2)
         u0 = rng.uniform(0.3, 0.7, grid.num_nodes)
         _, rec = run(u0, spec, weak_op, cfg, store_states=True)
@@ -117,7 +117,7 @@ class TestPropagatedMap:
 class TestRemainderOrder:
     def test_affine_flow_is_exact(self, grid, null_op):
         spec = oono_reaction(grid, 1.0)
-        cfg = SolverConfig(dt=0.01, t_end=1.0, cg_tol=1e-12)
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
         rng = np.random.default_rng(4)
         u0 = rng.uniform(0.3, 0.7, grid.num_nodes)
         study = remainder_order(u0, cosine_direction(grid), [1e-2, 3e-3, 1e-3, 3e-4],
@@ -128,7 +128,7 @@ class TestRemainderOrder:
 
     def test_nonlinear_flow_is_second_order(self, grid, weak_op):
         spec = logistic_reaction(grid, 1.0)
-        cfg = SolverConfig(dt=0.01, t_end=1.0, cg_tol=1e-12)
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
         x = grid.axis_coords()
         u0 = 0.5 + 0.2 * np.cos(np.pi * x / grid.length)
         study = remainder_order(u0, cosine_direction(grid), [1e-2, 3e-3, 1e-3, 3e-4],

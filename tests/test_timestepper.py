@@ -36,6 +36,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dt"):
             SolverConfig(dt=-0.1, t_end=1.0)
 
+    @pytest.mark.parametrize("dt,t_end,match", [
+        (float("nan"), 1.0, "dt must be positive and finite"),
+        (float("inf"), 1.0, "dt must be positive and finite"),
+        (0.01, float("inf"), "t_end must be positive and finite"),
+        (0.01, float("nan"), "t_end must be positive and finite"),
+        (0.01, 0.004, "steps >= 1"),
+        (1e-320, 1e300, "steps >= 1"),
+    ])
+    def test_rejects_nonfinite_or_stepless_runs(self, dt, t_end, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(dt=dt, t_end=t_end)
+
+    def test_single_step_run_accepted(self):
+        assert SolverConfig(dt=0.01, t_end=0.006).n_steps == 1
+
     def test_rejects_bad_bound_tol(self):
         with pytest.raises(ValueError, match="bound_tol"):
             SolverConfig(dt=0.01, t_end=1.0, bound_tol=1e-3)
