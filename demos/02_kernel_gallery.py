@@ -1,11 +1,12 @@
 """
 The three interaction-kernel families and their discrete operators.
 
-Every kernel becomes a dense symmetric matrix W[i,j] = K(|x_i - x_j|) h^dim
-acting by matrix-vector product.  Alongside each operator we estimate the
-constants that the convergence thresholds depend on: the row-sum bound
-(k2_sup), the L2 -> H1 operator norm (r2), and the worst-row gradient
-bound (rinf).
+Every kernel becomes a symmetric operator W[i,j] = K(|x_i - x_j|) h^dim,
+stored by its Toeplitz generator and applied by a matrix-vector product on
+small grids or a zero-padded FFT on large ones.  Alongside each operator we
+estimate the constants that the convergence thresholds depend on: the
+row-sum bound (k2_sup), the L2 -> H1 operator norm (r2), and the worst-row
+gradient bound (rinf).
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ g2 = nlch.build_grid(2, 24, 1.0)
 opn = nlch.assemble_kernel(nlch.newton_kernel(dim=2, kd=1.0), g2)
 print(f"  self-cell entries use the analytic cell average of -ln r: "
       f"{newton_self_cell_average(g2.h, 1.0):.4f}")
-print(f"  all weights finite: {np.all(np.isfinite(opn.weights))}")
+print(f"  all weights finite: {np.all(np.isfinite(opn.generator))}")
 print(f"  constants: r2 = {opn.r2_est:.4f}, rinf = {opn.rinf_est:.4f}, "
       f"k2_sup = {opn.k2_sup:.4f}")
 print()

@@ -36,7 +36,7 @@ def energy(u: np.ndarray, op) -> float:
     """
     grid = op.grid
     u = check_field(grid, u)
-    ku = op.weights @ u
+    ku = op.convolve(u)
     pair = 2.0 * (float(op.kbar @ (u * u)) - float(u @ ku)) * grid.cell_volume
     bulk = integrate(grid, potential(u))
     return pair + bulk

@@ -4,7 +4,9 @@ Raw field snapshots in a small self-describing binary format.
 Layout (all little-endian): magic bytes ``NLCH``, version byte 1, uint32
 dim, uint32 n per axis, float64 length per axis, float64 time stamp, then
 the node values as float64 in row-major order.  Bit-exact and trivially
-parseable from any language.
+parseable from any language.  ``read_field`` accepts exactly the byte
+length the header declares: a short file is reported as truncated and
+extra bytes as trailing.
 """
 
 from __future__ import annotations
@@ -34,24 +36,32 @@ def write_field(path, grid: Grid, values: np.ndarray, t: float) -> None:
 
 def read_field(path) -> tuple[Grid, np.ndarray, float]:
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
+    if raw[:4] != MAGIC[:len(raw)]:
         raise ValueError(f"{path}: not an NLCH field dump (bad magic)")
+    if len(raw) < 9:
+        raise ValueError(f"{path}: truncated dump: {len(raw)} bytes, shorter than "
+                         "the 9-byte preamble")
     version = raw[4]
     if version != VERSION:
         raise ValueError(f"{path}: unsupported dump version {version}")
-    off = 5
-    (dim,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    ns = struct.unpack_from(f"<{dim}I", raw, off)
-    off += 4 * dim
-    lengths = struct.unpack_from(f"<{dim}d", raw, off)
-    off += 8 * dim
-    (t,) = struct.unpack_from("<d", raw, off)
-    off += 8
+    (dim,) = struct.unpack_from("<I", raw, 5)
+    if dim not in (1, 2):
+        raise ValueError(f"{path}: unsupported dump dimension {dim}")
+    header = 9 + 12 * dim + 8
+    if len(raw) < header:
+        raise ValueError(f"{path}: truncated dump: {len(raw)} bytes, the header of a "
+                         f"{dim}D dump has {header}")
+    ns = struct.unpack_from(f"<{dim}I", raw, 9)
+    lengths = struct.unpack_from(f"<{dim}d", raw, 9 + 4 * dim)
+    (t,) = struct.unpack_from("<d", raw, header - 8)
     if len(set(ns)) != 1 or len(set(lengths)) != 1:
         raise ValueError(f"{path}: anisotropic dumps are not supported")
     grid = build_grid(dim, ns[0], lengths[0])
-    values = np.frombuffer(raw, dtype="<f8", count=grid.num_nodes, offset=off).astype(float)
-    if values.size != grid.num_nodes:
-        raise ValueError(f"{path}: truncated dump")
+    size = header + 8 * grid.num_nodes
+    if len(raw) < size:
+        raise ValueError(f"{path}: truncated dump: {len(raw)} bytes, expected {size}")
+    if len(raw) > size:
+        raise ValueError(f"{path}: {len(raw) - size} trailing bytes after the "
+                         f"{size}-byte dump")
+    values = np.frombuffer(raw, dtype="<f8", count=grid.num_nodes, offset=header).astype(float)
     return grid, values, t

@@ -57,6 +57,36 @@ class TestFieldDumps:
         assert int.from_bytes(raw[9:13], "little") == 16    # n
         assert len(raw) == 13 + 8 + 8 + 16 * 8
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_truncation_rejected(self, tmp_path, dim):
+        grid = build_grid(dim, 8, 1.0)
+        path = tmp_path / "field.nlch"
+        write_field(path, grid, np.linspace(0.0, 1.0, grid.num_nodes), 0.5)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.nlch"
+        for k in range(len(raw)):
+            cut.write_bytes(raw[:k])
+            with pytest.raises(ValueError, match="truncated"):
+                read_field(cut)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trailing_bytes_rejected(self, tmp_path, dim):
+        grid = build_grid(dim, 8, 1.0)
+        path = tmp_path / "field.nlch"
+        write_field(path, grid, np.zeros(grid.num_nodes), 0.0)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            read_field(path)
+
+    def test_corrupt_dimension_rejected(self, tmp_path):
+        path = tmp_path / "field.nlch"
+        write_field(path, build_grid(1, 8, 1.0), np.zeros(8), 0.0)
+        raw = bytearray(path.read_bytes())
+        raw[5:9] = (3).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported dump dimension 3"):
+            read_field(path)
+
 
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
@@ -265,6 +295,19 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert "t_end must be positive and finite" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("keep", [20, -8])   # inside the header, inside the payload
+    def test_cli_truncated_init_file_returns_2(self, tmp_path, capsys, keep):
+        dump = tmp_path / "ic.nlch"
+        write_field(dump, build_grid(1, 64, 1.0), np.full(64, 0.5), 0.0)
+        dump.write_bytes(dump.read_bytes()[:keep])
+        cfg_path = tmp_path / "trunc.cfg"
+        cfg_path.write_text(OONO_CFG.replace("init.kind = random", "init.kind = file")
+                            + f"init.path = {dump}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert "truncated dump" in (out / "report.txt").read_text()
 
     def test_removed_solver_keys_are_unknown(self):
         for key in ("solver.cg_tol", "solver.cg_max_iter"):

@@ -1,12 +1,16 @@
 """Kernel assembly, convolution, and operator-norm constants."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from nlch.grid import build_grid
+from nlch.grid import build_grid, laplacian_neumann
 from nlch.kernels import (
+    DENSE_MAX_NODES,
     KernelSpec,
+    _gradient_row_sums,
     assemble_kernel,
     gaussian_kernel,
     kernel_constants,
@@ -190,3 +194,134 @@ class TestKernelConstants:
         assert np.isfinite(curvature)
         assert curvature <= 50.0 * (l2_norm(grid1d, rho) + h1_seminorm(grid1d, rho))
         assert h1_seminorm(grid1d, out) <= gaussian_op.r2_est * l2_norm(grid1d, rho) * (1 + 1e-9)
+
+
+# -- dense oracle ---------------------------------------------------------------
+# The operator as an explicit N x N matrix W, and the constants computed from W
+# row by row: the reference for the matrix-free applies and constants.
+
+def _dense_power_iteration(grid, w, max_iter=300, tol=1e-12):
+    rng = np.random.default_rng(12345)
+    x = rng.standard_normal(grid.num_nodes)
+    x /= np.linalg.norm(x)
+    lam_old = 0.0
+    for _ in range(max_iter):
+        v = w @ x
+        bx = w @ (v - laplacian_neumann(grid, v))
+        nrm = np.linalg.norm(bx)
+        if nrm == 0.0:
+            return 0.0
+        x_new = bx / nrm
+        lam = float(x_new @ (w @ ((w @ x_new) - laplacian_neumann(grid, w @ x_new))))
+        if abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
+            lam_old = lam
+            break
+        x = x_new
+        lam_old = lam
+    return math.sqrt(max(lam_old, 0.0))
+
+
+def _dense_constants(grid, w):
+    """(kbar, r2, rinf row sums, k2_sup) from the explicit matrix."""
+    absw = np.abs(w)
+    k2_sup = float(np.max(absw.sum(axis=1)))
+    if grid.dim == 1:
+        gmag = np.abs(np.gradient(w, grid.h, axis=0))
+    else:
+        cube = w.reshape(grid.n, grid.n, grid.num_nodes)
+        gx = np.gradient(cube, grid.h, axis=0)
+        gy = np.gradient(cube, grid.h, axis=1)
+        gmag = np.hypot(gx, gy).reshape(grid.num_nodes, grid.num_nodes)
+    return w.sum(axis=1), _dense_power_iteration(grid, w), (absw + gmag).sum(axis=1), k2_sup
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+
+# 1D n = 512 and 2D 24 x 24 lie above DENSE_MAX_NODES, so their r2 power
+# iteration runs on the FFT apply
+ORACLE_CASES = [
+    (1, 64, gaussian_kernel(1.0, 0.1)),
+    (1, 64, mollifier_kernel(1.0, 0.25)),
+    (1, 512, gaussian_kernel(0.3, 0.05)),
+    (2, 16, gaussian_kernel(1.0, 0.1)),
+    (2, 16, mollifier_kernel(1.0, 0.25)),
+    (2, 16, newton_kernel(dim=2, kd=1.0)),
+    (2, 24, newton_kernel(dim=2, kd=0.7)),
+]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES,
+                ids=[f"{d}d-n{n}-{s.family}" for d, n, s in ORACLE_CASES])
+def oracle_case(request):
+    dim, n, spec = request.param
+    grid = build_grid(dim, n, 1.0)
+    op = assemble_kernel(spec, grid)
+    return op, _dense_constants(grid, np.array(op.weights))
+
+
+class TestDenseOracle:
+    def test_fft_apply_and_convolve_match_the_matrix(self, oracle_case):
+        op, _ = oracle_case
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            x = rng.standard_normal(op.grid.num_nodes)
+            ref = op.weights @ x
+            assert _relative(op._apply_fft(x), ref) <= 1e-13
+            assert _relative(op.convolve(x), ref) <= 1e-13
+
+    def test_fft_apply_is_self_adjoint(self, oracle_case):
+        op, _ = oracle_case
+        rng = np.random.default_rng(4)
+        u, v = rng.standard_normal((2, op.grid.num_nodes))
+        lhs = float(op._apply_fft(u) @ v)
+        rhs = float(u @ op._apply_fft(v))
+        scale = np.linalg.norm(u) * np.linalg.norm(v) * op.k2_sup
+        assert abs(lhs - rhs) <= 1e-14 * scale
+
+    def test_constants_match_dense_formulas(self, oracle_case):
+        op, (kbar, r2, rinf_rows, k2_sup) = oracle_case
+        assert _relative(op.kbar, kbar) <= 1e-12
+        assert op.k2_sup == pytest.approx(k2_sup, rel=1e-12)
+        # every row class, not only the row that attains the maximum
+        assert _relative(_gradient_row_sums(op), rinf_rows) <= 1e-12
+        assert op.rinf_est == pytest.approx(float(np.max(rinf_rows)), rel=1e-12)
+        assert op.r2_est == pytest.approx(r2, rel=1e-12)
+
+    def test_weights_exactly_symmetric_and_read_only(self, oracle_case):
+        op, _ = oracle_case
+        w = op.weights
+        assert w.shape == (op.grid.num_nodes,) * 2
+        assert np.array_equal(w, w.T)
+        assert op.weights is w, "the matrix is built once"
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+
+    def test_convolve_picks_the_apply_by_size(self, oracle_case):
+        op, _ = oracle_case
+        x = np.random.default_rng(5).standard_normal(op.grid.num_nodes)
+        if op.grid.num_nodes > DENSE_MAX_NODES:
+            assert np.array_equal(op.convolve(x), op._apply_fft(x))
+        else:
+            assert np.array_equal(op.convolve(x), op.weights @ x)
+
+
+class TestMatrixFree:
+    def test_newton_256x256_steps_without_the_matrix(self):
+        """A 65536-node operator (its N x N matrix would be 34 GB) assembles
+        and steps with the per-step mass identity intact."""
+        from nlch import SolverConfig, initial_state, logistic_reaction, step
+        from nlch.model import reaction_eval
+
+        grid = build_grid(2, 256, 1.0)
+        op = assemble_kernel(newton_kernel(dim=2, kd=0.1), grid)
+        spec = logistic_reaction(grid, 1.0)
+        cfg = SolverConfig(dt=0.001, t_end=0.003)
+        state = initial_state(np.random.default_rng(2).uniform(0.3, 0.7, grid.num_nodes), op)
+        for _ in range(3):
+            target = float(np.mean(state.u)) + cfg.dt * float(np.mean(reaction_eval(spec, state.u)))
+            state = step(state, spec, op, cfg)
+            assert abs(float(np.mean(state.u)) - target) <= 1e-12 * abs(target)
+        assert 0.0 <= float(np.min(state.u)) and float(np.max(state.u)) <= 1.0
+        assert "weights" not in vars(op)
