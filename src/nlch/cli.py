@@ -445,6 +445,8 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
     results = multistart_equilibria(seeds, scen.spec, scen.op, eq_cfg,
                                     dedup_tol=cfg["equilibrium.dedup_tol"])
     report.add(f"seeds = {len(seeds)}, distinct converged equilibria = {len(results)}")
+    report.check("some seed converged", bool(results),
+                 f"{len(results)} distinct converged equilibria from {len(seeds)} seeds")
     for i, res in enumerate(results):
         write_field(out / f"equilibrium_{i:02d}.nlch", scen.grid, res.u, 0.0)
         report.check(

@@ -95,14 +95,14 @@ class TrajectoryRecord:
         }
 
 
-def mass_balance_residual(rec: TrajectoryRecord, g_means=None) -> float:
+def mass_balance_residual(rec: TrajectoryRecord) -> float:
     """Largest per-step defect of mean(u_{n+1}) - mean(u_n) - dt * mean(g(u_n)).
 
     Returned relative to the largest mass magnitude seen on the run; the
     scheme contract is <= 1e-12.
     """
     m = np.asarray(rec.step_mass)
-    g = np.asarray(rec.step_g_mean if g_means is None else g_means)
+    g = np.asarray(rec.step_g_mean)
     if len(m) < 2:
         return 0.0
     res = np.abs(np.diff(m) - rec.dt * g)

@@ -20,6 +20,7 @@ are reachable limits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +45,17 @@ class EquilibriumConfig:
         sched = tuple(float(e) for e in self.eps_schedule)
         if len(sched) == 0:
             raise ValueError("eps_schedule must be nonempty")
-        if any(e < 0 for e in sched):
-            raise ValueError("eps_schedule entries must be >= 0")
+        if not all(math.isfinite(e) and e >= 0 for e in sched):
+            raise ValueError("eps_schedule entries must be finite and >= 0")
         if len(sched) > 1 and not all(b < a for a, b in zip(sched, sched[1:])):
             raise ValueError("eps_schedule must be strictly decreasing")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must be in (0, 1]")
-        if self.picard_tol <= 0 or self.max_iter < 1 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive and max_iter >= 1")
+        tols = (self.picard_tol, self.residual_tol)
+        if not all(math.isfinite(tol) and tol > 0 for tol in tols):
+            raise ValueError("picard_tol and residual_tol must be finite and positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         object.__setattr__(self, "eps_schedule", sched)
 
 
@@ -159,6 +163,8 @@ def multistart_equilibria(seeds, spec: ReactionSpec, op: KernelOp,
     of distinct limits (pairwise L2 distance > dedup_tol) is returned;
     non-converged solves are dropped.
     """
+    if not (math.isfinite(dedup_tol) and dedup_tol >= 0):
+        raise ValueError(f"dedup_tol must be finite and >= 0, got {dedup_tol}")
     grid = op.grid
     found: list[EquilibriumResult] = []
     for seed in seeds:

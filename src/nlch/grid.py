@@ -2,10 +2,11 @@
 Cell-centered uniform grids on a box with zero-flux (Neumann) boundary.
 
 Fields are plain 1D numpy arrays of length ``grid.num_nodes`` (row-major
-flattening in 2D).  All operators here are conservative by construction:
-the Laplacian and the mobility-weighted flux divergence are assembled from
-face fluxes that vanish on the boundary, so their weighted sums telescope
-to zero up to round-off.
+flattening in 2D).  Both spatial operators, the Laplacian and the
+coefficient-weighted flux divergence, are one face-flux routine: each
+interior face flux is added to one neighbour and subtracted from the other,
+and boundary faces carry none, so their weighted sums telescope to zero up
+to round-off.
 """
 
 from __future__ import annotations
@@ -113,24 +114,32 @@ def h1_seminorm(grid: Grid, f: np.ndarray) -> float:
 
 # -- conservative operators ---------------------------------------------------
 
-def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Second-order centered Laplacian with mirrored ghost values.
+def _face_flux_divergence(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Sum of the face fluxes 0.5 (a_lo + a_hi) (p_hi - p_lo) / h^2 per node.
 
-    The ghost value equals the boundary cell value, which makes the normal
-    derivative vanish at the domain faces and the weighted sum of the output
-    telescope to zero.
+    Each interior face adds its flux to the lower neighbour and subtracts it
+    from the upper one; boundary faces carry none, so the nodal sum
+    telescopes to zero.
     """
-    v = grid.reshape(f)
-    out = np.zeros_like(v)
+    va, vp = grid.reshape(a), grid.reshape(p)
+    out = np.zeros_like(vp)
+    scale = 0.5 / grid.h**2
     for axis in range(grid.dim):
-        p = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(grid.dim)], mode="edge")
-        sl = [slice(None)] * grid.dim
-        sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
-        sl_lo[axis] = slice(0, -2)
-        sl_mid[axis] = slice(1, -1)
-        sl_hi[axis] = slice(2, None)
-        out += (p[tuple(sl_lo)] - 2.0 * p[tuple(sl_mid)] + p[tuple(sl_hi)]) / grid.h**2
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        flux = (va[lo] + va[hi]) * (vp[hi] - vp[lo])
+        flux *= scale
+        out[lo] += flux
+        out[hi] -= flux
     return out.ravel()
+
+
+def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Second-order centered Laplacian with zero flux through the boundary.
+
+    The face-flux sum with a unit coefficient (0.5 (1 + 1) = 1 exactly).
+    """
+    return _face_flux_divergence(grid, np.ones(grid.num_nodes), f)
 
 
 def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -142,18 +151,7 @@ def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     whenever both neighbors have a == 0 and makes the operator linear in a
     (the tangent flow relies on that linearity).
     """
-    va = grid.reshape(a)
-    vp = grid.reshape(p)
-    out = np.zeros_like(vp)
-    for axis in range(grid.dim):
-        a_face = 0.5 * (np.take(va, range(1, grid.n), axis=axis)
-                        + np.take(va, range(0, grid.n - 1), axis=axis))
-        dp = np.diff(vp, axis=axis) / grid.h
-        flux = a_face * dp
-        pad = [(1, 1) if ax == axis else (0, 0) for ax in range(grid.dim)]
-        flux = np.pad(flux, pad, mode="constant")          # zero boundary fluxes
-        out += np.diff(flux, axis=axis) / grid.h
-    return out.ravel()
+    return _face_flux_divergence(grid, a, p)
 
 
 # -- spectral helpers (exact for the constant-coefficient Neumann stencil) ----

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,23 +71,11 @@ def propagate_tangent(U0: np.ndarray, rec: TrajectoryRecord, spec: ReactionSpec,
 
 @dataclass
 class TangentFrame:
-    """An evolving set of tangent vectors, orthonormal in discrete L2.
-
-    ``vectors`` holds the columns; ``log_r`` accumulates the logs of the QR
-    diagonal stretching factors per column (Benettin-style bookkeeping).
-    """
+    """An evolving set of tangent vectors (the columns of ``vectors``),
+    orthonormal in discrete L2."""
 
     grid: Grid
     vectors: np.ndarray
-    ortho_every: int = 10
-    log_r: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.log_r = np.zeros(self.vectors.shape[1])
-
-    @property
-    def n_vectors(self) -> int:
-        return self.vectors.shape[1]
 
     def orthonormalize(self) -> None:
         """QR sweep in the L2 inner product; raises on rank loss."""
@@ -103,7 +91,6 @@ class TangentFrame:
             )
         signs = np.sign(diag)
         self.vectors = (q * signs) / scale
-        self.log_r += np.log(np.abs(diag))
 
 
 def cosine_frame(grid: Grid, n: int) -> TangentFrame:
@@ -124,7 +111,6 @@ def cosine_frame(grid: Grid, n: int) -> TangentFrame:
     cols = np.column_stack([neumann_mode(grid, m if grid.dim > 1 else m[0]) for m in modes])
     frame = TangentFrame(grid=grid, vectors=cols)
     frame.orthonormalize()
-    frame.log_r[:] = 0.0
     return frame
 
 
@@ -140,31 +126,21 @@ def trace_form(cols: np.ndarray, u: np.ndarray, w: np.ndarray, spec: ReactionSpe
     return out
 
 
-@dataclass
-class TraceStudy:
-    """Per-column time-averaged trace contributions on [transient, T]."""
-
-    contributions: np.ndarray     # time-averaged (L phi_j, phi_j), one per column
-    eval_times: np.ndarray
-    log_r: np.ndarray
-
-    def trace(self, n: int) -> float:
-        """Time-averaged Tr(L P^(n)) for the leading n columns."""
-        return float(np.sum(self.contributions[:n]))
-
-
 def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
                          op: KernelOp, cfg: SolverConfig, ortho_every: int = 10,
-                         transient: float = 1.0) -> TraceStudy:
+                         transient: float = 1.0) -> np.ndarray:
+    """Per-column time-averaged trace contributions (L phi_j, phi_j) on [transient, T]."""
     if T < transient:
         raise ValueError(f"T = {T} must be >= the transient window {transient}")
+    if ortho_every < 1:
+        raise ValueError(f"ortho_every must be >= 1, got {ortho_every}")
     run_cfg = replace(cfg, t_end=float(T))
     _, rec = run(u0, spec, op, run_cfg, store_states=True)
     solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     frame = cosine_frame(op.grid, n)
 
     sums = np.zeros(n)
-    times = []
+    n_evals = 0
     n_steps = len(rec.states) - 1
     for k in range(n_steps):
         u_k, w_k = rec.states[k], rec.w_states[k]
@@ -178,12 +154,11 @@ def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
         if at_record and t >= transient:
             sums += trace_form(frame.vectors, rec.states[k + 1], rec.w_states[k + 1],
                                spec, op)
-            times.append(t)
-    if not times:
+            n_evals += 1
+    if not n_evals:
         raise ValueError("no evaluation times fell inside [transient, T]; "
                          "increase T or lower record_every")
-    return TraceStudy(contributions=sums / len(times),
-                      eval_times=np.asarray(times), log_r=frame.log_r.copy())
+    return sums / n_evals
 
 
 def trace_estimate(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
@@ -195,8 +170,7 @@ def trace_estimate(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
     trajectory of u0, re-orthonormalizing periodically, and averages the
     instantaneous quadratic form over record times in [transient, T].
     """
-    study = _evolve_frame_traces(u0, n, T, spec, op, cfg, ortho_every, transient)
-    return study.trace(n)
+    return float(np.sum(_evolve_frame_traces(u0, n, T, spec, op, cfg, ortho_every, transient)))
 
 
 @dataclass
@@ -235,10 +209,10 @@ def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
     """
     if n_max < 1:
         return DimensionScan(n_bound=None, traces=np.empty(0), contributions=np.empty(0))
-    study = _evolve_frame_traces(u0, n_max, T, spec, op, cfg, ortho_every, transient)
-    traces = np.cumsum(study.contributions)
+    contributions = _evolve_frame_traces(u0, n_max, T, spec, op, cfg, ortho_every, transient)
+    traces = np.cumsum(contributions)
     return DimensionScan(n_bound=first_negative_trace(traces), traces=traces,
-                         contributions=study.contributions)
+                         contributions=contributions)
 
 
 @dataclass

@@ -48,6 +48,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonempty"):
             EquilibriumConfig(eps_schedule=())
 
+    @pytest.mark.parametrize("key", ["picard_tol", "residual_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_tolerances_finite_positive(self, key, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EquilibriumConfig(**{key: value})
+
+    def test_max_iter_positive(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            EquilibriumConfig(max_iter=0)
+
+    @pytest.mark.parametrize("sched", [(float("nan"),), (float("inf"), 0.0), (-1.0,)])
+    def test_schedule_entries_finite_nonnegative(self, sched):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            EquilibriumConfig(eps_schedule=sched)
+
 
 class TestResidual:
     def test_half_state_reaction_free(self, grid, op):
@@ -164,3 +179,13 @@ class TestMultistart:
         spec = balanced_cubic_reaction(grid, 1.0)
         seeds = [const(grid, 0.5), const(grid, 0.5)]
         assert len(multistart_equilibria(seeds, spec, op)) == 1
+
+    def test_zero_dedup_tol_merges_identical_limits(self, grid, op):
+        spec = balanced_cubic_reaction(grid, 1.0)
+        seeds = [const(grid, 0.5), const(grid, 0.5)]
+        assert len(multistart_equilibria(seeds, spec, op, dedup_tol=0.0)) == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_dedup_tol_finite_nonnegative(self, grid, op, tol):
+        with pytest.raises(ValueError, match="dedup_tol"):
+            multistart_equilibria([const(grid, 0.5)], zero_reaction(grid), op, dedup_tol=tol)

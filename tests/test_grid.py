@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlch.grid import (
+    Grid,
     build_grid,
     check_field,
     div_flux,
@@ -162,3 +166,139 @@ class TestNeumannModes:
         assert f.shape == (g.num_nodes,)
         with pytest.raises(ValueError):
             neumann_mode(g, (1,))
+
+
+# -- oracle: the pre-face-flux bodies, kept verbatim ----------------------------
+
+def _oracle_laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
+    v = grid.reshape(f)
+    out = np.zeros_like(v)
+    for axis in range(grid.dim):
+        p = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(grid.dim)], mode="edge")
+        sl = [slice(None)] * grid.dim
+        sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
+        sl_lo[axis] = slice(0, -2)
+        sl_mid[axis] = slice(1, -1)
+        sl_hi[axis] = slice(2, None)
+        out += (p[tuple(sl_lo)] - 2.0 * p[tuple(sl_mid)] + p[tuple(sl_hi)]) / grid.h**2
+    return out.ravel()
+
+
+def _oracle_div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    va = grid.reshape(a)
+    vp = grid.reshape(p)
+    out = np.zeros_like(vp)
+    for axis in range(grid.dim):
+        a_face = 0.5 * (np.take(va, range(1, grid.n), axis=axis)
+                        + np.take(va, range(0, grid.n - 1), axis=axis))
+        dp = np.diff(vp, axis=axis) / grid.h
+        flux = a_face * dp
+        pad = [(1, 1) if ax == axis else (0, 0) for ax in range(grid.dim)]
+        flux = np.pad(flux, pad, mode="constant")          # zero boundary fluxes
+        out += np.diff(flux, axis=axis) / grid.h
+    return out.ravel()
+
+
+def _degenerate_coefficient(grid: Grid, rng) -> np.ndarray:
+    """Mobility of a random field with pure-phase patches: a == 0 on blocks
+    touching a corner, the centre and a far edge."""
+    u = grid.reshape(rng.uniform(0.0, 1.0, grid.num_nodes).copy())
+    q = max(grid.n // 4, 2)
+    corner = (slice(0, q),) * grid.dim
+    centre = (slice(grid.n // 2 - q // 2, grid.n // 2 + q // 2),) * grid.dim
+    edge = (slice(grid.n - q, None),) + (slice(None),) * (grid.dim - 1)
+    u[corner] = 0.0
+    u[centre] = 1.0
+    u[edge] = 0.0
+    return mobility(u.ravel())
+
+
+def _rel_max_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+ORACLE_GRIDS = [(1, 8), (1, 64), (1, 256), (2, 8), (2, 16), (2, 64)]
+
+
+class TestFaceFluxOracle:
+    """The shared face-flux routine against the ghost-padded Laplacian and the
+    pad/take flux divergence it replaced."""
+
+    @pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
+    def test_laplacian_matches_ghost_padded_stencil(self, dim, n):
+        g = build_grid(dim, n, 1.7)
+        rng = np.random.default_rng(10 + n)
+        for _ in range(3):
+            f = rng.standard_normal(g.num_nodes)
+            want = _oracle_laplacian_neumann(g, f)
+            assert _rel_max_error(laplacian_neumann(g, f), want) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
+    def test_div_flux_matches_pad_take_stencil(self, dim, n):
+        g = build_grid(dim, n, 1.7)
+        rng = np.random.default_rng(20 + n)
+        for _ in range(3):
+            a = _degenerate_coefficient(g, rng)
+            assert np.count_nonzero(a == 0.0) >= g.num_nodes // 8
+            p = rng.standard_normal(g.num_nodes)
+            want = _oracle_div_flux(g, a, p)
+            got = div_flux(g, a, p)
+            assert _rel_max_error(got, want) <= 1e-13
+            # faces with a zero coefficient on both sides carry exactly nothing
+            assert np.all(got[want == 0.0] == 0.0)
+
+
+# -- properties over random grids, coefficients and fields ---------------------
+
+_values = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+_coefs = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False))
+
+
+@st.composite
+def _grid_and_fields(draw):
+    """A random grid, a nonnegative coefficient (zeros likely) and two fields."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 64 if dim == 1 else 16))
+    length = draw(st.floats(0.1, 10.0))
+    g = build_grid(dim, n, length)
+    field = hnp.arrays(float, g.num_nodes, elements=_values)
+    a = draw(hnp.arrays(float, g.num_nodes, elements=_coefs))
+    return g, a, draw(field), draw(field)
+
+
+def _flux_scale(g: Grid, a: np.ndarray, *fields: np.ndarray) -> float:
+    """Size of a face-flux sum over the whole domain: round-off is relative to it."""
+    scale = g.domain_volume * max(float(np.max(a)), 1.0) / g.h**2
+    for f in fields:
+        scale *= max(float(np.max(np.abs(f))), 1.0)
+    return scale
+
+
+class TestFaceFluxProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_and_fields())
+    def test_div_flux_conserves_mass(self, case):
+        g, a, p, _ = case
+        assert abs(integrate(g, div_flux(g, a, p))) <= 1e-13 * _flux_scale(g, a, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_and_fields())
+    def test_laplacian_conserves_mass(self, case):
+        g, _, p, _ = case
+        one = np.ones(g.num_nodes)
+        assert abs(integrate(g, laplacian_neumann(g, p))) <= 1e-13 * _flux_scale(g, one, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_and_fields())
+    def test_div_flux_symmetric_in_p_and_q(self, case):
+        g, a, p, q = case
+        lhs = inner(g, div_flux(g, a, p), q)
+        rhs = inner(g, div_flux(g, a, q), p)
+        assert abs(lhs - rhs) <= 1e-13 * _flux_scale(g, a, p, q)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_grid_and_fields())
+    def test_laplacian_is_unit_coefficient_div_flux(self, case):
+        # one stencil: 0.5 (1 + 1) = 1 exactly, so the results are bitwise equal
+        g, _, p, _ = case
+        assert np.array_equal(laplacian_neumann(g, p), div_flux(g, np.ones(g.num_nodes), p))

@@ -26,6 +26,16 @@ init.hi = 0.8
 init.seed = 7
 """
 
+EQ_CFG = """
+grid.dim = 1
+grid.n = 64
+kernel.family = gaussian
+kernel.c = 0.05
+kernel.lam = 0.05
+reaction.preset = balanced_cubic
+equilibrium.seed_values = 0,0.5,1
+"""
+
 
 class TestFieldDumps:
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
@@ -191,16 +201,7 @@ class TestExecuteRun:
 
 class TestOtherCommands:
     def test_equilibrium_command(self, tmp_path):
-        text = """
-grid.dim = 1
-grid.n = 64
-kernel.family = gaussian
-kernel.c = 0.05
-kernel.lam = 0.05
-reaction.preset = balanced_cubic
-equilibrium.seed_values = 0,0.5,1
-"""
-        status = execute(parse_config(text), tmp_path / "eq", command="equilibrium")
+        status = execute(parse_config(EQ_CFG), tmp_path / "eq", command="equilibrium")
         assert status == 0
         report = (tmp_path / "eq" / "report.txt").read_text()
         assert "distinct converged equilibria = 3" in report
@@ -308,6 +309,35 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert "truncated dump" in (out / "report.txt").read_text()
+
+    def test_cli_zero_ortho_every_returns_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "trace.cfg"
+        cfg_path.write_text(OONO_CFG + "trace.ortho_every = 0\ntrace.n_max = 2\n")
+        out = tmp_path / "o"
+        assert main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert "ortho_every must be >= 1" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("key,message", [("picard_tol", "finite and positive"),
+                                             ("residual_tol", "finite and positive"),
+                                             ("dedup_tol", "dedup_tol must be finite")])
+    def test_cli_nan_equilibrium_tolerance_returns_2(self, tmp_path, capsys, key, message):
+        cfg_path = tmp_path / "eq.cfg"
+        cfg_path.write_text(EQ_CFG + f"equilibrium.{key} = nan\n")
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in (out / "report.txt").read_text()
+
+    def test_cli_equilibrium_without_converged_seed_returns_1(self, tmp_path):
+        cfg_path = tmp_path / "eq.cfg"
+        cfg_path.write_text(EQ_CFG.replace("seed_values = 0,0.5,1", "seed_values = 0.3")
+                            + "equilibrium.max_iter = 1\n")
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert "distinct converged equilibria = 0" in report
+        assert "[FAIL] some seed converged" in report
 
     def test_removed_solver_keys_are_unknown(self):
         for key in ("solver.cg_tol", "solver.cg_max_iter"):

@@ -251,6 +251,14 @@ class TestTraceEstimates:
         assert scan.n_bound is None
         assert scan.describe() == "none <= 0"
 
+    @pytest.mark.parametrize("ortho_every", [0, -1])
+    def test_ortho_every_must_be_positive(self, grid, null_op, ortho_every):
+        spec = zero_reaction(grid)
+        cfg = SolverConfig(dt=0.01, t_end=2.0)
+        with pytest.raises(ValueError, match="ortho_every"):
+            dimension_bound(np.full(grid.num_nodes, 0.5), 2, 2.0, spec, null_op, cfg,
+                            ortho_every=ortho_every)
+
     def test_transient_requires_long_enough_run(self, grid, null_op):
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=0.5)
