@@ -59,8 +59,6 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "solver.dt": (float, 0.01),
     "solver.t_end": (float, 1.0),
     "solver.record_every": (int, 1),
-    "solver.bound_tol": (float, 1e-8),
-    "solver.clamp_policy": (str, "clamp_and_count"),
     "init.kind": (str, "constant"),
     "init.value": (float, 0.5),
     "init.amplitude": (float, 0.1),
@@ -237,8 +235,8 @@ class Scenario:
     spec: ReactionSpec
     solver_cfg: SolverConfig
     u0: np.ndarray
+    seed: int
     u0_second: np.ndarray | None = None
-    seed: int | None = None
 
 
 def build_scenario(cfg: RunConfig, seed_override: int | None = None) -> Scenario:
@@ -249,8 +247,6 @@ def build_scenario(cfg: RunConfig, seed_override: int | None = None) -> Scenario
         dt=cfg["solver.dt"],
         t_end=cfg["solver.t_end"],
         record_every=cfg["solver.record_every"],
-        bound_tol=cfg["solver.bound_tol"],
-        clamp_policy=cfg["solver.clamp_policy"],
     )
     u0 = build_initial(cfg, grid, "init", seed_override)
     u0_second = None
@@ -435,9 +431,10 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
         for c in sv.split(","):
             seeds.append(np.full(scen.grid.num_nodes, float(c)))
     n_random = int(cfg["equilibrium.random_seeds"])
-    base_seed = scen.seed if scen.seed is not None else 0
+    if n_random < 0:
+        raise ValueError(f"equilibrium.random_seeds must be >= 0, got {n_random}")
     for k in range(n_random):
-        rng = np.random.default_rng(base_seed + k)
+        rng = np.random.default_rng(scen.seed + k)
         seeds.append(rng.uniform(cfg["init.lo"], cfg["init.hi"], scen.grid.num_nodes))
     if not seeds:
         seeds.append(scen.u0)
@@ -474,21 +471,22 @@ def _cmd_remainder(cfg: RunConfig, scen: Scenario, out: Path, report: Report) ->
 
 def _cmd_trace(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
     n_max = int(cfg["trace.n_max"])
-    samples = max(1, int(cfg["trace.samples"]))
-    base_seed = scen.seed if scen.seed is not None else 0
+    samples = int(cfg["trace.samples"])
+    if samples < 1:
+        raise ValueError(f"trace.samples must be >= 1, got {samples}")
     curves = []
     for k in range(samples):
         if k == 0:
             u0 = scen.u0
         else:
-            rng = np.random.default_rng(base_seed + k)
+            rng = np.random.default_rng(scen.seed + k)
             u0 = rng.uniform(cfg["init.lo"], cfg["init.hi"], scen.grid.num_nodes)
         scan = dimension_bound(u0, n_max, cfg["trace.t"], scen.spec, scen.op,
                                scen.solver_cfg, ortho_every=cfg["trace.ortho_every"],
                                transient=cfg["trace.transient"])
         curves.append(scan.traces)
     # the trace functional is a sup over initial data: take the worst case
-    traces = np.max(np.vstack(curves), axis=0) if curves else np.empty(0)
+    traces = np.max(np.vstack(curves), axis=0)
     n_bound = first_negative_trace(traces)
     report.add(f"trace curve over {samples} initial data (worst case), "
                f"time average on [{cfg['trace.transient']:g}, {cfg['trace.t']:g}]:")

@@ -66,7 +66,6 @@ class EquilibriumResult:
     converged: bool
     iterations: int
     eps_gaps: list[float] = field(default_factory=list)
-    clamp_excursion: float = 0.0
     mass_defect: float = 0.0
 
     @property
@@ -110,7 +109,6 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
     total_iters = 0
     converged_all = True
     eps_gaps = []
-    clamp_excursion = 0.0
 
     for eps in cfg.eps_schedule:
         shift = eps + rho
@@ -126,8 +124,6 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
                 # mean-zero complement, so keep the iterate's mean
                 gamma += np.mean(u)
             u_next = (1.0 - theta) * u + theta * gamma
-            lo, hi = float(np.min(u_next)), float(np.max(u_next))
-            clamp_excursion = max(clamp_excursion, -lo, hi - 1.0, 0.0)
             np.clip(u_next, 0.0, 1.0, out=u_next)
             delta = l2_norm(grid, u_next - u)
             u = u_next
@@ -149,7 +145,6 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
         converged=converged_all,
         iterations=total_iters,
         eps_gaps=eps_gaps,
-        clamp_excursion=clamp_excursion,
         mass_defect=mass_defect,
     )
 

@@ -141,14 +141,13 @@ def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
 
     sums = np.zeros(n)
     n_evals = 0
-    n_steps = len(rec.states) - 1
-    for k in range(n_steps):
+    for k in range(run_cfg.n_steps):
         u_k, w_k = rec.states[k], rec.w_states[k]
         for j in range(n):
             frame.vectors[:, j] = tangent_step(frame.vectors[:, j], u_k, w_k,
                                                spec, op, cfg, solver=solver)
         t = (k + 1) * cfg.dt
-        at_record = (k + 1) % cfg.record_every == 0 or (k + 1) == n_steps
+        at_record = run_cfg.is_record_step(k + 1)
         if (k + 1) % ortho_every == 0 or at_record:
             frame.orthonormalize()
         if at_record and t >= transient:
@@ -208,7 +207,7 @@ def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
     QR orthonormalization is column-sequential.
     """
     if n_max < 1:
-        return DimensionScan(n_bound=None, traces=np.empty(0), contributions=np.empty(0))
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     contributions = _evolve_frame_traces(u0, n_max, T, spec, op, cfg, ortho_every, transient)
     traces = np.cumsum(contributions)
     return DimensionScan(n_bound=first_negative_trace(traces), traces=traces,

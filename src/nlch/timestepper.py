@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .model import ReactionSpec, mobility, reaction_eval
 from .solvers import SolverError, SpdNeumannSolver
 
 HARD_BOUND_TOL = 1e-4   # excursions beyond this abort the run: dt is too large
+WARN_BOUND_TOL = 1e-8   # excursions beyond this are still clamped, with a warning
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,6 @@ class SolverConfig:
     dt: float
     t_end: float
     record_every: int = 1
-    bound_tol: float = 1e-8
-    clamp_policy: str = "clamp_and_count"
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -46,14 +47,15 @@ class SolverConfig:
                              f"to a finite number of steps >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if not (0 < self.bound_tol < HARD_BOUND_TOL):
-            raise ValueError(f"bound_tol must be in (0, {HARD_BOUND_TOL})")
-        if self.clamp_policy not in ("off", "clamp_and_count"):
-            raise ValueError(f"unknown clamp_policy: {self.clamp_policy!r}")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
+
+    def is_record_step(self, k: int) -> bool:
+        """Whether the state after k steps is sampled: every record_every-th
+        state, counting the initial one, and the final one."""
+        return k % self.record_every == 0 or k == self.n_steps
 
 
 @dataclass
@@ -70,14 +72,6 @@ class State:
 def initial_state(u0: np.ndarray, op: KernelOp) -> State:
     u0 = check_field(op.grid, u0)
     return State(t=0.0, u=u0.copy(), w=op.convolve(1.0 - 2.0 * u0))
-
-
-def _check_reaction_stability(spec: ReactionSpec, cfg: SolverConfig) -> None:
-    if cfg.dt * spec.lipschitz_s >= 0.5:
-        raise ValueError(
-            f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
-            f"reaction is unstable, reduce dt below {0.5 / max(spec.lipschitz_s, 1e-300):.3g}"
-        )
 
 
 def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
@@ -101,11 +95,11 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
             f"phase bound excursion {excursion:.3e} exceeds {HARD_BOUND_TOL:.0e} "
             f"at t = {state.t + cfg.dt:.6g}: scheme unstable, reduce dt"
         )
-    if cfg.clamp_policy == "clamp_and_count" and excursion > 0.0:
-        if excursion > cfg.bound_tol:
+    if excursion > 0.0:
+        if excursion > WARN_BOUND_TOL:
             warnings.warn(
-                f"phase bound excursion {excursion:.3e} beyond bound_tol "
-                f"{cfg.bound_tol:.0e} at t = {state.t + cfg.dt:.6g}; clamping",
+                f"phase bound excursion {excursion:.3e} beyond "
+                f"{WARN_BOUND_TOL:.0e} at t = {state.t + cfg.dt:.6g}; clamping",
                 stacklevel=2,
             )
         clamped = int(np.sum((u_new < 0.0) | (u_new > 1.0)))
@@ -120,6 +114,26 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
     )
 
 
+def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
+                cfg: SolverConfig) -> Iterator[State]:
+    """Yield the states after k = 0..n_steps steps, at t = k dt exactly."""
+    u0 = check_field(op.grid, u0)
+    if np.min(u0) < 0.0 or np.max(u0) > 1.0:
+        raise ValueError("initial datum must satisfy 0 <= u0 <= 1 nodewise")
+    if cfg.dt * spec.lipschitz_s >= 0.5:
+        raise ValueError(
+            f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
+            f"reaction is unstable, reduce dt below {0.5 / max(spec.lipschitz_s, 1e-300):.3g}"
+        )
+    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
+    state = initial_state(u0, op)
+    yield state
+    for k in range(1, cfg.n_steps + 1):
+        state = step(state, spec, op, cfg, solver=solver)
+        state.t = k * cfg.dt      # avoid accumulation drift
+        yield state
+
+
 def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
         ref: np.ndarray | None = None, store_states: bool = False
         ) -> tuple[State, TrajectoryRecord]:
@@ -128,40 +142,28 @@ def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
     ``ref`` adds an L2 distance-to-reference series; ``store_states`` keeps
     every (u, w) pair for tangent propagation.  Deterministic given inputs.
     """
-    grid = op.grid
-    u0 = check_field(grid, u0)
-    if np.min(u0) < 0.0 or np.max(u0) > 1.0:
-        raise ValueError("initial datum must satisfy 0 <= u0 <= 1 nodewise")
-    mean0 = float(np.mean(u0))
-    if not (0.0 < mean0 < 1.0):
-        moves = float(np.mean(reaction_eval(spec, u0)))
-        if moves == 0.0:
-            warnings.warn(
-                f"mean(u0) = {mean0} is a pure phase and the reaction does not "
-                f"move mass there; the run will remain stationary", stacklevel=2,
-            )
-    _check_reaction_stability(spec, cfg)
+    states = _trajectory(u0, spec, op, cfg)
+    state = next(states)
+    mean0 = float(np.mean(state.u))
+    if not (0.0 < mean0 < 1.0) and float(np.mean(reaction_eval(spec, state.u))) == 0.0:
+        warnings.warn(
+            f"mean(u0) = {mean0} is a pure phase and the reaction does not "
+            f"move mass there; the run will remain stationary", stacklevel=2,
+        )
 
-    solver = SpdNeumannSolver(grid, 1.0, cfg.dt)
-    state = initial_state(u0, op)
-    n_steps = cfg.n_steps
-    rec = TrajectoryRecord(grid=grid, dt=cfg.dt)
+    rec = TrajectoryRecord(grid=op.grid, dt=cfg.dt)
     if store_states:
-        rec.states = [state.u.copy()]
-        rec.w_states = [state.w.copy()]
-    rec.sample(state.t, state.u, op, state.clamp_events, ref)
-    rec.step_mass.append(float(np.mean(state.u)))
-
-    for k in range(n_steps):
-        rec.step_g_mean.append(float(np.mean(reaction_eval(spec, state.u))))
-        state = step(state, spec, op, cfg, solver=solver)
-        state.t = (k + 1) * cfg.dt      # avoid accumulation drift
+        rec.states, rec.w_states = [], []
+    for state in chain([state], states):
+        k = state.step_count
         rec.step_mass.append(float(np.mean(state.u)))
         if store_states:
             rec.states.append(state.u.copy())
             rec.w_states.append(state.w.copy())
-        if (k + 1) % cfg.record_every == 0 or (k + 1) == n_steps:
+        if cfg.is_record_step(k):
             rec.sample(state.t, state.u, op, state.clamp_events, ref)
+        if k < cfg.n_steps:
+            rec.step_g_mean.append(float(np.mean(reaction_eval(spec, state.u))))
     return state, rec
 
 
@@ -171,8 +173,6 @@ class PairRecord:
 
     times: np.ndarray
     dist: np.ndarray
-    final_u1: np.ndarray = field(repr=False, default=None)
-    final_u2: np.ndarray = field(repr=False, default=None)
 
 
 def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
@@ -183,24 +183,9 @@ def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
     reported, never asserted against a specific value) and for the
     contraction checks of strictly decreasing reactions.
     """
-    grid = op.grid
-    for u0 in (u01, u02):
-        u0 = check_field(grid, u0)
-        if np.min(u0) < 0.0 or np.max(u0) > 1.0:
-            raise ValueError("initial data must satisfy 0 <= u0 <= 1 nodewise")
-    _check_reaction_stability(spec, cfg)
-
-    solver = SpdNeumannSolver(grid, 1.0, cfg.dt)
-    s1 = initial_state(u01, op)
-    s2 = initial_state(u02, op)
-    n_steps = cfg.n_steps
-    times = [0.0]
-    dist = [l2_norm(grid, s1.u - s2.u)]
-    for k in range(n_steps):
-        s1 = step(s1, spec, op, cfg, solver=solver)
-        s2 = step(s2, spec, op, cfg, solver=solver)
-        if (k + 1) % cfg.record_every == 0 or (k + 1) == n_steps:
-            times.append((k + 1) * cfg.dt)
-            dist.append(l2_norm(grid, s1.u - s2.u))
-    return PairRecord(times=np.asarray(times), dist=np.asarray(dist),
-                      final_u1=s1.u, final_u2=s2.u)
+    times, dist = [], []
+    for s1, s2 in zip(_trajectory(u01, spec, op, cfg), _trajectory(u02, spec, op, cfg)):
+        if cfg.is_record_step(s1.step_count):
+            times.append(s1.t)
+            dist.append(l2_norm(op.grid, s1.u - s2.u))
+    return PairRecord(times=np.asarray(times), dist=np.asarray(dist))

@@ -101,7 +101,7 @@ class TestFieldDumps:
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(OONO_CFG)
-        assert cfg["solver.bound_tol"] == 1e-8
+        assert cfg["output.directory"] == "nlch_out"
         assert cfg["reaction.sigma"] == 1.0
         assert cfg["init.seed"] == 7
 
@@ -318,6 +318,25 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
         assert "ortho_every must be >= 1" in (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize("line,message", [("trace.samples = 0", "trace.samples must be >= 1"),
+                                              ("trace.n_max = 0", "n_max must be >= 1")],
+                             ids=["samples", "n_max"])
+    def test_cli_empty_trace_scan_returns_2(self, tmp_path, capsys, line, message):
+        cfg_path = tmp_path / "trace.cfg"
+        cfg_path.write_text(OONO_CFG + line + "\n")
+        out = tmp_path / "o"
+        assert main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in (out / "report.txt").read_text()
+
+    def test_cli_negative_random_seeds_returns_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "eq.cfg"
+        cfg_path.write_text(EQ_CFG + "equilibrium.random_seeds = -3\n")
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert "equilibrium.random_seeds must be >= 0, got -3" in (out / "report.txt").read_text()
+
     @pytest.mark.parametrize("key,message", [("picard_tol", "finite and positive"),
                                              ("residual_tol", "finite and positive"),
                                              ("dedup_tol", "dedup_tol must be finite")])
@@ -340,7 +359,8 @@ class TestMain:
         assert "[FAIL] some seed converged" in report
 
     def test_removed_solver_keys_are_unknown(self):
-        for key in ("solver.cg_tol", "solver.cg_max_iter"):
+        for key in ("solver.cg_tol", "solver.cg_max_iter", "solver.bound_tol",
+                    "solver.clamp_policy"):
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 parse_config(f"{key} = 1")
 

@@ -244,12 +244,12 @@ class TestTraceEstimates:
         for n in range(1, 5):
             assert scan.traces[n] <= scan.traces[n - 1] + max_dg + 1e-9
 
-    def test_empty_scan(self, grid, null_op):
+    def test_empty_scan_rejected(self, grid, null_op):
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=2.0)
-        scan = dimension_bound(np.full(grid.num_nodes, 0.5), 0, 2.0, spec, null_op, cfg)
-        assert scan.n_bound is None
-        assert scan.describe() == "none <= 0"
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                dimension_bound(np.full(grid.num_nodes, 0.5), n_max, 2.0, spec, null_op, cfg)
 
     @pytest.mark.parametrize("ortho_every", [0, -1])
     def test_ortho_every_must_be_positive(self, grid, null_op, ortho_every):
