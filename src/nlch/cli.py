@@ -154,10 +154,6 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate(cfg: RunConfig) -> None:
     v = cfg.values
-    if v["solver.dt"] <= 0:
-        raise ValueError("dt must be positive")
-    if v["solver.t_end"] <= 0:
-        raise ValueError("t_end must be positive")
     if v["grid.dim"] not in (1, 2):
         raise ValueError(f"unsupported dimension: {v['grid.dim']}")
     if v["grid.n"] < 8:

@@ -66,7 +66,6 @@ class TrajectoryRecord:
     step_mass: list[float] = field(default_factory=list)
     step_g_mean: list[float] = field(default_factory=list)
     states: list[np.ndarray] | None = None
-    w_states: list[np.ndarray] | None = None
 
     def sample(self, t: float, u: np.ndarray, op, clamp_events: int,
                ref: np.ndarray | None) -> None:

@@ -105,7 +105,10 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
     grid = op.grid
     theta = cfg.damping
     rho = spec.lipschitz_s
-    u = np.clip(check_field(grid, u_init).copy(), 0.0, 1.0)
+    u = check_field(grid, u_init)
+    if np.min(u) < 0.0 or np.max(u) > 1.0:
+        raise ValueError("equilibrium seed must satisfy 0 <= u <= 1 nodewise, got "
+                         f"values in [{np.min(u):.6g}, {np.max(u):.6g}]")
     total_iters = 0
     converged_all = True
     eps_gaps = []

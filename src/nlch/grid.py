@@ -2,11 +2,12 @@
 Cell-centered uniform grids on a box with zero-flux (Neumann) boundary.
 
 Fields are plain 1D numpy arrays of length ``grid.num_nodes`` (row-major
-flattening in 2D).  Both spatial operators, the Laplacian and the
-coefficient-weighted flux divergence, are one face-flux routine: each
-interior face flux is added to one neighbour and subtracted from the other,
-and boundary faces carry none, so their weighted sums telescope to zero up
-to round-off.
+flattening in 2D); an (N, m) array is a block of m fields, one per column,
+and the operators below act on each column.  Both spatial operators, the
+Laplacian and the coefficient-weighted flux divergence, are one face-flux
+routine: each interior face flux is added to one neighbour and subtracted
+from the other, and boundary faces carry none, so their weighted sums
+telescope to zero up to round-off.
 """
 
 from __future__ import annotations
@@ -71,11 +72,16 @@ def build_grid(dim: int, n: int, length: float) -> Grid:
     return Grid(dim=int(dim), n=int(n), length=float(length), h=float(length) / int(n))
 
 
-def check_field(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Validate a nodal field: right length, all entries finite."""
+def check_field(grid: Grid, f: np.ndarray, columns: bool = False) -> np.ndarray:
+    """Validate a nodal field: right length, all entries finite.
+
+    With ``columns`` an (N, m) block of fields is accepted as well.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.num_nodes,):
-        raise ValueError(f"field has shape {f.shape}, expected ({grid.num_nodes},)")
+    if f.shape[:1] != (grid.num_nodes,) or f.ndim > 1 + columns:
+        expected = "(N,) or (N, m)" if columns else "(N,)"
+        raise ValueError(f"field has shape {f.shape}, expected {expected} "
+                         f"with N = {grid.num_nodes}")
     if not np.all(np.isfinite(f)):
         raise ValueError("field contains non-finite entries")
     return f
@@ -119,10 +125,15 @@ def _face_flux_divergence(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarra
 
     Each interior face adds its flux to the lower neighbour and subtracts it
     from the upper one; boundary faces carry none, so the nodal sum
-    telescopes to zero.
+    telescopes to zero.  ``a`` and ``p`` are fields (N,) or blocks (N, m);
+    the node axes come first and a field is broadcast over the columns of
+    a block.
     """
-    va, vp = grid.reshape(a), grid.reshape(p)
-    out = np.zeros_like(vp)
+    nodes = (grid.n,) * grid.dim
+    va = a.reshape(nodes + a.shape[1:] + (1,) * (p.ndim - a.ndim))
+    vp = p.reshape(nodes + p.shape[1:] + (1,) * (a.ndim - p.ndim))
+    cols = a.shape[1:] or p.shape[1:]
+    out = np.zeros(nodes + cols)
     scale = 0.5 / grid.h**2
     for axis in range(grid.dim):
         lo = (slice(None),) * axis + (slice(None, -1),)
@@ -131,13 +142,14 @@ def _face_flux_divergence(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarra
         flux *= scale
         out[lo] += flux
         out[hi] -= flux
-    return out.ravel()
+    return out.reshape((grid.num_nodes,) + cols)
 
 
 def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order centered Laplacian with zero flux through the boundary.
 
-    The face-flux sum with a unit coefficient (0.5 (1 + 1) = 1 exactly).
+    The face-flux sum with a unit coefficient (0.5 (1 + 1) = 1 exactly);
+    ``f`` is a field (N,) or a block (N, m).
     """
     return _face_flux_divergence(grid, np.ones(grid.num_nodes), f)
 
@@ -149,7 +161,8 @@ def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     i and j is mean(a_i, a_j) * (p_j - p_i) / h, and boundary faces carry
     zero flux.  Arithmetic face averaging keeps the face coefficient zero
     whenever both neighbors have a == 0 and makes the operator linear in a
-    (the tangent flow relies on that linearity).
+    (the tangent flow relies on that linearity).  Either ``a`` or ``p`` (or
+    both) may be an (N, m) block; the result is then one column per column.
     """
     return _face_flux_divergence(grid, a, p)
 

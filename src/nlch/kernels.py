@@ -10,8 +10,10 @@ operator by a matrix-vector product on small grids and, above
 ``DENSE_MAX_NODES``, by circulant embedding: zero padding to 2n per axis
 and one real FFT pair, which reproduces the box sums exactly rather than a
 periodic convolution (Chan & Jin, An Introduction to Iterative Toeplitz
-Solvers, SIAM 2007).  The kernel is evaluated on |d|, so g[d] and g[-d]
-are the same number and the matrix gathered from g is exactly symmetric.
+Solvers, SIAM 2007).  An (N, m) block of fields takes the same paths: one
+matrix-matrix product, or one FFT pair batched over the columns.  The
+kernel is evaluated on |d|, so g[d] and g[-d] are the same number and the
+matrix gathered from g is exactly symmetric.
 The pointwise-singular 2D Newton kernel gets its zero-offset entry from
 the analytic cell average of -k2 ln|x| over one cell, which keeps the
 quadrature second order and the row sums finite.  The operator-norm
@@ -61,18 +63,18 @@ class KernelSpec:
         if self.family == "gaussian":
             if self.c < 0 or not np.isfinite(self.c):
                 raise ValueError("gaussian amplitude c must be finite and >= 0")
-            if self.lam <= 0:
-                raise ValueError("gaussian width lam must be positive")
+            if not (np.isfinite(self.lam) and self.lam > 0):
+                raise ValueError("gaussian width lam must be finite and positive")
         elif self.family == "mollifier":
             if self.c < 0 or not np.isfinite(self.c):
                 raise ValueError("mollifier amplitude c must be finite and >= 0")
-            if self.hcut <= 0:
-                raise ValueError("mollifier cutoff hcut must be positive")
+            if not (np.isfinite(self.hcut) and self.hcut > 0):
+                raise ValueError("mollifier cutoff hcut must be finite and positive")
         else:
             if self.dim < 2:
                 raise ValueError("newton potentials are defined only for dim >= 2")
-            if self.kd <= 0:
-                raise ValueError("newton constant kd must be positive")
+            if not (np.isfinite(self.kd) and self.kd > 0):
+                raise ValueError("newton constant kd must be finite and positive")
 
 
 def gaussian_kernel(c: float = 1.0, lam: float = 1.0) -> KernelSpec:
@@ -133,17 +135,20 @@ class KernelOp:
     kbar: np.ndarray
 
     def convolve(self, rho: np.ndarray) -> np.ndarray:
-        """(K * rho)(x_i) = sum_j W[i,j] rho_j."""
-        rho = check_field(self.grid, rho)
+        """(K * rho)(x_i) = sum_j W[i,j] rho_j, for a field (N,) or for each
+        column of a block (N, m)."""
+        rho = check_field(self.grid, rho, columns=True)
         if self.grid.num_nodes > DENSE_MAX_NODES:
             return self._apply_fft(rho)
         return self.weights @ rho
 
     def _apply_fft(self, rho: np.ndarray) -> np.ndarray:
         n, dim = self.grid.n, self.grid.dim
-        shape = (2 * n,) * dim
-        out = irfftn(rfftn(self.grid.reshape(rho), s=shape) * self._symbol, s=shape)
-        return out[(slice(0, n),) * dim].ravel()
+        shape, axes, cols = (2 * n,) * dim, tuple(range(dim)), rho.shape[1:]
+        symbol = self._symbol.reshape(self._symbol.shape + (1,) * len(cols))
+        spectrum = rfftn(rho.reshape((n,) * dim + cols), s=shape, axes=axes) * symbol
+        out = irfftn(spectrum, s=shape, axes=axes)
+        return out[(slice(0, n),) * dim].reshape(rho.shape)
 
     @cached_property
     def _symbol(self) -> np.ndarray:

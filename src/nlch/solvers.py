@@ -10,13 +10,18 @@ certified by its normwise backward error
 
 which is scale-free and sits at machine epsilon for a backward-stable
 solve however ill-conditioned A is (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 7).
+Numerical Algorithms, ch. 7).  An (N, m) block of right sides is solved by
+one batched transform pair, and each column is certified on its own, so a
+small wrong column cannot hide behind large right ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dctn, idctn
+# scipy.fft's own pocketfft transforms, bit for bit, without scipy.fft's
+# backend dispatch: with ``axes`` given, a 1D n = 256 transform measured
+# about 15 us through scipy.fft and 10 us through scipy.fftpack
+from scipy.fftpack import dctn, idctn
 
 from .grid import Grid, laplacian_eigenvalues, laplacian_neumann
 
@@ -48,25 +53,34 @@ class SpdNeumannSolver:
         if self.singular:
             diag[0] = 1.0       # constant mode is projected out, value unused
         self._diag = diag.reshape((grid.n,) * grid.dim)
+        self._axes = tuple(range(grid.dim))
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
         return self.mass_coef * v - self.diff_coef * laplacian_neumann(self.grid, v)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Return x with A x = b, raising SolverError if the backward error is too large."""
+        """Return x with A x = b for a field b (N,) or each column of a block
+        (N, m), raising SolverError if a column's backward error is too large."""
         if self.singular:
-            b = b - np.mean(b)
-        coef = dctn(self.grid.reshape(b), type=2, norm="ortho")
-        coef /= self._diag
+            b = b - np.mean(b, axis=0)
+        diag, cols = self._diag, b.shape[1:]
+        coef = dctn(b.reshape(diag.shape + cols), type=2, norm="ortho", axes=self._axes)
+        coef /= diag.reshape(diag.shape + (1,) * len(cols))
         if self.singular:
-            coef.flat[0] = 0.0
-        x = idctn(coef, type=2, norm="ortho").ravel()
-        resid = float(np.linalg.norm(b - self._matvec(x)))
-        scale = self._norm * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
-        if not resid <= BACKWARD_ERROR_TOL * scale:     # also catches NaN
+            coef[(0,) * self.grid.dim] = 0.0
+        x = idctn(coef, type=2, norm="ortho", axes=self._axes).reshape(b.shape)
+        resid = _column_norms(b - self._matvec(x))
+        scale = self._norm * _column_norms(x) + _column_norms(b)
+        if not (resid <= BACKWARD_ERROR_TOL * scale).all():     # also catches NaN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                eta = np.max(resid / scale)
             raise SolverError(
                 f"direct solve failed its certificate: backward error "
-                f"{resid / scale if scale > 0 else float('nan'):.3e} "
-                f"exceeds {BACKWARD_ERROR_TOL:.0e}"
+                f"{eta:.3e} exceeds {BACKWARD_ERROR_TOL:.0e}"
             )
         return x
+
+
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a field, or of each column of a block."""
+    return np.vecdot(v, v, axis=0) ** 0.5

@@ -1,15 +1,20 @@
 """
-Tangent (linearized) flow along stored trajectories and the trace-based
+Tangent (linearized) flow streamed with the trajectory, and the trace-based
 attractor-dimension machinery.
 
 The tangent step uses the same semi-implicit splitting and the same
 flux-form operators as the nonlinear step, so the propagated map is the
 exact derivative of the discrete solution map away from clamping events.
-Frames of tangent vectors are kept orthonormal in the discrete L2 inner
-product by QR sweeps (re-orthonormalization prevents collapse onto the
-leading direction); traces of the linearized operator over the spanned
-rank-n projectors are evaluated with the instantaneous quadratic form, not
-from stretching rates, so they match the trace functional literally.
+Tangent vectors ride along with the base trajectory: at step k the base
+state advances from (u_k, w_k) and the whole (N, m) block of tangent
+vectors advances with it, through the same block operators, so no state
+is stored and memory is O(N m) (the frame methods of Benettin et al.,
+Meccanica 15, 1980).  Frames of tangent vectors are kept orthonormal in
+the discrete L2 inner product by QR sweeps (re-orthonormalization prevents
+collapse onto the leading direction); traces of the linearized operator
+over the spanned rank-n projectors are evaluated with the instantaneous
+quadratic form, not from stretching rates, so they match the trace
+functional literally.
 """
 
 from __future__ import annotations
@@ -17,15 +22,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
-from .diagnostics import TrajectoryRecord
-from .grid import Grid, div_flux, inner, l2_norm, laplacian_neumann, neumann_mode
+from .grid import Grid, div_flux, l2_norm, laplacian_neumann, neumann_mode
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, mobility_deriv, reaction_deriv
 from .solvers import SpdNeumannSolver
-from .timestepper import SolverConfig, run
+from .timestepper import SolverConfig, State, _trajectory, run
 
 EXACT_REMAINDER_FLOOR = 1e-10
 
@@ -36,37 +41,48 @@ class FrameDegeneracyError(RuntimeError):
 
 def _tangent_rhs_terms(U: np.ndarray, u: np.ndarray, w: np.ndarray,
                        spec: ReactionSpec, op: KernelOp) -> np.ndarray:
-    """div(mu'(u) U grad w + mu(u) grad K*(-2U)) + g'(u) U."""
+    """div(mu'(u) U grad w + mu(u) grad K*(-2U)) + g'(u) U, for U of shape
+    (N,) or (N, m)."""
     grid = op.grid
+    per_node = (1,) * (U.ndim - 1)      # nodal coefficients scale every column
     w_tilde = op.convolve(-2.0 * U)
-    flux = div_flux(grid, mobility_deriv(u) * U, w) + div_flux(grid, mobility(u), w_tilde)
-    return flux + reaction_deriv(spec, u) * U
+    flux = (div_flux(grid, mobility_deriv(u).reshape(u.shape + per_node) * U, w)
+            + div_flux(grid, mobility(u), w_tilde))
+    return flux + reaction_deriv(spec, u).reshape(u.shape + per_node) * U
 
 
 def tangent_step(U: np.ndarray, u: np.ndarray, w: np.ndarray, spec: ReactionSpec,
                  op: KernelOp, cfg: SolverConfig,
                  solver: SpdNeumannSolver | None = None) -> np.ndarray:
-    """One semi-implicit step of the linearized equation at base state (u, w)."""
+    """One semi-implicit step of the linearized equation at base state (u, w).
+
+    ``U`` is one tangent vector (N,) or a block (N, m) of them, one per
+    column; the result has the shape of ``U``.
+    """
     if solver is None:
         solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     rhs = U + cfg.dt * _tangent_rhs_terms(U, u, w, spec, op)
     return solver.solve(rhs)
 
 
-def propagate_tangent(U0: np.ndarray, rec: TrajectoryRecord, spec: ReactionSpec,
-                      op: KernelOp, cfg: SolverConfig) -> np.ndarray:
-    """Apply the tangent propagator along a stored trajectory.
-
-    ``rec`` must come from a run with ``store_states=True``; the result is
-    the derivative of the discrete solution map applied to U0.
-    """
-    if rec.states is None or rec.w_states is None:
-        raise ValueError("trajectory record does not store states; rerun with store_states=True")
+def _propagate(U0: np.ndarray, u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
+               cfg: SolverConfig) -> tuple[State, np.ndarray]:
+    """The final base state of the run from u0 and the tangent map applied to U0."""
     solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
-    U = np.asarray(U0, dtype=float).copy()
-    for u, w in zip(rec.states[:-1], rec.w_states[:-1]):
-        U = tangent_step(U, u, w, spec, op, cfg, solver=solver)
-    return U
+    U = np.asarray(U0, dtype=float)
+    for prev, state in pairwise(_trajectory(u0, spec, op, cfg)):
+        U = tangent_step(U, prev.u, prev.w, spec, op, cfg, solver=solver)
+    return state, U
+
+
+def propagate_tangent(U0: np.ndarray, u0: np.ndarray, spec: ReactionSpec,
+                      op: KernelOp, cfg: SolverConfig) -> np.ndarray:
+    """Apply the derivative of the discrete solution map S(t_end) at u0 to U0.
+
+    ``U0`` is one tangent vector (N,) or a block (N, m) of them; the block
+    is advanced together with the base trajectory, which is never stored.
+    """
+    return _propagate(U0, u0, spec, op, cfg)[1]
 
 
 @dataclass
@@ -116,14 +132,10 @@ def cosine_frame(grid: Grid, n: int) -> TangentFrame:
 
 def trace_form(cols: np.ndarray, u: np.ndarray, w: np.ndarray, spec: ReactionSpec,
                op: KernelOp) -> np.ndarray:
-    """Per-column values (L phi_j, phi_j) of the linearized operator at (u, w)."""
-    grid = op.grid
-    out = np.empty(cols.shape[1])
-    for j in range(cols.shape[1]):
-        phi = cols[:, j]
-        lphi = laplacian_neumann(grid, phi) + _tangent_rhs_terms(phi, u, w, spec, op)
-        out[j] = inner(grid, lphi, phi)
-    return out
+    """Per-column values (L phi_j, phi_j) of the linearized operator at (u, w),
+    for an (N, m) block of columns phi_j."""
+    lphi = laplacian_neumann(op.grid, cols) + _tangent_rhs_terms(cols, u, w, spec, op)
+    return op.grid.cell_volume * np.einsum("ij,ij->j", lphi, cols)
 
 
 def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
@@ -135,24 +147,22 @@ def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
     if ortho_every < 1:
         raise ValueError(f"ortho_every must be >= 1, got {ortho_every}")
     run_cfg = replace(cfg, t_end=float(T))
-    _, rec = run(u0, spec, op, run_cfg, store_states=True)
     solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     frame = cosine_frame(op.grid, n)
 
     sums = np.zeros(n)
     n_evals = 0
-    for k in range(run_cfg.n_steps):
-        u_k, w_k = rec.states[k], rec.w_states[k]
-        for j in range(n):
-            frame.vectors[:, j] = tangent_step(frame.vectors[:, j], u_k, w_k,
-                                               spec, op, cfg, solver=solver)
-        t = (k + 1) * cfg.dt
-        at_record = run_cfg.is_record_step(k + 1)
-        if (k + 1) % ortho_every == 0 or at_record:
+    # the frame steps with the state before the step, the trace form is
+    # evaluated at the state after it
+    for prev, state in pairwise(_trajectory(u0, spec, op, run_cfg)):
+        k = state.step_count
+        frame.vectors = tangent_step(frame.vectors, prev.u, prev.w, spec, op, cfg,
+                                     solver=solver)
+        at_record = run_cfg.is_record_step(k)
+        if k % ortho_every == 0 or at_record:
             frame.orthonormalize()
-        if at_record and t >= transient:
-            sums += trace_form(frame.vectors, rec.states[k + 1], rec.w_states[k + 1],
-                               spec, op)
+        if at_record and state.t >= transient:
+            sums += trace_form(frame.vectors, state.u, state.w, spec, op)
             n_evals += 1
     if not n_evals:
         raise ValueError("no evaluation times fell inside [transient, T]; "
@@ -251,8 +261,7 @@ def remainder_order(u0: np.ndarray, direction: np.ndarray, eps_list, spec: React
     direction = direction / nrm
 
     run_cfg = replace(cfg, t_end=float(t))
-    base_state, base_rec = run(u0, spec, op, run_cfg, store_states=True)
-    lam_dir = propagate_tangent(direction, base_rec, spec, op, run_cfg)
+    base_state, lam_dir = _propagate(direction, u0, spec, op, run_cfg)
 
     eps_used, remainders = [], []
     for eps in eps_arr:

@@ -140,7 +140,8 @@ def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
     """Integrate from u0 to t_end, recording diagnostics.
 
     ``ref`` adds an L2 distance-to-reference series; ``store_states`` keeps
-    every (u, w) pair for tangent propagation.  Deterministic given inputs.
+    every state u in ``rec.states`` (for field snapshots).  Deterministic
+    given inputs.
     """
     states = _trajectory(u0, spec, op, cfg)
     state = next(states)
@@ -153,13 +154,12 @@ def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
 
     rec = TrajectoryRecord(grid=op.grid, dt=cfg.dt)
     if store_states:
-        rec.states, rec.w_states = [], []
+        rec.states = []
     for state in chain([state], states):
         k = state.step_count
         rec.step_mass.append(float(np.mean(state.u)))
         if store_states:
             rec.states.append(state.u.copy())
-            rec.w_states.append(state.w.copy())
         if cfg.is_record_step(k):
             rec.sample(state.t, state.u, op, state.clamp_events, ref)
         if k < cfg.n_steps:

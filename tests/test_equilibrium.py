@@ -95,6 +95,13 @@ class TestSolve:
             assert res.residual < 1e-10
             assert np.max(np.abs(res.u - c)) < 1e-10
 
+    @pytest.mark.parametrize("value", [1.5, -2.0, 1.0 + 1e-12])
+    def test_seed_outside_phase_bounds_rejected(self, grid, op, value):
+        seed = const(grid, 0.5)
+        seed[3] = value
+        with pytest.raises(ValueError, match="0 <= u <= 1"):
+            solve_equilibrium(seed, balanced_cubic_reaction(grid, 1.0), op)
+
     def test_oono_collapses_to_zero(self, grid, op):
         rng = np.random.default_rng(1)
         res = solve_equilibrium(rng.uniform(0.1, 0.9, grid.num_nodes),

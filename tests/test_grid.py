@@ -256,13 +256,19 @@ _coefs = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False))
 
 @st.composite
 def _grid_and_fields(draw):
-    """A random grid, a nonnegative coefficient (zeros likely) and two fields."""
+    """A random grid, a nonnegative coefficient (zeros likely) and two fields.
+
+    The coefficient and the pair of fields are each a single field (N,) or
+    a block (N, m) of m fields, with one m for both.
+    """
     dim = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(8, 64 if dim == 1 else 16))
     length = draw(st.floats(0.1, 10.0))
     g = build_grid(dim, n, length)
-    field = hnp.arrays(float, g.num_nodes, elements=_values)
-    a = draw(hnp.arrays(float, g.num_nodes, elements=_coefs))
+    m = draw(st.integers(1, 3))
+    shapes = [(g.num_nodes,), (g.num_nodes, m)]
+    a = draw(hnp.arrays(float, draw(st.sampled_from(shapes)), elements=_coefs))
+    field = hnp.arrays(float, draw(st.sampled_from(shapes)), elements=_values)
     return g, a, draw(field), draw(field)
 
 
@@ -274,27 +280,39 @@ def _flux_scale(g: Grid, a: np.ndarray, *fields: np.ndarray) -> float:
     return scale
 
 
+def _column_integrals(g: Grid, f: np.ndarray) -> np.ndarray:
+    """Midpoint-rule integral of a field, or of each column of a block."""
+    return g.cell_volume * np.sum(f, axis=0)
+
+
+def _column_inner(g: Grid, f: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """L2 inner product of each column of f with q, a field or a like block."""
+    return g.cell_volume * np.sum(f * q.reshape(q.shape + (1,) * (f.ndim - q.ndim)), axis=0)
+
+
 class TestFaceFluxProperties:
     @settings(max_examples=60, deadline=None)
     @given(_grid_and_fields())
     def test_div_flux_conserves_mass(self, case):
         g, a, p, _ = case
-        assert abs(integrate(g, div_flux(g, a, p))) <= 1e-13 * _flux_scale(g, a, p)
+        total = _column_integrals(g, div_flux(g, a, p))
+        assert np.all(np.abs(total) <= 1e-13 * _flux_scale(g, a, p))
 
     @settings(max_examples=60, deadline=None)
     @given(_grid_and_fields())
     def test_laplacian_conserves_mass(self, case):
         g, _, p, _ = case
         one = np.ones(g.num_nodes)
-        assert abs(integrate(g, laplacian_neumann(g, p))) <= 1e-13 * _flux_scale(g, one, p)
+        total = _column_integrals(g, laplacian_neumann(g, p))
+        assert np.all(np.abs(total) <= 1e-13 * _flux_scale(g, one, p))
 
     @settings(max_examples=60, deadline=None)
     @given(_grid_and_fields())
     def test_div_flux_symmetric_in_p_and_q(self, case):
         g, a, p, q = case
-        lhs = inner(g, div_flux(g, a, p), q)
-        rhs = inner(g, div_flux(g, a, q), p)
-        assert abs(lhs - rhs) <= 1e-13 * _flux_scale(g, a, p, q)
+        lhs = _column_inner(g, div_flux(g, a, p), q)
+        rhs = _column_inner(g, div_flux(g, a, q), p)
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * _flux_scale(g, a, p, q))
 
     @settings(max_examples=30, deadline=None)
     @given(_grid_and_fields())
@@ -302,3 +320,14 @@ class TestFaceFluxProperties:
         # one stencil: 0.5 (1 + 1) = 1 exactly, so the results are bitwise equal
         g, _, p, _ = case
         assert np.array_equal(laplacian_neumann(g, p), div_flux(g, np.ones(g.num_nodes), p))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_grid_and_fields())
+    def test_block_columns_are_the_single_field_results(self, case):
+        # the flux is elementwise in the columns, so a block changes no bit
+        g, a, p, _ = case
+        out = div_flux(g, a, p)
+        for j in range(out.shape[1] if out.ndim > 1 else 0):
+            col_a = a[:, j] if a.ndim > 1 else a
+            col_p = p[:, j] if p.ndim > 1 else p
+            assert np.array_equal(out[:, j], div_flux(g, col_a, col_p))

@@ -1,7 +1,12 @@
 """Field dumps, config parsing, and the command-line entry point."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlch.cli import CSV_HEADER, build_scenario, execute, main, parse_config
 from nlch.grid import build_grid
@@ -98,6 +103,43 @@ class TestFieldDumps:
             read_field(path)
 
 
+@st.composite
+def _dumps(draw):
+    """A grid, finite node values (subnormals and -0.0 included) and a time."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 40 if dim == 1 else 12))
+    length = draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    grid = build_grid(dim, n, length)
+    values = draw(hnp.arrays(float, grid.num_nodes,
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    t = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return grid, values, t
+
+
+class TestFieldDumpProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(case=_dumps(), data=st.data())
+    def test_round_trip_is_bit_exact_and_any_other_length_is_rejected(
+            self, tmp_path_factory, case, data):
+        grid, values, t = case
+        path = tmp_path_factory.mktemp("dump") / "field.nlch"
+        write_field(path, grid, values, t)
+        g2, v2, t2 = read_field(path)
+        assert g2 == grid
+        assert v2.tobytes() == values.tobytes()
+        assert struct.pack("<d", t2) == struct.pack("<d", t)
+
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            read_field(path)
+        extra = data.draw(st.binary(min_size=1, max_size=24), label="extra")
+        path.write_bytes(raw + extra)
+        with pytest.raises(ValueError, match=f"{len(extra)} trailing bytes"):
+            read_field(path)
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(OONO_CFG)
@@ -106,8 +148,9 @@ class TestParseConfig:
         assert cfg["init.seed"] == 7
 
     def test_negative_dt_rejected(self):
+        # SolverConfig is the one place that validates dt
         with pytest.raises(ValueError, match="dt must be positive"):
-            parse_config("solver.dt = -0.1")
+            build_scenario(parse_config("solver.dt = -0.1"))
 
     def test_unknown_key_named_with_line(self):
         with pytest.raises(ValueError, match=r"line 2: unknown key 'solvr.dt'"):
@@ -347,6 +390,34 @@ class TestMain:
         assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert message in (out / "report.txt").read_text()
+
+    def test_cli_seed_outside_phase_bounds_returns_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "eq.cfg"
+        cfg_path.write_text(EQ_CFG.replace("seed_values = 0,0.5,1", "seed_values = 1.5,-2"))
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = (out / "report.txt").read_text()
+        assert "equilibrium seed must satisfy 0 <= u <= 1" in report
+        assert not list(out.glob("equilibrium_*.nlch"))
+
+    @pytest.mark.parametrize("line,message", [
+        ("kernel.lam = inf", "gaussian width lam must be finite and positive"),
+        ("solver.dt = -0.1", "dt must be positive and finite"),
+        ("solver.dt = 0", "dt must be positive and finite"),
+        ("solver.t_end = -1", "t_end must be positive and finite"),
+    ], ids=["lam_inf", "dt_negative", "dt_zero", "t_end_negative"])
+    def test_cli_invalid_kernel_or_solver_value_returns_2(self, tmp_path, capsys, line,
+                                                          message):
+        key = line.split(" = ")[0]
+        text = "\n".join(ln for ln in OONO_CFG.splitlines() if not ln.startswith(key))
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text + f"\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in (out / "report.txt").read_text()
+        assert not (out / "series.csv").exists()
 
     def test_cli_equilibrium_without_converged_seed_returns_1(self, tmp_path):
         cfg_path = tmp_path / "eq.cfg"

@@ -44,6 +44,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             mollifier_kernel(1.0, -0.5)
 
+    @pytest.mark.parametrize("spec", [dict(family="gaussian", lam=np.inf),
+                                      dict(family="gaussian", lam=np.nan),
+                                      dict(family="mollifier", hcut=np.inf),
+                                      dict(family="mollifier", hcut=np.nan),
+                                      dict(family="newton", kd=np.inf),
+                                      dict(family="newton", kd=np.nan)],
+                             ids=lambda d: f"{d['family']}-{list(d.values())[1]}")
+    def test_rejects_non_finite_parameters(self, spec):
+        with pytest.raises(ValueError, match="finite and positive"):
+            KernelSpec(**spec)
+
     def test_rejects_newton_1d(self):
         with pytest.raises(ValueError, match="dim >= 2"):
             newton_kernel(dim=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlch.grid import build_grid, laplacian_neumann
+from nlch.grid import build_grid, laplacian_neumann, neumann_mode
 from nlch.solvers import SolverError, SpdNeumannSolver
 
 GRIDS = [(1, 16), (2, 8)]
@@ -85,3 +85,37 @@ def test_certificate_rejects_a_wrong_inverse():
     solver._diag = solver._diag * (1.0 + 1e-6)
     with pytest.raises(SolverError, match="backward error"):
         solver.solve(np.random.default_rng(3).uniform(0.0, 1.0, grid.num_nodes))
+
+
+def test_block_with_a_nan_column_raises():
+    grid = build_grid(1, 16, 1.0)
+    b = np.random.default_rng(4).uniform(0.0, 1.0, (grid.num_nodes, 3))
+    b[5, 1] = np.nan
+    with pytest.raises(SolverError, match="backward error"):
+        SpdNeumannSolver(grid, 1.0, 0.01).solve(b)
+
+
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_certificate_checks_each_column_on_its_own(dim, n):
+    """A wrong inverse on one cosine mode spoils only the column made of it.
+
+    The other column is 1e9 times larger, so one certificate over the whole
+    block would pass; the per-column certificate must not.
+    """
+    grid = build_grid(dim, n, 1.0)
+    good, bad = (2,) * dim, (3,) * dim
+
+    def mode(k):
+        return neumann_mode(grid, k if dim > 1 else k[0])
+
+    b = np.column_stack([1e9 * mode(good), mode(bad)])
+    exact = SpdNeumannSolver(grid, 1.0, 0.01).solve(b)
+    solver = SpdNeumannSolver(grid, 1.0, 0.01)
+    solver._diag = solver._diag.copy()
+    solver._diag[bad] *= 1.0 + 1e-6
+    wrong = exact / np.array([1.0, 1.0 + 1e-6])     # what the wrong inverse returns
+    whole = np.linalg.norm(b - solver._matvec(wrong))
+    assert whole <= 1e-13 * (solver._norm * np.linalg.norm(wrong) + np.linalg.norm(b))
+    assert np.allclose(solver.solve(b[:, :1]), exact[:, :1], rtol=1e-13, atol=0.0)
+    with pytest.raises(SolverError, match="backward error"):
+        solver.solve(b)

@@ -1,14 +1,25 @@
 """Tangent flow, uniform differentiability, and trace-based dimension bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nlch.grid import build_grid, h1_seminorm, inner, l2_norm
-from nlch.kernels import assemble_kernel, gaussian_kernel, zero_kernel
-from nlch.model import logistic_reaction, oono_reaction, zero_reaction
+from nlch.grid import build_grid, div_flux, h1_seminorm, inner, l2_norm, laplacian_neumann
+from nlch.kernels import (
+    DENSE_MAX_NODES,
+    assemble_kernel,
+    gaussian_kernel,
+    newton_kernel,
+    zero_kernel,
+)
+from nlch.model import logistic_reaction, mobility, oono_reaction, zero_reaction
+from nlch.solvers import SpdNeumannSolver
 from nlch.tangent import (
     FrameDegeneracyError,
     TangentFrame,
+    _evolve_frame_traces,
+    _tangent_rhs_terms,
     cosine_frame,
     dimension_bound,
     propagate_tangent,
@@ -17,7 +28,7 @@ from nlch.tangent import (
     trace_estimate,
     trace_form,
 )
-from nlch.timestepper import SolverConfig, initial_state, run, step
+from nlch.timestepper import SolverConfig, _trajectory, initial_state, run, step
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +93,12 @@ class TestPropagatedMap:
         cfg = SolverConfig(dt=0.01, t_end=0.3)
         rng = np.random.default_rng(2)
         u0 = rng.uniform(0.3, 0.7, grid.num_nodes)
-        _, rec = run(u0, spec, weak_op, cfg, store_states=True)
         U = rng.standard_normal(grid.num_nodes)
         V = rng.standard_normal(grid.num_nodes)
         a, b = 1.7, -0.6
-        combo = propagate_tangent(a * U + b * V, rec, spec, weak_op, cfg)
-        parts = (a * propagate_tangent(U, rec, spec, weak_op, cfg)
-                 + b * propagate_tangent(V, rec, spec, weak_op, cfg))
+        combo = propagate_tangent(a * U + b * V, u0, spec, weak_op, cfg)
+        parts = (a * propagate_tangent(U, u0, spec, weak_op, cfg)
+                 + b * propagate_tangent(V, u0, spec, weak_op, cfg))
         assert l2_norm(grid, combo - parts) <= 1e-10 * max(l2_norm(grid, combo), 1.0)
 
     def test_amplification_bounded_over_random_directions(self, grid, weak_op):
@@ -96,22 +106,13 @@ class TestPropagatedMap:
         cfg = SolverConfig(dt=0.01, t_end=0.5)
         rng = np.random.default_rng(3)
         u0 = rng.uniform(0.3, 0.7, grid.num_nodes)
-        _, rec = run(u0, spec, weak_op, cfg, store_states=True)
-        ratios = []
-        for _ in range(20):
-            U0 = rng.standard_normal(grid.num_nodes)
-            Ut = propagate_tangent(U0, rec, spec, weak_op, cfg)
-            ratios.append(l2_norm(grid, Ut) / l2_norm(grid, U0))
-            assert np.isfinite(h1_seminorm(grid, Ut))
+        U0 = rng.standard_normal((grid.num_nodes, 20))
+        Ut = propagate_tangent(U0, u0, spec, weak_op, cfg)
+        ratios = [l2_norm(grid, Ut[:, j]) / l2_norm(grid, U0[:, j]) for j in range(20)]
+        for j in range(20):
+            assert np.isfinite(h1_seminorm(grid, Ut[:, j]))
         assert np.all(np.isfinite(ratios))
         assert max(ratios) < 10.0   # run constant, reported not asserted sharply
-
-    def test_requires_stored_states(self, grid, weak_op):
-        spec = zero_reaction(grid)
-        cfg = SolverConfig(dt=0.01, t_end=0.1)
-        _, rec = run(np.full(grid.num_nodes, 0.4), spec, weak_op, cfg)
-        with pytest.raises(ValueError, match="store_states"):
-            propagate_tangent(np.ones(grid.num_nodes), rec, spec, weak_op, cfg)
 
 
 class TestRemainderOrder:
@@ -264,3 +265,161 @@ class TestTraceEstimates:
         cfg = SolverConfig(dt=0.01, t_end=0.5)
         with pytest.raises(ValueError, match="transient"):
             trace_estimate(np.full(grid.num_nodes, 0.5), 1, 0.5, spec, null_op, cfg)
+
+
+# -- oracle: the per-column frame evolution, kept verbatim ----------------------
+
+def _oracle_trace_form(cols, u, w, spec, op):
+    """The per-column trace form before frames were blocks."""
+    grid = op.grid
+    out = np.empty(cols.shape[1])
+    for j in range(cols.shape[1]):
+        phi = cols[:, j]
+        lphi = laplacian_neumann(grid, phi) + _tangent_rhs_terms(phi, u, w, spec, op)
+        out[j] = inner(grid, lphi, phi)
+    return out
+
+
+def _oracle_frame_traces(u0, n, T, spec, op, cfg, ortho_every=10, transient=1.0):
+    """The per-column body of _evolve_frame_traces before frames were blocks,
+    replaying the (u, w) pairs collected from the trajectory."""
+    run_cfg = replace(cfg, t_end=float(T))
+    states = list(_trajectory(u0, spec, op, run_cfg))
+    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
+    frame = cosine_frame(op.grid, n)
+
+    sums = np.zeros(n)
+    n_evals = 0
+    for k in range(run_cfg.n_steps):
+        u_k, w_k = states[k].u, states[k].w
+        for j in range(n):
+            frame.vectors[:, j] = tangent_step(frame.vectors[:, j], u_k, w_k,
+                                               spec, op, cfg, solver=solver)
+        t = (k + 1) * cfg.dt
+        at_record = run_cfg.is_record_step(k + 1)
+        if (k + 1) % ortho_every == 0 or at_record:
+            frame.orthonormalize()
+        if at_record and t >= transient:
+            sums += _oracle_trace_form(frame.vectors, states[k + 1].u, states[k + 1].w,
+                                       spec, op)
+            n_evals += 1
+    return sums / n_evals
+
+
+def _oracle_remainders(u0, direction, eps_list, spec, op, cfg, t):
+    """Remainders with the tangent replayed over the stored trajectory, one
+    vector step per time step."""
+    run_cfg = replace(cfg, t_end=float(t))
+    states = list(_trajectory(u0, spec, op, run_cfg))
+    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
+    d = direction / l2_norm(op.grid, direction)
+    U = d
+    for s in states[:-1]:
+        U = tangent_step(U, s.u, s.w, spec, op, run_cfg, solver=solver)
+    base = states[-1].u
+    return np.array([l2_norm(op.grid, run(u0 + eps * d, spec, op, run_cfg)[0].u
+                             - base - eps * U)
+                     for eps in sorted(eps_list, reverse=True)])
+
+
+def _rel_max_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# the three applies of the kernel: GEMV/GEMM, 1D FFT and 2D FFT
+BLOCK_CASES = {
+    "1d-64-dense": (1, 64, gaussian_kernel(0.02, 0.05)),
+    "1d-512-fft": (1, 512, gaussian_kernel(0.02, 0.05)),
+    "2d-24-newton-fft": (2, 24, newton_kernel(dim=2, kd=0.05)),
+}
+
+
+@pytest.fixture(scope="module", params=list(BLOCK_CASES))
+def block_case(request):
+    dim, n, kspec = BLOCK_CASES[request.param]
+    g = build_grid(dim, n, 1.0)
+    op = assemble_kernel(kspec, g)
+    assert (g.num_nodes > DENSE_MAX_NODES) == ("fft" in request.param)
+    u0 = np.random.default_rng(n).uniform(0.3, 0.7, g.num_nodes)
+    return g, op, logistic_reaction(g, 1.0), u0
+
+
+class TestBlockOperators:
+    """Every operator on an (N, m) block against a loop over its columns."""
+
+    def test_operators_match_column_loops(self, block_case):
+        g, op, spec, u0 = block_case
+        rng = np.random.default_rng(11)
+        m = 5
+        A = mobility(rng.uniform(0.0, 1.0, (g.num_nodes, m)))
+        P = rng.standard_normal((g.num_nodes, m))
+        a, p = A[:, 0].copy(), P[:, 0].copy()
+
+        def columns(f, *blocks):
+            return np.column_stack([f(*(b[:, j] for b in blocks)) for j in range(m)])
+
+        pairs = [
+            (div_flux(g, A, p), columns(lambda c: div_flux(g, c, p), A)),
+            (div_flux(g, a, P), columns(lambda c: div_flux(g, a, c), P)),
+            (div_flux(g, A, P), columns(lambda c, q: div_flux(g, c, q), A, P)),
+            (laplacian_neumann(g, P), columns(lambda c: laplacian_neumann(g, c), P)),
+            (op.convolve(P), columns(op.convolve, P)),
+        ]
+        for solver in (SpdNeumannSolver(g, 1.0, 0.01), SpdNeumannSolver(g, 0.0, 1.0)):
+            pairs.append((solver.solve(P), columns(solver.solve, P)))
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
+        w = op.convolve(1.0 - 2.0 * u0)
+        pairs.append((tangent_step(P, u0, w, spec, op, cfg),
+                      columns(lambda c: tangent_step(c, u0, w, spec, op, cfg), P)))
+        for got, want in pairs:
+            assert got.shape == want.shape == (g.num_nodes, m)
+            assert _rel_max_error(got, want) <= 1e-13
+
+    def test_trace_form_matches_column_loop(self, block_case):
+        g, op, spec, u0 = block_case
+        frame = cosine_frame(g, 6)
+        w = op.convolve(1.0 - 2.0 * u0)
+        got = trace_form(frame.vectors, u0, w, spec, op)
+        want = _oracle_trace_form(frame.vectors, u0, w, spec, op)
+        assert _rel_max_error(got, want) <= 1e-13
+
+
+class TestStreamedFrames:
+    """The streamed block frame against the per-column replay it replaced."""
+
+    @pytest.mark.parametrize("ortho_every", [1, 3])
+    def test_traces_match_per_column_oracle(self, block_case, ortho_every):
+        g, op, spec, u0 = block_case
+        cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=5)
+        args = (u0, 6, 0.6, spec, op, cfg, ortho_every, 0.3)
+        got = _evolve_frame_traces(*args)
+        want = _oracle_frame_traces(*args)
+        assert _rel_max_error(got, want) <= 1e-12
+
+    def test_remainders_match_replayed_tangent(self, block_case):
+        g, op, spec, u0 = block_case
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
+        direction = np.cos(np.pi * g.coords()[:, 0])
+        eps_list = [1e-2, 3e-3, 1e-3, 3e-4]
+        study = remainder_order(u0, direction, eps_list, spec, op, cfg, t=0.3)
+        want = _oracle_remainders(u0, direction, eps_list, spec, op, cfg, 0.3)
+        assert not study.exact
+        assert _rel_max_error(study.remainders, want) <= 1e-12
+
+    def test_propagated_block_matches_columns(self, block_case):
+        g, op, spec, u0 = block_case
+        cfg = SolverConfig(dt=0.01, t_end=0.2)
+        U0 = np.random.default_rng(12).standard_normal((g.num_nodes, 3))
+        got = propagate_tangent(U0, u0, spec, op, cfg)
+        want = np.column_stack([propagate_tangent(U0[:, j], u0, spec, op, cfg)
+                                for j in range(3)])
+        assert _rel_max_error(got, want) <= 1e-12
+
+    def test_base_trajectory_is_the_run(self, grid, weak_op):
+        """dimension_bound steps the same trajectory as run, bit for bit."""
+        spec = oono_reaction(grid, 1.0)
+        cfg = SolverConfig(dt=0.01, t_end=0.5)
+        u0 = np.random.default_rng(13).uniform(0.2, 0.8, grid.num_nodes)
+        final, _ = run(u0, spec, weak_op, cfg)
+        streamed = list(_trajectory(u0, spec, weak_op, cfg))[-1]
+        assert np.array_equal(streamed.u, final.u) and np.array_equal(streamed.w, final.w)
