@@ -154,10 +154,6 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate(cfg: RunConfig) -> None:
     v = cfg.values
-    if v["grid.dim"] not in (1, 2):
-        raise ValueError(f"unsupported dimension: {v['grid.dim']}")
-    if v["grid.n"] < 8:
-        raise ValueError("grid.n must be >= 8")
     if v["kernel.family"] not in ("gaussian", "mollifier", "newton", "zero"):
         raise ValueError(f"unknown kernel family: {v['kernel.family']!r}")
     if v["reaction.preset"] not in ("logistic", "bertozzi", "oono", "balanced_cubic", "none"):

@@ -13,18 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, check_field, h1_seminorm, integrate, l2_norm
+from .grid import Grid, check_field, h1_seminorm, integrate, l2_norm, mean
 from .model import potential
 
 
 def mass(u: np.ndarray) -> float:
     """Spatial mean of u (uniform node weights; midpoint rule)."""
-    return float(np.mean(u))
+    return float(mean(u))
 
 
 def separation(u: np.ndarray) -> tuple[float, float]:
     """Distances (k1, k2) = (min u, 1 - max u) from the pure phases."""
-    return float(np.min(u)), 1.0 - float(np.max(u))
+    return float(np.minimum.reduce(u, axis=None)), 1.0 - float(np.maximum.reduce(u, axis=None))
 
 
 def energy(u: np.ndarray, op) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import check_field, div_flux, l2_norm, laplacian_neumann
+from .grid import check_field, div_flux, l2_norm, laplacian_neumann, mean
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, reaction_eval
 from .solvers import SpdNeumannSolver
@@ -125,7 +125,7 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
             if shift == 0:
                 # reaction-free limit problem: the solve lands on the
                 # mean-zero complement, so keep the iterate's mean
-                gamma += np.mean(u)
+                gamma += mean(u)
             u_next = (1.0 - theta) * u + theta * gamma
             np.clip(u_next, 0.0, 1.0, out=u_next)
             delta = l2_norm(grid, u_next - u)
@@ -141,7 +141,7 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
         converged_all = converged_all and converged
         eps_gaps.append(l2_norm(grid, u - phase_start))
 
-    mass_defect = abs(float(np.mean(reaction_eval(spec, u))))
+    mass_defect = abs(float(mean(reaction_eval(spec, u))))
     return EquilibriumResult(
         u=u,
         residual=equilibrium_residual(u, spec, op),

@@ -13,15 +13,23 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+# np.clip's own ufunc, bit for bit (-0.0 and NaN included), without the three
+# Python wrappers that np.clip calls it through and that cost more than the
+# clip of a 1D field; np.minimum(np.maximum(...)) may turn -0.0 into +0.0
+from numpy._core.umath import clip as _clip
 from scipy.special import xlogy
 
 from .grid import Grid, check_field
 
 
 def mobility(s: np.ndarray | float) -> np.ndarray | float:
-    """mu(s) = s(1-s) on [0,1], zero outside (degenerate at the pure phases)."""
+    """mu(s) = s(1-s) on [0,1], zero outside (degenerate at the pure phases).
+
+    s(1-s) is negative exactly outside [0,1], so clipping it below at zero
+    is the extension by zero; a NaN entry stays NaN.
+    """
     s = np.asarray(s, dtype=float)
-    out = np.where((s >= 0.0) & (s <= 1.0), s * (1.0 - s), 0.0)
+    out = _clip(s * (1.0 - s), 0.0, np.inf)
     return out if out.ndim else float(out)
 
 
@@ -34,7 +42,7 @@ def mobility_deriv(s: np.ndarray | float) -> np.ndarray | float:
 
 def potential(s: np.ndarray | float) -> np.ndarray | float:
     """f(s) = s log s + (1-s) log(1-s), extended continuously by f(0)=f(1)=0."""
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    s = _clip(np.asarray(s, dtype=float), 0.0, 1.0)
     out = xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
     return out if out.ndim else float(out)
 
@@ -97,13 +105,13 @@ class ReactionSpec:
 def reaction_eval(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
     """Pointwise g(x_i, u_i) with constant extension outside [0,1]."""
     u = np.asarray(u, dtype=float)
-    return spec.g_fn(np.clip(u, 0.0, 1.0))
+    return spec.g_fn(_clip(u, 0.0, 1.0))
 
 
 def reaction_deriv(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
     """Pointwise d_s g(x_i, u_i); zero outside [0,1] where g is constant."""
     u = np.asarray(u, dtype=float)
-    out = spec.dg_fn(np.clip(u, 0.0, 1.0))
+    out = spec.dg_fn(_clip(u, 0.0, 1.0))
     return np.where((u >= 0.0) & (u <= 1.0), out, 0.0)
 
 

@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .diagnostics import TrajectoryRecord
-from .grid import check_field, div_flux, l2_norm
+from .grid import check_field, div_flux, l2_norm, mean
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, reaction_eval
 from .solvers import SolverError, SpdNeumannSolver
@@ -83,11 +83,11 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
     u, w = state.u, state.w
     g_vals = reaction_eval(spec, u)
     rhs = u + cfg.dt * div_flux(grid, mobility(u), w) + cfg.dt * g_vals
-    target_mean = float(np.mean(u)) + cfg.dt * float(np.mean(g_vals))
+    target_mean = float(mean(u)) + cfg.dt * float(mean(g_vals))
     u_new = solver.solve(rhs)
-    u_new += target_mean - float(np.mean(u_new))
+    u_new += target_mean - float(mean(u_new))
 
-    lo, hi = float(np.min(u_new)), float(np.max(u_new))
+    lo, hi = float(np.minimum.reduce(u_new)), float(np.maximum.reduce(u_new))
     excursion = max(0.0 - lo, hi - 1.0, 0.0)
     clamped = 0
     if excursion > HARD_BOUND_TOL:
@@ -145,8 +145,8 @@ def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
     """
     states = _trajectory(u0, spec, op, cfg)
     state = next(states)
-    mean0 = float(np.mean(state.u))
-    if not (0.0 < mean0 < 1.0) and float(np.mean(reaction_eval(spec, state.u))) == 0.0:
+    mean0 = float(mean(state.u))
+    if not (0.0 < mean0 < 1.0) and float(mean(reaction_eval(spec, state.u))) == 0.0:
         warnings.warn(
             f"mean(u0) = {mean0} is a pure phase and the reaction does not "
             f"move mass there; the run will remain stationary", stacklevel=2,
@@ -157,13 +157,13 @@ def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
         rec.states = []
     for state in chain([state], states):
         k = state.step_count
-        rec.step_mass.append(float(np.mean(state.u)))
+        rec.step_mass.append(float(mean(state.u)))
         if store_states:
-            rec.states.append(state.u.copy())
+            rec.states.append(state.u)      # _trajectory yields a fresh u every step
         if cfg.is_record_step(k):
             rec.sample(state.t, state.u, op, state.clamp_events, ref)
         if k < cfg.n_steps:
-            rec.step_g_mean.append(float(np.mean(reaction_eval(spec, state.u))))
+            rec.step_g_mean.append(float(mean(reaction_eval(spec, state.u))))
     return state, rec
 
 

@@ -14,7 +14,9 @@ from nlch.grid import (
     h1_seminorm,
     inner,
     integrate,
+    l2_norm,
     laplacian_neumann,
+    mean,
     neumann_mode,
 )
 from nlch.model import mobility
@@ -331,3 +333,60 @@ class TestFaceFluxProperties:
             col_a = a[:, j] if a.ndim > 1 else a
             col_p = p[:, j] if p.ndim > 1 else p
             assert np.array_equal(out[:, j], div_flux(g, col_a, col_p))
+
+
+# -- oracle: the face-flux routine and the reductions before the wrapper-cost
+# rewrite (np.ones per call, out[lo] += flux, np.sum, np.mean, np.linalg.norm,
+# np.diff), kept verbatim -------------------------------------------------------
+
+def _oracle_face_flux_divergence(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    nodes = (grid.n,) * grid.dim
+    va = a.reshape(nodes + a.shape[1:] + (1,) * (p.ndim - a.ndim))
+    vp = p.reshape(nodes + p.shape[1:] + (1,) * (a.ndim - p.ndim))
+    cols = a.shape[1:] or p.shape[1:]
+    out = np.zeros(nodes + cols)
+    scale = 0.5 / grid.h**2
+    for axis in range(grid.dim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        flux = (va[lo] + va[hi]) * (vp[hi] - vp[lo])
+        flux *= scale
+        out[lo] += flux
+        out[hi] -= flux
+    return out.reshape((grid.num_nodes,) + cols)
+
+
+def _oracle_h1_seminorm(grid: Grid, f: np.ndarray) -> float:
+    v = grid.reshape(f)
+    total = 0.0
+    for axis in range(grid.dim):
+        d = np.diff(v, axis=axis) / grid.h
+        total += float(np.sum(d * d))
+    return float(np.sqrt(grid.cell_volume * total))
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestBitIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_and_fields())
+    def test_face_flux_operators(self, case):
+        g, a, p, _ = case
+        assert np.array_equal(_bits(div_flux(g, a, p)),
+                              _bits(_oracle_face_flux_divergence(g, a, p)))
+        assert np.array_equal(_bits(laplacian_neumann(g, p)),
+                              _bits(_oracle_face_flux_divergence(g, np.ones(g.num_nodes), p)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_and_fields())
+    def test_reductions(self, case):
+        g, _, p, _ = case
+        f = p if p.ndim == 1 else p[:, 0]
+        assert _bits(integrate(g, f)) == _bits(g.cell_volume * float(np.sum(f)))
+        assert np.array_equal(_bits(mean(p)), _bits(np.mean(p, axis=0)))
+        assert _bits(l2_norm(g, f)) == _bits(float(np.sqrt(g.cell_volume) * np.linalg.norm(f)))
+        assert _bits(l2_norm(g, p[::-1])) == \
+            _bits(float(np.sqrt(g.cell_volume) * np.linalg.norm(p[::-1])))
+        assert _bits(h1_seminorm(g, f)) == _bits(_oracle_h1_seminorm(g, f))

@@ -1,6 +1,8 @@
 """Field dumps, config parsing, and the command-line entry point."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlch.cli import CSV_HEADER, build_scenario, execute, main, parse_config
+from nlch.cli import COMMANDS, CSV_HEADER, build_scenario, execute, main, parse_config
 from nlch.grid import build_grid
 from nlch.io import read_field, write_field
 
@@ -406,7 +408,9 @@ class TestMain:
         ("solver.dt = -0.1", "dt must be positive and finite"),
         ("solver.dt = 0", "dt must be positive and finite"),
         ("solver.t_end = -1", "t_end must be positive and finite"),
-    ], ids=["lam_inf", "dt_negative", "dt_zero", "t_end_negative"])
+        ("grid.dim = 3", "configuration error: unsupported dimension: 3 (must be 1 or 2)"),
+        ("grid.n = 4", "configuration error: n must be >= 8 per axis, got 4"),
+    ], ids=["lam_inf", "dt_negative", "dt_zero", "t_end_negative", "grid_dim_3", "grid_n_4"])
     def test_cli_invalid_kernel_or_solver_value_returns_2(self, tmp_path, capsys, line,
                                                           message):
         key = line.split(" = ")[0]
@@ -445,3 +449,56 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--seed", "123"]) == 0
         assert "seed = 123" in (out / "report.txt").read_text()
+
+
+# -- config fuzz: main ends in 0, 1 or 2 and never raises ------------------------
+
+# a small 1D scenario that every command finishes in well under a second
+FUZZ_BASE = {
+    "grid.dim": "1", "grid.n": "12", "grid.length": "1.0",
+    "kernel.family": "gaussian", "kernel.c": "0.05", "kernel.lam": "0.05",
+    "reaction.preset": "oono", "reaction.sigma": "1.0",
+    "solver.dt": "0.05", "solver.t_end": "0.2", "solver.record_every": "1",
+    "init.kind": "random", "init.seed": "3", "init2.kind": "cosine",
+    "equilibrium.seed_values": "0.3", "equilibrium.max_iter": "20",
+    "remainder.t": "0.1", "remainder.eps_list": "1e-2,1e-3",
+    "trace.n_max": "2", "trace.t": "0.2", "trace.transient": "0.05", "trace.samples": "1",
+}
+# grid.n and equilibrium.max_iter keep their small values: their defaults
+# (256 nodes, 10000 sweeps) make single examples take seconds
+_FUZZ_KEYS = sorted(k for k in parse_config("").values
+                    if k not in ("grid.n", "equilibrium.max_iter"))
+# bounded values only: a tiny dt or a huge t_end would ask for 1e300 steps
+_FUZZ_VALUES = ["0", "1", "2", "3", "-1", "8", "16", "0.5", "0.05", "1e-3", "-0.1", "1.5",
+                "nan", "inf", "-inf", "", "abc", "0,0.5,1", "1,0", "1e-2,-1"] + \
+               ["gaussian", "mollifier", "newton", "zero", "logistic", "bertozzi",
+                "balanced_cubic", "none", "constant", "cosine", "random", "file"] + list(COMMANDS)
+_mutations = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_FUZZ_KEYS + ["grid.m", "solver", "x.y"]),
+              st.sampled_from(_FUZZ_VALUES)),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(set(FUZZ_BASE) - {"grid.n",
+                                                                        "equilibrium.max_iter"})),
+              st.just("")),
+    st.tuples(st.just("line"), st.sampled_from(["garbage", "= 1", "grid.n", "#only"]),
+              st.just("")),
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(COMMANDS), st.lists(_mutations, min_size=1, max_size=4))
+    def test_main_exits_0_1_or_2(self, command, mutations):
+        values, extra = dict(FUZZ_BASE), []
+        for kind, key, value in mutations:
+            if kind == "set":
+                values[key] = value
+            elif kind == "drop":
+                values.pop(key, None)
+            else:
+                extra.append(key)
+        text = "\n".join([f"{k} = {v}" for k, v in values.items()] + extra) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "fuzz.cfg"
+            cfg_path.write_text(text)
+            status = main([command, "--config", str(cfg_path), "--out", str(Path(tmp) / "o")])
+        assert status in (0, 1, 2)

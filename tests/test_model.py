@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import xlogy
 
 from nlch.grid import build_grid
 from nlch.kernels import assemble_kernel, gaussian_kernel, zero_kernel
@@ -20,6 +24,7 @@ from nlch.model import (
     potential,
     reaction_deriv,
     reaction_eval,
+    zero_reaction,
 )
 
 
@@ -188,3 +193,82 @@ class TestDerivativeConsistency:
             fd = (reaction_eval(spec, u + eps) - reaction_eval(spec, u - eps)) / (2 * eps)
             node = rng.integers(grid.num_nodes)
             assert reaction_deriv(spec, u)[node] == pytest.approx(fd[node], abs=1e-6)
+
+
+# -- oracle: the np.where / np.clip bodies before the ufunc rewrite, verbatim --
+
+def _oracle_mobility(s):
+    s = np.asarray(s, dtype=float)
+    out = np.where((s >= 0.0) & (s <= 1.0), s * (1.0 - s), 0.0)
+    return out if out.ndim else float(out)
+
+
+def _oracle_potential(s):
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    out = xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
+    return out if out.ndim else float(out)
+
+
+def _oracle_reaction_eval(spec, u):
+    u = np.asarray(u, dtype=float)
+    return spec.g_fn(np.clip(u, 0.0, 1.0))
+
+
+def _same_bits(got, want) -> bool:
+    """Same type, shape and bit pattern, sign of zero included; NaN entries
+    need only be NaN on both sides."""
+    if type(got) is not type(want):
+        return False
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+_edges = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, 5e-324,
+                          -5e-324, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 1e308, -1e308])
+_phase_values = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=False), _edges)
+# lengths from 1 to 40 reach both the vector loops and their scalar tails
+_phase_arrays = hnp.arrays(float, st.integers(1, 40), elements=_phase_values)
+_scalars = st.one_of(_phase_values, _phase_arrays.map(lambda a: a[0]))
+
+
+class TestPointwiseBitIdentity:
+    """mobility, potential and reaction_eval call the clip ufunc directly;
+    every result keeps the bits of the np.where / np.clip bodies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_phase_arrays, _scalars))
+    def test_mobility(self, s):
+        with np.errstate(over="ignore"):        # s (1 - s) for |s| near 1e308
+            assert _same_bits(mobility(s), _oracle_mobility(s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_phase_arrays, _scalars))
+    def test_potential(self, s):
+        assert _same_bits(potential(s), _oracle_potential(s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reaction_eval(self, data):
+        g = build_grid(1, data.draw(st.integers(8, 40)), 1.0)
+        coef = data.draw(hnp.arrays(float, g.num_nodes, elements=st.floats(0.0, 5.0)))
+        maker = data.draw(st.sampled_from([
+            lambda: logistic_reaction(g, coef),
+            lambda: bertozzi_reaction(g, coef, np.minimum(coef, 1.0)),
+            lambda: oono_reaction(g, coef),
+            lambda: balanced_cubic_reaction(g, coef),
+            lambda: zero_reaction(g),
+        ]))
+        u = data.draw(hnp.arrays(float, g.num_nodes,
+                                 elements=st.one_of(_phase_values, st.just(math.nan))))
+        spec = maker()
+        assert _same_bits(reaction_eval(spec, u), _oracle_reaction_eval(spec, u))
+
+    def test_mobility_propagates_nan(self):
+        """A NaN phase value has no mobility: it stays NaN (the np.where body
+        returned 0.0) and leaves the other entries alone."""
+        assert math.isnan(mobility(math.nan))
+        out = mobility(np.array([0.5, math.nan, 2.0, -0.0]))
+        assert math.isnan(out[1])
+        assert _same_bits(out[[0, 2, 3]], _oracle_mobility(np.array([0.5, 2.0, -0.0])))

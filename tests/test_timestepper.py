@@ -1,19 +1,40 @@
 """Semi-implicit stepping: bounds, mass identity, decay, and guards."""
 
+import warnings
+from itertools import chain
+
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
-from nlch.diagnostics import fit_exponential_rate, mass_balance_residual
-from nlch.grid import build_grid, l2_norm
-from nlch.kernels import assemble_kernel, gaussian_kernel, zero_kernel
+from nlch.diagnostics import TrajectoryRecord, fit_exponential_rate, mass_balance_residual
+from nlch.grid import build_grid, check_field, div_flux, l2_norm
+from nlch.kernels import (
+    assemble_kernel,
+    gaussian_kernel,
+    mollifier_kernel,
+    newton_kernel,
+    zero_kernel,
+)
 from nlch.model import (
     bertozzi_reaction,
     logistic_reaction,
+    mobility,
     oono_reaction,
+    reaction_eval,
     zero_reaction,
 )
-from nlch.solvers import SolverError
-from nlch.timestepper import SolverConfig, initial_state, pair_run, run, step
+from nlch.solvers import SolverError, SpdNeumannSolver
+from nlch.timestepper import (
+    HARD_BOUND_TOL,
+    WARN_BOUND_TOL,
+    SolverConfig,
+    State,
+    initial_state,
+    pair_run,
+    run,
+    step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -267,9 +288,16 @@ class TestRecordShapes:
     def test_store_states(self, grid, weak_op):
         spec = zero_reaction(grid)
         u0 = np.full(grid.num_nodes, 0.4)
-        _, rec = run(u0, spec, weak_op, SolverConfig(dt=0.01, t_end=0.1),
-                     store_states=True)
+        cfg = SolverConfig(dt=0.01, t_end=0.1)
+        _, rec = run(u0, spec, weak_op, cfg, store_states=True)
         assert len(rec.states) == 11
+        # the states are stored uncopied, so each must own its memory
+        for i, a in enumerate(rec.states):
+            assert not np.shares_memory(a, u0)
+            for b in rec.states[i + 1:]:
+                assert not np.shares_memory(a, b)
+        _, want = _oracle_run(u0, spec, weak_op, cfg, store_states=True)
+        assert all(np.array_equal(a, b) for a, b in zip(rec.states, want.states, strict=True))
 
     def test_initial_datum_validation(self, grid, weak_op):
         spec = zero_reaction(grid)
@@ -277,3 +305,186 @@ class TestRecordShapes:
         bad = np.full(grid.num_nodes, 1.2)
         with pytest.raises(ValueError, match="0 <= u0 <= 1"):
             run(bad, spec, weak_op, cfg)
+
+
+# -- oracle: step, _trajectory, run and TrajectoryRecord.sample as they were
+# before the wrapper-cost rewrite (np.mean, np.min, np.clip, np.linalg.norm),
+# verbatim except that the diagnostics they call are the old bodies below ----
+
+def _oracle_step(state, spec, op, cfg, solver=None):
+    grid = op.grid
+    if solver is None:
+        solver = SpdNeumannSolver(grid, 1.0, cfg.dt)
+    u, w = state.u, state.w
+    g_vals = reaction_eval(spec, u)
+    rhs = u + cfg.dt * div_flux(grid, mobility(u), w) + cfg.dt * g_vals
+    target_mean = float(np.mean(u)) + cfg.dt * float(np.mean(g_vals))
+    u_new = solver.solve(rhs)
+    u_new += target_mean - float(np.mean(u_new))
+
+    lo, hi = float(np.min(u_new)), float(np.max(u_new))
+    excursion = max(0.0 - lo, hi - 1.0, 0.0)
+    clamped = 0
+    if excursion > HARD_BOUND_TOL:
+        raise SolverError(
+            f"phase bound excursion {excursion:.3e} exceeds {HARD_BOUND_TOL:.0e} "
+            f"at t = {state.t + cfg.dt:.6g}: scheme unstable, reduce dt"
+        )
+    if excursion > 0.0:
+        if excursion > WARN_BOUND_TOL:
+            warnings.warn(
+                f"phase bound excursion {excursion:.3e} beyond "
+                f"{WARN_BOUND_TOL:.0e} at t = {state.t + cfg.dt:.6g}; clamping",
+                stacklevel=2,
+            )
+        clamped = int(np.sum((u_new < 0.0) | (u_new > 1.0)))
+        np.clip(u_new, 0.0, 1.0, out=u_new)
+
+    return State(
+        t=state.t + cfg.dt,
+        u=u_new,
+        w=op.convolve(1.0 - 2.0 * u_new),
+        step_count=state.step_count + 1,
+        clamp_events=state.clamp_events + clamped,
+    )
+
+
+def _oracle_trajectory(u0, spec, op, cfg):
+    u0 = check_field(op.grid, u0)
+    if np.min(u0) < 0.0 or np.max(u0) > 1.0:
+        raise ValueError("initial datum must satisfy 0 <= u0 <= 1 nodewise")
+    if cfg.dt * spec.lipschitz_s >= 0.5:
+        raise ValueError(
+            f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
+            f"reaction is unstable, reduce dt below {0.5 / max(spec.lipschitz_s, 1e-300):.3g}"
+        )
+    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
+    state = initial_state(u0, op)
+    yield state
+    for k in range(1, cfg.n_steps + 1):
+        state = _oracle_step(state, spec, op, cfg, solver=solver)
+        state.t = k * cfg.dt      # avoid accumulation drift
+        yield state
+
+
+def _oracle_run(u0, spec, op, cfg, ref=None, store_states=False):
+    states = _oracle_trajectory(u0, spec, op, cfg)
+    state = next(states)
+    mean0 = float(np.mean(state.u))
+    if not (0.0 < mean0 < 1.0) and float(np.mean(reaction_eval(spec, state.u))) == 0.0:
+        warnings.warn(
+            f"mean(u0) = {mean0} is a pure phase and the reaction does not "
+            f"move mass there; the run will remain stationary", stacklevel=2,
+        )
+
+    rec = TrajectoryRecord(grid=op.grid, dt=cfg.dt)
+    if store_states:
+        rec.states = []
+    for state in chain([state], states):
+        k = state.step_count
+        rec.step_mass.append(float(np.mean(state.u)))
+        if store_states:
+            rec.states.append(state.u.copy())
+        if cfg.is_record_step(k):
+            _oracle_sample(rec, state.t, state.u, op, state.clamp_events, ref)
+        if k < cfg.n_steps:
+            rec.step_g_mean.append(float(np.mean(reaction_eval(spec, state.u))))
+    return state, rec
+
+
+def _oracle_l2_norm(grid, f):
+    return float(np.sqrt(grid.cell_volume) * np.linalg.norm(f))
+
+
+def _oracle_h1_seminorm(grid, f):
+    v = grid.reshape(f)
+    total = 0.0
+    for axis in range(grid.dim):
+        d = np.diff(v, axis=axis) / grid.h
+        total += float(np.sum(d * d))
+    return float(np.sqrt(grid.cell_volume * total))
+
+
+def _oracle_energy(u, op):
+    grid = op.grid
+    u = check_field(grid, u)
+    ku = op.convolve(u)
+    pair = 2.0 * (float(op.kbar @ (u * u)) - float(u @ ku)) * grid.cell_volume
+    s = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    bulk = grid.cell_volume * float(np.sum(xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)))
+    return pair + bulk
+
+
+def _oracle_sample(rec, t, u, op, clamp_events, ref):
+    rec.times.append(float(t))
+    rec.mass.append(float(np.mean(u)))
+    k1, k2 = float(np.min(u)), 1.0 - float(np.max(u))
+    rec.min_u.append(k1)
+    rec.max_u.append(1.0 - k2)
+    rec.l2_norm.append(_oracle_l2_norm(rec.grid, u))
+    rec.h1_seminorm.append(_oracle_h1_seminorm(rec.grid, u))
+    rec.energy.append(_oracle_energy(u, op))
+    rec.dist_to_ref.append(_oracle_l2_norm(rec.grid, u - ref) if ref is not None
+                           else float("nan"))
+    rec.clamp_events.append(int(clamp_events))
+
+
+def _assert_same_run(got, want):
+    (state, rec), (state0, rec0) = got, want
+    assert (state.t, state.step_count, state.clamp_events) == \
+        (state0.t, state0.step_count, state0.clamp_events)
+    assert np.array_equal(state.u, state0.u) and np.array_equal(state.w, state0.w)
+    assert np.array_equal(rec.step_mass, rec0.step_mass)
+    assert np.array_equal(rec.step_g_mean, rec0.step_g_mean)
+    series, series0 = rec.as_arrays(), rec0.as_arrays()
+    assert series.keys() == series0.keys()
+    for name in series:
+        assert np.array_equal(series[name], series0[name], equal_nan=True), name
+
+
+SUITE_REACTIONS = {
+    "logistic": lambda g: logistic_reaction(g, 1.0),
+    "bertozzi": lambda g: bertozzi_reaction(g, 2.0, 0.7),
+    "oono": lambda g: oono_reaction(g, 1.0),
+}
+SUITE_KERNELS = {"gaussian": gaussian_kernel(0.05, 0.05), "mollifier": mollifier_kernel(0.05, 0.2)}
+
+
+@pytest.fixture(scope="module")
+def suite_grid():
+    return build_grid(1, 256, 1.0)
+
+
+class TestBitIdentity:
+    """The stepping path keeps every bit of the oracle above."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kname", list(SUITE_KERNELS))
+    @pytest.mark.parametrize("rname", list(SUITE_REACTIONS))
+    def test_acceptance_suite_run(self, suite_grid, rname, kname, seed):
+        """The 18 runs of the acceptance suite, 1000 steps each."""
+        op = assemble_kernel(SUITE_KERNELS[kname], suite_grid)
+        spec = SUITE_REACTIONS[rname](suite_grid)
+        u0 = np.random.default_rng(seed).uniform(0.1, 0.9, suite_grid.num_nodes)
+        cfg = SolverConfig(dt=0.01, t_end=10.0, record_every=5)
+        _assert_same_run(run(u0, spec, op, cfg), _oracle_run(u0, spec, op, cfg))
+
+    def test_clamping_run(self):
+        grid = build_grid(1, 64, 1.0)
+        op = assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
+        u0 = np.where(grid.axis_coords() < 0.5, 0.0, 0.9)
+        spec, cfg = zero_reaction(grid), SolverConfig(dt=1e-4, t_end=50e-4)
+        got = run(u0, spec, op, cfg, store_states=True)
+        want = _oracle_run(u0, spec, op, cfg, store_states=True)
+        assert got[0].clamp_events > 0
+        _assert_same_run(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(got[1].states, want[1].states,
+                                                        strict=True))
+
+    def test_2d_newton_run(self):
+        grid = build_grid(2, 16, 1.0)
+        op = assemble_kernel(newton_kernel(2, 0.1), grid)
+        u0 = np.random.default_rng(3).uniform(0.2, 0.8, grid.num_nodes)
+        ref = np.full(grid.num_nodes, 0.3)
+        spec, cfg = oono_reaction(grid, 1.0), SolverConfig(dt=0.01, t_end=1.0, record_every=3)
+        _assert_same_run(run(u0, spec, op, cfg, ref=ref), _oracle_run(u0, spec, op, cfg, ref=ref))
