@@ -33,7 +33,7 @@ from .model import (
 )
 from .solvers import SolverError
 from .tangent import dimension_bound, first_negative_trace, remainder_order
-from .timestepper import SolverConfig, pair_run, run
+from .timestepper import PairRecord, SolverConfig, _trajectory, paired_trajectory, record
 
 COMMANDS = ("run", "pair", "equilibrium", "remainder", "trace")
 
@@ -196,6 +196,12 @@ def build_reaction(cfg: RunConfig, grid: Grid) -> ReactionSpec:
     return zero_reaction(grid)
 
 
+def _random_datum(cfg: RunConfig, grid: Grid, section: str, seed: int) -> np.ndarray:
+    """Node values uniform on [<section>.lo, <section>.hi], drawn from ``seed``."""
+    rng = np.random.default_rng(int(seed))
+    return rng.uniform(cfg[f"{section}.lo"], cfg[f"{section}.hi"], grid.num_nodes)
+
+
 def build_initial(cfg: RunConfig, grid: Grid, section: str = "init",
                   seed_override: int | None = None) -> np.ndarray:
     kind = cfg[f"{section}.kind"]
@@ -207,8 +213,7 @@ def build_initial(cfg: RunConfig, grid: Grid, section: str = "init",
             grid, mode if grid.dim > 1 else mode[0])
     elif kind == "random":
         seed = cfg[f"{section}.seed"] if seed_override is None else seed_override
-        rng = np.random.default_rng(int(seed))
-        u0 = rng.uniform(cfg[f"{section}.lo"], cfg[f"{section}.hi"], grid.num_nodes)
+        u0 = _random_datum(cfg, grid, section, seed)
     elif kind == "file":
         fgrid, u0, _ = read_field(cfg[f"{section}.path"])
         if fgrid.num_nodes != grid.num_nodes or fgrid.dim != grid.dim:
@@ -252,18 +257,14 @@ def build_scenario(cfg: RunConfig, seed_override: int | None = None) -> Scenario
 
 # -- output writers -------------------------------------------------------------
 
-def _write_series_csv(path: Path, rec) -> None:
-    arrays = rec.as_arrays()
-    cols = CSV_HEADER.split(",")
+def _write_csv(path: Path, header: str, columns) -> None:
+    """One row per entry of the columns: integers as they are, floats with 17
+    significant digits, so that every value reads back exactly."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        n = len(arrays["t"])
-        for i in range(n):
-            row = []
-            for c in cols:
-                val = arrays[c][i]
-                row.append(str(int(val)) if c == "clamp_events" else format(float(val), ".17g"))
-            fh.write(",".join(row) + "\n")
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(str(v) if isinstance(v, np.integer) else format(float(v), ".17g")
+                              for v in row) + "\n")
 
 
 def _trailing_rate(times, values) -> str:
@@ -327,13 +328,8 @@ def execute(cfg: RunConfig, out_dir, command: str | None = None,
     report.add()
 
     try:
-        handler = {
-            "run": _cmd_run,
-            "pair": _cmd_pair,
-            "equilibrium": _cmd_equilibrium,
-            "remainder": _cmd_remainder,
-            "trace": _cmd_trace,
-        }[command]
+        handler = {"run": _cmd_run, "pair": _cmd_pair, "equilibrium": _cmd_equilibrium,
+                   "remainder": _cmd_remainder, "trace": _cmd_trace}[command]
         handler(cfg, scen, out, report)
         status = 1 if report.failures else 0
     except (SolverError, ValueError) as exc:
@@ -347,22 +343,25 @@ def execute(cfg: RunConfig, out_dir, command: str | None = None,
     return status
 
 
-def _snapshot(out: Path, scen: Scenario, rec, cfg: RunConfig) -> None:
-    every = int(cfg["output.snapshot_every"])
-    if every < 1 or rec.states is None:
-        return
-    for idx in range(0, len(rec.states), every):
-        write_field(out / f"u_{idx:06d}.nlch", scen.grid, rec.states[idx], idx * rec.dt)
+def _snapshots(states, out: Path, grid: Grid, every: int):
+    """Pass a state stream through, writing u_<k>.nlch every ``every`` steps (0: none)."""
+    for state in states:
+        if every and state.step_count % every == 0:
+            write_field(out / f"u_{state.step_count:06d}.nlch", grid, state.u, state.t)
+        yield state
 
 
 def _cmd_run(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
-    store = int(cfg["output.snapshot_every"]) > 0
-    state, rec = run(scen.u0, scen.spec, scen.op, scen.solver_cfg, store_states=store)
-    _write_series_csv(out / "series.csv", rec)
-    _snapshot(out, scen, rec, cfg)
+    every = int(cfg["output.snapshot_every"])
+    if every < 0:
+        raise ValueError(f"output.snapshot_every must be >= 0, got {every}")
+    states = _snapshots(_trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg),
+                        out, scen.grid, every)
+    state, rec = record(states, scen.spec, scen.op, scen.solver_cfg)
+    arrays = rec.as_arrays()
+    _write_csv(out / "series.csv", CSV_HEADER, [arrays[c] for c in CSV_HEADER.split(",")])
     write_field(out / "u_final.nlch", scen.grid, state.u, state.t)
 
-    arrays = rec.as_arrays()
     report.add(f"steps = {state.step_count}, t_end = {state.t:g}, "
                f"clamp events = {state.clamp_events}")
     report.add(f"final mass = {arrays['mass'][-1]:.12g}")
@@ -384,13 +383,13 @@ def _cmd_run(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
 def _cmd_pair(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
     if scen.u0_second is None:
         raise ValueError("pair command needs an init2 section")
-    state, rec = run(scen.u0, scen.spec, scen.op, scen.solver_cfg)
-    _write_series_csv(out / "series.csv", rec)
-    pair = pair_run(scen.u0, scen.u0_second, scen.spec, scen.op, scen.solver_cfg)
-    with open(out / "pair_distance.csv", "w", newline="\n") as fh:
-        fh.write("t,distance\n")
-        for t, d in zip(pair.times, pair.dist):
-            fh.write(f"{format(float(t), '.17g')},{format(float(d), '.17g')}\n")
+    pair = PairRecord(times=np.empty(0), dist=np.empty(0))
+    states = paired_trajectory(scen.u0, scen.u0_second, scen.spec, scen.op,
+                               scen.solver_cfg, pair)
+    _, rec = record(states, scen.spec, scen.op, scen.solver_cfg)
+    arrays = rec.as_arrays()
+    _write_csv(out / "series.csv", CSV_HEADER, [arrays[c] for c in CSV_HEADER.split(",")])
+    _write_csv(out / "pair_distance.csv", "t,distance", [pair.times, pair.dist])
     report.add(f"initial distance = {pair.dist[0]:.6g}, final distance = {pair.dist[-1]:.6g}")
     positive = pair.dist > 0
     if np.all(positive):
@@ -425,9 +424,7 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
     n_random = int(cfg["equilibrium.random_seeds"])
     if n_random < 0:
         raise ValueError(f"equilibrium.random_seeds must be >= 0, got {n_random}")
-    for k in range(n_random):
-        rng = np.random.default_rng(scen.seed + k)
-        seeds.append(rng.uniform(cfg["init.lo"], cfg["init.hi"], scen.grid.num_nodes))
+    seeds += [_random_datum(cfg, scen.grid, "init", scen.seed + k) for k in range(n_random)]
     if not seeds:
         seeds.append(scen.u0)
 
@@ -468,11 +465,7 @@ def _cmd_trace(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> Non
         raise ValueError(f"trace.samples must be >= 1, got {samples}")
     curves = []
     for k in range(samples):
-        if k == 0:
-            u0 = scen.u0
-        else:
-            rng = np.random.default_rng(scen.seed + k)
-            u0 = rng.uniform(cfg["init.lo"], cfg["init.hi"], scen.grid.num_nodes)
+        u0 = scen.u0 if k == 0 else _random_datum(cfg, scen.grid, "init", scen.seed + k)
         scan = dimension_bound(u0, n_max, cfg["trace.t"], scen.spec, scen.op,
                                scen.solver_cfg, ortho_every=cfg["trace.ortho_every"],
                                transient=cfg["trace.transient"])

@@ -65,7 +65,6 @@ class TrajectoryRecord:
     clamp_events: list[int] = field(default_factory=list)
     step_mass: list[float] = field(default_factory=list)
     step_g_mean: list[float] = field(default_factory=list)
-    states: list[np.ndarray] | None = None
 
     def sample(self, t: float, u: np.ndarray, op, clamp_events: int,
                ref: np.ndarray | None) -> None:

@@ -134,37 +134,34 @@ def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
         yield state
 
 
-def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
-        ref: np.ndarray | None = None, store_states: bool = False
-        ) -> tuple[State, TrajectoryRecord]:
-    """Integrate from u0 to t_end, recording diagnostics.
-
-    ``ref`` adds an L2 distance-to-reference series; ``store_states`` keeps
-    every state u in ``rec.states`` (for field snapshots).  Deterministic
-    given inputs.
-    """
-    states = _trajectory(u0, spec, op, cfg)
+def record(states: Iterator[State], spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
+           ref: np.ndarray | None = None) -> tuple[State, TrajectoryRecord]:
+    """Consume a ``_trajectory`` state stream as it is stepped, keeping no
+    state; return the final state and the diagnostics record.  ``ref`` adds
+    an L2 distance-to-reference series."""
     state = next(states)
     mean0 = float(mean(state.u))
     if not (0.0 < mean0 < 1.0) and float(mean(reaction_eval(spec, state.u))) == 0.0:
         warnings.warn(
             f"mean(u0) = {mean0} is a pure phase and the reaction does not "
-            f"move mass there; the run will remain stationary", stacklevel=2,
+            f"move mass there; the run will remain stationary", stacklevel=3,
         )
 
     rec = TrajectoryRecord(grid=op.grid, dt=cfg.dt)
-    if store_states:
-        rec.states = []
     for state in chain([state], states):
         k = state.step_count
         rec.step_mass.append(float(mean(state.u)))
-        if store_states:
-            rec.states.append(state.u)      # _trajectory yields a fresh u every step
         if cfg.is_record_step(k):
             rec.sample(state.t, state.u, op, state.clamp_events, ref)
         if k < cfg.n_steps:
             rec.step_g_mean.append(float(mean(reaction_eval(spec, state.u))))
     return state, rec
+
+
+def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
+        ref: np.ndarray | None = None) -> tuple[State, TrajectoryRecord]:
+    """Integrate from u0 to t_end, recording diagnostics (see ``record``)."""
+    return record(_trajectory(u0, spec, op, cfg), spec, op, cfg, ref)
 
 
 @dataclass
@@ -175,6 +172,19 @@ class PairRecord:
     dist: np.ndarray
 
 
+def paired_trajectory(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
+                      cfg: SolverConfig, pair: PairRecord) -> Iterator[State]:
+    """Step two initial data in lockstep and yield the states of the first;
+    their L2 distance at the record steps is stored in ``pair`` at the end."""
+    times, dist = [], []
+    for s1, s2 in zip(_trajectory(u01, spec, op, cfg), _trajectory(u02, spec, op, cfg)):
+        if cfg.is_record_step(s1.step_count):
+            times.append(s1.t)
+            dist.append(l2_norm(op.grid, s1.u - s2.u))
+        yield s1
+    pair.times, pair.dist = np.asarray(times), np.asarray(dist)
+
+
 def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
              cfg: SolverConfig) -> PairRecord:
     """Evolve two initial data side by side and record their L2 distance.
@@ -183,9 +193,7 @@ def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
     reported, never asserted against a specific value) and for the
     contraction checks of strictly decreasing reactions.
     """
-    times, dist = [], []
-    for s1, s2 in zip(_trajectory(u01, spec, op, cfg), _trajectory(u02, spec, op, cfg)):
-        if cfg.is_record_step(s1.step_count):
-            times.append(s1.t)
-            dist.append(l2_norm(op.grid, s1.u - s2.u))
-    return PairRecord(times=np.asarray(times), dist=np.asarray(dist))
+    pair = PairRecord(times=np.empty(0), dist=np.empty(0))
+    for _ in paired_trajectory(u01, u02, spec, op, cfg, pair):
+        pass
+    return pair

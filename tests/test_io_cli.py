@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import nlch.timestepper
 from nlch.cli import COMMANDS, CSV_HEADER, build_scenario, execute, main, parse_config
-from nlch.grid import build_grid
+from nlch.grid import build_grid, l2_norm
 from nlch.io import read_field, write_field
+from nlch.timestepper import _trajectory
 
 OONO_CFG = """
 # oono decay scenario
@@ -31,6 +34,13 @@ init.kind = random
 init.lo = 0.2
 init.hi = 0.8
 init.seed = 7
+"""
+
+INIT2 = """
+init2.kind = random
+init2.lo = 0.2
+init2.hi = 0.8
+init2.seed = 8
 """
 
 EQ_CFG = """
@@ -232,6 +242,46 @@ class TestExecuteRun:
         dumps = sorted((tmp_path / "out").glob("u_0*.nlch"))
         assert len(dumps) == 3   # steps 0, 100, 200
 
+    def test_snapshots_are_the_trajectory_states(self, tmp_path):
+        """A cadence that does not divide the 200 steps: u_<k>.nlch holds the
+        state after k steps, with its time stamp, for k = 0, 7, ..., 196."""
+        cfg = parse_config(OONO_CFG + "output.snapshot_every = 7\n")
+        assert execute(cfg, tmp_path / "out", command="run") == 0
+        scen = build_scenario(cfg)
+        want = tmp_path / "want"
+        want.mkdir()
+        for state in _trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg):
+            if state.step_count % 7 == 0:
+                write_field(want / f"u_{state.step_count:06d}.nlch", scen.grid, state.u,
+                            state.t)
+        got = sorted(p.name for p in (tmp_path / "out").glob("u_[0-9]*.nlch"))
+        assert got == sorted(p.name for p in want.iterdir())
+        assert got[0] == "u_000000.nlch" and got[-1] == "u_000196.nlch" and len(got) == 29
+        for name in got:
+            assert (tmp_path / "out" / name).read_bytes() == (want / name).read_bytes()
+            assert read_field(tmp_path / "out" / name)[2] == int(name[2:8]) * 0.01
+
+    def test_snapshot_memory_does_not_grow_with_the_run(self, tmp_path):
+        """Snapshots are written as the run steps: a 2000-step n = 256 run with
+        snapshots peaks within 1 MB of the same run without them and of a
+        200-step run (holding every state would take 4 MB)."""
+        base = OONO_CFG.replace("grid.n = 64", "grid.n = 256")
+        execute(parse_config(base.replace("solver.t_end = 2.0", "solver.t_end = 0.1")),
+                tmp_path / "warm", command="run")
+        peaks = {}
+        for t_end, every in ((2.0, 0), (20.0, 0), (20.0, 500)):
+            text = base.replace("solver.t_end = 2.0", f"solver.t_end = {t_end}")
+            tracemalloc.start()
+            try:
+                cfg = parse_config(text + f"output.snapshot_every = {every}\n")
+                assert execute(cfg, tmp_path / f"s{t_end}_{every}", command="run") == 0
+                peaks[t_end, every] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(list((tmp_path / "s20.0_500").glob("u_[0-9]*.nlch"))) == 5
+        assert peaks[20.0, 500] - peaks[20.0, 0] <= 1 << 20, peaks
+        assert peaks[20.0, 500] - peaks[2.0, 0] <= 1 << 20, peaks
+
     def test_file_initial_condition(self, tmp_path):
         grid = build_grid(1, 64, 1.0)
         u = np.linspace(0.2, 0.8, grid.num_nodes)
@@ -258,18 +308,39 @@ class TestOtherCommands:
         assert "init2" in (tmp_path / "p" / "report.txt").read_text()
 
     def test_pair_command(self, tmp_path):
-        text = OONO_CFG + """
-init2.kind = random
-init2.lo = 0.2
-init2.hi = 0.8
-init2.seed = 8
-"""
-        status = execute(parse_config(text), tmp_path / "p", command="pair")
+        status = execute(parse_config(OONO_CFG + INIT2), tmp_path / "p", command="pair")
         assert status == 0
         lines = (tmp_path / "p" / "pair_distance.csv").read_text().splitlines()
         assert lines[0] == "t,distance"
         report = (tmp_path / "p" / "report.txt").read_text()
         assert "continuous-dependence constant" in report
+
+    def test_pair_series_is_the_run_of_the_first_datum(self, tmp_path):
+        cfg = parse_config(OONO_CFG + INIT2)
+        assert execute(cfg, tmp_path / "p", command="pair") == 0
+        assert execute(cfg, tmp_path / "r", command="run") == 0
+        assert (tmp_path / "p" / "series.csv").read_bytes() == \
+               (tmp_path / "r" / "series.csv").read_bytes()
+        # the distance is taken at the recorded times, from the initial data on
+        t, dist = np.loadtxt(tmp_path / "p" / "pair_distance.csv", delimiter=",",
+                             skiprows=1).T
+        assert np.array_equal(t, np.loadtxt(tmp_path / "r" / "series.csv", delimiter=",",
+                                            skiprows=1)[:, 0])
+        scen = build_scenario(cfg)
+        assert dist[0] == l2_norm(scen.grid, scen.u0 - scen.u0_second)
+
+    def test_pair_steps_each_trajectory_once(self, tmp_path, monkeypatch):
+        calls = []
+        step = nlch.timestepper.step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(nlch.timestepper, "step", counted)
+        cfg = parse_config(OONO_CFG + INIT2)
+        assert execute(cfg, tmp_path / "p", command="pair") == 0
+        assert len(calls) == 2 * 200   # two trajectories of t_end / dt steps
 
     def test_remainder_command_linear_preset(self, tmp_path):
         text = """
@@ -410,7 +481,9 @@ class TestMain:
         ("solver.t_end = -1", "t_end must be positive and finite"),
         ("grid.dim = 3", "configuration error: unsupported dimension: 3 (must be 1 or 2)"),
         ("grid.n = 4", "configuration error: n must be >= 8 per axis, got 4"),
-    ], ids=["lam_inf", "dt_negative", "dt_zero", "t_end_negative", "grid_dim_3", "grid_n_4"])
+        ("output.snapshot_every = -1", "output.snapshot_every must be >= 0, got -1"),
+    ], ids=["lam_inf", "dt_negative", "dt_zero", "t_end_negative", "grid_dim_3", "grid_n_4",
+            "snapshot_every_negative"])
     def test_cli_invalid_kernel_or_solver_value_returns_2(self, tmp_path, capsys, line,
                                                           message):
         key = line.split(" = ")[0]

@@ -30,6 +30,7 @@ from nlch.timestepper import (
     WARN_BOUND_TOL,
     SolverConfig,
     State,
+    _trajectory,
     initial_state,
     pair_run,
     run,
@@ -285,19 +286,19 @@ class TestRecordShapes:
         assert len(rec.step_mass) == 51
         assert len(rec.step_g_mean) == 50
 
-    def test_store_states(self, grid, weak_op):
+    def test_trajectory_states(self, grid, weak_op):
         spec = zero_reaction(grid)
         u0 = np.full(grid.num_nodes, 0.4)
         cfg = SolverConfig(dt=0.01, t_end=0.1)
-        _, rec = run(u0, spec, weak_op, cfg, store_states=True)
-        assert len(rec.states) == 11
-        # the states are stored uncopied, so each must own its memory
-        for i, a in enumerate(rec.states):
-            assert not np.shares_memory(a, u0)
-            for b in rec.states[i + 1:]:
-                assert not np.shares_memory(a, b)
-        _, want = _oracle_run(u0, spec, weak_op, cfg, store_states=True)
-        assert all(np.array_equal(a, b) for a, b in zip(rec.states, want.states, strict=True))
+        states = list(_trajectory(u0, spec, weak_op, cfg))
+        assert len(states) == 11
+        # consumers such as the snapshot writer keep a yielded u uncopied,
+        # so each must own its memory
+        for i, a in enumerate(states):
+            assert not np.shares_memory(a.u, u0)
+            for b in states[i + 1:]:
+                assert not np.shares_memory(a.u, b.u)
+        _assert_same_states(states, _oracle_trajectory(u0, spec, weak_op, cfg))
 
     def test_initial_datum_validation(self, grid, weak_op):
         spec = zero_reaction(grid)
@@ -367,7 +368,7 @@ def _oracle_trajectory(u0, spec, op, cfg):
         yield state
 
 
-def _oracle_run(u0, spec, op, cfg, ref=None, store_states=False):
+def _oracle_run(u0, spec, op, cfg, ref=None):
     states = _oracle_trajectory(u0, spec, op, cfg)
     state = next(states)
     mean0 = float(np.mean(state.u))
@@ -378,13 +379,9 @@ def _oracle_run(u0, spec, op, cfg, ref=None, store_states=False):
         )
 
     rec = TrajectoryRecord(grid=op.grid, dt=cfg.dt)
-    if store_states:
-        rec.states = []
     for state in chain([state], states):
         k = state.step_count
         rec.step_mass.append(float(np.mean(state.u)))
-        if store_states:
-            rec.states.append(state.u.copy())
         if cfg.is_record_step(k):
             _oracle_sample(rec, state.t, state.u, op, state.clamp_events, ref)
         if k < cfg.n_steps:
@@ -427,6 +424,17 @@ def _oracle_sample(rec, t, u, op, clamp_events, ref):
     rec.dist_to_ref.append(_oracle_l2_norm(rec.grid, u - ref) if ref is not None
                            else float("nan"))
     rec.clamp_events.append(int(clamp_events))
+
+
+def _assert_same_states(got, want):
+    """Every state of two streams is equal: u and w bit for bit, time, step
+    count and clamp events exactly."""
+    n = 0
+    for a, b in zip(got, want, strict=True):
+        assert (a.t, a.step_count, a.clamp_events) == (b.t, b.step_count, b.clamp_events)
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.w, b.w), a.step_count
+        n += 1
+    assert n > 1
 
 
 def _assert_same_run(got, want):
@@ -474,12 +482,11 @@ class TestBitIdentity:
         op = assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
         u0 = np.where(grid.axis_coords() < 0.5, 0.0, 0.9)
         spec, cfg = zero_reaction(grid), SolverConfig(dt=1e-4, t_end=50e-4)
-        got = run(u0, spec, op, cfg, store_states=True)
-        want = _oracle_run(u0, spec, op, cfg, store_states=True)
+        got = run(u0, spec, op, cfg)
         assert got[0].clamp_events > 0
-        _assert_same_run(got, want)
-        assert all(np.array_equal(a, b) for a, b in zip(got[1].states, want[1].states,
-                                                        strict=True))
+        _assert_same_run(got, _oracle_run(u0, spec, op, cfg))
+        _assert_same_states(_trajectory(u0, spec, op, cfg),
+                            _oracle_trajectory(u0, spec, op, cfg))
 
     def test_2d_newton_run(self):
         grid = build_grid(2, 16, 1.0)
