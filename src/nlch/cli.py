@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics
-from .equilibrium import EquilibriumConfig, multistart_equilibria, solve_equilibrium
-from .grid import Grid, build_grid, l2_norm, neumann_mode
+from .equilibrium import EquilibriumConfig, multistart_equilibria
+from .grid import Grid, build_grid, neumann_mode
 from .io import read_field, write_field
 from .kernels import KernelOp, KernelSpec, assemble_kernel, zero_kernel
 from .model import (
@@ -440,7 +440,9 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
             res.certified and float(np.min(res.u)) >= -1e-8
             and float(np.max(res.u)) <= 1.0 + 1e-8,
             f"residual = {res.residual:.3e}, mass = {np.mean(res.u):.6g}, "
-            f"iterations = {res.iterations}, mass defect = {res.mass_defect:.3e}",
+            f"iterations = {res.iterations} "
+            f"({'+'.join(map(str, res.stage_iterations))} by eps stage), "
+            f"mass defect = {res.mass_defect:.3e}",
         )
 
 

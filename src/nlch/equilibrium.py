@@ -1,6 +1,7 @@
 """
-Steady states of the reacting nonlocal Cahn-Hilliard system by damped Picard
-iteration with a regularized linear solve and continuation to epsilon = 0.
+Steady states of the reacting nonlocal Cahn-Hilliard system by Anderson-
+accelerated damped Picard iteration with a regularized linear solve and
+continuation to epsilon = 0.
 
 Each sweep solves
 
@@ -16,6 +17,14 @@ compatibility defect |mean(g(u))| is reported, since no steady state exists
 when the reaction pumps net mass.  Iterates are clamped to [0,1]: the
 existence construction proves the bounds by truncation, and the pure phases
 are reachable limits.
+
+The damped map G(u) = clip((1 - theta) u + theta u_next) contracts slowly
+(0.75-0.9 per sweep in the first stage), so each stage mixes its last few
+values by Anderson acceleration (Anderson, J. ACM 12, 1965): the next
+iterate is the combination of the recent G-values whose residuals
+G(u) - u have the least norm, clamped to [0,1].  Mixing changes only the
+path; the fixed points, the stopping rule (judged on the plain step
+G(u) - u) and the certificate are those of the plain iteration.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ class EquilibriumResult:
     residual: float
     converged: bool
     iterations: int
+    stage_iterations: list[int] = field(default_factory=list)
     eps_gaps: list[float] = field(default_factory=list)
     mass_defect: float = 0.0
 
@@ -76,6 +86,55 @@ class EquilibriumResult:
 def _rhs(z: np.ndarray, spec: ReactionSpec, op: KernelOp) -> np.ndarray:
     w = op.convolve(1.0 - 2.0 * z)
     return div_flux(op.grid, mobility(z), w) + reaction_eval(spec, z)
+
+
+# Anderson mixing keeps the differences of the last ANDERSON_DEPTH map values;
+# a column whose direction lies within sine ANDERSON_SIN_TOL of the span of
+# the older ones makes the least-squares fit ill-posed, and the oldest column
+# is dropped until none does
+ANDERSON_DEPTH = 5
+ANDERSON_SIN_TOL = 1e-7
+
+
+class _AndersonHistory:
+    """Differences of consecutive map values g and residuals f = g - u over
+    the last ANDERSON_DEPTH sweeps of one eps stage (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011), each pair scaled to a unit residual difference."""
+
+    def __init__(self):
+        self.dg: list[np.ndarray] = []
+        self.df: list[np.ndarray] = []
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def push(self, g: np.ndarray, f: np.ndarray) -> None:
+        if self._last is not None:
+            df = f - self._last[1]
+            norm = math.sqrt(df.dot(df))
+            # a zero column adds nothing to the fit and cannot be scaled
+            if norm > 0.0:
+                self.dg.append((g - self._last[0]) / norm)
+                self.df.append(df / norm)
+                if len(self.df) > ANDERSON_DEPTH:
+                    del self.dg[0], self.df[0]
+        self._last = (g, f)
+
+    def mix(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The mixed iterate g - dG c with c = argmin ||f - dF c||, clamped
+        to [0, 1]; g itself once no column is left."""
+        while self.df:
+            F = np.stack(self.df, axis=1)
+            gram = F.T @ F
+            # the Cholesky diagonal of the unit-diagonal Gram matrix holds
+            # each column's sine to the span of the older ones
+            try:
+                independent = np.linalg.cholesky(gram).diagonal().min() > ANDERSON_SIN_TOL
+            except np.linalg.LinAlgError:
+                independent = False
+            if independent:
+                u = g - np.stack(self.dg, axis=1) @ np.linalg.solve(gram, F.T @ f)
+                return np.clip(u, 0.0, 1.0, out=u)
+            del self.dg[0], self.df[0]
+        return g
 
 
 def equilibrium_residual(u: np.ndarray, spec: ReactionSpec, op: KernelOp) -> float:
@@ -92,13 +151,19 @@ def equilibrium_residual(u: np.ndarray, spec: ReactionSpec, op: KernelOp) -> flo
 
 def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
                       cfg: EquilibriumConfig | None = None) -> EquilibriumResult:
-    """Damped Picard iteration with eps-continuation and warm starts.
+    """Damped Picard iteration with eps-continuation, warm starts and
+    Anderson mixing within each stage.
 
-    A phase converges when both the step size drops below picard_tol and
-    the strong-form residual drops below residual_tol (a small step alone
-    does not certify a stiff problem).  Non-convergence within max_iter is
-    a flagged outcome, not an error: the underlying existence proof is a
-    compactness argument and does not claim the iteration converges.
+    Each stage starts a fresh mixing history, since the shift changes the
+    map, and its first sweep is the plain damped step.  A stage converges
+    when both the plain step ||G(u) - u|| drops below picard_tol and the
+    strong-form residual drops below residual_tol (a small step alone does
+    not certify a stiff problem); from the first sweep whose plain step is
+    below picard_tol on, the stage takes plain steps.  Non-convergence
+    within max_iter sweeps per stage is a flagged outcome, not an error:
+    the underlying existence proof is a compactness argument and does not
+    claim the iteration converges.  ``stage_iterations`` holds the sweeps
+    of each stage.
     """
     if cfg is None:
         cfg = EquilibriumConfig()
@@ -109,9 +174,9 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
     if np.min(u) < 0.0 or np.max(u) > 1.0:
         raise ValueError("equilibrium seed must satisfy 0 <= u <= 1 nodewise, got "
                          f"values in [{np.min(u):.6g}, {np.max(u):.6g}]")
-    total_iters = 0
     converged_all = True
     eps_gaps = []
+    stage_iters = []
 
     for eps in cfg.eps_schedule:
         shift = eps + rho
@@ -119,25 +184,33 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
         phase_start = u.copy()
         converged = False
         stall_residual = np.inf
+        # the shift changes the map, so each stage starts a fresh history
+        mixer = _AndersonHistory()
+        sweeps = 0
         for _ in range(cfg.max_iter):
-            total_iters += 1
+            sweeps += 1
             gamma = solver.solve(_rhs(u, spec, op) + shift * u)
             if shift == 0:
                 # reaction-free limit problem: the solve lands on the
                 # mean-zero complement, so keep the iterate's mean
                 gamma += mean(u)
-            u_next = (1.0 - theta) * u + theta * gamma
-            np.clip(u_next, 0.0, 1.0, out=u_next)
-            delta = l2_norm(grid, u_next - u)
-            u = u_next
-            if delta < cfg.picard_tol:
-                resid = equilibrium_residual(u, spec, op)
-                if resid < cfg.residual_tol:
-                    converged = True
-                    break
-                if resid >= 0.99 * stall_residual:
-                    break       # step converged but residual stalled: flag
-                stall_residual = resid
+            g = (1.0 - theta) * u + theta * gamma
+            np.clip(g, 0.0, 1.0, out=g)
+            f = g - u
+            delta = l2_norm(grid, f)
+            mixer.push(g, f)
+            if delta >= cfg.picard_tol:
+                u = mixer.mix(g, f)
+                continue
+            u = g
+            resid = equilibrium_residual(u, spec, op)
+            if resid < cfg.residual_tol:
+                converged = True
+                break
+            if resid >= 0.99 * stall_residual:
+                break       # step converged but residual stalled: flag
+            stall_residual = resid
+        stage_iters.append(sweeps)
         converged_all = converged_all and converged
         eps_gaps.append(l2_norm(grid, u - phase_start))
 
@@ -146,7 +219,8 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
         u=u,
         residual=equilibrium_residual(u, spec, op),
         converged=converged_all,
-        iterations=total_iters,
+        iterations=sum(stage_iters),
+        stage_iterations=stage_iters,
         eps_gaps=eps_gaps,
         mass_defect=mass_defect,
     )

@@ -34,9 +34,13 @@ def mobility(s: np.ndarray | float) -> np.ndarray | float:
 
 
 def mobility_deriv(s: np.ndarray | float) -> np.ndarray | float:
-    """mu'(s) = 1-2s on [0,1], zero outside (interior limit at the endpoints)."""
+    """mu'(s) = 1-2s on [0,1], zero outside (interior limit at the endpoints).
+
+    clip(s, 0, 1) == s holds exactly for s in [0,1] (-0.0 included) and fails
+    for NaN and +-inf, the truth table of (s >= 0) & (s <= 1) in two calls.
+    """
     s = np.asarray(s, dtype=float)
-    out = np.where((s >= 0.0) & (s <= 1.0), 1.0 - 2.0 * s, 0.0)
+    out = np.where(_clip(s, 0.0, 1.0) == s, 1.0 - 2.0 * s, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -111,8 +115,9 @@ def reaction_eval(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
 def reaction_deriv(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
     """Pointwise d_s g(x_i, u_i); zero outside [0,1] where g is constant."""
     u = np.asarray(u, dtype=float)
-    out = spec.dg_fn(_clip(u, 0.0, 1.0))
-    return np.where((u >= 0.0) & (u <= 1.0), out, 0.0)
+    c = _clip(u, 0.0, 1.0)
+    # c == u exactly on [0,1], as in mobility_deriv
+    return np.where(c == u, spec.dg_fn(c), 0.0)
 
 
 def _as_field(grid: Grid, value, name: str, lo=None, hi=None) -> np.ndarray:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from nlch.equilibrium import (
+    ANDERSON_DEPTH,
     EquilibriumConfig,
+    _AndersonHistory,
+    _rhs,
     equilibrium_residual,
     multistart_equilibria,
     solve_equilibrium,
 )
-from nlch.grid import build_grid, l2_norm
+from nlch.grid import build_grid, check_field, l2_norm, mean
 from nlch.kernels import assemble_kernel, gaussian_kernel
 from nlch.model import (
     balanced_cubic_reaction,
@@ -18,6 +21,7 @@ from nlch.model import (
     oono_reaction,
     zero_reaction,
 )
+from nlch.solvers import SpdNeumannSolver
 from nlch.timestepper import SolverConfig, run
 
 
@@ -33,6 +37,44 @@ def op(grid):
 
 def const(grid, c):
     return np.full(grid.num_nodes, float(c))
+
+
+def _oracle_solve(u_init, spec, op, cfg=EquilibriumConfig()):
+    """The plain damped Picard loop of solve_equilibrium before Anderson
+    mixing, verbatim; returns (u, converged, iterations)."""
+    grid = op.grid
+    theta = cfg.damping
+    rho = spec.lipschitz_s
+    u = check_field(grid, u_init)
+    total_iters = 0
+    converged_all = True
+
+    for eps in cfg.eps_schedule:
+        shift = eps + rho
+        solver = SpdNeumannSolver(grid, shift, 1.0)
+        converged = False
+        stall_residual = np.inf
+        for _ in range(cfg.max_iter):
+            total_iters += 1
+            gamma = solver.solve(_rhs(u, spec, op) + shift * u)
+            if shift == 0:
+                # reaction-free limit problem: the solve lands on the
+                # mean-zero complement, so keep the iterate's mean
+                gamma += mean(u)
+            u_next = (1.0 - theta) * u + theta * gamma
+            np.clip(u_next, 0.0, 1.0, out=u_next)
+            delta = l2_norm(grid, u_next - u)
+            u = u_next
+            if delta < cfg.picard_tol:
+                resid = equilibrium_residual(u, spec, op)
+                if resid < cfg.residual_tol:
+                    converged = True
+                    break
+                if resid >= 0.99 * stall_residual:
+                    break       # step converged but residual stalled: flag
+                stall_residual = resid
+        converged_all = converged_all and converged
+    return u, converged_all, total_iters
 
 
 class TestConfig:
@@ -196,3 +238,97 @@ class TestMultistart:
     def test_dedup_tol_finite_nonnegative(self, grid, op, tol):
         with pytest.raises(ValueError, match="dedup_tol"):
             multistart_equilibria([const(grid, 0.5)], zero_reaction(grid), op, dedup_tol=tol)
+
+
+REACTIONS = {
+    "oono": lambda grid: oono_reaction(grid, 1.0),
+    "bertozzi": lambda grid: bertozzi_reaction(grid, 5.0, 0.6),
+    "balanced_cubic": lambda grid: balanced_cubic_reaction(grid, 1.0),
+    "logistic": lambda grid: logistic_reaction(grid, 1.0),
+}
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("name", list(REACTIONS))
+    def test_limits_match_the_plain_iteration(self, grid, op, name):
+        """Every seed the plain iteration solves is solved, certified, to the
+        same limit, and the random seeds take at most half the sweeps."""
+        spec = REACTIONS[name](grid)
+        random_seeds = [np.random.default_rng(k).uniform(0.1, 0.9, grid.num_nodes)
+                        for k in range(3, 13)]
+        sweeps = oracle_sweeps = 0
+        for k, seed in enumerate(random_seeds + [const(grid, c) for c in (0.0, 0.5, 1.0)]):
+            u_oracle, oracle_converged, oracle_iters = _oracle_solve(seed, spec, op)
+            res = solve_equilibrium(seed, spec, op)
+            if oracle_converged:
+                assert res.converged and res.certified, (name, k)
+                dist = l2_norm(grid, res.u - u_oracle)
+                assert dist <= 1e-9, (name, k, dist)
+            if k < len(random_seeds):
+                sweeps += res.iterations
+                oracle_sweeps += oracle_iters
+        assert 2 * sweeps <= oracle_sweeps, (name, sweeps, oracle_sweeps)
+
+    def test_first_sweep_of_each_stage_is_plain(self, grid, op):
+        """Each stage starts a fresh history: with one sweep per stage the
+        solve is the plain iteration, bit for bit."""
+        cfg = EquilibriumConfig(max_iter=1)
+        seed = np.random.default_rng(7).uniform(0.1, 0.9, grid.num_nodes)
+        for make in REACTIONS.values():
+            spec = make(grid)
+            u_oracle, _, _ = _oracle_solve(seed, spec, op, cfg)
+            res = solve_equilibrium(seed, spec, op, cfg)
+            assert np.array_equal(res.u, u_oracle)
+            assert res.stage_iterations == [1] * len(cfg.eps_schedule)
+
+    def test_mixed_iterate_is_clamped(self, grid):
+        """The secant through two residuals extrapolates to 1.15: clamped to 1."""
+        hist = _AndersonHistory()
+        v = np.ones(grid.num_nodes)
+        hist.push(const(grid, 0.9), 0.1 * v)
+        hist.push(const(grid, 0.95), 0.08 * v)
+        assert np.array_equal(hist.mix(const(grid, 0.95), 0.08 * v), v)
+
+    def test_zero_history_gives_the_plain_step(self, grid):
+        hist = _AndersonHistory()
+        g, f = const(grid, 0.5), np.zeros(grid.num_nodes)
+        with np.errstate(all="raise"):
+            for _ in range(3):
+                hist.push(g, f)
+                u = hist.mix(g, f)
+        assert not hist.df
+        assert np.array_equal(u, g)
+
+    def test_parallel_history_keeps_one_column(self, grid):
+        """Residuals along one direction (a constant seed's iterates) give
+        parallel columns: all but the newest are dropped."""
+        hist = _AndersonHistory()
+        v = np.ones(grid.num_nodes)
+        with np.errstate(all="raise"):
+            for c in (0.1, 0.05, 0.02, 0.01, 0.004, 0.001):
+                g = const(grid, 1.0 - c)
+                hist.push(g, c * v)
+            u = hist.mix(g, 0.001 * v)
+        assert len(hist.df) == 1
+        assert np.isfinite(u).all() and np.min(u) >= 0.0 and np.max(u) <= 1.0
+
+    def test_dependent_history_drops_the_oldest_columns(self, grid):
+        """Differences a, b, a + b are linearly dependent: the oldest column
+        goes and the mixed iterate stays finite and in [0, 1]."""
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, grid.num_nodes))
+        hist = _AndersonHistory()
+        with np.errstate(all="raise"):
+            for f in (np.zeros(grid.num_nodes), a, a + b, 2 * a + 2 * b):
+                g = np.clip(0.5 + 0.1 * f, 0.0, 1.0)
+                hist.push(g, 0.01 * f)
+            u = hist.mix(g, 0.01 * f)
+        assert len(hist.df) == 2
+        assert np.isfinite(u).all() and np.min(u) >= 0.0 and np.max(u) <= 1.0
+
+    def test_history_depth_is_bounded(self, grid):
+        rng = np.random.default_rng(6)
+        hist = _AndersonHistory()
+        for _ in range(3 * ANDERSON_DEPTH):
+            hist.push(rng.uniform(0, 1, grid.num_nodes), rng.standard_normal(grid.num_nodes))
+        assert len(hist.df) == len(hist.dg) == ANDERSON_DEPTH

@@ -300,6 +300,8 @@ class TestOtherCommands:
         assert status == 0
         report = (tmp_path / "eq" / "report.txt").read_text()
         assert "distinct converged equilibria = 3" in report
+        # each constant seed is a fixed point: one sweep in each eps stage
+        assert report.count("iterations = 5 (1+1+1+1+1 by eps stage)") == 3
         assert len(list((tmp_path / "eq").glob("equilibrium_*.nlch"))) == 3
 
     def test_pair_command_needs_init2(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy._core.umath import clip as _clip
 from scipy.special import xlogy
 
 from nlch.grid import build_grid
@@ -214,6 +215,18 @@ def _oracle_reaction_eval(spec, u):
     return spec.g_fn(np.clip(u, 0.0, 1.0))
 
 
+def _oracle_mobility_deriv(s):
+    s = np.asarray(s, dtype=float)
+    out = np.where((s >= 0.0) & (s <= 1.0), 1.0 - 2.0 * s, 0.0)
+    return out if out.ndim else float(out)
+
+
+def _oracle_reaction_deriv(spec, u):
+    u = np.asarray(u, dtype=float)
+    out = spec.dg_fn(_clip(u, 0.0, 1.0))
+    return np.where((u >= 0.0) & (u <= 1.0), out, 0.0)
+
+
 def _same_bits(got, want) -> bool:
     """Same type, shape and bit pattern, sign of zero included; NaN entries
     need only be NaN on both sides."""
@@ -231,11 +244,26 @@ _phase_values = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=False), _edge
 # lengths from 1 to 40 reach both the vector loops and their scalar tails
 _phase_arrays = hnp.arrays(float, st.integers(1, 40), elements=_phase_values)
 _scalars = st.one_of(_phase_values, _phase_arrays.map(lambda a: a[0]))
+_nan_values = st.one_of(_phase_values, st.just(math.nan))
+_nan_arrays = hnp.arrays(float, st.integers(1, 40), elements=_nan_values)
+
+
+def _reaction_specs(data):
+    g = build_grid(1, data.draw(st.integers(8, 40)), 1.0)
+    coef = data.draw(hnp.arrays(float, g.num_nodes, elements=st.floats(0.0, 5.0)))
+    return data.draw(st.sampled_from([
+        lambda: logistic_reaction(g, coef),
+        lambda: bertozzi_reaction(g, coef, np.minimum(coef, 1.0)),
+        lambda: oono_reaction(g, coef),
+        lambda: balanced_cubic_reaction(g, coef),
+        lambda: zero_reaction(g),
+    ]))()
 
 
 class TestPointwiseBitIdentity:
-    """mobility, potential and reaction_eval call the clip ufunc directly;
-    every result keeps the bits of the np.where / np.clip bodies."""
+    """mobility, potential, reaction_eval and the two derivatives call the
+    clip ufunc directly; every result keeps the bits of the np.where /
+    np.clip bodies."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_phase_arrays, _scalars))
@@ -251,19 +279,22 @@ class TestPointwiseBitIdentity:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_reaction_eval(self, data):
-        g = build_grid(1, data.draw(st.integers(8, 40)), 1.0)
-        coef = data.draw(hnp.arrays(float, g.num_nodes, elements=st.floats(0.0, 5.0)))
-        maker = data.draw(st.sampled_from([
-            lambda: logistic_reaction(g, coef),
-            lambda: bertozzi_reaction(g, coef, np.minimum(coef, 1.0)),
-            lambda: oono_reaction(g, coef),
-            lambda: balanced_cubic_reaction(g, coef),
-            lambda: zero_reaction(g),
-        ]))
-        u = data.draw(hnp.arrays(float, g.num_nodes,
-                                 elements=st.one_of(_phase_values, st.just(math.nan))))
-        spec = maker()
+        spec = _reaction_specs(data)
+        u = data.draw(hnp.arrays(float, spec.grid.num_nodes, elements=_nan_values))
         assert _same_bits(reaction_eval(spec, u), _oracle_reaction_eval(spec, u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_nan_arrays, _nan_values))
+    def test_mobility_deriv(self, s):
+        with np.errstate(over="ignore"):        # 1 - 2 s for |s| near 1e308
+            assert _same_bits(mobility_deriv(s), _oracle_mobility_deriv(s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reaction_deriv(self, data):
+        spec = _reaction_specs(data)
+        u = data.draw(hnp.arrays(float, spec.grid.num_nodes, elements=_nan_values))
+        assert _same_bits(reaction_deriv(spec, u), _oracle_reaction_deriv(spec, u))
 
     def test_mobility_propagates_nan(self):
         """A NaN phase value has no mobility: it stays NaN (the np.where body
