@@ -67,7 +67,6 @@ from .tangent import (
     propagate_tangent,
     remainder_order,
     tangent_step,
-    trace_estimate,
 )
 from .timestepper import PairRecord, SolverConfig, State, initial_state, pair_run, run, step
 

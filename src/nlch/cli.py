@@ -3,10 +3,13 @@ Configuration-driven entry point.
 
 Configs are flat ``section.key = value`` lines with ``#`` comments; unknown
 keys are rejected with their line number (silent misconfiguration is the
-dominant failure mode of config-driven solvers).  Commands: run, pair,
-equilibrium, remainder, trace.  Every output directory receives report.txt
-with the fully resolved config, the seed, kernel constants, and the
-command's results, so any run can be reproduced exactly.
+dominant failure mode of config-driven solvers).  Each choice key has one
+table of names, which builds the object and against which ``parse_config``
+checks the name.  Commands: run, pair, equilibrium, remainder, trace.  Every
+output directory receives report.txt with the fully resolved config (where
+``--seed s`` shows as init.seed = s, init2.seed = s + 1), the kernel
+constants, and the command's results, so any run can be reproduced exactly.
+Bad values and unreadable dumps exit 2, never with a traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from . import diagnostics
 from .equilibrium import EquilibriumConfig, multistart_equilibria
 from .grid import Grid, build_grid, neumann_mode
 from .io import read_field, write_field
-from .kernels import KernelOp, KernelSpec, assemble_kernel, zero_kernel
+from .kernels import (KernelOp, assemble_kernel, gaussian_kernel, mollifier_kernel,
+                      newton_kernel, zero_kernel)
 from .model import (
     ReactionSpec,
     balanced_cubic_reaction,
@@ -32,10 +36,8 @@ from .model import (
     zero_reaction,
 )
 from .solvers import SolverError
-from .tangent import dimension_bound, first_negative_trace, remainder_order
+from .tangent import DimensionScan, dimension_bound, remainder_order
 from .timestepper import PairRecord, SolverConfig, _trajectory, paired_trajectory, record
-
-COMMANDS = ("run", "pair", "equilibrium", "remainder", "trace")
 
 CSV_HEADER = "t,mass,min_u,max_u,l2_norm,h1_seminorm,energy,dist_to_ref,clamp_events"
 
@@ -101,7 +103,6 @@ class RunConfig:
     """A validated, fully resolved configuration."""
 
     values: dict[str, object]
-    command: str = ""
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -147,53 +148,30 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = val
         except ValueError:
             raise ValueError(f"line {lineno}: key {key!r} needs a {typ.__name__}, got {val!r}") from None
-    cfg = RunConfig(values=values, command=str(values["command.kind"]))
-    _validate(cfg)
-    return cfg
+    # a key's default is always admitted: "" leaves command.kind and init2.kind unset
+    for key, table in _CHOICES.items():
+        if values[key] != _SCHEMA[key][1] and values[key] not in table:
+            raise ValueError(f"unknown {key}: {values[key]!r} (one of {', '.join(table)})")
+    return RunConfig(values=values)
 
 
-def _validate(cfg: RunConfig) -> None:
-    v = cfg.values
-    if v["kernel.family"] not in ("gaussian", "mollifier", "newton", "zero"):
-        raise ValueError(f"unknown kernel family: {v['kernel.family']!r}")
-    if v["reaction.preset"] not in ("logistic", "bertozzi", "oono", "balanced_cubic", "none"):
-        raise ValueError(f"unknown reaction preset: {v['reaction.preset']!r}")
-    if v["init.kind"] not in ("constant", "cosine", "random", "file"):
-        raise ValueError(f"unknown init kind: {v['init.kind']!r}")
-    if v["init2.kind"] not in ("", "constant", "cosine", "random", "file"):
-        raise ValueError(f"unknown init2 kind: {v['init2.kind']!r}")
-    if cfg.command and cfg.command not in COMMANDS:
-        raise ValueError(f"unknown command: {cfg.command!r}")
-    if v["init.kind"] == "file" and not Path(str(v["init.path"])).exists():
-        raise ValueError(f"init.path does not exist: {v['init.path']!r}")
-    if v["init2.kind"] == "file" and not Path(str(v["init2.path"])).exists():
-        raise ValueError(f"init2.path does not exist: {v['init2.path']!r}")
+# -- scenario construction: one table per choice key ------------------------------
 
+_KERNELS = {
+    "gaussian": lambda cfg: gaussian_kernel(cfg["kernel.c"], cfg["kernel.lam"]),
+    "mollifier": lambda cfg: mollifier_kernel(cfg["kernel.c"], cfg["kernel.hcut"]),
+    "newton": lambda cfg: newton_kernel(cfg["grid.dim"], cfg["kernel.kd"]),
+    "zero": lambda cfg: zero_kernel(),
+}
 
-# -- scenario construction -----------------------------------------------------
-
-def build_kernel_spec(cfg: RunConfig) -> KernelSpec:
-    fam = cfg["kernel.family"]
-    if fam == "zero":
-        return zero_kernel()
-    if fam == "gaussian":
-        return KernelSpec(family="gaussian", c=cfg["kernel.c"], lam=cfg["kernel.lam"])
-    if fam == "mollifier":
-        return KernelSpec(family="mollifier", c=cfg["kernel.c"], hcut=cfg["kernel.hcut"])
-    return KernelSpec(family="newton", dim=cfg["grid.dim"], kd=cfg["kernel.kd"])
-
-
-def build_reaction(cfg: RunConfig, grid: Grid) -> ReactionSpec:
-    preset = cfg["reaction.preset"]
-    if preset == "logistic":
-        return logistic_reaction(grid, cfg["reaction.alpha"])
-    if preset == "bertozzi":
-        return bertozzi_reaction(grid, cfg["reaction.beta"], cfg["reaction.h"])
-    if preset == "oono":
-        return oono_reaction(grid, cfg["reaction.sigma"])
-    if preset == "balanced_cubic":
-        return balanced_cubic_reaction(grid, cfg["reaction.scale"])
-    return zero_reaction(grid)
+_REACTIONS = {
+    "logistic": lambda cfg, grid: logistic_reaction(grid, cfg["reaction.alpha"]),
+    "bertozzi": lambda cfg, grid: bertozzi_reaction(grid, cfg["reaction.beta"],
+                                                    cfg["reaction.h"]),
+    "oono": lambda cfg, grid: oono_reaction(grid, cfg["reaction.sigma"]),
+    "balanced_cubic": lambda cfg, grid: balanced_cubic_reaction(grid, cfg["reaction.scale"]),
+    "none": lambda cfg, grid: zero_reaction(grid),
+}
 
 
 def _random_datum(cfg: RunConfig, grid: Grid, section: str, seed: int) -> np.ndarray:
@@ -202,27 +180,32 @@ def _random_datum(cfg: RunConfig, grid: Grid, section: str, seed: int) -> np.nda
     return rng.uniform(cfg[f"{section}.lo"], cfg[f"{section}.hi"], grid.num_nodes)
 
 
-def build_initial(cfg: RunConfig, grid: Grid, section: str = "init",
-                  seed_override: int | None = None) -> np.ndarray:
-    kind = cfg[f"{section}.kind"]
-    if kind == "constant":
-        u0 = np.full(grid.num_nodes, float(cfg[f"{section}.value"]))
-    elif kind == "cosine":
-        mode = (cfg[f"{section}.mode"],) * grid.dim
-        u0 = cfg[f"{section}.value"] + cfg[f"{section}.amplitude"] * neumann_mode(
-            grid, mode if grid.dim > 1 else mode[0])
-    elif kind == "random":
-        seed = cfg[f"{section}.seed"] if seed_override is None else seed_override
-        u0 = _random_datum(cfg, grid, section, seed)
-    elif kind == "file":
-        fgrid, u0, _ = read_field(cfg[f"{section}.path"])
-        if fgrid.num_nodes != grid.num_nodes or fgrid.dim != grid.dim:
-            raise ValueError(f"{section}.path field does not match the configured grid")
-    else:
-        raise ValueError(f"{section} section is not configured")
-    if np.min(u0) < 0.0 or np.max(u0) > 1.0:
-        raise ValueError(f"{section} initial datum leaves [0,1]")
+def _dump_datum(cfg: RunConfig, grid: Grid, section: str) -> np.ndarray:
+    """The field of the NLCH dump at <section>.path, which must fit the grid."""
+    path = cfg[f"{section}.path"]
+    if not path:
+        raise ValueError(f"{section}.path is not set ({section}.kind = file)")
+    try:
+        fgrid, u0, _ = read_field(path)
+    except OSError as exc:
+        raise ValueError(f"{section}.path {path!r} cannot be read: {exc.strerror}") from None
+    if fgrid.num_nodes != grid.num_nodes or fgrid.dim != grid.dim:
+        raise ValueError(f"{section}.path field does not match the configured grid")
     return u0
+
+
+_INITIALS = {
+    "constant": lambda cfg, grid, s: np.full(grid.num_nodes, float(cfg[f"{s}.value"])),
+    "cosine": lambda cfg, grid, s: cfg[f"{s}.value"] + cfg[f"{s}.amplitude"] * neumann_mode(
+        grid, (cfg[f"{s}.mode"],) * grid.dim),
+    "random": lambda cfg, grid, s: _random_datum(cfg, grid, s, cfg[f"{s}.seed"]),
+    "file": _dump_datum,
+}
+
+
+def build_initial(cfg: RunConfig, grid: Grid, section: str = "init") -> np.ndarray:
+    """The initial datum of ``section`` (init or init2), built by its kind."""
+    return _INITIALS[cfg[f"{section}.kind"]](cfg, grid, section)
 
 
 @dataclass
@@ -232,27 +215,20 @@ class Scenario:
     spec: ReactionSpec
     solver_cfg: SolverConfig
     u0: np.ndarray
-    seed: int
     u0_second: np.ndarray | None = None
 
 
-def build_scenario(cfg: RunConfig, seed_override: int | None = None) -> Scenario:
+def build_scenario(cfg: RunConfig) -> Scenario:
     grid = build_grid(cfg["grid.dim"], cfg["grid.n"], cfg["grid.length"])
-    op = assemble_kernel(build_kernel_spec(cfg), grid)
-    spec = build_reaction(cfg, grid)
-    solver_cfg = SolverConfig(
-        dt=cfg["solver.dt"],
-        t_end=cfg["solver.t_end"],
-        record_every=cfg["solver.record_every"],
+    return Scenario(
+        grid=grid,
+        op=assemble_kernel(_KERNELS[cfg["kernel.family"]](cfg), grid),
+        spec=_REACTIONS[cfg["reaction.preset"]](cfg, grid),
+        solver_cfg=SolverConfig(dt=cfg["solver.dt"], t_end=cfg["solver.t_end"],
+                                record_every=cfg["solver.record_every"]),
+        u0=build_initial(cfg, grid, "init"),
+        u0_second=build_initial(cfg, grid, "init2") if cfg["init2.kind"] else None,
     )
-    u0 = build_initial(cfg, grid, "init", seed_override)
-    u0_second = None
-    if cfg["init2.kind"]:
-        second_seed = None if seed_override is None else seed_override + 1
-        u0_second = build_initial(cfg, grid, "init2", second_seed)
-    seed = cfg["init.seed"] if seed_override is None else seed_override
-    return Scenario(grid=grid, op=op, spec=spec, solver_cfg=solver_cfg,
-                    u0=u0, u0_second=u0_second, seed=int(seed))
 
 
 # -- output writers -------------------------------------------------------------
@@ -299,28 +275,38 @@ class Report:
 
 def execute(cfg: RunConfig, out_dir, command: str | None = None,
             seed_override: int | None = None) -> int:
-    """Run a command, write series/snapshots/report, return the exit status."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    command = command or cfg.command
+    """Run a command, write series/snapshots/report, return the exit status.
+
+    ``seed_override`` s runs a copy of ``cfg`` with init.seed = s and
+    init2.seed = s + 1; the echoed configuration records both.
+    """
+    given = cfg["command.kind"]
+    command = command or given
     if not command:
         raise ValueError("no command given (CLI argument or command.kind)")
-    if cfg.command and command != cfg.command:
-        raise ValueError(
-            f"CLI command {command!r} conflicts with config command.kind {cfg.command!r}")
-    if command not in COMMANDS:
+    if given and command != given:
+        raise ValueError(f"CLI command {command!r} conflicts with config command.kind {given!r}")
+    if command not in _COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
+    cfg = RunConfig(values=dict(cfg.values))
+    if seed_override is not None:
+        cfg.values.update({"init.seed": seed_override, "init2.seed": seed_override + 1})
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {str(out)!r}: {exc.strerror}") from None
 
     report = Report()
     report.add(f"nlch {command}")
     report.add()
     try:
-        scen = build_scenario(cfg, seed_override)
+        scen = build_scenario(cfg)
     except (ValueError, SolverError) as exc:
         report.add(f"configuration error: {exc}")
         report.write(out / "report.txt")
         return 2
-    report.add(f"seed = {scen.seed}")
+    report.add(f"seed = {cfg['init.seed']}")
     report.add(f"kernel constants: r2_est = {scen.op.r2_est:.6g}, "
                f"rinf_est = {scen.op.rinf_est:.6g}, k2_sup = {scen.op.k2_sup:.6g}")
     if scen.op.spec.family == "newton":
@@ -328,9 +314,7 @@ def execute(cfg: RunConfig, out_dir, command: str | None = None,
     report.add()
 
     try:
-        handler = {"run": _cmd_run, "pair": _cmd_pair, "equilibrium": _cmd_equilibrium,
-                   "remainder": _cmd_remainder, "trace": _cmd_trace}[command]
-        handler(cfg, scen, out, report)
+        _COMMANDS[command](cfg, scen, out, report)
         status = 1 if report.failures else 0
     except (SolverError, ValueError) as exc:
         report.add(f"aborted: {exc}")
@@ -393,7 +377,7 @@ def _cmd_pair(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None
     report.add(f"initial distance = {pair.dist[0]:.6g}, final distance = {pair.dist[-1]:.6g}")
     positive = pair.dist > 0
     if np.all(positive):
-        slope = np.polyfit(pair.times, np.log(pair.dist), 1)[0]
+        slope = diagnostics._fit_line(pair.times, np.log(pair.dist))[0]
         report.add(f"fitted continuous-dependence constant C = {slope:.6g} per unit time")
         # the first quarter is a transient (fast modes of the initial
         # difference die first); linearity is judged on the remainder
@@ -424,7 +408,7 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
     n_random = int(cfg["equilibrium.random_seeds"])
     if n_random < 0:
         raise ValueError(f"equilibrium.random_seeds must be >= 0, got {n_random}")
-    seeds += [_random_datum(cfg, scen.grid, "init", scen.seed + k) for k in range(n_random)]
+    seeds += [_random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k) for k in range(n_random)]
     if not seeds:
         seeds.append(scen.u0)
 
@@ -449,8 +433,7 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
 def _cmd_remainder(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
     eps_list = [float(s) for s in str(cfg["remainder.eps_list"]).split(",")]
     mode = int(cfg["remainder.mode"])
-    direction = neumann_mode(scen.grid, (mode,) * scen.grid.dim
-                             if scen.grid.dim > 1 else mode)
+    direction = neumann_mode(scen.grid, (mode,) * scen.grid.dim)
     study = remainder_order(scen.u0, direction, eps_list, scen.spec, scen.op,
                             scen.solver_cfg, t=cfg["remainder.t"])
     report.add(f"tangent remainder study at t = {cfg['remainder.t']:g}, "
@@ -461,28 +444,34 @@ def _cmd_remainder(cfg: RunConfig, scen: Scenario, out: Path, report: Report) ->
 
 
 def _cmd_trace(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
-    n_max = int(cfg["trace.n_max"])
     samples = int(cfg["trace.samples"])
     if samples < 1:
         raise ValueError(f"trace.samples must be >= 1, got {samples}")
     curves = []
     for k in range(samples):
-        u0 = scen.u0 if k == 0 else _random_datum(cfg, scen.grid, "init", scen.seed + k)
-        scan = dimension_bound(u0, n_max, cfg["trace.t"], scen.spec, scen.op,
-                               scen.solver_cfg, ortho_every=cfg["trace.ortho_every"],
-                               transient=cfg["trace.transient"])
-        curves.append(scan.traces)
+        u0 = scen.u0 if k == 0 else _random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k)
+        curves.append(dimension_bound(u0, cfg["trace.n_max"], cfg["trace.t"], scen.spec,
+                                      scen.op, scen.solver_cfg,
+                                      ortho_every=cfg["trace.ortho_every"],
+                                      transient=cfg["trace.transient"]).traces)
     # the trace functional is a sup over initial data: take the worst case
-    traces = np.max(np.vstack(curves), axis=0)
-    n_bound = first_negative_trace(traces)
+    scan = DimensionScan(traces=np.max(np.vstack(curves), axis=0))
     report.add(f"trace curve over {samples} initial data (worst case), "
                f"time average on [{cfg['trace.transient']:g}, {cfg['trace.t']:g}]:")
-    for n in range(n_max):
-        report.add(f"  n = {n + 1:3d}   trace = {traces[n]:.6e}")
-    bound_str = str(n_bound) if n_bound is not None else f"none <= {n_max}"
-    report.add(f"attractor dimension bound N = {bound_str}")
-    report.check("trace negativity reached", n_bound is not None,
-                 f"N = {bound_str}")
+    for n, trace in enumerate(scan.traces, start=1):
+        report.add(f"  n = {n:3d}   trace = {trace:.6e}")
+    report.add(f"attractor dimension bound N = {scan.describe()}")
+    report.check("trace negativity reached", scan.n_bound is not None,
+                 f"N = {scan.describe()}")
+
+
+_COMMANDS = {"run": _cmd_run, "pair": _cmd_pair, "equilibrium": _cmd_equilibrium,
+             "remainder": _cmd_remainder, "trace": _cmd_trace}
+COMMANDS = tuple(_COMMANDS)
+
+# parse_config admits a name for a choice key only if it is in the key's table
+_CHOICES = {"command.kind": _COMMANDS, "kernel.family": _KERNELS,
+            "reaction.preset": _REACTIONS, "init.kind": _INITIALS, "init2.kind": _INITIALS}
 
 
 def main(argv=None) -> int:
@@ -494,7 +483,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a section.key = value config file")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--seed", type=int, default=None, help="override the init seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="set init.seed = SEED and init2.seed = SEED + 1")
     args = parser.parse_args(argv)
 
     try:

@@ -108,6 +108,16 @@ def mass_balance_residual(rec: TrajectoryRecord) -> float:
     return float(np.max(res)) / scale
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Least-squares line through the points (x, y): its slope, its values at
+    x, and its coefficient of determination r^2 (1 for a constant y)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    fit = slope * x + intercept
+    ss_res = float(np.sum((y - fit) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return slope, fit, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
 def fit_exponential_rate(times, values, window: tuple[float, float]) -> tuple[float, float]:
     """Least-squares exponential rate of a positive series on a time window.
 
@@ -125,12 +135,7 @@ def fit_exponential_rate(times, values, window: tuple[float, float]) -> tuple[fl
     v = values[sel]
     if np.any(v <= 0.0):
         raise ValueError("nonpositive values in fit window (converged below floor?)")
-    y = np.log(v)
-    slope, intercept = np.polyfit(t, y, 1)
-    fit = slope * t + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, _, r2 = _fit_line(t, np.log(v))
     return -float(slope), r2
 
 
@@ -143,7 +148,6 @@ def linear_fit_residual_fraction(times, log_values) -> float:
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(log_values, dtype=float)
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = y - (slope * t + intercept)
+    resid = y - _fit_line(t, y)[1]
     spread = max(float(np.max(y) - np.min(y)), 1e-300)
     return float(np.max(np.abs(resid))) / spread

@@ -47,7 +47,7 @@ class KernelSpec:
 
     family 'gaussian':  K(r) = c exp(-r^2 / lam)
     family 'mollifier': K(r) = c exp(-hcut^2 / (hcut^2 - r^2)) for r < hcut, else 0
-    family 'newton':    K(r) = -kd ln r (dim 2); kd r^(2-dim) for dim > 2
+    family 'newton':    K(r) = -kd ln r (dim 2)
     """
 
     family: str
@@ -113,9 +113,7 @@ def _evaluate(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         return out
     # newton, dim 2: singular entries at r == 0 are patched by the caller
     with np.errstate(divide="ignore"):
-        if spec.dim == 2:
-            return -spec.kd * np.log(r)
-        return spec.kd * r ** (2 - spec.dim)
+        return -spec.kd * np.log(r)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ from itertools import pairwise
 
 import numpy as np
 
+from .diagnostics import _fit_line
 from .grid import Grid, div_flux, l2_norm, laplacian_neumann, neumann_mode
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, mobility_deriv, reaction_deriv
@@ -170,41 +171,23 @@ def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
     return sums / n_evals
 
 
-def trace_estimate(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
-                   op: KernelOp, cfg: SolverConfig, ortho_every: int = 10,
-                   transient: float = 1.0) -> float:
-    """Time-averaged trace of the linearized operator over a rank-n projector.
-
-    Evolves an n-column frame from the lowest cosine modes along the
-    trajectory of u0, re-orthonormalizing periodically, and averages the
-    instantaneous quadratic form over record times in [transient, T].
-    """
-    return float(np.sum(_evolve_frame_traces(u0, n, T, spec, op, cfg, ortho_every, transient)))
-
-
 @dataclass
 class DimensionScan:
-    """Result of scanning traces upward in n."""
+    """Time-averaged traces over the nested rank-n projectors, n = 1..len(traces)."""
 
-    n_bound: int | None
     traces: np.ndarray
-    contributions: np.ndarray
+
+    @property
+    def n_bound(self) -> int | None:
+        """Smallest n (1-based) with a strictly negative trace, with a round-off
+        margin so a neutral mode averaging to -1e-28 does not count as negative."""
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(self.traces), initial=0.0)))
+        negative = np.nonzero(self.traces < -tol)[0]
+        return int(negative[0]) + 1 if negative.size else None
 
     def describe(self) -> str:
-        if self.n_bound is None:
-            return f"none <= {len(self.traces)}"
-        return str(self.n_bound)
-
-
-def first_negative_trace(traces: np.ndarray) -> int | None:
-    """Index (1-based) of the first strictly negative trace, with a round-off
-    margin so a neutral mode averaging to -1e-28 does not count as negative."""
-    traces = np.asarray(traces)
-    if traces.size == 0:
-        return None
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(traces))))
-    negative = np.nonzero(traces < -tol)[0]
-    return int(negative[0]) + 1 if negative.size else None
+        n_bound = self.n_bound
+        return f"none <= {len(self.traces)}" if n_bound is None else str(n_bound)
 
 
 def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
@@ -218,10 +201,8 @@ def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    contributions = _evolve_frame_traces(u0, n_max, T, spec, op, cfg, ortho_every, transient)
-    traces = np.cumsum(contributions)
-    return DimensionScan(n_bound=first_negative_trace(traces), traces=traces,
-                         contributions=contributions)
+    return DimensionScan(traces=np.cumsum(
+        _evolve_frame_traces(u0, n_max, T, spec, op, cfg, ortho_every, transient)))
 
 
 @dataclass
@@ -282,12 +263,6 @@ def remainder_order(u0: np.ndarray, direction: np.ndarray, eps_list, spec: React
     if np.all(remainders <= EXACT_REMAINDER_FLOOR):
         return RemainderStudy(eps=eps_used, remainders=remainders,
                               order=float("inf"), r_squared=1.0, exact=True)
-    x = np.log(eps_used)
-    y = np.log(np.maximum(remainders, 1e-300))
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = slope * x + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, _, r2 = _fit_line(np.log(eps_used), np.log(np.maximum(remainders, 1e-300)))
     return RemainderStudy(eps=eps_used, remainders=remainders,
                           order=float(slope), r_squared=r2, exact=False)

@@ -106,6 +106,46 @@ class TestRateFitting:
         assert linear_fit_residual_fraction(t, -(t**2)) > 0.05
 
 
+def _oracle_fit_exponential_rate(times, values, window):
+    """The rate fit before it shared a line fit, kept verbatim (checks elided)."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    sel = (times >= window[0]) & (times <= window[1])
+    t = times[sel]
+    v = values[sel]
+    y = np.log(v)
+    slope, intercept = np.polyfit(t, y, 1)
+    fit = slope * t + intercept
+    ss_res = float(np.sum((y - fit) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return -float(slope), r2
+
+
+def _oracle_linear_fit_residual_fraction(times, log_values):
+    """The residual fraction before it shared a line fit, kept verbatim."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(log_values, dtype=float)
+    slope, intercept = np.polyfit(t, y, 1)
+    resid = y - (slope * t + intercept)
+    spread = max(float(np.max(y) - np.min(y)), 1e-300)
+    return float(np.max(np.abs(resid))) / spread
+
+
+class TestSharedLineFit:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fits_equal_their_old_bodies_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 10.0, 40))
+        values = np.exp(-rng.uniform(0.1, 3.0) * t + 0.3 * rng.standard_normal(40))
+        window = (2.0, 9.0)
+        assert fit_exponential_rate(t, values, window) == \
+            _oracle_fit_exponential_rate(t, values, window)
+        log_values = np.log(values)
+        assert linear_fit_residual_fraction(t, log_values) == \
+            _oracle_linear_fit_residual_fraction(t, log_values)
+
+
 class TestMassBalance:
     def test_reaction_free_run_conserves(self, grid, op):
         from nlch.model import zero_reaction

@@ -1,5 +1,6 @@
 """Field dumps, config parsing, and the command-line entry point."""
 
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -235,6 +236,15 @@ class TestExecuteRun:
         assert (tmp_path / "a" / "series.csv").read_bytes() != \
                (tmp_path / "b" / "series.csv").read_bytes()
         assert "seed = 99" in (tmp_path / "b" / "report.txt").read_text()
+
+    def test_seed_override_leaves_config_unchanged(self, tmp_path):
+        cfg = parse_config(OONO_CFG + INIT2)
+        before = dict(cfg.values)
+        assert execute(cfg, tmp_path / "b", command="run", seed_override=99) == 0
+        assert cfg.values == before
+        report = (tmp_path / "b" / "report.txt").read_text()
+        assert "\nseed = 99\n" in report
+        assert "\ninit.seed = 99\n" in report and "\ninit2.seed = 100\n" in report
 
     def test_snapshots_written(self, tmp_path):
         cfg = parse_config(OONO_CFG + "output.snapshot_every = 100\n")
@@ -497,6 +507,55 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
         assert message in (out / "report.txt").read_text()
         assert not (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("lines,message", [
+        ("init.kind = file", "init.path is not set"),
+        ("init.kind = file\ninit.path = {tmp}", "cannot be read: Is a directory"),
+        ("init.kind = file\ninit.path = {tmp}/absent.nlch",
+         "cannot be read: No such file or directory"),
+        ("init2.kind = file", "init2.path is not set"),
+    ], ids=["no_path", "directory", "missing", "init2_no_path"])
+    def test_cli_unreadable_init_file_returns_2(self, tmp_path, capsys, lines, message):
+        text = OONO_CFG.replace("init.kind = random\n", "")
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text(text + lines.format(tmp=tmp_path) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in (out / "report.txt").read_text()
+        assert not (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("out_name", ["taken", "taken/sub"], ids=["file", "under_file"])
+    def test_cli_output_directory_not_creatable_returns_2(self, tmp_path, capsys, out_name):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(OONO_CFG)
+        (tmp_path / "taken").write_text("not a directory")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out_name)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: cannot create output directory")
+        assert (tmp_path / "taken").read_text() == "not a directory"
+
+    def test_cli_seed_run_reproduced_from_its_report(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(OONO_CFG + INIT2)
+        first = tmp_path / "first"
+        assert main(["run", "--config", str(cfg_path), "--out", str(first), "--seed", "99"]) == 0
+        echo = (first / "report.txt").read_text().split("resolved configuration:\n")[1]
+        echo_path = tmp_path / "echo.cfg"
+        echo_path.write_text(echo)
+        again = tmp_path / "again"
+        assert main(["run", "--config", str(echo_path), "--out", str(again)]) == 0
+        assert (again / "series.csv").read_bytes() == (first / "series.csv").read_bytes()
+        plain = tmp_path / "plain"
+        assert main(["run", "--config", str(cfg_path), "--out", str(plain)]) == 0
+        assert (plain / "series.csv").read_bytes() != (first / "series.csv").read_bytes()
+
+    @pytest.mark.parametrize("key", ["command.kind", "kernel.family", "reaction.preset",
+                                     "init.kind", "init2.kind"])
+    def test_unknown_choice_name_rejected_naming_the_key(self, key):
+        with pytest.raises(ValueError, match=re.escape(f"unknown {key}: 'bogus'")):
+            parse_config(f"{key} = bogus")
 
     def test_cli_equilibrium_without_converged_seed_returns_1(self, tmp_path):
         cfg_path = tmp_path / "eq.cfg"

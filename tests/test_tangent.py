@@ -16,6 +16,7 @@ from nlch.kernels import (
 from nlch.model import logistic_reaction, mobility, oono_reaction, zero_reaction
 from nlch.solvers import SpdNeumannSolver
 from nlch.tangent import (
+    DimensionScan,
     FrameDegeneracyError,
     TangentFrame,
     _evolve_frame_traces,
@@ -25,7 +26,6 @@ from nlch.tangent import (
     propagate_tangent,
     remainder_order,
     tangent_step,
-    trace_estimate,
     trace_form,
 )
 from nlch.timestepper import SolverConfig, _trajectory, initial_state, run, step
@@ -231,7 +231,7 @@ class TestTraceEstimates:
         u0 = rng.uniform(0.2, 0.8, grid.num_nodes)
         scan = dimension_bound(u0, 3, 2.0, spec, weak_op, cfg)
         for n in (1, 2, 3):
-            single = trace_estimate(u0, n, 2.0, spec, weak_op, cfg)
+            single = dimension_bound(u0, n, 2.0, spec, weak_op, cfg).traces[-1]
             assert single == pytest.approx(scan.traces[n - 1], rel=1e-8, abs=1e-10)
 
     def test_nested_trace_increment_bounded_by_reaction(self, grid, weak_op):
@@ -244,6 +244,12 @@ class TestTraceEstimates:
         max_dg = 1.0
         for n in range(1, 5):
             assert scan.traces[n] <= scan.traces[n - 1] + max_dg + 1e-9
+
+    def test_bound_is_the_first_trace_negative_beyond_round_off(self):
+        scan = DimensionScan(traces=np.array([0.5, -1e-28, -0.2, 0.1]))
+        assert scan.n_bound == 3 and scan.describe() == "3"
+        scan = DimensionScan(traces=np.array([1.0, 0.5, -1e-12]))
+        assert scan.n_bound is None and scan.describe() == "none <= 3"
 
     def test_empty_scan_rejected(self, grid, null_op):
         spec = zero_reaction(grid)
@@ -264,7 +270,7 @@ class TestTraceEstimates:
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=0.5)
         with pytest.raises(ValueError, match="transient"):
-            trace_estimate(np.full(grid.num_nodes, 0.5), 1, 0.5, spec, null_op, cfg)
+            dimension_bound(np.full(grid.num_nodes, 0.5), 1, 0.5, spec, null_op, cfg)
 
 
 # -- oracle: the per-column frame evolution, kept verbatim ----------------------
