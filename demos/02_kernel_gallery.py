@@ -38,7 +38,7 @@ print()
 
 print("newton (2D)  K(r) = -kd ln r, singular at r = 0")
 g2 = nlch.build_grid(2, 24, 1.0)
-opn = nlch.assemble_kernel(nlch.newton_kernel(dim=2, kd=1.0), g2)
+opn = nlch.assemble_kernel(nlch.newton_kernel(kd=1.0), g2)
 print(f"  self-cell entries use the analytic cell average of -ln r: "
       f"{newton_self_cell_average(g2.h, 1.0):.4f}")
 print(f"  all weights finite: {np.all(np.isfinite(opn.generator))}")

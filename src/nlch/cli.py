@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,11 +42,45 @@ from .timestepper import PairRecord, SolverConfig, _trajectory, paired_trajector
 
 CSV_HEADER = "t,mass,min_u,max_u,l2_norm,h1_seminorm,energy,dist_to_ref,clamp_events"
 
-# key -> (type, default); str/int/float conversions are strict
-_SCHEMA: dict[str, tuple[type, object]] = {
+
+# -- value types: each converts a config string, or raises ValueError -------------
+
+def _int(val: str) -> int:
+    """A strict int: no decimal point and no exponent."""
+    if "." in val or "e" in val.lower():
+        raise ValueError
+    return int(val)
+
+
+def _count(val: str) -> int:
+    """A strict int >= 0 (seeds, counts)."""
+    if (n := _int(val)) < 0:
+        raise ValueError
+    return n
+
+
+def _floats(val: str) -> tuple[float, ...]:
+    """Comma-separated floats; the empty string is the empty list."""
+    return tuple(float(v) for v in val.split(",")) if val else ()
+
+
+_NEEDS = {str: "str", _int: "int", float: "float", _count: "non-negative int",
+          _floats: "comma-separated list of floats"}
+
+
+def _convert(name: str, typ: Callable[[str], object], val: str):
+    """``typ(val)``, or a ValueError naming the key or option and what its value needs."""
+    try:
+        return typ(val)
+    except ValueError:
+        raise ValueError(f"{name} needs a {_NEEDS[typ]}, got {val!r}") from None
+
+
+# key -> (type, default)
+_SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "command.kind": (str, ""),
-    "grid.dim": (int, 1),
-    "grid.n": (int, 256),
+    "grid.dim": (_int, 1),
+    "grid.n": (_int, 256),
     "grid.length": (float, 1.0),
     "kernel.family": (str, "gaussian"),
     "kernel.c": (float, 1.0),
@@ -60,41 +95,41 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "reaction.scale": (float, 1.0),
     "solver.dt": (float, 0.01),
     "solver.t_end": (float, 1.0),
-    "solver.record_every": (int, 1),
+    "solver.record_every": (_int, 1),
     "init.kind": (str, "constant"),
     "init.value": (float, 0.5),
     "init.amplitude": (float, 0.1),
-    "init.mode": (int, 1),
+    "init.mode": (_int, 1),
     "init.lo": (float, 0.0),
     "init.hi": (float, 1.0),
-    "init.seed": (int, 0),
+    "init.seed": (_count, 0),
     "init.path": (str, ""),
     "init2.kind": (str, ""),
     "init2.value": (float, 0.5),
     "init2.amplitude": (float, 0.1),
-    "init2.mode": (int, 1),
+    "init2.mode": (_int, 1),
     "init2.lo": (float, 0.0),
     "init2.hi": (float, 1.0),
-    "init2.seed": (int, 1),
+    "init2.seed": (_count, 1),
     "init2.path": (str, ""),
     "output.directory": (str, "nlch_out"),
-    "output.snapshot_every": (int, 0),
-    "equilibrium.seed_values": (str, ""),
-    "equilibrium.random_seeds": (int, 0),
-    "equilibrium.eps_schedule": (str, "1,0.1,0.01,0.001,0"),
+    "output.snapshot_every": (_count, 0),
+    "equilibrium.seed_values": (_floats, ()),
+    "equilibrium.random_seeds": (_count, 0),
+    "equilibrium.eps_schedule": (_floats, (1.0, 0.1, 0.01, 0.001, 0.0)),
     "equilibrium.damping": (float, 0.5),
     "equilibrium.picard_tol": (float, 1e-10),
-    "equilibrium.max_iter": (int, 10000),
+    "equilibrium.max_iter": (_int, 10000),
     "equilibrium.residual_tol": (float, 1e-9),
     "equilibrium.dedup_tol": (float, 1e-6),
-    "remainder.eps_list": (str, "1e-2,3e-3,1e-3,3e-4"),
+    "remainder.eps_list": (_floats, (1e-2, 3e-3, 1e-3, 3e-4)),
     "remainder.t": (float, 0.5),
-    "remainder.mode": (int, 1),
-    "trace.n_max": (int, 10),
+    "remainder.mode": (_int, 1),
+    "trace.n_max": (_int, 10),
     "trace.t": (float, 3.0),
-    "trace.ortho_every": (int, 10),
+    "trace.ortho_every": (_int, 10),
     "trace.transient": (float, 1.0),
-    "trace.samples": (int, 3),
+    "trace.samples": (_int, 3),
 }
 
 
@@ -115,6 +150,8 @@ class RunConfig:
 def _fmt_value(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
+    if isinstance(v, tuple):
+        return ",".join(map(_fmt_value, v))
     return str(v)
 
 
@@ -136,18 +173,7 @@ def parse_config(text: str) -> RunConfig:
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        typ, _ = _SCHEMA[key]
-        try:
-            if typ is int:
-                if "." in val or "e" in val.lower():
-                    raise ValueError
-                values[key] = int(val)
-            elif typ is float:
-                values[key] = float(val)
-            else:
-                values[key] = val
-        except ValueError:
-            raise ValueError(f"line {lineno}: key {key!r} needs a {typ.__name__}, got {val!r}") from None
+        values[key] = _convert(f"line {lineno}: key {key!r}", _SCHEMA[key][0], val)
     # a key's default is always admitted: "" leaves command.kind and init2.kind unset
     for key, table in _CHOICES.items():
         if values[key] != _SCHEMA[key][1] and values[key] not in table:
@@ -160,7 +186,7 @@ def parse_config(text: str) -> RunConfig:
 _KERNELS = {
     "gaussian": lambda cfg: gaussian_kernel(cfg["kernel.c"], cfg["kernel.lam"]),
     "mollifier": lambda cfg: mollifier_kernel(cfg["kernel.c"], cfg["kernel.hcut"]),
-    "newton": lambda cfg: newton_kernel(cfg["grid.dim"], cfg["kernel.kd"]),
+    "newton": lambda cfg: newton_kernel(cfg["kernel.kd"]),
     "zero": lambda cfg: zero_kernel(),
 }
 
@@ -176,7 +202,7 @@ _REACTIONS = {
 
 def _random_datum(cfg: RunConfig, grid: Grid, section: str, seed: int) -> np.ndarray:
     """Node values uniform on [<section>.lo, <section>.hi], drawn from ``seed``."""
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     return rng.uniform(cfg[f"{section}.lo"], cfg[f"{section}.hi"], grid.num_nodes)
 
 
@@ -336,11 +362,8 @@ def _snapshots(states, out: Path, grid: Grid, every: int):
 
 
 def _cmd_run(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
-    every = int(cfg["output.snapshot_every"])
-    if every < 0:
-        raise ValueError(f"output.snapshot_every must be >= 0, got {every}")
     states = _snapshots(_trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg),
-                        out, scen.grid, every)
+                        out, scen.grid, cfg["output.snapshot_every"])
     state, rec = record(states, scen.spec, scen.op, scen.solver_cfg)
     arrays = rec.as_arrays()
     _write_csv(out / "series.csv", CSV_HEADER, [arrays[c] for c in CSV_HEADER.split(",")])
@@ -394,23 +417,15 @@ def _cmd_pair(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None
 
 def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
     eq_cfg = EquilibriumConfig(
-        eps_schedule=tuple(float(s) for s in str(cfg["equilibrium.eps_schedule"]).split(",")),
+        eps_schedule=cfg["equilibrium.eps_schedule"],
         damping=cfg["equilibrium.damping"],
         picard_tol=cfg["equilibrium.picard_tol"],
         max_iter=cfg["equilibrium.max_iter"],
         residual_tol=cfg["equilibrium.residual_tol"],
     )
-    seeds: list[np.ndarray] = []
-    sv = str(cfg["equilibrium.seed_values"]).strip()
-    if sv:
-        for c in sv.split(","):
-            seeds.append(np.full(scen.grid.num_nodes, float(c)))
-    n_random = int(cfg["equilibrium.random_seeds"])
-    if n_random < 0:
-        raise ValueError(f"equilibrium.random_seeds must be >= 0, got {n_random}")
-    seeds += [_random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k) for k in range(n_random)]
-    if not seeds:
-        seeds.append(scen.u0)
+    seeds = ([np.full(scen.grid.num_nodes, v) for v in cfg["equilibrium.seed_values"]]
+             + [_random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k)
+                for k in range(cfg["equilibrium.random_seeds"])]) or [scen.u0]
 
     results = multistart_equilibria(seeds, scen.spec, scen.op, eq_cfg,
                                     dedup_tol=cfg["equilibrium.dedup_tol"])
@@ -431,10 +446,9 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
 
 
 def _cmd_remainder(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
-    eps_list = [float(s) for s in str(cfg["remainder.eps_list"]).split(",")]
-    mode = int(cfg["remainder.mode"])
+    mode = cfg["remainder.mode"]
     direction = neumann_mode(scen.grid, (mode,) * scen.grid.dim)
-    study = remainder_order(scen.u0, direction, eps_list, scen.spec, scen.op,
+    study = remainder_order(scen.u0, direction, cfg["remainder.eps_list"], scen.spec, scen.op,
                             scen.solver_cfg, t=cfg["remainder.t"])
     report.add(f"tangent remainder study at t = {cfg['remainder.t']:g}, "
                f"direction = cosine mode {mode}")
@@ -444,7 +458,7 @@ def _cmd_remainder(cfg: RunConfig, scen: Scenario, out: Path, report: Report) ->
 
 
 def _cmd_trace(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
-    samples = int(cfg["trace.samples"])
+    samples = cfg["trace.samples"]
     if samples < 1:
         raise ValueError(f"trace.samples must be >= 1, got {samples}")
     curves = []
@@ -483,8 +497,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a section.key = value config file")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="set init.seed = SEED and init2.seed = SEED + 1")
+    parser.add_argument("--seed", default=None,
+                        help="set init.seed = SEED and init2.seed = SEED + 1 (SEED >= 0)")
     args = parser.parse_args(argv)
 
     try:
@@ -494,12 +508,13 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
+        seed = None if args.seed is None else _convert("--seed", _count, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out if args.out is not None else cfg["output.directory"]
     try:
-        status = execute(cfg, out_dir, command=args.command, seed_override=args.seed)
+        status = execute(cfg, out_dir, command=args.command, seed_override=seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

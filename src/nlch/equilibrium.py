@@ -37,7 +37,7 @@ import numpy as np
 from .grid import check_field, div_flux, l2_norm, laplacian_neumann, mean
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, reaction_eval
-from .solvers import SpdNeumannSolver
+from .solvers import neumann_solver
 
 DEFAULT_EPS_SCHEDULE = (1.0, 0.1, 0.01, 0.001, 0.0)
 
@@ -180,7 +180,7 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
 
     for eps in cfg.eps_schedule:
         shift = eps + rho
-        solver = SpdNeumannSolver(grid, shift, 1.0)
+        solver = neumann_solver(grid, shift, 1.0)
         phase_start = u.copy()
         converged = False
         stall_residual = np.inf

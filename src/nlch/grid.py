@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -50,17 +50,12 @@ class Grid:
 
     def coords(self) -> np.ndarray:
         """(num_nodes, dim) array of node coordinates, row-major ordering."""
-        x = self.axis_coords()
-        if self.dim == 1:
-            return x[:, None]
-        x0, x1 = np.meshgrid(x, x, indexing="ij")
-        return np.column_stack([x0.ravel(), x1.ravel()])
+        axes = np.meshgrid(*(self.axis_coords(),) * self.dim, indexing="ij")
+        return np.stack(axes, axis=-1).reshape(self.num_nodes, self.dim)
 
     def reshape(self, f: np.ndarray) -> np.ndarray:
         """View a flat field as (n,) in 1D or (n, n) in 2D."""
-        if self.dim == 1:
-            return f.reshape(self.n)
-        return f.reshape(self.n, self.n)
+        return f.reshape((self.n,) * self.dim)
 
 
 def build_grid(dim: int, n: int, length: float) -> Grid:
@@ -203,15 +198,13 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
     aligned with dctn coefficient ordering."""
     k = np.arange(grid.n)
     lam = (2.0 - 2.0 * np.cos(np.pi * k / grid.n)) / grid.h**2
-    if grid.dim == 1:
-        return lam
-    return (lam[:, None] + lam[None, :]).ravel()
+    return reduce(np.add.outer, (lam,) * grid.dim).ravel()
 
 
 def neumann_mode(grid: Grid, modes: int | tuple[int, ...]) -> np.ndarray:
     """Discrete Neumann cosine mode, an exact eigenvector of the stencil.
 
-    ``modes`` is an integer in 1D or a (k0, k1) pair in 2D; mode 0 is the
+    ``modes`` is an integer in 1D, or one index per axis; mode 0 is the
     constant.  Not normalized.
     """
     if isinstance(modes, int):
@@ -219,7 +212,4 @@ def neumann_mode(grid: Grid, modes: int | tuple[int, ...]) -> np.ndarray:
     if len(modes) != grid.dim:
         raise ValueError("one mode index per axis required")
     x = np.arange(grid.n) + 0.5
-    axes = [np.cos(k * np.pi * x / grid.n) for k in modes]
-    if grid.dim == 1:
-        return axes[0].copy()
-    return np.outer(axes[0], axes[1]).ravel()
+    return reduce(np.multiply.outer, [np.cos(k * np.pi * x / grid.n) for k in modes]).ravel()

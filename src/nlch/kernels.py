@@ -47,14 +47,16 @@ class KernelSpec:
 
     family 'gaussian':  K(r) = c exp(-r^2 / lam)
     family 'mollifier': K(r) = c exp(-hcut^2 / (hcut^2 - r^2)) for r < hcut, else 0
-    family 'newton':    K(r) = -kd ln r (dim 2)
+    family 'newton':    K(r) = -kd ln r, the 2D Newton potential
+
+    A spec holds no dimension: it takes the grid's when it is assembled, and
+    ``assemble_kernel`` rejects a newton kernel on a grid that is not 2D.
     """
 
     family: str
     c: float = 1.0
     lam: float = 1.0
     hcut: float = 0.25
-    dim: int = 2
     kd: float = 1.0
 
     def __post_init__(self):
@@ -70,11 +72,8 @@ class KernelSpec:
                 raise ValueError("mollifier amplitude c must be finite and >= 0")
             if not (np.isfinite(self.hcut) and self.hcut > 0):
                 raise ValueError("mollifier cutoff hcut must be finite and positive")
-        else:
-            if self.dim < 2:
-                raise ValueError("newton potentials are defined only for dim >= 2")
-            if not (np.isfinite(self.kd) and self.kd > 0):
-                raise ValueError("newton constant kd must be finite and positive")
+        elif not (np.isfinite(self.kd) and self.kd > 0):
+            raise ValueError("newton constant kd must be finite and positive")
 
 
 def gaussian_kernel(c: float = 1.0, lam: float = 1.0) -> KernelSpec:
@@ -85,8 +84,9 @@ def mollifier_kernel(c: float = 1.0, hcut: float = 0.25) -> KernelSpec:
     return KernelSpec(family="mollifier", c=c, hcut=hcut)
 
 
-def newton_kernel(dim: int = 2, kd: float = 1.0) -> KernelSpec:
-    return KernelSpec(family="newton", dim=dim, kd=kd)
+def newton_kernel(kd: float = 1.0) -> KernelSpec:
+    """The 2D Newton potential -kd ln r; it assembles on 2D grids only."""
+    return KernelSpec(family="newton", kd=kd)
 
 
 def zero_kernel() -> KernelSpec:
@@ -210,10 +210,8 @@ def _row_sums(a: np.ndarray, n: int) -> np.ndarray:
 
 def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
     """Evaluate the generator g[d] = K(|d| h) h^dim and the row sums kbar."""
-    if spec.family == "newton" and spec.dim != grid.dim:
-        raise ValueError(
-            f"newton kernel dimension {spec.dim} does not match grid dimension {grid.dim}"
-        )
+    if spec.family == "newton" and grid.dim != 2:
+        raise ValueError(f"newton potentials are defined only on 2D grids, got dim {grid.dim}")
     g = _evaluate(spec, _offset_distances(grid)) * grid.cell_volume
     if spec.family == "newton":
         g[(grid.n - 1,) * grid.dim] = newton_self_cell_average(grid.h, spec.kd) * grid.cell_volume

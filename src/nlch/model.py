@@ -9,7 +9,7 @@ explicitly because the tangent flow needs it with uniform accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -89,7 +89,6 @@ class ReactionSpec:
     g_fn: Callable[[np.ndarray], np.ndarray]
     dg_fn: Callable[[np.ndarray], np.ndarray]
     lipschitz_s: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ones = np.ones(self.grid.num_nodes)
@@ -140,7 +139,6 @@ def logistic_reaction(grid: Grid, alpha) -> ReactionSpec:
         g_fn=lambda s: a * s * (1.0 - s),
         dg_fn=lambda s: a * (1.0 - 2.0 * s),
         lipschitz_s=float(np.max(a)),
-        params={"alpha": a},
     )
 
 
@@ -153,7 +151,6 @@ def bertozzi_reaction(grid: Grid, beta, h_target) -> ReactionSpec:
         g_fn=lambda s: b * (ht - s),
         dg_fn=lambda s: -b * np.ones_like(s),
         lipschitz_s=float(np.max(b)),
-        params={"beta": b, "h": ht},
     )
 
 
@@ -165,7 +162,6 @@ def oono_reaction(grid: Grid, sigma) -> ReactionSpec:
         g_fn=lambda s: -s0 * s,
         dg_fn=lambda s: -s0 * np.ones_like(s),
         lipschitz_s=float(np.max(s0)),
-        params={"sigma": s0},
     )
 
 
@@ -206,5 +202,4 @@ def balanced_cubic_reaction(grid: Grid, scale=1.0) -> ReactionSpec:
         g_fn=lambda s: c * s * (1.0 - s) * (0.5 - s),
         dg_fn=lambda s: c * (0.5 - 3.0 * s + 3.0 * s * s),
         lipschitz_s=float(np.max(c)) * 0.5,
-        params={"scale": c},
     )

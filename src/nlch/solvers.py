@@ -13,9 +13,14 @@ solve however ill-conditioned A is (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 7).  An (N, m) block of right sides is solved by
 one batched transform pair, and each column is certified on its own, so a
 small wrong column cannot hide behind large right ones.
+
+``neumann_solver`` keeps one solver per (grid, coefficients) for the life
+of the process and every call shares it, so its eigenvalues are read-only.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 # scipy.fft's own pocketfft transforms, bit for bit, without scipy.fft's
@@ -53,6 +58,7 @@ class SpdNeumannSolver:
         if self.singular:
             diag[0] = 1.0       # constant mode is projected out, value unused
         self._diag = diag.reshape((grid.n,) * grid.dim)
+        self._diag.flags.writeable = False
         self._axes = tuple(range(grid.dim))
 
     def _residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -86,6 +92,12 @@ class SpdNeumannSolver:
                 f"{eta:.3e} exceeds {BACKWARD_ERROR_TOL:.0e}"
             )
         return x
+
+
+@cache
+def neumann_solver(grid: Grid, mass_coef: float, diff_coef: float) -> SpdNeumannSolver:
+    """The shared solver of (mass_coef * I - diff_coef * Lap) on ``grid``."""
+    return SpdNeumannSolver(grid, mass_coef, diff_coef)
 
 
 def _column_norms(v: np.ndarray) -> np.ndarray:

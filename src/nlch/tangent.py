@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import pairwise
+from itertools import pairwise, product
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .diagnostics import _fit_line
 from .grid import Grid, div_flux, l2_norm, laplacian_neumann, neumann_mode
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, mobility_deriv, reaction_deriv
-from .solvers import SpdNeumannSolver
+from .solvers import neumann_solver
 from .timestepper import SolverConfig, State, _trajectory, run
 
 EXACT_REMAINDER_FLOOR = 1e-10
@@ -53,26 +53,23 @@ def _tangent_rhs_terms(U: np.ndarray, u: np.ndarray, w: np.ndarray,
 
 
 def tangent_step(U: np.ndarray, u: np.ndarray, w: np.ndarray, spec: ReactionSpec,
-                 op: KernelOp, cfg: SolverConfig,
-                 solver: SpdNeumannSolver | None = None) -> np.ndarray:
+                 op: KernelOp, cfg: SolverConfig) -> np.ndarray:
     """One semi-implicit step of the linearized equation at base state (u, w).
 
     ``U`` is one tangent vector (N,) or a block (N, m) of them, one per
-    column; the result has the shape of ``U``.
+    column; the result has the shape of ``U``.  The implicit solve is the
+    nonlinear step's own, the shared (I - dt Lap) solver of the grid and dt.
     """
-    if solver is None:
-        solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     rhs = U + cfg.dt * _tangent_rhs_terms(U, u, w, spec, op)
-    return solver.solve(rhs)
+    return neumann_solver(op.grid, 1.0, cfg.dt).solve(rhs)
 
 
 def _propagate(U0: np.ndarray, u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
                cfg: SolverConfig) -> tuple[State, np.ndarray]:
     """The final base state of the run from u0 and the tangent map applied to U0."""
-    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     U = np.asarray(U0, dtype=float)
     for prev, state in pairwise(_trajectory(u0, spec, op, cfg)):
-        U = tangent_step(U, prev.u, prev.w, spec, op, cfg, solver=solver)
+        U = tangent_step(U, prev.u, prev.w, spec, op, cfg)
     return state, U
 
 
@@ -119,13 +116,10 @@ def cosine_frame(grid: Grid, n: int) -> TangentFrame:
     """
     if n < 1 or n > grid.num_nodes:
         raise ValueError(f"frame size must be in [1, {grid.num_nodes}], got {n}")
-    if grid.dim == 1:
-        modes = [(k,) for k in range(n)]
-    else:
-        pairs = [(k0, k1) for k0 in range(grid.n) for k1 in range(grid.n)]
-        pairs.sort(key=lambda p: (p[0] ** 2 + p[1] ** 2, p[0], p[1]))
-        modes = pairs[:n]
-    cols = np.column_stack([neumann_mode(grid, m if grid.dim > 1 else m[0]) for m in modes])
+    # by squared wavenumber; the sort is stable, so ties keep product's
+    # lexicographic order of the mode indices
+    modes = sorted(product(range(grid.n), repeat=grid.dim), key=lambda m: sum(k * k for k in m))[:n]
+    cols = np.column_stack([neumann_mode(grid, m) for m in modes])
     frame = TangentFrame(grid=grid, vectors=cols)
     frame.orthonormalize()
     return frame
@@ -148,7 +142,6 @@ def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
     if ortho_every < 1:
         raise ValueError(f"ortho_every must be >= 1, got {ortho_every}")
     run_cfg = replace(cfg, t_end=float(T))
-    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     frame = cosine_frame(op.grid, n)
 
     sums = np.zeros(n)
@@ -157,8 +150,7 @@ def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
     # evaluated at the state after it
     for prev, state in pairwise(_trajectory(u0, spec, op, run_cfg)):
         k = state.step_count
-        frame.vectors = tangent_step(frame.vectors, prev.u, prev.w, spec, op, cfg,
-                                     solver=solver)
+        frame.vectors = tangent_step(frame.vectors, prev.u, prev.w, spec, op, cfg)
         at_record = run_cfg.is_record_step(k)
         if k % ortho_every == 0 or at_record:
             frame.orthonormalize()

@@ -25,7 +25,7 @@ from .diagnostics import TrajectoryRecord
 from .grid import check_field, div_flux, l2_norm, mean
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, reaction_eval
-from .solvers import SolverError, SpdNeumannSolver
+from .solvers import SolverError, neumann_solver
 
 HARD_BOUND_TOL = 1e-4   # excursions beyond this abort the run: dt is too large
 WARN_BOUND_TOL = 1e-8   # excursions beyond this are still clamped, with a warning
@@ -74,17 +74,15 @@ def initial_state(u0: np.ndarray, op: KernelOp) -> State:
     return State(t=0.0, u=u0.copy(), w=op.convolve(1.0 - 2.0 * u0))
 
 
-def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
-         solver: SpdNeumannSolver | None = None) -> State:
-    """Advance one semi-implicit step, preserving the discrete mass identity."""
+def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig) -> State:
+    """Advance one semi-implicit step, preserving the discrete mass identity;
+    the (I - dt Lap) solve is the shared one of the grid and dt."""
     grid = op.grid
-    if solver is None:
-        solver = SpdNeumannSolver(grid, 1.0, cfg.dt)
     u, w = state.u, state.w
     g_vals = reaction_eval(spec, u)
     rhs = u + cfg.dt * div_flux(grid, mobility(u), w) + cfg.dt * g_vals
     target_mean = float(mean(u)) + cfg.dt * float(mean(g_vals))
-    u_new = solver.solve(rhs)
+    u_new = neumann_solver(grid, 1.0, cfg.dt).solve(rhs)
     u_new += target_mean - float(mean(u_new))
 
     lo, hi = float(np.minimum.reduce(u_new)), float(np.maximum.reduce(u_new))
@@ -125,11 +123,10 @@ def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
             f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
             f"reaction is unstable, reduce dt below {0.5 / max(spec.lipschitz_s, 1e-300):.3g}"
         )
-    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     state = initial_state(u0, op)
     yield state
     for k in range(1, cfg.n_steps + 1):
-        state = step(state, spec, op, cfg, solver=solver)
+        state = step(state, spec, op, cfg)
         state.t = k * cfg.dt      # avoid accumulation drift
         yield state
 

@@ -1,5 +1,7 @@
 """Grid construction and the conservative Neumann operators."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from nlch.grid import (
     inner,
     integrate,
     l2_norm,
+    laplacian_eigenvalues,
     laplacian_neumann,
     mean,
     neumann_mode,
@@ -390,3 +393,55 @@ class TestBitIdentity:
         assert _bits(l2_norm(g, p[::-1])) == \
             _bits(float(np.sqrt(g.cell_volume) * np.linalg.norm(p[::-1])))
         assert _bits(h1_seminorm(g, f)) == _bits(_oracle_h1_seminorm(g, f))
+
+
+# -- oracle: the per-dimension bodies that one formula for any dimension
+# replaced, kept verbatim --------------------------------------------------------
+
+def _oracle_coords(grid: Grid) -> np.ndarray:
+    x = grid.axis_coords()
+    if grid.dim == 1:
+        return x[:, None]
+    x0, x1 = np.meshgrid(x, x, indexing="ij")
+    return np.column_stack([x0.ravel(), x1.ravel()])
+
+
+def _oracle_reshape(grid: Grid, f: np.ndarray) -> np.ndarray:
+    if grid.dim == 1:
+        return f.reshape(grid.n)
+    return f.reshape(grid.n, grid.n)
+
+
+def _oracle_laplacian_eigenvalues(grid: Grid) -> np.ndarray:
+    k = np.arange(grid.n)
+    lam = (2.0 - 2.0 * np.cos(np.pi * k / grid.n)) / grid.h**2
+    if grid.dim == 1:
+        return lam
+    return (lam[:, None] + lam[None, :]).ravel()
+
+
+def _oracle_neumann_mode(grid: Grid, modes) -> np.ndarray:
+    if isinstance(modes, int):
+        modes = (modes,)
+    x = np.arange(grid.n) + 0.5
+    axes = [np.cos(k * np.pi * x / grid.n) for k in modes]
+    if grid.dim == 1:
+        return axes[0].copy()
+    return np.outer(axes[0], axes[1]).ravel()
+
+
+class TestOneFormulaForAnyDimension:
+    @pytest.mark.parametrize("dim,n,length", [(1, 8, 1.0), (1, 64, 2.5), (2, 8, 1.0),
+                                              (2, 16, 0.7)])
+    def test_helpers_match_the_per_dimension_bodies(self, dim, n, length):
+        g = build_grid(dim, n, length)
+        assert np.array_equal(_bits(g.coords()), _bits(_oracle_coords(g)))
+        assert np.array_equal(_bits(laplacian_eigenvalues(g)),
+                              _bits(_oracle_laplacian_eigenvalues(g)))
+        f = np.random.default_rng(n).standard_normal(g.num_nodes)
+        assert np.array_equal(_bits(g.reshape(f)), _bits(_oracle_reshape(g, f)))
+        for modes in product(range(n), repeat=dim):
+            got = neumann_mode(g, modes if dim > 1 else modes[0])
+            assert np.array_equal(_bits(got), _bits(_oracle_neumann_mode(g, modes)))
+        if dim == 1:
+            assert np.array_equal(_bits(neumann_mode(g, (3,))), _bits(neumann_mode(g, 3)))

@@ -187,6 +187,20 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown command"):
             parse_config("command.kind = fly")
 
+    def test_list_keys_are_parsed_once_and_echoed_like_float_keys(self):
+        cfg = parse_config("equilibrium.seed_values = 0.3, 0.6\nremainder.eps_list = 1e-2,3e-3")
+        assert cfg["equilibrium.seed_values"] == (0.3, 0.6)
+        assert cfg["remainder.eps_list"] == (1e-2, 3e-3)
+        assert cfg["equilibrium.eps_schedule"] == (1.0, 0.1, 0.01, 0.001, 0.0)
+        echo = cfg.echo().split("\n")
+        assert "equilibrium.seed_values = 0.29999999999999999,0.59999999999999998" in echo
+        assert "remainder.eps_list = 0.01,0.0030000000000000001" in echo
+        assert "equilibrium.eps_schedule = 1,0.10000000000000001,0.01,0.001,0" in echo
+        assert parse_config(cfg.echo()).values == cfg.values
+        empty = parse_config("")
+        assert empty["equilibrium.seed_values"] == ()
+        assert parse_config(empty.echo()).values == empty.values
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# full-line comment\n\ngrid.n = 32  # trailing\n")
         assert cfg["grid.n"] == 32
@@ -458,12 +472,15 @@ class TestMain:
         assert message in (out / "report.txt").read_text()
 
     def test_cli_negative_random_seeds_returns_2(self, tmp_path, capsys):
+        # parse_config rejects it, before any output exists
         cfg_path = tmp_path / "eq.cfg"
         cfg_path.write_text(EQ_CFG + "equilibrium.random_seeds = -3\n")
         out = tmp_path / "o"
         assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert "equilibrium.random_seeds must be >= 0, got -3" in (out / "report.txt").read_text()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "key 'equilibrium.random_seeds' needs a non-negative int, got '-3'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,message", [("picard_tol", "finite and positive"),
                                              ("residual_tol", "finite and positive"),
@@ -493,7 +510,8 @@ class TestMain:
         ("solver.t_end = -1", "t_end must be positive and finite"),
         ("grid.dim = 3", "configuration error: unsupported dimension: 3 (must be 1 or 2)"),
         ("grid.n = 4", "configuration error: n must be >= 8 per axis, got 4"),
-        ("output.snapshot_every = -1", "output.snapshot_every must be >= 0, got -1"),
+        ("output.snapshot_every = -1",
+         "key 'output.snapshot_every' needs a non-negative int, got '-1'"),
     ], ids=["lam_inf", "dt_negative", "dt_zero", "t_end_negative", "grid_dim_3", "grid_n_4",
             "snapshot_every_negative"])
     def test_cli_invalid_kernel_or_solver_value_returns_2(self, tmp_path, capsys, line,
@@ -504,9 +522,47 @@ class TestMain:
         cfg_path.write_text(text + f"\n{line}\n")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert message in (out / "report.txt").read_text()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # a value its type rejects ("key ... needs a ...") ends at parse time, on
+        # stderr; one the scenario rejects ends in report.txt
+        assert message in (err if message.startswith("key ") else
+                           (out / "report.txt").read_text())
         assert not (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("key", ["equilibrium.seed_values", "equilibrium.eps_schedule",
+                                     "remainder.eps_list"])
+    @pytest.mark.parametrize("value", ["0.3,,0.6", "1,x,0"], ids=["empty_entry", "non_numeric"])
+    def test_cli_malformed_list_entry_returns_2_naming_the_key(self, tmp_path, capsys, key,
+                                                                value):
+        command = key.split(".")[0]
+        text = "\n".join(ln for ln in EQ_CFG.splitlines() if not ln.startswith(key))
+        cfg_path = tmp_path / "list.cfg"
+        cfg_path.write_text(text + f"\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"key {key!r} needs a comma-separated list of floats, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,line,message", [
+        (["--seed", "-3"], "", "error: --seed needs a non-negative int, got '-3'"),
+        (["--seed", "1.5"], "", "error: --seed needs a non-negative int, got '1.5'"),
+        ([], "init.seed = -3", "key 'init.seed' needs a non-negative int, got '-3'"),
+        ([], "init2.seed = -1", "key 'init2.seed' needs a non-negative int, got '-1'"),
+    ], ids=["flag", "flag_fraction", "init_seed", "init2_seed"])
+    def test_cli_negative_seed_returns_2_naming_it(self, tmp_path, capsys, args, line, message):
+        text = "\n".join(ln for ln in (OONO_CFG + INIT2).splitlines()
+                         if not (line and ln.startswith(line.split(" = ")[0])))
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(text + f"\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lines,message", [
         ("init.kind = file", "init.path is not set"),

@@ -55,13 +55,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite and positive"):
             KernelSpec(**spec)
 
-    def test_rejects_newton_1d(self):
-        with pytest.raises(ValueError, match="dim >= 2"):
-            newton_kernel(dim=1)
-
-    def test_rejects_newton_grid_mismatch(self, grid1d):
-        with pytest.raises(ValueError, match="does not match"):
-            assemble_kernel(newton_kernel(dim=2), grid1d)
+    def test_rejects_newton_on_a_1d_grid(self, grid1d):
+        # the kernel takes the grid's dimension, so assembly is the one check
+        with pytest.raises(ValueError, match="only on 2D grids, got dim 1"):
+            assemble_kernel(newton_kernel(), grid1d)
 
 
 class TestAssembly:
@@ -93,7 +90,7 @@ class TestAssembly:
         -k2 ln|x| over one cell, computed here by adaptive quadrature."""
         g = build_grid(2, 8, 1.0)
         kd = 1.7
-        op = assemble_kernel(newton_kernel(dim=2, kd=kd), g)
+        op = assemble_kernel(newton_kernel(kd=kd), g)
         a = 0.5 * g.h
         val, _ = dblquad(lambda y, x: np.log(np.hypot(x, y)), 0, a, 0, a,
                          epsabs=1e-13, epsrel=1e-13)
@@ -258,8 +255,8 @@ ORACLE_CASES = [
     (1, 512, gaussian_kernel(0.3, 0.05)),
     (2, 16, gaussian_kernel(1.0, 0.1)),
     (2, 16, mollifier_kernel(1.0, 0.25)),
-    (2, 16, newton_kernel(dim=2, kd=1.0)),
-    (2, 24, newton_kernel(dim=2, kd=0.7)),
+    (2, 16, newton_kernel(kd=1.0)),
+    (2, 24, newton_kernel(kd=0.7)),
 ]
 
 
@@ -326,7 +323,7 @@ class TestMatrixFree:
         from nlch.model import reaction_eval
 
         grid = build_grid(2, 256, 1.0)
-        op = assemble_kernel(newton_kernel(dim=2, kd=0.1), grid)
+        op = assemble_kernel(newton_kernel(kd=0.1), grid)
         spec = logistic_reaction(grid, 1.0)
         cfg = SolverConfig(dt=0.001, t_end=0.003)
         state = initial_state(np.random.default_rng(2).uniform(0.3, 0.7, grid.num_nodes), op)

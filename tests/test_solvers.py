@@ -5,7 +5,7 @@ import pytest
 from scipy.fftpack import dctn, idctn
 
 from nlch.grid import build_grid, laplacian_neumann, neumann_mode
-from nlch.solvers import SolverError, SpdNeumannSolver
+from nlch.solvers import SolverError, SpdNeumannSolver, neumann_solver
 
 GRIDS = [(1, 16), (2, 8)]
 SHIFTS = [(1.0, 0.01), (1e-3, 1.0), (0.0, 1.0)]
@@ -143,3 +143,24 @@ def test_certificate_checks_each_column_on_its_own(dim, n):
     assert np.allclose(solver.solve(b[:, :1]), exact[:, :1], rtol=1e-13, atol=0.0)
     with pytest.raises(SolverError, match="backward error"):
         solver.solve(b)
+
+
+def test_one_shared_solver_per_grid_and_coefficients():
+    grid = build_grid(1, 16, 1.0)
+    solver = neumann_solver(grid, 1.0, 0.01)
+    assert neumann_solver(build_grid(1, 16, 1.0), 1.0, 0.01) is solver
+    assert neumann_solver(grid, 1, 0.01) is solver
+    others = [neumann_solver(grid, 1.0, 0.02), neumann_solver(grid, 0.0, 1.0),
+              neumann_solver(build_grid(1, 16, 2.0), 1.0, 0.01),
+              neumann_solver(build_grid(2, 16, 1.0), 1.0, 0.01)]
+    assert all(s is not solver for s in others) and len({id(s) for s in others}) == 4
+    b = np.random.default_rng(6).uniform(0.0, 1.0, grid.num_nodes)
+    assert np.array_equal(solver.solve(b), SpdNeumannSolver(grid, 1.0, 0.01).solve(b))
+
+
+def test_shared_solver_eigenvalues_reject_writes():
+    solver = neumann_solver(build_grid(2, 8, 1.0), 1.0, 0.01)
+    with pytest.raises(ValueError, match="read-only"):
+        solver._diag[1, 2] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        solver._diag *= 2.0

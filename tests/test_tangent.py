@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlch.grid import build_grid, div_flux, h1_seminorm, inner, l2_norm, laplacian_neumann
+from nlch.grid import (build_grid, div_flux, h1_seminorm, inner, l2_norm, laplacian_neumann,
+                       neumann_mode)
 from nlch.kernels import (
     DENSE_MAX_NODES,
     assemble_kernel,
@@ -179,6 +180,28 @@ class TestFrames:
         with pytest.raises(ValueError):
             cosine_frame(grid, 0)
 
+    @pytest.mark.parametrize("dim,n,m", [(1, 64, 1), (1, 64, 30), (2, 16, 1), (2, 16, 30),
+                                         (2, 8, 64)])
+    def test_cosine_frame_matches_the_per_dimension_body(self, dim, n, m):
+        g = build_grid(dim, n, 1.0)
+        got, want = cosine_frame(g, m).vectors, _oracle_cosine_frame(g, m).vectors
+        assert got.shape == want.shape == (g.num_nodes, m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _oracle_cosine_frame(grid, n):
+    """cosine_frame's body before one mode order served every dimension."""
+    if grid.dim == 1:
+        modes = [(k,) for k in range(n)]
+    else:
+        pairs = [(k0, k1) for k0 in range(grid.n) for k1 in range(grid.n)]
+        pairs.sort(key=lambda p: (p[0] ** 2 + p[1] ** 2, p[0], p[1]))
+        modes = pairs[:n]
+    cols = np.column_stack([neumann_mode(grid, m if grid.dim > 1 else m[0]) for m in modes])
+    frame = TangentFrame(grid=grid, vectors=cols)
+    frame.orthonormalize()
+    return frame
+
 
 class TestTraceForm:
     def test_constant_mode_reads_reaction_derivative(self, grid, null_op):
@@ -291,7 +314,6 @@ def _oracle_frame_traces(u0, n, T, spec, op, cfg, ortho_every=10, transient=1.0)
     replaying the (u, w) pairs collected from the trajectory."""
     run_cfg = replace(cfg, t_end=float(T))
     states = list(_trajectory(u0, spec, op, run_cfg))
-    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     frame = cosine_frame(op.grid, n)
 
     sums = np.zeros(n)
@@ -299,8 +321,7 @@ def _oracle_frame_traces(u0, n, T, spec, op, cfg, ortho_every=10, transient=1.0)
     for k in range(run_cfg.n_steps):
         u_k, w_k = states[k].u, states[k].w
         for j in range(n):
-            frame.vectors[:, j] = tangent_step(frame.vectors[:, j], u_k, w_k,
-                                               spec, op, cfg, solver=solver)
+            frame.vectors[:, j] = tangent_step(frame.vectors[:, j], u_k, w_k, spec, op, cfg)
         t = (k + 1) * cfg.dt
         at_record = run_cfg.is_record_step(k + 1)
         if (k + 1) % ortho_every == 0 or at_record:
@@ -317,11 +338,10 @@ def _oracle_remainders(u0, direction, eps_list, spec, op, cfg, t):
     vector step per time step."""
     run_cfg = replace(cfg, t_end=float(t))
     states = list(_trajectory(u0, spec, op, run_cfg))
-    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
     d = direction / l2_norm(op.grid, direction)
     U = d
     for s in states[:-1]:
-        U = tangent_step(U, s.u, s.w, spec, op, run_cfg, solver=solver)
+        U = tangent_step(U, s.u, s.w, spec, op, run_cfg)
     base = states[-1].u
     return np.array([l2_norm(op.grid, run(u0 + eps * d, spec, op, run_cfg)[0].u
                              - base - eps * U)
@@ -336,7 +356,7 @@ def _rel_max_error(got, want):
 BLOCK_CASES = {
     "1d-64-dense": (1, 64, gaussian_kernel(0.02, 0.05)),
     "1d-512-fft": (1, 512, gaussian_kernel(0.02, 0.05)),
-    "2d-24-newton-fft": (2, 24, newton_kernel(dim=2, kd=0.05)),
+    "2d-24-newton-fft": (2, 24, newton_kernel(kd=0.05)),
 }
 
 

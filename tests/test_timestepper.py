@@ -490,7 +490,7 @@ class TestBitIdentity:
 
     def test_2d_newton_run(self):
         grid = build_grid(2, 16, 1.0)
-        op = assemble_kernel(newton_kernel(2, 0.1), grid)
+        op = assemble_kernel(newton_kernel(0.1), grid)
         u0 = np.random.default_rng(3).uniform(0.2, 0.8, grid.num_nodes)
         ref = np.full(grid.num_nodes, 0.3)
         spec, cfg = oono_reaction(grid, 1.0), SolverConfig(dt=0.01, t_end=1.0, record_every=3)
