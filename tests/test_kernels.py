@@ -55,10 +55,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite and positive"):
             KernelSpec(**spec)
 
-    def test_rejects_newton_on_a_1d_grid(self, grid1d):
+    def test_rejects_newton_1d(self, grid1d):
         # the kernel takes the grid's dimension, so assembly is the one check
         with pytest.raises(ValueError, match="only on 2D grids, got dim 1"):
             assemble_kernel(newton_kernel(), grid1d)
+
+    def test_rejects_newton_grid_mismatch(self, grid1d):
+        # one spec, two grids: the grid alone decides whether it assembles
+        spec = newton_kernel(kd=0.5)
+        op = assemble_kernel(spec, build_grid(2, 8, 1.0))
+        assert op.grid.dim == 2 and np.isfinite(op.generator).all()
+        with pytest.raises(ValueError, match="only on 2D grids"):
+            assemble_kernel(spec, grid1d)
 
 
 class TestAssembly:
