@@ -1,7 +1,7 @@
 """
 nlch: a numerical laboratory for the nonlocal Cahn-Hilliard equation with
 reaction.  Degenerate-mobility dynamics under convolution-kernel
-interactions, steady-state continuation, tangent linear flow, and the
+interactions, certified steady states, tangent linear flow, and the
 long-time diagnostics that make the convergence and dimension statements
 checkable at desk scale.
 """

@@ -60,12 +60,15 @@ def _count(val: str) -> int:
 
 
 def _floats(val: str) -> tuple[float, ...]:
-    """Comma-separated floats; the empty string is the empty list."""
-    return tuple(float(v) for v in val.split(",")) if val else ()
+    """Comma-separated finite floats; the empty string is the empty list."""
+    vals = tuple(float(v) for v in val.split(",")) if val else ()
+    if not np.isfinite(vals).all():
+        raise ValueError
+    return vals
 
 
 _NEEDS = {str: "str", _int: "int", float: "float", _count: "non-negative int",
-          _floats: "comma-separated list of floats"}
+          _floats: "comma-separated list of finite floats"}
 
 
 def _convert(name: str, typ: Callable[[str], object], val: str):
@@ -116,7 +119,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "output.snapshot_every": (_count, 0),
     "equilibrium.seed_values": (_floats, ()),
     "equilibrium.random_seeds": (_count, 0),
-    "equilibrium.eps_schedule": (_floats, (1.0, 0.1, 0.01, 0.001, 0.0)),
     "equilibrium.damping": (float, 0.5),
     "equilibrium.picard_tol": (float, 1e-10),
     "equilibrium.max_iter": (_int, 10000),
@@ -417,7 +419,6 @@ def _cmd_pair(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None
 
 def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
     eq_cfg = EquilibriumConfig(
-        eps_schedule=cfg["equilibrium.eps_schedule"],
         damping=cfg["equilibrium.damping"],
         picard_tol=cfg["equilibrium.picard_tol"],
         max_iter=cfg["equilibrium.max_iter"],
@@ -439,9 +440,7 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
             res.certified and float(np.min(res.u)) >= -1e-8
             and float(np.max(res.u)) <= 1.0 + 1e-8,
             f"residual = {res.residual:.3e}, mass = {np.mean(res.u):.6g}, "
-            f"iterations = {res.iterations} "
-            f"({'+'.join(map(str, res.stage_iterations))} by eps stage), "
-            f"mass defect = {res.mass_defect:.3e}",
+            f"iterations = {res.iterations}, mass defect = {res.mass_defect:.3e}",
         )
 
 

@@ -1,36 +1,34 @@
 """
 Steady states of the reacting nonlocal Cahn-Hilliard system by Anderson-
-accelerated damped Picard iteration with a regularized linear solve and
-continuation to epsilon = 0.
+accelerated damped Picard iteration with a shifted linear solve.
 
 Each sweep solves
 
-    (-Lap + (eps + rho) I) u_next = div(mu(z) grad K*(1-2z)) + g(z) + (eps + rho) z
+    (-Lap + s I) u_next = div(mu(z) grad K*(1-2z)) + g(z) + s z,   s = rho + EQ_SHIFT,
 
 with rho the reaction's Lipschitz constant in s.  Every true equilibrium is
-a fixed point of this map at every eps (the shift terms cancel at a fixed
-point), eps controls how much of the update the well-conditioned operator
-absorbs, and the rho shift keeps the map contractive for stiff monotone
-reactions where no fixed damping could.  At eps = 0 with rho = 0 the solve
-moves to the mean-zero complement and the iteration preserves the mean; the
-compatibility defect |mean(g(u))| is reported, since no steady state exists
-when the reaction pumps net mass.  Iterates are clamped to [0,1]: the
-existence construction proves the bounds by truncation, and the pure phases
-are reachable limits.
+a fixed point of this map at every shift (the shift terms cancel at a fixed
+point), so one shift serves: the rho part keeps the map contractive for
+stiff monotone reactions where no fixed damping could, and EQ_SHIFT keeps
+the operator regular when the reaction vanishes.  A solve is certified by
+the shift-free strong residual, not by the map.  The compatibility defect
+|mean(g(u))| is reported, since no steady state exists when the reaction
+pumps net mass.  Iterates are clamped to [0,1]: the existence construction
+proves the bounds by truncation, and the pure phases are reachable limits.
 
 The damped map G(u) = clip((1 - theta) u + theta u_next) contracts slowly
-(0.75-0.9 per sweep in the first stage), so each stage mixes its last few
-values by Anderson acceleration (Anderson, J. ACM 12, 1965): the next
-iterate is the combination of the recent G-values whose residuals
-G(u) - u have the least norm, clamped to [0,1].  Mixing changes only the
-path; the fixed points, the stopping rule (judged on the plain step
-G(u) - u) and the certificate are those of the plain iteration.
+(0.75-0.9 per sweep), so the iteration mixes its last few values by
+Anderson acceleration (Anderson, J. ACM 12, 1965): the next iterate is the
+combination of the recent G-values whose residuals G(u) - u have the least
+norm, clamped to [0,1].  Mixing changes only the path; the fixed points,
+the stopping rule (judged on the plain step G(u) - u) and the certificate
+are those of the plain iteration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +37,21 @@ from .kernels import KernelOp
 from .model import ReactionSpec, mobility, reaction_eval
 from .solvers import neumann_solver
 
-DEFAULT_EPS_SCHEDULE = (1.0, 0.1, 0.01, 0.001, 0.0)
+# shift of the Picard solve above the reaction's Lipschitz constant; any
+# positive value has the same fixed points.  On the 1D n = 64 test cases 0.5
+# keeps the mixed limits within 1e-9 of the plain loop's (1.0 does not) and
+# the mixed sweeps under half of its (0.3 does not, on oono)
+EQ_SHIFT = 0.5
 
 
 @dataclass(frozen=True)
 class EquilibriumConfig:
-    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
     damping: float = 0.5
     picard_tol: float = 1e-10
     max_iter: int = 10000
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if len(sched) == 0:
-            raise ValueError("eps_schedule must be nonempty")
-        if not all(math.isfinite(e) and e >= 0 for e in sched):
-            raise ValueError("eps_schedule entries must be finite and >= 0")
-        if len(sched) > 1 and not all(b < a for a, b in zip(sched, sched[1:])):
-            raise ValueError("eps_schedule must be strictly decreasing")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must be in (0, 1]")
         tols = (self.picard_tol, self.residual_tol)
@@ -65,7 +59,6 @@ class EquilibriumConfig:
             raise ValueError("picard_tol and residual_tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        object.__setattr__(self, "eps_schedule", sched)
 
 
 @dataclass
@@ -74,8 +67,6 @@ class EquilibriumResult:
     residual: float
     converged: bool
     iterations: int
-    stage_iterations: list[int] = field(default_factory=list)
-    eps_gaps: list[float] = field(default_factory=list)
     mass_defect: float = 0.0
 
     @property
@@ -98,8 +89,8 @@ ANDERSON_SIN_TOL = 1e-7
 
 class _AndersonHistory:
     """Differences of consecutive map values g and residuals f = g - u over
-    the last ANDERSON_DEPTH sweeps of one eps stage (Walker & Ni, SIAM J.
-    Numer. Anal. 49, 2011), each pair scaled to a unit residual difference."""
+    the last ANDERSON_DEPTH sweeps (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011), each pair scaled to a unit residual difference."""
 
     def __init__(self):
         self.dg: list[np.ndarray] = []
@@ -151,78 +142,55 @@ def equilibrium_residual(u: np.ndarray, spec: ReactionSpec, op: KernelOp) -> flo
 
 def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
                       cfg: EquilibriumConfig | None = None) -> EquilibriumResult:
-    """Damped Picard iteration with eps-continuation, warm starts and
-    Anderson mixing within each stage.
+    """Damped Picard iteration at the shift rho + EQ_SHIFT with Anderson
+    mixing; its first sweep is the plain damped step.
 
-    Each stage starts a fresh mixing history, since the shift changes the
-    map, and its first sweep is the plain damped step.  A stage converges
-    when both the plain step ||G(u) - u|| drops below picard_tol and the
-    strong-form residual drops below residual_tol (a small step alone does
-    not certify a stiff problem); from the first sweep whose plain step is
-    below picard_tol on, the stage takes plain steps.  Non-convergence
-    within max_iter sweeps per stage is a flagged outcome, not an error:
-    the underlying existence proof is a compactness argument and does not
-    claim the iteration converges.  ``stage_iterations`` holds the sweeps
-    of each stage.
+    The solve converges when both the plain step ||G(u) - u|| drops below
+    picard_tol and the strong-form residual drops below residual_tol (a
+    small step alone does not certify a stiff problem); from the first
+    sweep whose plain step is below picard_tol on, it takes plain steps,
+    and it stops when such a residual check falls by less than 1%.
+    Non-convergence within max_iter sweeps is a flagged outcome, not an
+    error: the underlying existence proof is a compactness argument and
+    does not claim the iteration converges.
     """
     if cfg is None:
         cfg = EquilibriumConfig()
     grid = op.grid
     theta = cfg.damping
-    rho = spec.lipschitz_s
+    shift = spec.lipschitz_s + EQ_SHIFT
     u = check_field(grid, u_init)
     if np.min(u) < 0.0 or np.max(u) > 1.0:
         raise ValueError("equilibrium seed must satisfy 0 <= u <= 1 nodewise, got "
                          f"values in [{np.min(u):.6g}, {np.max(u):.6g}]")
-    converged_all = True
-    eps_gaps = []
-    stage_iters = []
+    solver = neumann_solver(grid, shift, 1.0)
+    mixer = _AndersonHistory()
+    converged = False
+    stall_residual = np.inf
+    for sweeps in range(1, cfg.max_iter + 1):
+        gamma = solver.solve(_rhs(u, spec, op) + shift * u)
+        g = (1.0 - theta) * u + theta * gamma
+        np.clip(g, 0.0, 1.0, out=g)
+        f = g - u
+        mixer.push(g, f)
+        if l2_norm(grid, f) >= cfg.picard_tol:
+            u = mixer.mix(g, f)
+            continue
+        u = g
+        resid = equilibrium_residual(u, spec, op)
+        if resid < cfg.residual_tol:
+            converged = True
+            break
+        if resid >= 0.99 * stall_residual:
+            break       # step converged but residual stalled: flag
+        stall_residual = resid
 
-    for eps in cfg.eps_schedule:
-        shift = eps + rho
-        solver = neumann_solver(grid, shift, 1.0)
-        phase_start = u.copy()
-        converged = False
-        stall_residual = np.inf
-        # the shift changes the map, so each stage starts a fresh history
-        mixer = _AndersonHistory()
-        sweeps = 0
-        for _ in range(cfg.max_iter):
-            sweeps += 1
-            gamma = solver.solve(_rhs(u, spec, op) + shift * u)
-            if shift == 0:
-                # reaction-free limit problem: the solve lands on the
-                # mean-zero complement, so keep the iterate's mean
-                gamma += mean(u)
-            g = (1.0 - theta) * u + theta * gamma
-            np.clip(g, 0.0, 1.0, out=g)
-            f = g - u
-            delta = l2_norm(grid, f)
-            mixer.push(g, f)
-            if delta >= cfg.picard_tol:
-                u = mixer.mix(g, f)
-                continue
-            u = g
-            resid = equilibrium_residual(u, spec, op)
-            if resid < cfg.residual_tol:
-                converged = True
-                break
-            if resid >= 0.99 * stall_residual:
-                break       # step converged but residual stalled: flag
-            stall_residual = resid
-        stage_iters.append(sweeps)
-        converged_all = converged_all and converged
-        eps_gaps.append(l2_norm(grid, u - phase_start))
-
-    mass_defect = abs(float(mean(reaction_eval(spec, u))))
     return EquilibriumResult(
         u=u,
         residual=equilibrium_residual(u, spec, op),
-        converged=converged_all,
-        iterations=sum(stage_iters),
-        stage_iterations=stage_iters,
-        eps_gaps=eps_gaps,
-        mass_defect=mass_defect,
+        converged=converged,
+        iterations=sweeps,
+        mass_defect=abs(float(mean(reaction_eval(spec, u)))),
     )
 
 

@@ -14,7 +14,7 @@ Solvers, SIAM 2007).  An (N, m) block of fields takes the same paths: one
 matrix-matrix product, or one FFT pair batched over the columns.  The
 kernel is evaluated on |d|, so g[d] and g[-d] are the same number and the
 matrix gathered from g is exactly symmetric.
-The pointwise-singular 2D Newton kernel gets its zero-offset entry from
+The 2D Newton kernel, unbounded at r = 0, gets its zero-offset entry from
 the analytic cell average of -k2 ln|x| over one cell, which keeps the
 quadrature second order and the row sums finite.  The operator-norm
 constants are computed on first use.
@@ -111,7 +111,7 @@ def _evaluate(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
             denom = h2 - r[inside] ** 2
             out[inside] = spec.c * np.exp(-h2 / denom)
         return out
-    # newton, dim 2: singular entries at r == 0 are patched by the caller
+    # newton, dim 2: the infinite entries at r == 0 are patched by the caller
     with np.errstate(divide="ignore"):
         return -spec.kd * np.log(r)
 
@@ -224,7 +224,7 @@ def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
 
 
 def _power_iteration_l2_h1(op: KernelOp, max_iter: int = 300, tol: float = 1e-12) -> float:
-    """Largest singular value of rho -> K*rho as a map L2 -> H1.
+    """Operator norm of rho -> K*rho as a map L2 -> H1.
 
     Power iteration on B = W (I - Lap) W (W is symmetric); the discrete H1
     norm of v = W rho is  <v, v> + <-Lap v, v>  by exact summation by parts.

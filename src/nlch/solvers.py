@@ -1,5 +1,5 @@
 """
-Direct solves for the SPD Neumann operators (a I - b Lap).
+Direct solves for the SPD Neumann operators (a I - b Lap), a > 0, b >= 0.
 
 Every implicit operator in the package has constant coefficients, so the
 DCT-II diagonalizes it exactly: a solve is one forward transform, a
@@ -28,7 +28,7 @@ import numpy as np
 # about 15 us through scipy.fft and 10 us through scipy.fftpack
 from scipy.fftpack import dctn, idctn
 
-from .grid import Grid, laplacian_eigenvalues, laplacian_neumann, mean
+from .grid import Grid, laplacian_eigenvalues, laplacian_neumann
 
 # about 400x the largest eta measured in stepping, tangent and equilibrium solves
 BACKWARD_ERROR_TOL = 1e-13
@@ -39,24 +39,17 @@ class SolverError(RuntimeError):
 
 
 class SpdNeumannSolver:
-    """Direct DCT solver for (mass_coef * I - diff_coef * Lap) with zero-flux boundary.
-
-    For mass_coef == 0 the operator is singular along constants; the solve is
-    then performed on the mean-zero complement (the constant part of the
-    right side is ignored and the returned solution has zero mean).
-    """
+    """Direct DCT solver for (mass_coef * I - diff_coef * Lap) with zero-flux
+    boundary, mass_coef > 0 and diff_coef >= 0."""
 
     def __init__(self, grid: Grid, mass_coef: float, diff_coef: float):
-        if diff_coef < 0 or mass_coef < 0 or (mass_coef == 0 and diff_coef == 0):
-            raise ValueError("need mass_coef, diff_coef >= 0 and not both zero")
+        if not (mass_coef > 0 and diff_coef >= 0):
+            raise ValueError("need mass_coef > 0 and diff_coef >= 0")
         self.grid = grid
         self.mass_coef = float(mass_coef)
         self.diff_coef = float(diff_coef)
-        self.singular = mass_coef == 0.0
         diag = mass_coef + diff_coef * laplacian_eigenvalues(grid)
         self._norm = float(np.max(diag))      # ||A||_2 of the symmetric operator
-        if self.singular:
-            diag[0] = 1.0       # constant mode is projected out, value unused
         self._diag = diag.reshape((grid.n,) * grid.dim)
         self._diag.flags.writeable = False
         self._axes = tuple(range(grid.dim))
@@ -72,15 +65,11 @@ class SpdNeumannSolver:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Return x with A x = b for a field b (N,) or each column of a block
         (N, m), raising SolverError if a column's backward error is too large."""
-        if self.singular:
-            b = b - mean(b)
         diag, cols = self._diag, b.shape[1:]
         # a field is transformed over all its axes, which is the cheaper call
         axes = self._axes if cols else None
         coef = dctn(b.reshape(diag.shape + cols), type=2, norm="ortho", axes=axes)
         coef /= diag.reshape(diag.shape + (1,) * len(cols))
-        if self.singular:
-            coef[(0,) * self.grid.dim] = 0.0
         x = idctn(coef, type=2, norm="ortho", axes=axes).reshape(b.shape)
         resid = _column_norms(self._residual(b, x))
         scale = self._norm * _column_norms(x) + _column_norms(b)

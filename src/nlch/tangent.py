@@ -224,8 +224,8 @@ def remainder_order(u0: np.ndarray, direction: np.ndarray, eps_list, spec: React
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps_arr.size < 3:
         raise ValueError(f"need >= 3 points to fit, got {eps_arr.size}")
-    if np.any(eps_arr <= 0):
-        raise ValueError("eps values must be positive")
+    if not (np.isfinite(eps_arr) & (eps_arr > 0)).all():
+        raise ValueError("eps values must be positive and finite")
     grid = op.grid
     direction = np.asarray(direction, dtype=float)
     nrm = l2_norm(grid, direction)

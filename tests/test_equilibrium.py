@@ -1,10 +1,11 @@
-"""Steady-state solves: certification, non-uniqueness, and continuation."""
+"""Steady-state solves: certification, non-uniqueness, and Anderson mixing."""
 
 import numpy as np
 import pytest
 
 from nlch.equilibrium import (
     ANDERSON_DEPTH,
+    EQ_SHIFT,
     EquilibriumConfig,
     _AndersonHistory,
     _rhs,
@@ -12,7 +13,7 @@ from nlch.equilibrium import (
     multistart_equilibria,
     solve_equilibrium,
 )
-from nlch.grid import build_grid, check_field, l2_norm, mean
+from nlch.grid import build_grid, check_field, l2_norm
 from nlch.kernels import assemble_kernel, gaussian_kernel
 from nlch.model import (
     balanced_cubic_reaction,
@@ -41,54 +42,37 @@ def const(grid, c):
 
 def _oracle_solve(u_init, spec, op, cfg=EquilibriumConfig()):
     """The plain damped Picard loop of solve_equilibrium before Anderson
-    mixing, verbatim; returns (u, converged, iterations)."""
+    mixing, at its shift; returns (u, converged, iterations)."""
     grid = op.grid
     theta = cfg.damping
-    rho = spec.lipschitz_s
+    shift = spec.lipschitz_s + EQ_SHIFT
     u = check_field(grid, u_init)
-    total_iters = 0
-    converged_all = True
-
-    for eps in cfg.eps_schedule:
-        shift = eps + rho
-        solver = SpdNeumannSolver(grid, shift, 1.0)
-        converged = False
-        stall_residual = np.inf
-        for _ in range(cfg.max_iter):
-            total_iters += 1
-            gamma = solver.solve(_rhs(u, spec, op) + shift * u)
-            if shift == 0:
-                # reaction-free limit problem: the solve lands on the
-                # mean-zero complement, so keep the iterate's mean
-                gamma += mean(u)
-            u_next = (1.0 - theta) * u + theta * gamma
-            np.clip(u_next, 0.0, 1.0, out=u_next)
-            delta = l2_norm(grid, u_next - u)
-            u = u_next
-            if delta < cfg.picard_tol:
-                resid = equilibrium_residual(u, spec, op)
-                if resid < cfg.residual_tol:
-                    converged = True
-                    break
-                if resid >= 0.99 * stall_residual:
-                    break       # step converged but residual stalled: flag
-                stall_residual = resid
-        converged_all = converged_all and converged
-    return u, converged_all, total_iters
+    solver = SpdNeumannSolver(grid, shift, 1.0)
+    converged = False
+    stall_residual = np.inf
+    iters = 0
+    for _ in range(cfg.max_iter):
+        iters += 1
+        gamma = solver.solve(_rhs(u, spec, op) + shift * u)
+        u_next = (1.0 - theta) * u + theta * gamma
+        np.clip(u_next, 0.0, 1.0, out=u_next)
+        delta = l2_norm(grid, u_next - u)
+        u = u_next
+        if delta < cfg.picard_tol:
+            resid = equilibrium_residual(u, spec, op)
+            if resid < cfg.residual_tol:
+                converged = True
+                break
+            if resid >= 0.99 * stall_residual:
+                break       # step converged but residual stalled: flag
+            stall_residual = resid
+    return u, converged, iters
 
 
 class TestConfig:
-    def test_schedule_must_decrease(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            EquilibriumConfig(eps_schedule=(0.1, 1.0))
-
     def test_damping_range(self):
         with pytest.raises(ValueError, match="damping"):
             EquilibriumConfig(damping=0.0)
-
-    def test_empty_schedule(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            EquilibriumConfig(eps_schedule=())
 
     @pytest.mark.parametrize("key", ["picard_tol", "residual_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-10])
@@ -99,11 +83,6 @@ class TestConfig:
     def test_max_iter_positive(self):
         with pytest.raises(ValueError, match="max_iter"):
             EquilibriumConfig(max_iter=0)
-
-    @pytest.mark.parametrize("sched", [(float("nan"),), (float("inf"), 0.0), (-1.0,)])
-    def test_schedule_entries_finite_nonnegative(self, sched):
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            EquilibriumConfig(eps_schedule=sched)
 
 
 class TestResidual:
@@ -124,8 +103,8 @@ class TestSolve:
     def test_reaction_free_half_converges_immediately(self, grid, op):
         res = solve_equilibrium(const(grid, 0.5), zero_reaction(grid), op)
         assert res.converged
-        # one sweep per continuation stage
-        assert res.iterations == len(EquilibriumConfig().eps_schedule)
+        # the half state is a fixed point: one sweep
+        assert res.iterations == 1
         assert np.max(np.abs(res.u - 0.5)) < 1e-10
         assert res.residual < 1e-10
 
@@ -195,14 +174,18 @@ class TestCertification:
             drift = l2_norm(grid, state.u - res.u)
             assert drift <= 10 * dt, f"{spec.name}: drift {drift:.2e}"
 
-    def test_eps_continuation_gaps_shrink(self, grid, op):
-        spec = bertozzi_reaction(grid, 5.0, 0.6)
-        rng = np.random.default_rng(13)
-        res = solve_equilibrium(rng.uniform(0.1, 0.9, grid.num_nodes), spec, op)
-        # warm-started later stages move the iterate less and less
-        gaps = res.eps_gaps
-        assert gaps[-1] <= 1e-8
-        assert gaps[-1] <= gaps[0]
+    def test_phase_separating_limit_is_certified(self, grid):
+        """A strongly attracting kernel separates phases: the limit whose
+        residual check passed is reported certified and does not drift."""
+        op = assemble_kernel(gaussian_kernel(2.0, 0.05), grid)
+        spec = balanced_cubic_reaction(grid, 1.0)
+        seed = np.random.default_rng(3).uniform(0.1, 0.9, grid.num_nodes)
+        res = solve_equilibrium(seed, spec, op)
+        assert res.converged and res.certified
+        dt = 0.01
+        state, _ = run(res.u, spec, op, SolverConfig(dt=dt, t_end=1.0))
+        drift = l2_norm(grid, state.u - res.u)
+        assert drift <= 10 * dt, drift
 
 
 class TestMultistart:
@@ -270,8 +253,8 @@ class TestAndersonMixing:
         assert 2 * sweeps <= oracle_sweeps, (name, sweeps, oracle_sweeps)
 
     def test_first_sweep_of_each_stage_is_plain(self, grid, op):
-        """Each stage starts a fresh history: with one sweep per stage the
-        solve is the plain iteration, bit for bit."""
+        """The history starts empty: with one sweep the solve is the plain
+        iteration, bit for bit."""
         cfg = EquilibriumConfig(max_iter=1)
         seed = np.random.default_rng(7).uniform(0.1, 0.9, grid.num_nodes)
         for make in REACTIONS.values():
@@ -279,7 +262,7 @@ class TestAndersonMixing:
             u_oracle, _, _ = _oracle_solve(seed, spec, op, cfg)
             res = solve_equilibrium(seed, spec, op, cfg)
             assert np.array_equal(res.u, u_oracle)
-            assert res.stage_iterations == [1] * len(cfg.eps_schedule)
+            assert res.iterations == 1
 
     def test_mixed_iterate_is_clamped(self, grid):
         """The secant through two residuals extrapolates to 1.15: clamped to 1."""

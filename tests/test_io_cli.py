@@ -191,11 +191,9 @@ class TestParseConfig:
         cfg = parse_config("equilibrium.seed_values = 0.3, 0.6\nremainder.eps_list = 1e-2,3e-3")
         assert cfg["equilibrium.seed_values"] == (0.3, 0.6)
         assert cfg["remainder.eps_list"] == (1e-2, 3e-3)
-        assert cfg["equilibrium.eps_schedule"] == (1.0, 0.1, 0.01, 0.001, 0.0)
         echo = cfg.echo().split("\n")
         assert "equilibrium.seed_values = 0.29999999999999999,0.59999999999999998" in echo
         assert "remainder.eps_list = 0.01,0.0030000000000000001" in echo
-        assert "equilibrium.eps_schedule = 1,0.10000000000000001,0.01,0.001,0" in echo
         assert parse_config(cfg.echo()).values == cfg.values
         empty = parse_config("")
         assert empty["equilibrium.seed_values"] == ()
@@ -324,8 +322,8 @@ class TestOtherCommands:
         assert status == 0
         report = (tmp_path / "eq" / "report.txt").read_text()
         assert "distinct converged equilibria = 3" in report
-        # each constant seed is a fixed point: one sweep in each eps stage
-        assert report.count("iterations = 5 (1+1+1+1+1 by eps stage)") == 3
+        # each constant seed is a fixed point: one sweep
+        assert report.count("iterations = 1,") == 3
         assert len(list((tmp_path / "eq").glob("equilibrium_*.nlch"))) == 3
 
     def test_pair_command_needs_init2(self, tmp_path):
@@ -530,9 +528,9 @@ class TestMain:
                            (out / "report.txt").read_text())
         assert not (out / "series.csv").exists()
 
-    @pytest.mark.parametrize("key", ["equilibrium.seed_values", "equilibrium.eps_schedule",
-                                     "remainder.eps_list"])
-    @pytest.mark.parametrize("value", ["0.3,,0.6", "1,x,0"], ids=["empty_entry", "non_numeric"])
+    @pytest.mark.parametrize("key", ["equilibrium.seed_values", "remainder.eps_list"])
+    @pytest.mark.parametrize("value", ["0.3,,0.6", "1,x,0", "0.3,nan"],
+                             ids=["empty_entry", "non_numeric", "non_finite"])
     def test_cli_malformed_list_entry_returns_2_naming_the_key(self, tmp_path, capsys, key,
                                                                 value):
         command = key.split(".")[0]
@@ -543,7 +541,7 @@ class TestMain:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert f"key {key!r} needs a comma-separated list of floats, got {value!r}" in err
+        assert f"key {key!r} needs a comma-separated list of finite floats, got {value!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("args,line,message", [
@@ -625,7 +623,7 @@ class TestMain:
 
     def test_removed_solver_keys_are_unknown(self):
         for key in ("solver.cg_tol", "solver.cg_max_iter", "solver.bound_tol",
-                    "solver.clamp_policy"):
+                    "solver.clamp_policy", "equilibrium.eps_schedule"):
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 parse_config(f"{key} = 1")
 

@@ -146,6 +146,15 @@ class TestRemainderOrder:
         with pytest.raises(ValueError, match="need >= 3 points"):
             remainder_order(u0, cosine_direction(grid), [1e-3], spec, null_op, cfg, t=0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, grid, null_op, bad):
+        spec = zero_reaction(grid)
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
+        u0 = np.full(grid.num_nodes, 0.5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            remainder_order(u0, cosine_direction(grid), [1e-2, bad, 1e-3, 3e-4],
+                            spec, null_op, cfg, t=0.1)
+
     def test_out_of_bounds_eps_skipped(self, grid, null_op):
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=1.0)
@@ -391,7 +400,7 @@ class TestBlockOperators:
             (laplacian_neumann(g, P), columns(lambda c: laplacian_neumann(g, c), P)),
             (op.convolve(P), columns(op.convolve, P)),
         ]
-        for solver in (SpdNeumannSolver(g, 1.0, 0.01), SpdNeumannSolver(g, 0.0, 1.0)):
+        for solver in (SpdNeumannSolver(g, 1.0, 0.01), SpdNeumannSolver(g, 0.5, 1.0)):
             pairs.append((solver.solve(P), columns(solver.solve, P)))
         cfg = SolverConfig(dt=0.01, t_end=1.0)
         w = op.convolve(1.0 - 2.0 * u0)
