@@ -1,10 +1,10 @@
 """
 Steady states: existence, non-uniqueness, and certification.
 
-The solver continues a damped fixed-point iteration through a decreasing
-regularization schedule.  Every converged limit is certified three ways:
-strong-form residual below 1e-8, phase bounds respected, and drift under
-the actual flow below 10 dt over unit time.
+The solver runs a damped fixed-point iteration at one regularization
+shift, accelerated by Anderson mixing.  Every converged limit is certified
+three ways: strong-form residual below 1e-9, phase bounds respected, and
+drift under the actual flow below 10 dt over unit time.
 
 Non-uniqueness is real: a reaction vanishing at 0, 1/2, and 1 admits all
 three constant states as equilibria, and the multistart solver finds each

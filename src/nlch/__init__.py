@@ -15,7 +15,6 @@ from .diagnostics import (
     separation,
 )
 from .equilibrium import (
-    EquilibriumConfig,
     EquilibriumResult,
     equilibrium_residual,
     multistart_equilibria,

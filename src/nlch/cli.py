@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .equilibrium import EquilibriumConfig, multistart_equilibria
+from .equilibrium import multistart_equilibria
 from .grid import Grid, build_grid, neumann_mode
 from .io import read_field, write_field
 from .kernels import (KernelOp, assemble_kernel, gaussian_kernel, mollifier_kernel,
@@ -81,7 +81,6 @@ def _convert(name: str, typ: Callable[[str], object], val: str):
 
 # key -> (type, default)
 _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
-    "command.kind": (str, ""),
     "grid.dim": (_int, 1),
     "grid.n": (_int, 256),
     "grid.length": (float, 1.0),
@@ -119,11 +118,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "output.snapshot_every": (_count, 0),
     "equilibrium.seed_values": (_floats, ()),
     "equilibrium.random_seeds": (_count, 0),
-    "equilibrium.damping": (float, 0.5),
-    "equilibrium.picard_tol": (float, 1e-10),
     "equilibrium.max_iter": (_int, 10000),
-    "equilibrium.residual_tol": (float, 1e-9),
-    "equilibrium.dedup_tol": (float, 1e-6),
     "remainder.eps_list": (_floats, (1e-2, 3e-3, 1e-3, 3e-4)),
     "remainder.t": (float, 0.5),
     "remainder.mode": (_int, 1),
@@ -176,7 +171,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         values[key] = _convert(f"line {lineno}: key {key!r}", _SCHEMA[key][0], val)
-    # a key's default is always admitted: "" leaves command.kind and init2.kind unset
+    # a key's default is always admitted: "" leaves init2.kind unset
     for key, table in _CHOICES.items():
         if values[key] != _SCHEMA[key][1] and values[key] not in table:
             raise ValueError(f"unknown {key}: {values[key]!r} (one of {', '.join(table)})")
@@ -217,7 +212,7 @@ def _dump_datum(cfg: RunConfig, grid: Grid, section: str) -> np.ndarray:
         fgrid, u0, _ = read_field(path)
     except OSError as exc:
         raise ValueError(f"{section}.path {path!r} cannot be read: {exc.strerror}") from None
-    if fgrid.num_nodes != grid.num_nodes or fgrid.dim != grid.dim:
+    if fgrid != grid:
         raise ValueError(f"{section}.path field does not match the configured grid")
     return u0
 
@@ -301,19 +296,13 @@ class Report:
         path.write_text("\n".join(self.lines) + "\n")
 
 
-def execute(cfg: RunConfig, out_dir, command: str | None = None,
+def execute(cfg: RunConfig, out_dir, command: str,
             seed_override: int | None = None) -> int:
     """Run a command, write series/snapshots/report, return the exit status.
 
     ``seed_override`` s runs a copy of ``cfg`` with init.seed = s and
     init2.seed = s + 1; the echoed configuration records both.
     """
-    given = cfg["command.kind"]
-    command = command or given
-    if not command:
-        raise ValueError("no command given (CLI argument or command.kind)")
-    if given and command != given:
-        raise ValueError(f"CLI command {command!r} conflicts with config command.kind {given!r}")
     if command not in _COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
     cfg = RunConfig(values=dict(cfg.values))
@@ -418,18 +407,11 @@ def _cmd_pair(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None
 
 
 def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
-    eq_cfg = EquilibriumConfig(
-        damping=cfg["equilibrium.damping"],
-        picard_tol=cfg["equilibrium.picard_tol"],
-        max_iter=cfg["equilibrium.max_iter"],
-        residual_tol=cfg["equilibrium.residual_tol"],
-    )
     seeds = ([np.full(scen.grid.num_nodes, v) for v in cfg["equilibrium.seed_values"]]
              + [_random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k)
                 for k in range(cfg["equilibrium.random_seeds"])]) or [scen.u0]
 
-    results = multistart_equilibria(seeds, scen.spec, scen.op, eq_cfg,
-                                    dedup_tol=cfg["equilibrium.dedup_tol"])
+    results = multistart_equilibria(seeds, scen.spec, scen.op, cfg["equilibrium.max_iter"])
     report.add(f"seeds = {len(seeds)}, distinct converged equilibria = {len(results)}")
     report.check("some seed converged", bool(results),
                  f"{len(results)} distinct converged equilibria from {len(seeds)} seeds")
@@ -483,8 +465,8 @@ _COMMANDS = {"run": _cmd_run, "pair": _cmd_pair, "equilibrium": _cmd_equilibrium
 COMMANDS = tuple(_COMMANDS)
 
 # parse_config admits a name for a choice key only if it is in the key's table
-_CHOICES = {"command.kind": _COMMANDS, "kernel.family": _KERNELS,
-            "reaction.preset": _REACTIONS, "init.kind": _INITIALS, "init2.kind": _INITIALS}
+_CHOICES = {"kernel.family": _KERNELS, "reaction.preset": _REACTIONS,
+            "init.kind": _INITIALS, "init2.kind": _INITIALS}
 
 
 def main(argv=None) -> int:

@@ -28,16 +28,18 @@ def separation(u: np.ndarray) -> tuple[float, float]:
 
 
 def energy(u: np.ndarray, op) -> float:
-    """Nonlocal interaction energy plus logarithmic bulk term.
+    """The free energy E(u) = int f(u) + int int K(x - y) u(x) (1 - u(y)).
 
-    E(u) = sum_ij W[i,j] (u_i - u_j)^2 h^dim + sum_i f(u_i) h^dim
-    with the pair weight taken directly from the assembled kernel and the
-    potential extended continuously by f(0) = f(1) = 0.
+    Its variational derivative f'(u) + K*(1-2u) is the chemical potential
+    of the flow, so E is its Lyapunov functional when g = 0.  Discretely
+    E(u) = h^dim sum_i u_i (kbar_i - (W u)_i) + h^dim sum_i f(u_i), with W
+    the assembled kernel, kbar its row sums and the potential extended
+    continuously by f(0) = f(1) = 0.
     """
     grid = op.grid
     u = check_field(grid, u)
     ku = op.convolve(u)
-    pair = 2.0 * (float(op.kbar @ (u * u)) - float(u @ ku)) * grid.cell_volume
+    pair = (float(op.kbar @ u) - float(u @ ku)) * grid.cell_volume
     bulk = integrate(grid, potential(u))
     return pair + bulk
 

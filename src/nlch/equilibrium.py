@@ -11,18 +11,19 @@ a fixed point of this map at every shift (the shift terms cancel at a fixed
 point), so one shift serves: the rho part keeps the map contractive for
 stiff monotone reactions where no fixed damping could, and EQ_SHIFT keeps
 the operator regular when the reaction vanishes.  A solve is certified by
-the shift-free strong residual, not by the map.  The compatibility defect
+the shift-free strong residual falling below RESIDUAL_TOL, not by the map;
+multistart counts limits within DEDUP_TOL as one.  The compatibility defect
 |mean(g(u))| is reported, since no steady state exists when the reaction
 pumps net mass.  Iterates are clamped to [0,1]: the existence construction
 proves the bounds by truncation, and the pure phases are reachable limits.
 
-The damped map G(u) = clip((1 - theta) u + theta u_next) contracts slowly
+The damped map G(u) = clip((1 - DAMPING) u + DAMPING u_next) contracts slowly
 (0.75-0.9 per sweep), so the iteration mixes its last few values by
 Anderson acceleration (Anderson, J. ACM 12, 1965): the next iterate is the
 combination of the recent G-values whose residuals G(u) - u have the least
 norm, clamped to [0,1].  Mixing changes only the path; the fixed points,
-the stopping rule (judged on the plain step G(u) - u) and the certificate
-are those of the plain iteration.
+the stopping rule (judged on the plain step G(u) - u against PICARD_TOL)
+and the certificate are those of the plain iteration.
 """
 
 from __future__ import annotations
@@ -42,23 +43,14 @@ from .solvers import neumann_solver
 # keeps the mixed limits within 1e-9 of the plain loop's (1.0 does not) and
 # the mixed sweeps under half of its (0.3 does not, on oono)
 EQ_SHIFT = 0.5
-
-
-@dataclass(frozen=True)
-class EquilibriumConfig:
-    damping: float = 0.5
-    picard_tol: float = 1e-10
-    max_iter: int = 10000
-    residual_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must be in (0, 1]")
-        tols = (self.picard_tol, self.residual_tol)
-        if not all(math.isfinite(tol) and tol > 0 for tol in tols):
-            raise ValueError("picard_tol and residual_tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+# weight of the solve u_next in the damped step
+DAMPING = 0.5
+# the plain step ||G(u) - u|| below which a sweep checks the residual
+PICARD_TOL = 1e-10
+# the strong-form residual below which a solve converges
+RESIDUAL_TOL = 1e-9
+# converged limits closer than this in L2 are one equilibrium
+DEDUP_TOL = 1e-6
 
 
 @dataclass
@@ -71,7 +63,8 @@ class EquilibriumResult:
 
     @property
     def certified(self) -> bool:
-        return self.converged and self.residual < 1e-8
+        """Converged, so the residual is below RESIDUAL_TOL."""
+        return self.converged
 
 
 def _rhs(z: np.ndarray, spec: ReactionSpec, op: KernelOp) -> np.ndarray:
@@ -141,23 +134,22 @@ def equilibrium_residual(u: np.ndarray, spec: ReactionSpec, op: KernelOp) -> flo
 
 
 def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
-                      cfg: EquilibriumConfig | None = None) -> EquilibriumResult:
+                      max_iter: int = 10000) -> EquilibriumResult:
     """Damped Picard iteration at the shift rho + EQ_SHIFT with Anderson
     mixing; its first sweep is the plain damped step.
 
     The solve converges when both the plain step ||G(u) - u|| drops below
-    picard_tol and the strong-form residual drops below residual_tol (a
+    PICARD_TOL and the strong-form residual drops below RESIDUAL_TOL (a
     small step alone does not certify a stiff problem); from the first
-    sweep whose plain step is below picard_tol on, it takes plain steps,
+    sweep whose plain step is below PICARD_TOL on, it takes plain steps,
     and it stops when such a residual check falls by less than 1%.
     Non-convergence within max_iter sweeps is a flagged outcome, not an
     error: the underlying existence proof is a compactness argument and
     does not claim the iteration converges.
     """
-    if cfg is None:
-        cfg = EquilibriumConfig()
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     grid = op.grid
-    theta = cfg.damping
     shift = spec.lipschitz_s + EQ_SHIFT
     u = check_field(grid, u_init)
     if np.min(u) < 0.0 or np.max(u) > 1.0:
@@ -167,18 +159,19 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
     mixer = _AndersonHistory()
     converged = False
     stall_residual = np.inf
-    for sweeps in range(1, cfg.max_iter + 1):
+    for sweeps in range(1, max_iter + 1):
         gamma = solver.solve(_rhs(u, spec, op) + shift * u)
-        g = (1.0 - theta) * u + theta * gamma
+        g = (1.0 - DAMPING) * u + DAMPING * gamma
         np.clip(g, 0.0, 1.0, out=g)
         f = g - u
         mixer.push(g, f)
-        if l2_norm(grid, f) >= cfg.picard_tol:
+        if l2_norm(grid, f) >= PICARD_TOL:
             u = mixer.mix(g, f)
+            resid = None    # no residual of the mixed u yet
             continue
         u = g
         resid = equilibrium_residual(u, spec, op)
-        if resid < cfg.residual_tol:
+        if resid < RESIDUAL_TOL:
             converged = True
             break
         if resid >= 0.99 * stall_residual:
@@ -187,7 +180,7 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
 
     return EquilibriumResult(
         u=u,
-        residual=equilibrium_residual(u, spec, op),
+        residual=equilibrium_residual(u, spec, op) if resid is None else resid,
         converged=converged,
         iterations=sweeps,
         mass_defect=abs(float(mean(reaction_eval(spec, u)))),
@@ -195,23 +188,20 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
 
 
 def multistart_equilibria(seeds, spec: ReactionSpec, op: KernelOp,
-                          cfg: EquilibriumConfig | None = None,
-                          dedup_tol: float = 1e-6) -> list[EquilibriumResult]:
+                          max_iter: int = 10000) -> list[EquilibriumResult]:
     """Solve from every seed and deduplicate converged limits.
 
     Uniqueness of equilibria is not guaranteed in general, so the full list
-    of distinct limits (pairwise L2 distance > dedup_tol) is returned;
+    of distinct limits (pairwise L2 distance > DEDUP_TOL) is returned;
     non-converged solves are dropped.
     """
-    if not (math.isfinite(dedup_tol) and dedup_tol >= 0):
-        raise ValueError(f"dedup_tol must be finite and >= 0, got {dedup_tol}")
     grid = op.grid
     found: list[EquilibriumResult] = []
     for seed in seeds:
-        res = solve_equilibrium(seed, spec, op, cfg)
+        res = solve_equilibrium(seed, spec, op, max_iter)
         if not res.converged:
             continue
-        if any(l2_norm(grid, res.u - other.u) <= dedup_tol for other in found):
+        if any(l2_norm(grid, res.u - other.u) <= DEDUP_TOL for other in found):
             continue
         found.append(res)
     return found

@@ -165,21 +165,12 @@ def oono_reaction(grid: Grid, sigma) -> ReactionSpec:
     )
 
 
-def custom_reaction(grid: Grid, g_fn, dg_fn, lipschitz_s: float | None = None,
+def custom_reaction(grid: Grid, g_fn, dg_fn, lipschitz_s: float,
                     name: str = "custom") -> ReactionSpec:
-    """Wrap user-supplied g and d_s g (both required, vectorized over nodes).
-
-    If ``lipschitz_s`` is omitted it is estimated by sampling |d_s g| on a
-    dense s-grid; smoothness beyond Lipschitz continuity of the derivative
-    cannot be decided from samples and remains the caller's obligation.
-    """
+    """Wrap user-supplied g and d_s g (both required, vectorized over nodes)
+    with the uniform Lipschitz constant ``lipschitz_s`` of g in s."""
     if g_fn is None or dg_fn is None:
         raise ValueError("custom reactions require both g and its s-derivative")
-    if lipschitz_s is None:
-        ones = np.ones(grid.num_nodes)
-        lipschitz_s = max(
-            float(np.max(np.abs(dg_fn(s * ones)))) for s in np.linspace(0.0, 1.0, 101)
-        )
     return ReactionSpec(grid=grid, name=name, g_fn=g_fn, dg_fn=dg_fn,
                         lipschitz_s=float(lipschitz_s))
 

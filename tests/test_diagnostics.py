@@ -15,7 +15,7 @@ from nlch.diagnostics import (
 )
 from nlch.grid import build_grid
 from nlch.kernels import assemble_kernel, gaussian_kernel
-from nlch.model import oono_reaction, potential
+from nlch.model import oono_reaction, potential, zero_reaction
 from nlch.timestepper import SolverConfig, run
 
 
@@ -56,24 +56,39 @@ class TestSeparation:
 
 class TestEnergy:
     def test_constant_state_has_no_pair_energy(self, grid, op):
+        """E(u) = int f(u) + kbar u (1-u) + 1/2 int int K (u(x) - u(y))^2:
+        a constant state has no pair term, only the local part."""
         c = 0.3
         e = energy(np.full(grid.num_nodes, c), op)
-        assert e == pytest.approx(grid.domain_volume * potential(c), rel=1e-12)
+        local = grid.cell_volume * float(np.sum(potential(c) + op.kbar * c * (1.0 - c)))
+        assert e == pytest.approx(local, rel=1e-12)
 
     def test_half_state_value(self, grid, op):
         e = energy(np.full(grid.num_nodes, 0.5), op)
-        assert e == pytest.approx(-grid.domain_volume * math.log(2.0), rel=1e-12)
+        pair = 0.25 * float(np.sum(op.weights)) * grid.cell_volume
+        assert e == pytest.approx(-grid.domain_volume * math.log(2.0) + pair, rel=1e-12)
 
     def test_pure_phase_energy_vanishes(self, grid, op):
         assert energy(np.zeros(grid.num_nodes), op) == pytest.approx(0.0, abs=1e-12)
+        assert energy(np.ones(grid.num_nodes), op) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_double_sum(self, grid, op):
         rng = np.random.default_rng(0)
         u = rng.uniform(0, 1, grid.num_nodes)
-        diff = u[:, None] - u[None, :]
-        pair = float(np.sum(op.weights * diff**2)) * grid.cell_volume
+        pair = float(np.sum(op.weights * u[:, None] * (1.0 - u[None, :]))) * grid.cell_volume
         bulk = grid.cell_volume * float(np.sum(potential(u)))
         assert energy(u, op) == pytest.approx(pair + bulk, rel=1e-10)
+
+    def test_reaction_free_constant_datum_is_nonincreasing(self):
+        """Near the walls the kernel's row sums fall off, so a constant datum
+        moves; the energy whose derivative is the step's chemical potential
+        f'(u) + K*(1-2u) still never rises."""
+        grid = build_grid(1, 64, 1.0)
+        op = assemble_kernel(gaussian_kernel(1.0, 0.05), grid)
+        _, rec = run(np.full(grid.num_nodes, 0.4), zero_reaction(grid), op,
+                     SolverConfig(dt=0.01, t_end=1.0))
+        assert rec.max_u[-1] - rec.min_u[-1] > 1e-3
+        assert np.max(np.diff(rec.energy)) <= 1e-10
 
 
 class TestRateFitting:

@@ -5,8 +5,10 @@ import pytest
 
 from nlch.equilibrium import (
     ANDERSON_DEPTH,
+    DAMPING,
     EQ_SHIFT,
-    EquilibriumConfig,
+    PICARD_TOL,
+    RESIDUAL_TOL,
     _AndersonHistory,
     _rhs,
     equilibrium_residual,
@@ -40,27 +42,27 @@ def const(grid, c):
     return np.full(grid.num_nodes, float(c))
 
 
-def _oracle_solve(u_init, spec, op, cfg=EquilibriumConfig()):
+def _oracle_solve(u_init, spec, op, max_iter=10000):
     """The plain damped Picard loop of solve_equilibrium before Anderson
     mixing, at its shift; returns (u, converged, iterations)."""
     grid = op.grid
-    theta = cfg.damping
+    theta = DAMPING
     shift = spec.lipschitz_s + EQ_SHIFT
     u = check_field(grid, u_init)
     solver = SpdNeumannSolver(grid, shift, 1.0)
     converged = False
     stall_residual = np.inf
     iters = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         iters += 1
         gamma = solver.solve(_rhs(u, spec, op) + shift * u)
         u_next = (1.0 - theta) * u + theta * gamma
         np.clip(u_next, 0.0, 1.0, out=u_next)
         delta = l2_norm(grid, u_next - u)
         u = u_next
-        if delta < cfg.picard_tol:
+        if delta < PICARD_TOL:
             resid = equilibrium_residual(u, spec, op)
-            if resid < cfg.residual_tol:
+            if resid < RESIDUAL_TOL:
                 converged = True
                 break
             if resid >= 0.99 * stall_residual:
@@ -70,19 +72,12 @@ def _oracle_solve(u_init, spec, op, cfg=EquilibriumConfig()):
 
 
 class TestConfig:
-    def test_damping_range(self):
-        with pytest.raises(ValueError, match="damping"):
-            EquilibriumConfig(damping=0.0)
-
-    @pytest.mark.parametrize("key", ["picard_tol", "residual_tol"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-10])
-    def test_tolerances_finite_positive(self, key, value):
-        with pytest.raises(ValueError, match="finite and positive"):
-            EquilibriumConfig(**{key: value})
-
-    def test_max_iter_positive(self):
+    def test_max_iter_positive(self, grid, op):
+        spec, seed = zero_reaction(grid), const(grid, 0.5)
         with pytest.raises(ValueError, match="max_iter"):
-            EquilibriumConfig(max_iter=0)
+            solve_equilibrium(seed, spec, op, max_iter=0)
+        with pytest.raises(ValueError, match="max_iter"):
+            multistart_equilibria([seed], spec, op, max_iter=0)
 
 
 class TestResidual:
@@ -143,15 +138,41 @@ class TestSolve:
 
     def test_non_convergence_is_flagged(self, grid, op):
         spec = bertozzi_reaction(grid, 5.0, 0.6)
-        cfg = EquilibriumConfig(max_iter=2)
         rng = np.random.default_rng(3)
-        res = solve_equilibrium(rng.uniform(0, 1, grid.num_nodes), spec, op, cfg)
+        res = solve_equilibrium(rng.uniform(0, 1, grid.num_nodes), spec, op, max_iter=2)
         assert not res.converged
         assert not res.certified
 
     def test_mass_defect_reported(self, grid, op):
         res = solve_equilibrium(const(grid, 0.5), zero_reaction(grid), op)
         assert res.mass_defect == 0.0
+
+    @pytest.mark.parametrize("name,max_iter", [("oono", 10000), ("balanced_cubic", 10000),
+                                               ("bertozzi", 2)])
+    def test_residual_is_evaluated_once_per_checked_sweep(self, grid, op, monkeypatch,
+                                                          name, max_iter):
+        """The residual a plain sweep checked is the one reported; only a
+        solve whose last sweep was mixed evaluates it once more."""
+        calls = {"residual": 0, "mix": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("nlch.equilibrium.equilibrium_residual",
+                            counted("residual", equilibrium_residual))
+        monkeypatch.setattr(_AndersonHistory, "mix", counted("mix", _AndersonHistory.mix))
+        spec = REACTIONS[name](grid)
+        seed = np.random.default_rng(4).uniform(0.1, 0.9, grid.num_nodes)
+        res = solve_equilibrium(seed, spec, op, max_iter=max_iter)
+        assert res.converged == (max_iter > 2)
+        # every sweep that does not mix checks the residual; the solve cut
+        # off after two mixed sweeps evaluates it once more
+        checked = res.iterations - calls["mix"]
+        assert calls["residual"] == checked + (not res.converged), (calls, res.iterations)
+        assert res.residual == equilibrium_residual(res.u, spec, op)
 
 
 class TestCertification:
@@ -212,16 +233,6 @@ class TestMultistart:
         seeds = [const(grid, 0.5), const(grid, 0.5)]
         assert len(multistart_equilibria(seeds, spec, op)) == 1
 
-    def test_zero_dedup_tol_merges_identical_limits(self, grid, op):
-        spec = balanced_cubic_reaction(grid, 1.0)
-        seeds = [const(grid, 0.5), const(grid, 0.5)]
-        assert len(multistart_equilibria(seeds, spec, op, dedup_tol=0.0)) == 1
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
-    def test_dedup_tol_finite_nonnegative(self, grid, op, tol):
-        with pytest.raises(ValueError, match="dedup_tol"):
-            multistart_equilibria([const(grid, 0.5)], zero_reaction(grid), op, dedup_tol=tol)
-
 
 REACTIONS = {
     "oono": lambda grid: oono_reaction(grid, 1.0),
@@ -255,12 +266,11 @@ class TestAndersonMixing:
     def test_first_sweep_of_each_stage_is_plain(self, grid, op):
         """The history starts empty: with one sweep the solve is the plain
         iteration, bit for bit."""
-        cfg = EquilibriumConfig(max_iter=1)
         seed = np.random.default_rng(7).uniform(0.1, 0.9, grid.num_nodes)
         for make in REACTIONS.values():
             spec = make(grid)
-            u_oracle, _, _ = _oracle_solve(seed, spec, op, cfg)
-            res = solve_equilibrium(seed, spec, op, cfg)
+            u_oracle, _, _ = _oracle_solve(seed, spec, op, max_iter=1)
+            res = solve_equilibrium(seed, spec, op, max_iter=1)
             assert np.array_equal(res.u, u_oracle)
             assert res.iterations == 1
 

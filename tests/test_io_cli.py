@@ -183,10 +183,6 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 1"):
             parse_config("this is not a config")
 
-    def test_unknown_command_kind(self):
-        with pytest.raises(ValueError, match="unknown command"):
-            parse_config("command.kind = fly")
-
     def test_list_keys_are_parsed_once_and_echoed_like_float_keys(self):
         cfg = parse_config("equilibrium.seed_values = 0.3, 0.6\nremainder.eps_list = 1e-2,3e-3")
         assert cfg["equilibrium.seed_values"] == (0.3, 0.6)
@@ -410,11 +406,6 @@ trace.samples = 2
         assert "attractor dimension bound N = 1" in report
         assert "n =   1" in report and "n =   3" in report
 
-    def test_command_mismatch_rejected(self, tmp_path):
-        cfg = parse_config(OONO_CFG + "command.kind = pair\n")
-        with pytest.raises(ValueError, match="conflicts"):
-            execute(cfg, tmp_path / "x", command="run")
-
 
 class TestMain:
     def test_cli_run_and_exit_codes(self, tmp_path):
@@ -479,17 +470,6 @@ class TestMain:
         assert "Traceback" not in err
         assert "key 'equilibrium.random_seeds' needs a non-negative int, got '-3'" in err
         assert not out.exists()
-
-    @pytest.mark.parametrize("key,message", [("picard_tol", "finite and positive"),
-                                             ("residual_tol", "finite and positive"),
-                                             ("dedup_tol", "dedup_tol must be finite")])
-    def test_cli_nan_equilibrium_tolerance_returns_2(self, tmp_path, capsys, key, message):
-        cfg_path = tmp_path / "eq.cfg"
-        cfg_path.write_text(EQ_CFG + f"equilibrium.{key} = nan\n")
-        out = tmp_path / "o"
-        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert message in (out / "report.txt").read_text()
 
     def test_cli_seed_outside_phase_bounds_returns_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "eq.cfg"
@@ -579,6 +559,23 @@ class TestMain:
         assert message in (out / "report.txt").read_text()
         assert not (out / "series.csv").exists()
 
+    @pytest.mark.parametrize("dump_grid", [(1, 32, 1.0), (2, 8, 1.0), (1, 64, 2.0)],
+                             ids=["n", "dim", "length"])
+    def test_cli_init_file_on_another_grid_returns_2(self, tmp_path, capsys, dump_grid):
+        # the config's grid is 1D, n = 64, length 1 (8 x 8 has as many nodes)
+        grid = build_grid(*dump_grid)
+        dump = tmp_path / "ic.nlch"
+        write_field(dump, grid, np.full(grid.num_nodes, 0.5), 0.0)
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text(OONO_CFG.replace("init.kind = random", "init.kind = file")
+                            + f"init.path = {dump}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert "init.path field does not match the configured grid" in \
+            (out / "report.txt").read_text()
+        assert not (out / "series.csv").exists()
+
     @pytest.mark.parametrize("out_name", ["taken", "taken/sub"], ids=["file", "under_file"])
     def test_cli_output_directory_not_creatable_returns_2(self, tmp_path, capsys, out_name):
         cfg_path = tmp_path / "run.cfg"
@@ -605,8 +602,8 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(plain)]) == 0
         assert (plain / "series.csv").read_bytes() != (first / "series.csv").read_bytes()
 
-    @pytest.mark.parametrize("key", ["command.kind", "kernel.family", "reaction.preset",
-                                     "init.kind", "init2.kind"])
+    @pytest.mark.parametrize("key", ["kernel.family", "reaction.preset", "init.kind",
+                                     "init2.kind"])
     def test_unknown_choice_name_rejected_naming_the_key(self, key):
         with pytest.raises(ValueError, match=re.escape(f"unknown {key}: 'bogus'")):
             parse_config(f"{key} = bogus")
@@ -623,7 +620,9 @@ class TestMain:
 
     def test_removed_solver_keys_are_unknown(self):
         for key in ("solver.cg_tol", "solver.cg_max_iter", "solver.bound_tol",
-                    "solver.clamp_policy", "equilibrium.eps_schedule"):
+                    "solver.clamp_policy", "equilibrium.eps_schedule", "command.kind",
+                    "equilibrium.damping", "equilibrium.picard_tol",
+                    "equilibrium.residual_tol", "equilibrium.dedup_tol"):
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 parse_config(f"{key} = 1")
 

@@ -151,11 +151,11 @@ class TestSignCondition:
 
     def test_violating_custom_reaction_rejected(self, grid):
         with pytest.raises(ValueError, match="sign condition"):
-            custom_reaction(grid, lambda s: s - 0.5, lambda s: np.ones_like(s))
+            custom_reaction(grid, lambda s: s - 0.5, lambda s: np.ones_like(s), 1.0)
 
     def test_custom_requires_derivative(self, grid):
         with pytest.raises(ValueError, match="derivative"):
-            custom_reaction(grid, lambda s: np.zeros_like(s), None)
+            custom_reaction(grid, lambda s: np.zeros_like(s), None, 0.0)
 
 
 class TestConstantExtension:

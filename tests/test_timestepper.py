@@ -406,7 +406,7 @@ def _oracle_energy(u, op):
     grid = op.grid
     u = check_field(grid, u)
     ku = op.convolve(u)
-    pair = 2.0 * (float(op.kbar @ (u * u)) - float(u @ ku)) * grid.cell_volume
+    pair = (float(op.kbar @ u) - float(u @ ku)) * grid.cell_volume
     s = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     bulk = grid.cell_volume * float(np.sum(xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)))
     return pair + bulk
