@@ -389,14 +389,18 @@ def _cmd_pair(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None
     _write_csv(out / "series.csv", CSV_HEADER, [arrays[c] for c in CSV_HEADER.split(",")])
     _write_csv(out / "pair_distance.csv", "t,distance", [pair.times, pair.dist])
     report.add(f"initial distance = {pair.dist[0]:.6g}, final distance = {pair.dist[-1]:.6g}")
-    positive = pair.dist > 0
-    if np.all(positive):
+    # the first quarter is a transient (fast modes of the initial
+    # difference die first); linearity is judged on the remainder, and any
+    # two points lie on a line
+    t0 = pair.times[0] + 0.25 * (pair.times[-1] - pair.times[0])
+    sel = pair.times >= t0
+    if (kept := np.count_nonzero(sel)) < 3:
+        raise ValueError(f"{kept} recorded distances after the first "
+                         "quarter, need >= 3 to judge linearity: raise solver.t_end or "
+                         "lower solver.record_every")
+    if np.all(pair.dist > 0):
         slope = diagnostics._fit_line(pair.times, np.log(pair.dist))[0]
         report.add(f"fitted continuous-dependence constant C = {slope:.6g} per unit time")
-        # the first quarter is a transient (fast modes of the initial
-        # difference die first); linearity is judged on the remainder
-        t0 = pair.times[0] + 0.25 * (pair.times[-1] - pair.times[0])
-        sel = pair.times >= t0
         frac = diagnostics.linear_fit_residual_fraction(pair.times[sel],
                                                         np.log(pair.dist[sel]))
         report.check("no super-exponential growth (post-transient)", frac <= 0.10,

@@ -132,7 +132,8 @@ def fit_exponential_rate(times, values, window: tuple[float, float]) -> tuple[fl
     values = np.asarray(values, dtype=float)
     sel = (times >= window[0]) & (times <= window[1])
     if int(np.sum(sel)) < 10:
-        raise ValueError(f"window {window} contains {int(np.sum(sel))} samples, need >= 10")
+        raise ValueError(f"window ({window[0]:g}, {window[1]:g}) contains "
+                         f"{int(np.sum(sel))} samples, need >= 10")
     t = times[sel]
     v = values[sel]
     if np.any(v <= 0.0):

@@ -21,9 +21,10 @@ The damped map G(u) = clip((1 - DAMPING) u + DAMPING u_next) contracts slowly
 (0.75-0.9 per sweep), so the iteration mixes its last few values by
 Anderson acceleration (Anderson, J. ACM 12, 1965): the next iterate is the
 combination of the recent G-values whose residuals G(u) - u have the least
-norm, clamped to [0,1].  Mixing changes only the path; the fixed points,
-the stopping rule (judged on the plain step G(u) - u against PICARD_TOL)
-and the certificate are those of the plain iteration.
+norm, clamped to [0,1].  Mixing changes only the path, not the fixed
+points.  The certificate is the one stopping rule: each sweep reads the
+residual of its iterate off the right-hand side it evaluates for the step,
+so every sweep both checks and mixes.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .solvers import neumann_solver
 EQ_SHIFT = 0.5
 # weight of the solve u_next in the damped step
 DAMPING = 0.5
-# the plain step ||G(u) - u|| below which a sweep checks the residual
-PICARD_TOL = 1e-10
 # the strong-form residual below which a solve converges
 RESIDUAL_TOL = 1e-9
 # converged limits closer than this in L2 are one equilibrium
@@ -90,7 +89,10 @@ class _AndersonHistory:
         self.df: list[np.ndarray] = []
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
-    def push(self, g: np.ndarray, f: np.ndarray) -> None:
+    def mix(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Record the map value g and its residual f, then return the mixed
+        iterate g - dG c with c = argmin ||f - dF c||, clamped to [0, 1]; g
+        itself while no column is left."""
         if self._last is not None:
             df = f - self._last[1]
             norm = math.sqrt(df.dot(df))
@@ -101,10 +103,6 @@ class _AndersonHistory:
                 if len(self.df) > ANDERSON_DEPTH:
                     del self.dg[0], self.df[0]
         self._last = (g, f)
-
-    def mix(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The mixed iterate g - dG c with c = argmin ||f - dF c||, clamped
-        to [0, 1]; g itself once no column is left."""
         while self.df:
             F = np.stack(self.df, axis=1)
             gram = F.T @ F
@@ -136,13 +134,12 @@ def equilibrium_residual(u: np.ndarray, spec: ReactionSpec, op: KernelOp) -> flo
 def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
                       max_iter: int = 10000) -> EquilibriumResult:
     """Damped Picard iteration at the shift rho + EQ_SHIFT with Anderson
-    mixing; its first sweep is the plain damped step.
+    mixing; its first step is the plain damped step.
 
-    The solve converges when both the plain step ||G(u) - u|| drops below
-    PICARD_TOL and the strong-form residual drops below RESIDUAL_TOL (a
-    small step alone does not certify a stiff problem); from the first
-    sweep whose plain step is below PICARD_TOL on, it takes plain steps,
-    and it stops when such a residual check falls by less than 1%.
+    Each sweep evaluates the right-hand side at the current iterate once.
+    The iterate's strong-form residual comes from it, and the solve
+    converges on the first iterate whose residual is below RESIDUAL_TOL;
+    otherwise the same right-hand side makes the next mixed step.
     Non-convergence within max_iter sweeps is a flagged outcome, not an
     error: the underlying existence proof is a compactness argument and
     does not claim the iteration converges.
@@ -158,29 +155,22 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
     solver = neumann_solver(grid, shift, 1.0)
     mixer = _AndersonHistory()
     converged = False
-    stall_residual = np.inf
     for sweeps in range(1, max_iter + 1):
-        gamma = solver.solve(_rhs(u, spec, op) + shift * u)
-        g = (1.0 - DAMPING) * u + DAMPING * gamma
-        np.clip(g, 0.0, 1.0, out=g)
-        f = g - u
-        mixer.push(g, f)
-        if l2_norm(grid, f) >= PICARD_TOL:
-            u = mixer.mix(g, f)
-            resid = None    # no residual of the mixed u yet
-            continue
-        u = g
-        resid = equilibrium_residual(u, spec, op)
+        rhs = _rhs(u, spec, op)
+        # equilibrium_residual(u) bit for bit: negating both terms is exact
+        resid = l2_norm(grid, laplacian_neumann(grid, u) + rhs)
         if resid < RESIDUAL_TOL:
             converged = True
             break
-        if resid >= 0.99 * stall_residual:
-            break       # step converged but residual stalled: flag
-        stall_residual = resid
+        g = (1.0 - DAMPING) * u + DAMPING * solver.solve(rhs + shift * u)
+        np.clip(g, 0.0, 1.0, out=g)
+        u = mixer.mix(g, g - u)
+    else:
+        resid = equilibrium_residual(u, spec, op)
 
     return EquilibriumResult(
         u=u,
-        residual=equilibrium_residual(u, spec, op) if resid is None else resid,
+        residual=resid,
         converged=converged,
         iterations=sweeps,
         mass_defect=abs(float(mean(reaction_eval(spec, u)))),

@@ -51,27 +51,30 @@ def potential(s: np.ndarray | float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def f_prime(s: np.ndarray | float, guard: float = 1e-12) -> np.ndarray | float:
-    """f'(s) = log(s/(1-s)) evaluated at s clamped to [guard, 1-guard].
+# distance from the pure phases at which f' is evaluated
+F_PRIME_GUARD = 1e-12
+
+
+def f_prime(s: np.ndarray | float) -> np.ndarray | float:
+    """f'(s) = log(s/(1-s)) evaluated at s clamped to [F_PRIME_GUARD,
+    1 - F_PRIME_GUARD].
 
     Clamping is the contract: callers that need to detect the raw divergence
-    check |result| >= log((1-guard)/guard).
+    check |result| >= log((1 - F_PRIME_GUARD)/F_PRIME_GUARD).
     """
-    if not (0.0 < guard <= 1e-6):
-        raise ValueError(f"guard must be in (0, 1e-6], got {guard}")
-    sc = np.clip(np.asarray(s, dtype=float), guard, 1.0 - guard)
+    sc = np.clip(np.asarray(s, dtype=float), F_PRIME_GUARD, 1.0 - F_PRIME_GUARD)
     out = np.log(sc / (1.0 - sc))
     return out if out.ndim else float(out)
 
 
-def chemical_potential(u: np.ndarray, op, guard: float = 1e-12) -> np.ndarray:
+def chemical_potential(u: np.ndarray, op) -> np.ndarray:
     """Diagnostic chemical potential v = f'(u) + K*(1-2u).
 
     Diagnostic only: near the pure phases the guard dominates f', mirroring
     the fact that the continuum potential is not well defined there.
     """
     u = check_field(op.grid, u)
-    return f_prime(u, guard) + op.convolve(1.0 - 2.0 * u)
+    return f_prime(u) + op.convolve(1.0 - 2.0 * u)
 
 
 @dataclass(frozen=True, eq=False)

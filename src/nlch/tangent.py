@@ -30,13 +30,13 @@ from .diagnostics import _fit_line
 from .grid import Grid, div_flux, l2_norm, laplacian_neumann, neumann_mode
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, mobility_deriv, reaction_deriv
-from .solvers import neumann_solver
+from .solvers import SolverError, neumann_solver
 from .timestepper import SolverConfig, State, _trajectory, run
 
 EXACT_REMAINDER_FLOOR = 1e-10
 
 
-class FrameDegeneracyError(RuntimeError):
+class FrameDegeneracyError(SolverError):
     """QR rank loss while propagating a tangent frame."""
 
 

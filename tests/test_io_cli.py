@@ -4,6 +4,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,38 @@ class TestMain:
         assert main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert message in (out / "report.txt").read_text()
+
+    def test_cli_frame_rank_loss_returns_2(self, tmp_path, capsys):
+        # 30 directions swept once per 50 steps: the weakest stretch factors
+        # fall more than 14 decades below the leading one before the first sweep
+        cfg_path = tmp_path / "trace.cfg"
+        cfg_path.write_text(OONO_CFG.replace("solver.record_every = 5", "solver.record_every = 50")
+                            + "trace.ortho_every = 50\ntrace.n_max = 30\ntrace.t = 2\n"
+                            "trace.samples = 1\n")
+        out = tmp_path / "o"
+        assert main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = (out / "report.txt").read_text()
+        assert "aborted: tangent frame lost rank" in report
+        assert "tighten ortho_every" in report
+
+    @pytest.mark.parametrize("t_end,kept", [(0.02, 2), (0.01, 1)], ids=["two_dt", "one_dt"])
+    def test_cli_pair_too_short_to_judge_linearity_returns_2(self, tmp_path, capsys,
+                                                             t_end, kept):
+        # two distances fit a line exactly, and one makes the fit singular
+        cfg_path = tmp_path / "pair.cfg"
+        cfg_path.write_text(OONO_CFG.replace("grid.n = 64", "grid.n = 16")
+                            .replace("solver.t_end = 2.0", f"solver.t_end = {t_end}")
+                            .replace("solver.record_every = 5", "solver.record_every = 1")
+                            + INIT2)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pair", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = (out / "report.txt").read_text()
+        assert f"aborted: {kept} recorded distances after the first quarter" in report
+        assert "solver.t_end" in report and "solver.record_every" in report
 
     def test_cli_negative_random_seeds_returns_2(self, tmp_path, capsys):
         # parse_config rejects it, before any output exists

@@ -13,6 +13,7 @@ from scipy.special import xlogy
 from nlch.grid import build_grid
 from nlch.kernels import assemble_kernel, gaussian_kernel, zero_kernel
 from nlch.model import (
+    F_PRIME_GUARD,
     balanced_cubic_reaction,
     bertozzi_reaction,
     chemical_potential,
@@ -68,16 +69,10 @@ class TestFPrime:
         assert f_prime(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_clamp_contract_at_zero(self):
-        got = f_prime(0.0, guard=1e-12)
-        want = math.log(1e-12 / (1.0 - 1e-12))
+        got = f_prime(0.0)
+        want = math.log(F_PRIME_GUARD / (1.0 - F_PRIME_GUARD))
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(-27.631, abs=1e-3)
-
-    def test_guard_validation(self):
-        with pytest.raises(ValueError, match="guard"):
-            f_prime(0.5, guard=1e-3)
-        with pytest.raises(ValueError, match="guard"):
-            f_prime(0.5, guard=0.0)
 
     def test_potential_continuous_extension(self):
         assert potential(0.0) == 0.0
@@ -100,9 +95,8 @@ class TestChemicalPotential:
 
     def test_pure_phase_is_guarded(self, grid):
         op = assemble_kernel(gaussian_kernel(1.0, 0.1), grid)
-        guard = 1e-12
-        v = chemical_potential(np.zeros(grid.num_nodes), op, guard)
-        bound = f_prime(guard, guard) + op.kbar
+        v = chemical_potential(np.zeros(grid.num_nodes), op)
+        bound = f_prime(F_PRIME_GUARD) + op.kbar
         assert np.all(v <= bound + 1e-12)
         assert np.all(np.isfinite(v))
 
