@@ -123,8 +123,10 @@ class KernelOp:
     ``generator`` holds g[d] = K(|d| h) h^dim on the (2n-1)^dim index
     offsets, with offset 0 at index n - 1 on every axis, and ``kbar`` the
     row sums of the operator (the discrete k-bar function).  The dense
-    matrix ``weights`` and the operator-norm constants ``r2_est`` /
-    ``rinf_est`` / ``k2_sup`` are computed on first use and cached.
+    matrix ``weights`` and the operator-norm constants ``r2_est`` (the
+    L2 -> H1 norm, an eigenvalue solve), ``rinf_est`` and ``k2_sup`` (row
+    sums of the generator) are computed on first use and cached.  The
+    constants are those of the discrete W, to round-off, not estimates.
     """
 
     grid: Grid
@@ -177,8 +179,31 @@ class KernelOp:
 
     @cached_property
     def r2_est(self) -> float:
-        """Power-iteration estimate of the L2 -> H1 operator norm."""
-        return _power_iteration_l2_h1(self)
+        """The L2 -> H1 operator norm of rho -> K*rho, to round-off.
+
+        Its square is the largest eigenvalue of B = W (I - Lap) W (W is
+        symmetric), since the discrete H1 norm of v = W rho is
+        <v, v> + <-Lap v, v> by exact summation by parts.  One ARPACK
+        Lanczos solve (``eigsh``) applies B matrix-free through ``convolve``.
+        It starts from a fixed random vector: B commutes with the box's
+        reflections, so a symmetric start such as all-ones would never see the
+        odd eigenvectors, which can carry the top eigenvalue.
+        """
+        # ARPACK raises on the zero operator
+        if not self.generator.any():
+            return 0.0
+        # imported here: at module level it would add ~9 MB to every process
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        def apply_b(x: np.ndarray) -> np.ndarray:
+            v = self.convolve(x)
+            return self.convolve(v - laplacian_neumann(self.grid, v))
+
+        size = self.grid.num_nodes
+        b = LinearOperator((size, size), matvec=apply_b, dtype=float)
+        start = np.random.default_rng(12345).standard_normal(size)
+        (lam,) = eigsh(b, k=1, which="LA", v0=start, return_eigenvectors=False)
+        return math.sqrt(lam)
 
     @cached_property
     def rinf_est(self) -> float:
@@ -223,36 +248,6 @@ def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
     return KernelOp(grid=grid, spec=spec, generator=g, kbar=kbar)
 
 
-def _power_iteration_l2_h1(op: KernelOp, max_iter: int = 300, tol: float = 1e-12) -> float:
-    """Operator norm of rho -> K*rho as a map L2 -> H1.
-
-    Power iteration on B = W (I - Lap) W (W is symmetric); the discrete H1
-    norm of v = W rho is  <v, v> + <-Lap v, v>  by exact summation by parts.
-    The product B x of one sweep's Rayleigh quotient is the next sweep's
-    power step, so each sweep costs two applies.
-    """
-    grid = op.grid
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(grid.num_nodes)
-    x /= np.linalg.norm(x)
-    v = op.convolve(x)
-    bx = op.convolve(v - laplacian_neumann(grid, v))
-    lam_old = 0.0
-    for _ in range(max_iter):
-        nrm = np.linalg.norm(bx)
-        if nrm == 0.0:
-            return 0.0
-        x = bx / nrm
-        v = op.convolve(x)
-        bx = op.convolve(v - laplacian_neumann(grid, v))
-        lam = float(x @ bx)
-        converged = abs(lam - lam_old) <= tol * max(abs(lam), 1e-300)
-        lam_old = lam
-        if converged:
-            break
-    return math.sqrt(max(lam_old, 0.0))
-
-
 def _gradient_row_sums(op: KernelOp) -> np.ndarray:
     """sum_j (|W[i,j]| + |grad_x W[i,j]|) for every node i, without forming W.
 
@@ -282,12 +277,13 @@ def _gradient_row_sums(op: KernelOp) -> np.ndarray:
 
 
 def kernel_constants(op: KernelOp) -> tuple[float, float, float]:
-    """Numerical estimates of the operator-norm constants.
+    """The operator-norm constants of the discrete operator W.
 
     Returns (r2_est, rinf_est, k2_sup):
       k2_sup  = max_i sum_j |W[i,j]|            (the L-infinity row-sum bound)
-      r2_est  = power-iteration estimate of the L2 -> H1 operator norm
+      r2_est  = the L2 -> H1 operator norm, from one ARPACK eigenvalue solve
       rinf_est = max_i sum_j (|W[i,j]| + |grad_x W[i,j]|), with the gradient
-                 of each indicator-probe response taken node-centered.
+                 taken along the rows as np.gradient does, summed from the
+                 generator by ``_gradient_row_sums``.
     """
     return op.r2_est, op.rinf_est, op.k2_sup

@@ -5,16 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nlch.equilibrium import _rhs
 from nlch.grid import (build_grid, div_flux, h1_seminorm, inner, l2_norm, laplacian_neumann,
                        neumann_mode)
 from nlch.kernels import (
     DENSE_MAX_NODES,
     assemble_kernel,
     gaussian_kernel,
+    mollifier_kernel,
     newton_kernel,
     zero_kernel,
 )
-from nlch.model import logistic_reaction, mobility, oono_reaction, zero_reaction
+from nlch.model import (balanced_cubic_reaction, logistic_reaction, mobility, oono_reaction,
+                        zero_reaction)
 from nlch.solvers import SpdNeumannSolver
 from nlch.tangent import (
     DimensionScan,
@@ -86,6 +89,43 @@ class TestTangentStep:
         w = null_op.convolve(1 - 2 * u)
         tangent = tangent_step(U, u, w, spec, null_op, cfg)
         assert np.allclose(s2.u - s1.u, tangent, atol=1e-11)
+
+
+DERIVATIVE_KERNELS = {
+    "1d-n64-gaussian": (1, 64, gaussian_kernel(20.0, 0.05)),
+    "1d-n64-mollifier": (1, 64, mollifier_kernel(1.0, 0.25)),
+    "2d-n16-newton": (2, 16, newton_kernel(0.1)),
+    "2d-n16-gaussian": (2, 16, gaussian_kernel(1.0, 0.1)),
+}
+DERIVATIVE_REACTIONS = {
+    "oono": lambda g: oono_reaction(g, 1.0),
+    "logistic": lambda g: logistic_reaction(g, 1.0),
+    "balanced_cubic": lambda g: balanced_cubic_reaction(g, 1.0),
+    "none": zero_reaction,
+}
+
+
+class TestTangentIsTheDerivative:
+    @pytest.mark.parametrize("reaction", list(DERIVATIVE_REACTIONS))
+    @pytest.mark.parametrize("kernel", list(DERIVATIVE_KERNELS))
+    def test_tangent_terms_match_central_differences_of_the_rhs(self, kernel, reaction):
+        """The tangent right-hand side is the derivative of the equilibrium
+        right-hand side div(mu(u) grad K*(1 - 2u)) + g(u); with u inside
+        [0.2, 0.8] no clamp is active, so central differences agree to
+        O(eps^2) plus round-off."""
+        dim, n, kernel_spec = DERIVATIVE_KERNELS[kernel]
+        g = build_grid(dim, n, 1.0)
+        op = assemble_kernel(kernel_spec, g)
+        spec = DERIVATIVE_REACTIONS[reaction](g)
+        rng = np.random.default_rng(11)
+        u = rng.uniform(0.2, 0.8, g.num_nodes)
+        U = rng.standard_normal((g.num_nodes, 3))
+        eps = 1e-5
+        want = np.column_stack([(_rhs(u + eps * U[:, j], spec, op)
+                                 - _rhs(u - eps * U[:, j], spec, op)) / (2.0 * eps)
+                                for j in range(3)])
+        got = _tangent_rhs_terms(U, u, op.convolve(1.0 - 2.0 * u), spec, op)
+        assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 class TestPropagatedMap:
