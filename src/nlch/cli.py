@@ -118,7 +118,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "output.snapshot_every": (_count, 0),
     "equilibrium.seed_values": (_floats, ()),
     "equilibrium.random_seeds": (_count, 0),
-    "equilibrium.max_iter": (_int, 10000),
     "remainder.eps_list": (_floats, (1e-2, 3e-3, 1e-3, 3e-4)),
     "remainder.t": (float, 0.5),
     "remainder.mode": (_int, 1),
@@ -415,7 +414,7 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
              + [_random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k)
                 for k in range(cfg["equilibrium.random_seeds"])]) or [scen.u0]
 
-    results = multistart_equilibria(seeds, scen.spec, scen.op, cfg["equilibrium.max_iter"])
+    results = multistart_equilibria(seeds, scen.spec, scen.op)
     report.add(f"seeds = {len(seeds)}, distinct converged equilibria = {len(results)}")
     report.check("some seed converged", bool(results),
                  f"{len(results)} distinct converged equilibria from {len(seeds)} seeds")

@@ -1,10 +1,10 @@
 """
-Long-time observables: mass, separation, norms, nonlocal energy,
+Long-time observables: mass, phase bounds, norms, nonlocal energy,
 mass-balance residuals, and exponential-rate fits.
 
-The energy is a monitor, not a certified Lyapunov functional: with a
-reaction term the dynamics has no known decaying functional, so no
-monotonicity is asserted unless g == 0.
+The energy is the flow's Lyapunov functional when g == 0.  With a
+reaction term the dynamics has no known decaying functional, so there the
+energy is a monitor and no monotonicity is asserted.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ from .model import potential
 def mass(u: np.ndarray) -> float:
     """Spatial mean of u (uniform node weights; midpoint rule)."""
     return float(mean(u))
-
-
-def separation(u: np.ndarray) -> tuple[float, float]:
-    """Distances (k1, k2) = (min u, 1 - max u) from the pure phases."""
-    return float(np.minimum.reduce(u, axis=None)), 1.0 - float(np.maximum.reduce(u, axis=None))
 
 
 def energy(u: np.ndarray, op) -> float:
@@ -72,9 +67,8 @@ class TrajectoryRecord:
                ref: np.ndarray | None) -> None:
         self.times.append(float(t))
         self.mass.append(mass(u))
-        k1, k2 = separation(u)
-        self.min_u.append(k1)
-        self.max_u.append(1.0 - k2)
+        self.min_u.append(float(np.minimum.reduce(u, axis=None)))
+        self.max_u.append(float(np.maximum.reduce(u, axis=None)))
         self.l2_norm.append(l2_norm(self.grid, u))
         self.h1_seminorm.append(h1_seminorm(self.grid, u))
         self.energy.append(energy(u, op))

@@ -50,19 +50,25 @@ DAMPING = 0.5
 RESIDUAL_TOL = 1e-9
 # converged limits closer than this in L2 are one equilibrium
 DEDUP_TOL = 1e-6
+# steps after which a solve that has not converged stops, flagged
+MAX_SWEEPS = 10000
 
 
 @dataclass
 class EquilibriumResult:
     u: np.ndarray
     residual: float
-    converged: bool
     iterations: int
     mass_defect: float = 0.0
 
     @property
+    def converged(self) -> bool:
+        """The residual the solve stopped on is below RESIDUAL_TOL."""
+        return self.residual < RESIDUAL_TOL
+
+    @property
     def certified(self) -> bool:
-        """Converged, so the residual is below RESIDUAL_TOL."""
+        """The same as converged: that residual certifies the limit."""
         return self.converged
 
 
@@ -107,14 +113,14 @@ class _AndersonHistory:
             F = np.stack(self.df, axis=1)
             gram = F.T @ F
             # the Cholesky diagonal of the unit-diagonal Gram matrix holds
-            # each column's sine to the span of the older ones
+            # each column's sine to the span of the older ones; a Gram matrix
+            # that passes this test can still be too ill-conditioned to solve
             try:
-                independent = np.linalg.cholesky(gram).diagonal().min() > ANDERSON_SIN_TOL
+                if np.linalg.cholesky(gram).diagonal().min() > ANDERSON_SIN_TOL:
+                    u = g - np.stack(self.dg, axis=1) @ np.linalg.solve(gram, F.T @ f)
+                    return np.clip(u, 0.0, 1.0, out=u)
             except np.linalg.LinAlgError:
-                independent = False
-            if independent:
-                u = g - np.stack(self.dg, axis=1) @ np.linalg.solve(gram, F.T @ f)
-                return np.clip(u, 0.0, 1.0, out=u)
+                pass
             del self.dg[0], self.df[0]
         return g
 
@@ -131,21 +137,20 @@ def equilibrium_residual(u: np.ndarray, spec: ReactionSpec, op: KernelOp) -> flo
     return l2_norm(grid, r)
 
 
-def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
-                      max_iter: int = 10000) -> EquilibriumResult:
+def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp) -> EquilibriumResult:
     """Damped Picard iteration at the shift rho + EQ_SHIFT with Anderson
     mixing; its first step is the plain damped step.
 
     Each sweep evaluates the right-hand side at the current iterate once.
     The iterate's strong-form residual comes from it, and the solve
     converges on the first iterate whose residual is below RESIDUAL_TOL;
-    otherwise the same right-hand side makes the next mixed step.
-    Non-convergence within max_iter sweeps is a flagged outcome, not an
-    error: the underlying existence proof is a compactness argument and
-    does not claim the iteration converges.
+    otherwise the same right-hand side makes the next mixed step.  After
+    MAX_SWEEPS steps the solve stops on the last iterate's residual, so
+    ``iterations`` counts the residuals taken, one kernel apply each.
+    Non-convergence is a flagged outcome, not an error: the underlying
+    existence proof is a compactness argument and does not claim the
+    iteration converges.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     grid = op.grid
     shift = spec.lipschitz_s + EQ_SHIFT
     u = check_field(grid, u_init)
@@ -154,31 +159,25 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp,
                          f"values in [{np.min(u):.6g}, {np.max(u):.6g}]")
     solver = neumann_solver(grid, shift, 1.0)
     mixer = _AndersonHistory()
-    converged = False
-    for sweeps in range(1, max_iter + 1):
+    for sweeps in range(1, MAX_SWEEPS + 2):
         rhs = _rhs(u, spec, op)
         # equilibrium_residual(u) bit for bit: negating both terms is exact
         resid = l2_norm(grid, laplacian_neumann(grid, u) + rhs)
-        if resid < RESIDUAL_TOL:
-            converged = True
+        if resid < RESIDUAL_TOL or sweeps > MAX_SWEEPS:
             break
         g = (1.0 - DAMPING) * u + DAMPING * solver.solve(rhs + shift * u)
         np.clip(g, 0.0, 1.0, out=g)
         u = mixer.mix(g, g - u)
-    else:
-        resid = equilibrium_residual(u, spec, op)
 
     return EquilibriumResult(
         u=u,
         residual=resid,
-        converged=converged,
         iterations=sweeps,
         mass_defect=abs(float(mean(reaction_eval(spec, u)))),
     )
 
 
-def multistart_equilibria(seeds, spec: ReactionSpec, op: KernelOp,
-                          max_iter: int = 10000) -> list[EquilibriumResult]:
+def multistart_equilibria(seeds, spec: ReactionSpec, op: KernelOp) -> list[EquilibriumResult]:
     """Solve from every seed and deduplicate converged limits.
 
     Uniqueness of equilibria is not guaranteed in general, so the full list
@@ -188,7 +187,7 @@ def multistart_equilibria(seeds, spec: ReactionSpec, op: KernelOp,
     grid = op.grid
     found: list[EquilibriumResult] = []
     for seed in seeds:
-        res = solve_equilibrium(seed, spec, op, max_iter)
+        res = solve_equilibrium(seed, spec, op)
         if not res.converged:
             continue
         if any(l2_norm(grid, res.u - other.u) <= DEDUP_TOL for other in found):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from nlch.diagnostics import (
+    TrajectoryRecord,
     energy,
     fit_exponential_rate,
     linear_fit_residual_fraction,
     mass,
     mass_balance_residual,
-    separation,
 )
 from nlch.grid import build_grid
 from nlch.kernels import assemble_kernel, gaussian_kernel
@@ -44,14 +44,21 @@ class TestMass:
         assert mass(u) == pytest.approx(0.5, abs=1e-12)
 
 
-class TestSeparation:
-    def test_interior_band(self):
-        u = np.array([0.2, 0.4, 0.7])
-        assert separation(u) == (pytest.approx(0.2), pytest.approx(0.3))
+class TestTrajectoryRecord:
+    def test_max_u_is_recorded_as_read(self, grid, op):
+        """max u is stored as it is, not as 1 - (1 - max u), which rounds it."""
+        rec = TrajectoryRecord(grid, 0.01)
+        rec.sample(0.0, np.linspace(0.1, 0.3, grid.num_nodes), op, 0, None)
+        assert rec.min_u == [0.1] and rec.max_u == [0.3]
 
-    def test_pure_phases(self):
-        assert separation(np.zeros(5)) == (0.0, 1.0)
-        assert separation(np.ones(5)) == (1.0, 0.0)
+    def test_decayed_max_u_is_not_rounded_to_zero(self, grid):
+        """An Oono decay ends near 1e-18, far below the spacing of 1 - max u."""
+        op = assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
+        u0 = np.random.default_rng(7).uniform(0.2, 0.8, grid.num_nodes)
+        state, rec = run(u0, oono_reaction(grid, 1.0), op,
+                         SolverConfig(dt=0.01, t_end=40.0, record_every=4000))
+        assert 0.0 < rec.max_u[-1] == np.max(state.u) < 1e-16
+        assert rec.min_u[-1] == np.min(state.u)
 
 
 class TestEnergy:

@@ -45,7 +45,7 @@ def const(grid, c):
 PICARD_TOL = 1e-10
 
 
-def _oracle_solve(u_init, spec, op, max_iter=10000):
+def _oracle_solve(u_init, spec, op, max_sweeps=10000):
     """The plain damped Picard loop at the shift of solve_equilibrium, with
     its own stop rule: a residual check once the plain step is below
     PICARD_TOL, and a flag when such a check falls by less than 1%; returns
@@ -58,7 +58,7 @@ def _oracle_solve(u_init, spec, op, max_iter=10000):
     converged = False
     stall_residual = np.inf
     iters = 0
-    for _ in range(max_iter):
+    for _ in range(max_sweeps):
         iters += 1
         gamma = solver.solve(_rhs(u, spec, op) + shift * u)
         u_next = (1.0 - theta) * u + theta * gamma
@@ -74,15 +74,6 @@ def _oracle_solve(u_init, spec, op, max_iter=10000):
                 break       # step converged but residual stalled: flag
             stall_residual = resid
     return u, converged, iters
-
-
-class TestConfig:
-    def test_max_iter_positive(self, grid, op):
-        spec, seed = zero_reaction(grid), const(grid, 0.5)
-        with pytest.raises(ValueError, match="max_iter"):
-            solve_equilibrium(seed, spec, op, max_iter=0)
-        with pytest.raises(ValueError, match="max_iter"):
-            multistart_equilibria([seed], spec, op, max_iter=0)
 
 
 class TestResidual:
@@ -141,23 +132,28 @@ class TestSolve:
         state, _ = run(u0, spec, op, SolverConfig(dt=0.01, t_end=25.0, record_every=100))
         assert l2_norm(grid, state.u - res.u) < 1e-8
 
-    def test_non_convergence_is_flagged(self, grid, op):
+    def test_non_convergence_is_flagged(self, grid, op, monkeypatch):
+        monkeypatch.setattr("nlch.equilibrium.MAX_SWEEPS", 2)
         spec = bertozzi_reaction(grid, 5.0, 0.6)
         rng = np.random.default_rng(3)
-        res = solve_equilibrium(rng.uniform(0, 1, grid.num_nodes), spec, op, max_iter=2)
+        res = solve_equilibrium(rng.uniform(0, 1, grid.num_nodes), spec, op)
         assert not res.converged
         assert not res.certified
+        # two steps, then the residual of the last iterate
+        assert res.iterations == 3
+        assert res.residual == equilibrium_residual(res.u, spec, op) >= RESIDUAL_TOL
 
     def test_mass_defect_reported(self, grid, op):
         res = solve_equilibrium(const(grid, 0.5), zero_reaction(grid), op)
         assert res.mass_defect == 0.0
 
-    @pytest.mark.parametrize("name,max_iter", [("oono", 10000), ("balanced_cubic", 10000),
-                                               ("bertozzi", 2)])
-    def test_one_kernel_apply_per_sweep(self, grid, op, monkeypatch, name, max_iter):
+    @pytest.mark.parametrize("name,max_sweeps", [("oono", 10000), ("balanced_cubic", 10000),
+                                                 ("bertozzi", 2)])
+    def test_one_kernel_apply_per_sweep(self, grid, op, monkeypatch, name, max_sweeps):
         """A sweep's residual check and step share one right-hand side: one
-        kernel apply per sweep, and one more for the residual of a solve that
-        runs out of sweeps."""
+        kernel apply per iteration, whether the solve converges or runs out
+        of sweeps."""
+        monkeypatch.setattr("nlch.equilibrium.MAX_SWEEPS", max_sweeps)
         calls = 0
         convolve = KernelOp.convolve
 
@@ -169,9 +165,9 @@ class TestSolve:
         monkeypatch.setattr(KernelOp, "convolve", counted)
         spec = REACTIONS[name](grid)
         seed = np.random.default_rng(4).uniform(0.1, 0.9, grid.num_nodes)
-        res = solve_equilibrium(seed, spec, op, max_iter=max_iter)
-        assert res.converged == (max_iter > 2)
-        assert calls == res.iterations + (not res.converged), (calls, res.iterations)
+        res = solve_equilibrium(seed, spec, op)
+        assert res.converged == (max_sweeps > 2) == (res.residual < RESIDUAL_TOL)
+        assert calls == res.iterations, (calls, res.iterations)
         assert res.residual == equilibrium_residual(res.u, spec, op)
 
 
@@ -279,16 +275,18 @@ class TestAndersonMixing:
                 oracle_sweeps += oracle_iters
         assert 2 * sweeps <= oracle_sweeps, (name, sweeps, oracle_sweeps)
 
-    def test_first_sweep_of_each_stage_is_plain(self, grid, op):
+    def test_first_sweep_of_each_stage_is_plain(self, grid, op, monkeypatch):
         """The history starts empty: with one sweep the solve is the plain
         iteration, bit for bit."""
+        monkeypatch.setattr("nlch.equilibrium.MAX_SWEEPS", 1)
         seed = np.random.default_rng(7).uniform(0.1, 0.9, grid.num_nodes)
         for make in REACTIONS.values():
             spec = make(grid)
-            u_oracle, _, _ = _oracle_solve(seed, spec, op, max_iter=1)
-            res = solve_equilibrium(seed, spec, op, max_iter=1)
+            u_oracle, _, _ = _oracle_solve(seed, spec, op, max_sweeps=1)
+            res = solve_equilibrium(seed, spec, op)
             assert np.array_equal(res.u, u_oracle)
-            assert res.iterations == 1
+            # one step, then the residual of its iterate
+            assert res.iterations == 2
 
     def test_mixed_iterate_is_clamped(self, grid):
         """The secant through two residuals extrapolates to 1.15: clamped to 1."""
@@ -328,6 +326,39 @@ class TestAndersonMixing:
                 u = hist.mix(np.clip(0.5 + 0.1 * f, 0.0, 1.0), 0.01 * f)
         assert len(hist.df) == 2
         assert np.isfinite(u).all() and np.min(u) >= 0.0 and np.max(u) <= 1.0
+
+    def test_failed_solve_drops_the_oldest_column(self, grid, monkeypatch):
+        """A Gram matrix that passes the independence test but cannot be
+        solved costs its oldest column, as a failed test does."""
+        rng = np.random.default_rng(8)
+        hist = _AndersonHistory()
+        for _ in range(4):
+            hist.mix(rng.uniform(0, 1, grid.num_nodes), rng.standard_normal(grid.num_nodes))
+        assert len(hist.df) == 3
+        solve, failed = np.linalg.solve, []
+
+        def solve_once_fails(a, b):
+            if not failed:
+                failed.append(a.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_once_fails)
+        u = hist.mix(rng.uniform(0, 1, grid.num_nodes), rng.standard_normal(grid.num_nodes))
+        # four columns before the failure, three after
+        assert failed == [(4, 4)] and len(hist.df) == len(hist.dg) == 3
+        assert np.isfinite(u).all() and np.min(u) >= 0.0 and np.max(u) <= 1.0
+
+    def test_spinodal_seed_returns(self, grid, monkeypatch):
+        """This seed's Gram matrix passes the independence test at condition
+        about 3e16, where the solve of the fit fails; the solve goes on."""
+        monkeypatch.setattr("nlch.equilibrium.MAX_SWEEPS", 200)
+        op = assemble_kernel(gaussian_kernel(80.0, 0.05), grid)
+        spec = balanced_cubic_reaction(grid, 1.0)
+        seed = np.random.default_rng(100).uniform(0.05, 0.95, grid.num_nodes)
+        res = solve_equilibrium(seed, spec, op)
+        assert np.isfinite(res.u).all() and np.min(res.u) >= 0.0 and np.max(res.u) <= 1.0
+        assert res.residual == equilibrium_residual(res.u, spec, op)
 
     def test_history_depth_is_bounded(self, grid):
         rng = np.random.default_rng(6)

@@ -641,21 +641,35 @@ class TestMain:
         with pytest.raises(ValueError, match=re.escape(f"unknown {key}: 'bogus'")):
             parse_config(f"{key} = bogus")
 
-    def test_cli_equilibrium_without_converged_seed_returns_1(self, tmp_path):
+    def test_cli_equilibrium_without_converged_seed_returns_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("nlch.equilibrium.MAX_SWEEPS", 1)
         cfg_path = tmp_path / "eq.cfg"
-        cfg_path.write_text(EQ_CFG.replace("seed_values = 0,0.5,1", "seed_values = 0.3")
-                            + "equilibrium.max_iter = 1\n")
+        cfg_path.write_text(EQ_CFG.replace("seed_values = 0,0.5,1", "seed_values = 0.3"))
         out = tmp_path / "o"
         assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 1
         report = (out / "report.txt").read_text()
         assert "distinct converged equilibria = 0" in report
         assert "[FAIL] some seed converged" in report
 
+    def test_cli_equilibrium_spinodal_seeds_keep_every_limit(self, tmp_path):
+        """A random seed whose Anderson fit cannot be solved does not abort the
+        run: the three constants and the seeds' limit are all reported."""
+        cfg_path = tmp_path / "eq.cfg"
+        cfg_path.write_text(EQ_CFG.replace("kernel.c = 0.05", "kernel.c = 80")
+                            + "init.kind = random\ninit.lo = 0.05\ninit.hi = 0.95\n"
+                            "init.seed = 99\nequilibrium.random_seeds = 2\n")
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "aborted" not in report
+        assert "distinct converged equilibria = 4" in report
+
     def test_removed_solver_keys_are_unknown(self):
         for key in ("solver.cg_tol", "solver.cg_max_iter", "solver.bound_tol",
                     "solver.clamp_policy", "equilibrium.eps_schedule", "command.kind",
                     "equilibrium.damping", "equilibrium.picard_tol",
-                    "equilibrium.residual_tol", "equilibrium.dedup_tol"):
+                    "equilibrium.residual_tol", "equilibrium.dedup_tol",
+                    "equilibrium.max_iter"):
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 parse_config(f"{key} = 1")
 
@@ -680,14 +694,13 @@ FUZZ_BASE = {
     "reaction.preset": "oono", "reaction.sigma": "1.0",
     "solver.dt": "0.05", "solver.t_end": "0.2", "solver.record_every": "1",
     "init.kind": "random", "init.seed": "3", "init2.kind": "cosine",
-    "equilibrium.seed_values": "0.3", "equilibrium.max_iter": "20",
+    "equilibrium.seed_values": "0.3",
     "remainder.t": "0.1", "remainder.eps_list": "1e-2,1e-3",
     "trace.n_max": "2", "trace.t": "0.2", "trace.transient": "0.05", "trace.samples": "1",
 }
-# grid.n and equilibrium.max_iter keep their small values: their defaults
-# (256 nodes, 10000 sweeps) make single examples take seconds
-_FUZZ_KEYS = sorted(k for k in parse_config("").values
-                    if k not in ("grid.n", "equilibrium.max_iter"))
+# grid.n keeps its small value and the solve its cap of 20 sweeps: their
+# defaults (256 nodes, 10000 sweeps) make single examples take seconds
+_FUZZ_KEYS = sorted(k for k in parse_config("").values if k != "grid.n")
 # bounded values only: a tiny dt or a huge t_end would ask for 1e300 steps
 _FUZZ_VALUES = ["0", "1", "2", "3", "-1", "8", "16", "0.5", "0.05", "1e-3", "-0.1", "1.5",
                 "nan", "inf", "-inf", "", "abc", "0,0.5,1", "1,0", "1e-2,-1"] + \
@@ -696,8 +709,7 @@ _FUZZ_VALUES = ["0", "1", "2", "3", "-1", "8", "16", "0.5", "0.05", "1e-3", "-0.
 _mutations = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(_FUZZ_KEYS + ["grid.m", "solver", "x.y"]),
               st.sampled_from(_FUZZ_VALUES)),
-    st.tuples(st.just("drop"), st.sampled_from(sorted(set(FUZZ_BASE) - {"grid.n",
-                                                                        "equilibrium.max_iter"})),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(set(FUZZ_BASE) - {"grid.n"})),
               st.just("")),
     st.tuples(st.just("line"), st.sampled_from(["garbage", "= 1", "grid.n", "#only"]),
               st.just("")),
@@ -720,5 +732,8 @@ class TestConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "fuzz.cfg"
             cfg_path.write_text(text)
-            status = main([command, "--config", str(cfg_path), "--out", str(Path(tmp) / "o")])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("nlch.equilibrium.MAX_SWEEPS", 20)
+                status = main([command, "--config", str(cfg_path),
+                               "--out", str(Path(tmp) / "o")])
         assert status in (0, 1, 2)

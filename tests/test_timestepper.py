@@ -415,9 +415,8 @@ def _oracle_energy(u, op):
 def _oracle_sample(rec, t, u, op, clamp_events, ref):
     rec.times.append(float(t))
     rec.mass.append(float(np.mean(u)))
-    k1, k2 = float(np.min(u)), 1.0 - float(np.max(u))
-    rec.min_u.append(k1)
-    rec.max_u.append(1.0 - k2)
+    rec.min_u.append(float(np.min(u)))
+    rec.max_u.append(float(np.max(u)))
     rec.l2_norm.append(_oracle_l2_norm(rec.grid, u))
     rec.h1_seminorm.append(_oracle_h1_seminorm(rec.grid, u))
     rec.energy.append(_oracle_energy(u, op))
