@@ -12,6 +12,7 @@ from .diagnostics import (
     fit_exponential_rate,
     mass,
     mass_balance_residual,
+    separation,
 )
 from .equilibrium import (
     EquilibriumResult,

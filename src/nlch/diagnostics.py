@@ -1,5 +1,5 @@
 """
-Long-time observables: mass, phase bounds, norms, nonlocal energy,
+Long-time observables: mass, separation, norms, nonlocal energy,
 mass-balance residuals, and exponential-rate fits.
 
 The energy is the flow's Lyapunov functional when g == 0.  With a
@@ -20,6 +20,11 @@ from .model import potential
 def mass(u: np.ndarray) -> float:
     """Spatial mean of u (uniform node weights; midpoint rule)."""
     return float(mean(u))
+
+
+def separation(u: np.ndarray) -> tuple[float, float]:
+    """Distances (k1, k2) = (min u, 1 - max u) from the pure phases."""
+    return float(np.minimum.reduce(u, axis=None)), 1.0 - float(np.maximum.reduce(u, axis=None))
 
 
 def energy(u: np.ndarray, op) -> float:

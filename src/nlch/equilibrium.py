@@ -80,7 +80,7 @@ def _rhs(z: np.ndarray, spec: ReactionSpec, op: KernelOp) -> np.ndarray:
 # Anderson mixing keeps the differences of the last ANDERSON_DEPTH map values;
 # a column whose direction lies within sine ANDERSON_SIN_TOL of the span of
 # the older ones makes the least-squares fit ill-posed, and the oldest column
-# is dropped until none does
+# is dropped until none does and the fit's Gram system solves
 ANDERSON_DEPTH = 5
 ANDERSON_SIN_TOL = 1e-7
 
@@ -113,8 +113,7 @@ class _AndersonHistory:
             F = np.stack(self.df, axis=1)
             gram = F.T @ F
             # the Cholesky diagonal of the unit-diagonal Gram matrix holds
-            # each column's sine to the span of the older ones; a Gram matrix
-            # that passes this test can still be too ill-conditioned to solve
+            # each column's sine to the span of the older ones
             try:
                 if np.linalg.cholesky(gram).diagonal().min() > ANDERSON_SIN_TOL:
                     u = g - np.stack(self.dg, axis=1) @ np.linalg.solve(gram, F.T @ f)

@@ -12,6 +12,7 @@ from nlch.diagnostics import (
     linear_fit_residual_fraction,
     mass,
     mass_balance_residual,
+    separation,
 )
 from nlch.grid import build_grid
 from nlch.kernels import assemble_kernel, gaussian_kernel
@@ -42,6 +43,16 @@ class TestMass:
         # midpoint rule integrates linears exactly
         u = grid.axis_coords() / grid.length
         assert mass(u) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestSeparation:
+    def test_interior_band(self):
+        u = np.array([0.2, 0.4, 0.7])
+        assert separation(u) == (pytest.approx(0.2), pytest.approx(0.3))
+
+    def test_pure_phases(self):
+        assert separation(np.zeros(5)) == (0.0, 1.0)
+        assert separation(np.ones(5)) == (1.0, 0.0)
 
 
 class TestTrajectoryRecord:
