@@ -2,11 +2,12 @@
 The three interaction-kernel families and their discrete operators.
 
 Every kernel becomes a symmetric operator W[i,j] = K(|x_i - x_j|) h^dim,
-stored by its Toeplitz generator and applied by a matrix-vector product on
-small grids or a zero-padded FFT on large ones.  Alongside each operator we
-estimate the constants that the convergence thresholds depend on: the
-row-sum bound (k2_sup), the L2 -> H1 operator norm (r2), and the worst-row
-gradient bound (rinf).
+stored by its Toeplitz generator.  A 2D gaussian is applied by two
+products with its n x n Toeplitz factor, every other operator by a
+matrix-vector product on small grids or a zero-padded FFT on large ones.
+Alongside each operator we estimate the constants that the convergence
+thresholds depend on: the row-sum bound (k2_sup), the L2 -> H1 operator
+norm (r2), and the worst-row gradient bound (rinf).
 """
 
 import numpy as np

@@ -1,6 +1,7 @@
 """
-A 2D run at desk scale: 64 x 64 cells, a matrix-free kernel operator
-applied by zero-padded FFTs, snapshots in the portable NLCH binary format.
+A 2D run at desk scale: 64 x 64 cells, a matrix-free Gaussian kernel
+operator applied as two 64 x 64 products with its Toeplitz factor,
+snapshots in the portable NLCH binary format.
 
 The same guarantees hold as in 1D: bounds, exact mass balance, and a
 monotone energy when the reaction is switched off.  Writes the final field

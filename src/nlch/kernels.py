@@ -5,15 +5,20 @@ The midpoint-quadrature matrix W[i, j] = K(|x_i - x_j|) h^dim of a uniform
 grid depends only on the index offset i - j: it is Toeplitz in 1D and block
 Toeplitz with Toeplitz blocks in 2D.  The operator is therefore stored as
 its generator g[d] = K(|d| h) h^dim on the (2n-1)^dim offsets d; the N x N
-matrix is gathered from it only on demand.  ``convolve`` applies the
-operator by a matrix-vector product on small grids and, above
-``DENSE_MAX_NODES``, by circulant embedding: zero padding to 2n per axis
-and one real FFT pair, which reproduces the box sums exactly rather than a
-periodic convolution (Chan & Jin, An Introduction to Iterative Toeplitz
-Solvers, SIAM 2007).  An (N, m) block of fields takes the same paths: one
-matrix-matrix product, or one FFT pair batched over the columns.  The
-kernel is evaluated on |d|, so g[d] and g[-d] are the same number and the
-matrix gathered from g is exactly symmetric.
+matrix is gathered from it only on demand.  The Gaussian generator on a 2D
+grid is separable, c exp(-|d|^2 h^2 / lam) h^2 = c e[a] e[b] with
+e[d] = exp(-(d h)^2 / lam) h, so its W is the Kronecker product c (F x F) of
+the n x n Toeplitz matrix F[i, j] = e[i - j], and ``convolve`` applies it as
+c F U F on the n x n view U of the field: two n x n matrix products (Van
+Loan, J. Comput. Appl. Math. 123, 2000).  Every other operator is applied
+by a matrix-vector product on small grids and, above ``DENSE_MAX_NODES``,
+by circulant embedding: zero padding to 2n per axis and one real FFT pair,
+which reproduces the box sums exactly rather than a periodic convolution
+(Chan & Jin, An Introduction to Iterative Toeplitz Solvers, SIAM 2007).
+An (N, m) block of fields takes the same paths: matrix-matrix products, or
+one FFT pair batched over the columns.  The kernel is evaluated on |d|, so
+g[d] and g[-d] are the same number and the matrix gathered from g is
+exactly symmetric.
 The 2D Newton kernel, unbounded at r = 0, gets its zero-offset entry from
 the analytic cell average of -k2 ln|x| over one cell, which keeps the
 quadrature second order and the row sums finite.  The operator-norm
@@ -33,11 +38,12 @@ from scipy.fft import irfftn, rfftn
 from .grid import Grid, check_field, laplacian_neumann
 
 # Above this many nodes ``convolve`` uses the padded FFT instead of the dense
-# matrix-vector product.  Measured crossover on a 2-core Xeon VM with 2 MiB
-# of L2 per core (numpy 2.4 with OpenBLAS, scipy 1.17): the dense product
-# wins up to N = 448 in 1D and N = 484 (22 x 22) in 2D; the FFT wins from
-# N = 512 in 1D (67 vs 78 us, where W reaches 2 MiB) and N = 576 (24 x 24)
-# in 2D.
+# matrix-vector product, for every kernel but the separable 2D Gaussian.
+# Measured crossover on a 2-core Xeon VM with 2 MiB of L2 per core (numpy
+# 2.4 with OpenBLAS, scipy 1.17): the dense product wins up to N = 448 in 1D
+# and N = 484 (22 x 22) in 2D; the FFT wins from N = 512 in 1D (67 vs 78 us,
+# where W reaches 2 MiB) and N = 576 (24 x 24) in 2D, a crossover that
+# concerns only mollifier and Newton kernels.
 DENSE_MAX_NODES = 511
 
 
@@ -122,10 +128,12 @@ class KernelOp:
 
     ``generator`` holds g[d] = K(|d| h) h^dim on the (2n-1)^dim index
     offsets, with offset 0 at index n - 1 on every axis, and ``kbar`` the
-    row sums of the operator (the discrete k-bar function).  The dense
-    matrix ``weights`` and the operator-norm constants ``r2_est`` (the
-    L2 -> H1 norm, an eigenvalue solve), ``rinf_est`` and ``k2_sup`` (row
-    sums of the generator) are computed on first use and cached.  The
+    row sums of the operator (the discrete k-bar function).  A Gaussian on
+    a 2D grid is applied by its Toeplitz factor ``_factor``, every other
+    kernel by ``weights`` or by ``_apply_fft``, by size.  The dense matrix
+    ``weights``, the factor and the operator-norm constants ``r2_est``
+    (the L2 -> H1 norm, an eigenvalue solve), ``rinf_est`` and ``k2_sup``
+    (row sums of the generator) are computed on first use and cached.  The
     constants are those of the discrete W, to round-off, not estimates.
     """
 
@@ -138,9 +146,28 @@ class KernelOp:
         """(K * rho)(x_i) = sum_j W[i,j] rho_j, for a field (N,) or for each
         column of a block (N, m)."""
         rho = check_field(self.grid, rho, columns=True)
+        if _separable(self.spec, self.grid):
+            return self._apply_factors(rho)
         if self.grid.num_nodes > DENSE_MAX_NODES:
             return self._apply_fft(rho)
         return self.weights @ rho
+
+    def _apply_factors(self, rho: np.ndarray) -> np.ndarray:
+        """W rho = F R F on the n x n view R of rho, with W = F x F the
+        Kronecker square of ``_factor``; a block's second product runs over
+        its other node axis, one n x m slice at a time."""
+        n, f = self.grid.n, self._factor
+        if rho.ndim == 1:
+            return (f @ rho.reshape(n, n) @ f).reshape(rho.shape)
+        first = (f @ rho.reshape(n, -1)).reshape(n, n, -1)
+        return (f @ first).reshape(rho.shape)
+
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        """sqrt(c) F, F[i, j] = e[i - j]: the separable 2D Gaussian's W is
+        c (F x F), the Kronecker square of this n x n matrix."""
+        toeplitz = _gaussian_profile(self.spec, self.grid)[_offset_index(self.grid.n)]
+        return math.sqrt(self.spec.c) * toeplitz
 
     def _apply_fft(self, rho: np.ndarray) -> np.ndarray:
         n, dim = self.grid.n, self.grid.dim
@@ -161,9 +188,7 @@ class KernelOp:
     @cached_property
     def weights(self) -> np.ndarray:
         """The read-only N x N matrix W[i,j] = g[i - j], exactly symmetric."""
-        n = self.grid.n
-        idx = np.arange(n)
-        d = idx[:, None] - idx[None, :] + (n - 1)
+        d = _offset_index(self.grid.n)
         if self.grid.dim == 1:
             w = self.generator[d]
         else:
@@ -211,12 +236,34 @@ class KernelOp:
         return float(np.max(_gradient_row_sums(self)))
 
 
+def _separable(spec: KernelSpec, grid: Grid) -> bool:
+    """Whether W is the Kronecker square of a Toeplitz factor: a 2D Gaussian."""
+    return spec.family == "gaussian" and grid.dim == 2
+
+
+def _offset_index(n: int) -> np.ndarray:
+    """The n x n index i - j + (n - 1) of the offset array entry g[i - j]."""
+    idx = np.arange(n)
+    return idx[:, None] - idx[None, :] + (n - 1)
+
+
+def _axis_distances(grid: Grid) -> np.ndarray:
+    """|d| h on the 2n - 1 index offsets d of one axis, offset 0 at index n - 1."""
+    return np.abs(np.arange(1 - grid.n, grid.n)) * grid.h
+
+
 def _offset_distances(grid: Grid) -> np.ndarray:
     """|d| h on the (2n-1)^dim index offsets d, offset 0 at index n - 1."""
-    d = np.abs(np.arange(1 - grid.n, grid.n)) * grid.h
+    d = _axis_distances(grid)
     if grid.dim == 1:
         return d
     return np.hypot(d[:, None], d[None, :])
+
+
+def _gaussian_profile(spec: KernelSpec, grid: Grid) -> np.ndarray:
+    """e[d] = exp(-(d h)^2 / lam) h on one axis: the 2D generator is c e[a] e[b]."""
+    d = _axis_distances(grid)
+    return np.exp(-(d * d) / spec.lam) * grid.h
 
 
 def _row_sums(a: np.ndarray, n: int) -> np.ndarray:
@@ -237,7 +284,13 @@ def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
     """Evaluate the generator g[d] = K(|d| h) h^dim and the row sums kbar."""
     if spec.family == "newton" and grid.dim != 2:
         raise ValueError(f"newton potentials are defined only on 2D grids, got dim {grid.dim}")
-    g = _evaluate(spec, _offset_distances(grid)) * grid.cell_volume
+    if _separable(spec, grid):
+        # the product form, so that g, kbar and the constants describe the
+        # W that the factors apply
+        e = _gaussian_profile(spec, grid)
+        g = spec.c * np.multiply.outer(e, e)
+    else:
+        g = _evaluate(spec, _offset_distances(grid)) * grid.cell_volume
     if spec.family == "newton":
         g[(grid.n - 1,) * grid.dim] = newton_self_cell_average(grid.h, spec.kd) * grid.cell_volume
     if not np.all(np.isfinite(g)):

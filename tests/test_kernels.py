@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from nlch.grid import build_grid, laplacian_neumann
@@ -322,10 +324,14 @@ class TestDenseOracle:
         with pytest.raises(ValueError):
             w[0, 0] = 1.0
 
-    def test_convolve_picks_the_apply_by_size(self, oracle_case):
+    def test_convolve_picks_the_apply_by_kernel_and_size(self, oracle_case):
+        """A Gaussian on a 2D grid goes through its Toeplitz factors; every
+        other kernel goes by size."""
         op, _ = oracle_case
         x = np.random.default_rng(5).standard_normal(op.grid.num_nodes)
-        if op.grid.num_nodes > DENSE_MAX_NODES:
+        if op.spec.family == "gaussian" and op.grid.dim == 2:
+            assert np.array_equal(op.convolve(x), op._apply_factors(x))
+        elif op.grid.num_nodes > DENSE_MAX_NODES:
             assert np.array_equal(op.convolve(x), op._apply_fft(x))
         else:
             assert np.array_equal(op.convolve(x), op.weights @ x)
@@ -341,6 +347,66 @@ class TestDenseOracle:
         kv = op.convolve(v)
         h1 = math.sqrt(l2_norm(grid, kv) ** 2 + h1_seminorm(grid, kv) ** 2)
         assert h1 == pytest.approx(op.r2_est * l2_norm(grid, v), rel=1e-12)
+
+
+class TestSeparableGaussian:
+    """The 2D Gaussian applied by its n x n Toeplitz factors, against W."""
+
+    @pytest.mark.parametrize("n", [8, 16, 23, 64])
+    @pytest.mark.parametrize("m", [None, 0, 1, 5], ids=lambda m: "field" if m is None else f"m{m}")
+    def test_factors_match_the_matrix(self, n, m):
+        op = assemble_kernel(gaussian_kernel(0.7, 0.03), build_grid(2, n, 1.0))
+        shape = (op.grid.num_nodes,) if m is None else (op.grid.num_nodes, m)
+        x = np.random.default_rng(n).standard_normal(shape)
+        got, ref = op.convolve(x), op.weights @ x
+        assert got.shape == ref.shape
+        if ref.size:
+            assert _relative(got, ref) <= 1e-13
+
+    @pytest.mark.parametrize("m", [None, 0, 1, 5])
+    def test_zero_amplitude_gives_exact_zeros(self, m):
+        op = assemble_kernel(zero_kernel(), build_grid(2, 16, 1.0))
+        shape = (op.grid.num_nodes,) if m is None else (op.grid.num_nodes, m)
+        out = op.convolve(np.random.default_rng(1).standard_normal(shape))
+        assert out.shape == shape and not out.any()
+
+    def test_factor_apply_is_self_adjoint(self):
+        op = assemble_kernel(gaussian_kernel(1.0, 0.1), build_grid(2, 23, 1.0))
+        rng = np.random.default_rng(4)
+        u, v = rng.standard_normal((2, op.grid.num_nodes))
+        lhs = float(op._apply_factors(u) @ v)
+        rhs = float(u @ op._apply_factors(v))
+        scale = np.linalg.norm(u) * np.linalg.norm(v) * op.k2_sup
+        assert abs(lhs - rhs) <= 1e-14 * scale
+
+    def test_generator_is_the_kernel_on_the_offsets(self):
+        """The product form c e[a] e[b] is K(|d| h) h^2 to round-off."""
+        grid = build_grid(2, 32, 1.0)
+        op = assemble_kernel(gaussian_kernel(0.7, 0.03), grid)
+        d = np.abs(np.arange(1 - grid.n, grid.n)) * grid.h
+        r = np.hypot(d[:, None], d[None, :])
+        want = 0.7 * np.exp(-(r * r) / 0.03) * grid.cell_volume
+        assert _relative(op.generator, want) <= 1e-14
+
+    # a subnormal amplitude leaves W itself with few significant bits
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(8, 40), c=st.one_of(st.just(0.0), st.floats(1e-12, 100.0)),
+           lam=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_factors_match_the_matrix_everywhere(self, n, c, lam, seed):
+        op = assemble_kernel(gaussian_kernel(c, lam), build_grid(2, n, 1.0))
+        x = np.random.default_rng(seed).standard_normal((op.grid.num_nodes, 3))
+        got, ref = op.convolve(x), op.weights @ x
+        if c == 0.0:
+            assert not got.any()
+        else:
+            assert _relative(got[:, 0], ref[:, 0]) <= 1e-13
+            assert _relative(got, ref) <= 1e-13
+
+    def test_1d_apply_is_the_matrix_product(self):
+        """In 1D the factor is W itself, so the apply keeps its bits."""
+        op = assemble_kernel(gaussian_kernel(0.3, 0.05), build_grid(1, 256, 1.0))
+        x = np.random.default_rng(6).standard_normal(op.grid.num_nodes)
+        assert np.array_equal(op.convolve(x), op.weights @ x)
 
 
 class TestMatrixFree:
@@ -361,3 +427,21 @@ class TestMatrixFree:
             assert abs(float(np.mean(state.u)) - target) <= 1e-12 * abs(target)
         assert 0.0 <= float(np.min(state.u)) and float(np.max(state.u)) <= 1.0
         assert "weights" not in vars(op)
+
+    def test_gaussian_256x256_steps_without_the_matrix(self):
+        """A 65536-node Gaussian steps through its 256 x 256 Toeplitz factor,
+        building neither the matrix nor the FFT symbol."""
+        from nlch import SolverConfig, initial_state, logistic_reaction, step
+        from nlch.model import reaction_eval
+
+        grid = build_grid(2, 256, 1.0)
+        op = assemble_kernel(gaussian_kernel(0.05, 0.02), grid)
+        spec = logistic_reaction(grid, 1.0)
+        cfg = SolverConfig(dt=0.001, t_end=0.003)
+        state = initial_state(np.random.default_rng(2).uniform(0.3, 0.7, grid.num_nodes), op)
+        for _ in range(3):
+            target = float(np.mean(state.u)) + cfg.dt * float(np.mean(reaction_eval(spec, state.u)))
+            state = step(state, spec, op, cfg)
+            assert abs(float(np.mean(state.u)) - target) <= 1e-12 * abs(target)
+        assert 0.0 <= float(np.min(state.u)) and float(np.max(state.u)) <= 1.0
+        assert "weights" not in vars(op) and "_symbol" not in vars(op)

@@ -401,11 +401,13 @@ def _rel_max_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-# the three applies of the kernel: GEMV/GEMM, 1D FFT and 2D FFT
+# the four applies of the kernel: GEMV/GEMM, 1D FFT, 2D FFT and the 2D
+# Gaussian's Toeplitz factors
 BLOCK_CASES = {
     "1d-64-dense": (1, 64, gaussian_kernel(0.02, 0.05)),
     "1d-512-fft": (1, 512, gaussian_kernel(0.02, 0.05)),
     "2d-24-newton-fft": (2, 24, newton_kernel(kd=0.05)),
+    "2d-24-gaussian-factors": (2, 24, gaussian_kernel(0.02, 0.05)),
 }
 
 
@@ -414,7 +416,10 @@ def block_case(request):
     dim, n, kspec = BLOCK_CASES[request.param]
     g = build_grid(dim, n, 1.0)
     op = assemble_kernel(kspec, g)
-    assert (g.num_nodes > DENSE_MAX_NODES) == ("fft" in request.param)
+    # the case name says which apply convolve takes
+    factors = kspec.family == "gaussian" and dim == 2
+    assert ("factors" in request.param) == factors
+    assert ("fft" in request.param) == (not factors and g.num_nodes > DENSE_MAX_NODES)
     u0 = np.random.default_rng(n).uniform(0.3, 0.7, g.num_nodes)
     return g, op, logistic_reaction(g, 1.0), u0
 
