@@ -79,6 +79,12 @@ def _convert(name: str, typ: Callable[[str], object], val: str):
         raise ValueError(f"{name} needs a {_NEEDS[typ]}, got {val!r}") from None
 
 
+# the keys of an initial datum section -> (type, default); init2 unsets kind
+# and draws from seed 1
+_DATUM = {"kind": (str, "constant"), "value": (float, 0.5), "amplitude": (float, 0.1),
+          "mode": (_int, 1), "lo": (float, 0.0), "hi": (float, 1.0), "seed": (_count, 0),
+          "path": (str, "")}
+
 # key -> (type, default)
 _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "grid.dim": (_int, 1),
@@ -98,22 +104,8 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "solver.dt": (float, 0.01),
     "solver.t_end": (float, 1.0),
     "solver.record_every": (_int, 1),
-    "init.kind": (str, "constant"),
-    "init.value": (float, 0.5),
-    "init.amplitude": (float, 0.1),
-    "init.mode": (_int, 1),
-    "init.lo": (float, 0.0),
-    "init.hi": (float, 1.0),
-    "init.seed": (_count, 0),
-    "init.path": (str, ""),
-    "init2.kind": (str, ""),
-    "init2.value": (float, 0.5),
-    "init2.amplitude": (float, 0.1),
-    "init2.mode": (_int, 1),
-    "init2.lo": (float, 0.0),
-    "init2.hi": (float, 1.0),
-    "init2.seed": (_count, 1),
-    "init2.path": (str, ""),
+    **{f"init.{k}": v for k, v in _DATUM.items()},
+    **{f"init2.{k}": v for k, v in (_DATUM | {"kind": (str, ""), "seed": (_count, 1)}).items()},
     "output.directory": (str, "nlch_out"),
     "output.snapshot_every": (_count, 0),
     "equilibrium.seed_values": (_floats, ()),
@@ -129,18 +121,9 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
 }
 
 
-@dataclass
-class RunConfig:
-    """A validated, fully resolved configuration."""
-
-    values: dict[str, object]
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def echo(self) -> str:
-        lines = [f"{k} = {_fmt_value(v)}" for k, v in sorted(self.values.items())]
-        return "\n".join(lines)
+def echo(cfg: dict) -> str:
+    """The configuration as config lines that parse back to it, sorted by key."""
+    return "\n".join(f"{k} = {_fmt_value(v)}" for k, v in sorted(cfg.items()))
 
 
 def _fmt_value(v) -> str:
@@ -151,8 +134,9 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate config text; unknown or malformed keys are errors."""
+def parse_config(text: str) -> dict:
+    """Parse and validate config text into a value for every key of the
+    schema; unknown or malformed keys are errors."""
     values = dict((k, d) for k, (_, d) in _SCHEMA.items())
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,7 +158,7 @@ def parse_config(text: str) -> RunConfig:
     for key, table in _CHOICES.items():
         if values[key] != _SCHEMA[key][1] and values[key] not in table:
             raise ValueError(f"unknown {key}: {values[key]!r} (one of {', '.join(table)})")
-    return RunConfig(values=values)
+    return values
 
 
 # -- scenario construction: one table per choice key ------------------------------
@@ -196,13 +180,17 @@ _REACTIONS = {
 }
 
 
-def _random_datum(cfg: RunConfig, grid: Grid, section: str, seed: int) -> np.ndarray:
+def _random_datum(cfg: dict, grid: Grid, section: str, seed: int) -> np.ndarray:
     """Node values uniform on [<section>.lo, <section>.hi], drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(cfg[f"{section}.lo"], cfg[f"{section}.hi"], grid.num_nodes)
+    lo, hi = cfg[f"{section}.lo"], cfg[f"{section}.hi"]
+    # false for a nan or infinite bound and for an overflowing width
+    if not 0.0 <= hi - lo < np.inf:
+        raise ValueError(f"{section}.lo = {lo:g} and {section}.hi = {hi:g} must be finite, "
+                         f"with {section}.lo <= {section}.hi")
+    return np.random.default_rng(seed).uniform(lo, hi, grid.num_nodes)
 
 
-def _dump_datum(cfg: RunConfig, grid: Grid, section: str) -> np.ndarray:
+def _dump_datum(cfg: dict, grid: Grid, section: str) -> np.ndarray:
     """The field of the NLCH dump at <section>.path, which must fit the grid."""
     path = cfg[f"{section}.path"]
     if not path:
@@ -225,7 +213,7 @@ _INITIALS = {
 }
 
 
-def build_initial(cfg: RunConfig, grid: Grid, section: str = "init") -> np.ndarray:
+def build_initial(cfg: dict, grid: Grid, section: str = "init") -> np.ndarray:
     """The initial datum of ``section`` (init or init2), built by its kind."""
     return _INITIALS[cfg[f"{section}.kind"]](cfg, grid, section)
 
@@ -240,7 +228,7 @@ class Scenario:
     u0_second: np.ndarray | None = None
 
 
-def build_scenario(cfg: RunConfig) -> Scenario:
+def build_scenario(cfg: dict) -> Scenario:
     grid = build_grid(cfg["grid.dim"], cfg["grid.n"], cfg["grid.length"])
     return Scenario(
         grid=grid,
@@ -295,7 +283,7 @@ class Report:
         path.write_text("\n".join(self.lines) + "\n")
 
 
-def execute(cfg: RunConfig, out_dir, command: str,
+def execute(cfg: dict, out_dir, command: str,
             seed_override: int | None = None) -> int:
     """Run a command, write series/snapshots/report, return the exit status.
 
@@ -304,9 +292,9 @@ def execute(cfg: RunConfig, out_dir, command: str,
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
-    cfg = RunConfig(values=dict(cfg.values))
+    cfg = dict(cfg)
     if seed_override is not None:
-        cfg.values.update({"init.seed": seed_override, "init2.seed": seed_override + 1})
+        cfg.update({"init.seed": seed_override, "init2.seed": seed_override + 1})
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -338,7 +326,7 @@ def execute(cfg: RunConfig, out_dir, command: str,
 
     report.add()
     report.add("resolved configuration:")
-    report.add(cfg.echo())
+    report.add(echo(cfg))
     report.write(out / "report.txt")
     return status
 
@@ -351,9 +339,10 @@ def _snapshots(states, out: Path, grid: Grid, every: int):
         yield state
 
 
-def _cmd_run(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
-    states = _snapshots(_trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg),
-                        out, scen.grid, cfg["output.snapshot_every"])
+def _report_trajectory(states, cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
+    """Record a state stream as it is stepped, writing its snapshots,
+    series.csv and u_final.nlch, and report its invariant checks."""
+    states = _snapshots(states, out, scen.grid, cfg["output.snapshot_every"])
     state, rec = record(states, scen.spec, scen.op, scen.solver_cfg)
     arrays = rec.as_arrays()
     _write_csv(out / "series.csv", CSV_HEADER, [arrays[c] for c in CSV_HEADER.split(",")])
@@ -377,15 +366,18 @@ def _cmd_run(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
     report.add(f"l2 norm decay: {_trailing_rate(arrays['t'], arrays['l2_norm'])}")
 
 
-def _cmd_pair(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
+def _cmd_run(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
+    _report_trajectory(_trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg),
+                       cfg, scen, out, report)
+
+
+def _cmd_pair(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
+    """Run's trajectory report for the first datum, then the distance of the pair."""
     if scen.u0_second is None:
         raise ValueError("pair command needs an init2 section")
     pair = PairRecord(times=np.empty(0), dist=np.empty(0))
-    states = paired_trajectory(scen.u0, scen.u0_second, scen.spec, scen.op,
-                               scen.solver_cfg, pair)
-    _, rec = record(states, scen.spec, scen.op, scen.solver_cfg)
-    arrays = rec.as_arrays()
-    _write_csv(out / "series.csv", CSV_HEADER, [arrays[c] for c in CSV_HEADER.split(",")])
+    _report_trajectory(paired_trajectory(scen.u0, scen.u0_second, scen.spec, scen.op,
+                                         scen.solver_cfg, pair), cfg, scen, out, report)
     _write_csv(out / "pair_distance.csv", "t,distance", [pair.times, pair.dist])
     report.add(f"initial distance = {pair.dist[0]:.6g}, final distance = {pair.dist[-1]:.6g}")
     # the first quarter is a transient (fast modes of the initial
@@ -409,7 +401,7 @@ def _cmd_pair(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None
         report.add("distance hit zero; trajectories coincide")
 
 
-def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
+def _cmd_equilibrium(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     seeds = ([np.full(scen.grid.num_nodes, v) for v in cfg["equilibrium.seed_values"]]
              + [_random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k)
                 for k in range(cfg["equilibrium.random_seeds"])]) or [scen.u0]
@@ -429,7 +421,7 @@ def _cmd_equilibrium(cfg: RunConfig, scen: Scenario, out: Path, report: Report) 
         )
 
 
-def _cmd_remainder(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
+def _cmd_remainder(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     mode = cfg["remainder.mode"]
     direction = neumann_mode(scen.grid, (mode,) * scen.grid.dim)
     study = remainder_order(scen.u0, direction, cfg["remainder.eps_list"], scen.spec, scen.op,
@@ -441,7 +433,7 @@ def _cmd_remainder(cfg: RunConfig, scen: Scenario, out: Path, report: Report) ->
     report.add(f"result: {study}")
 
 
-def _cmd_trace(cfg: RunConfig, scen: Scenario, out: Path, report: Report) -> None:
+def _cmd_trace(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     samples = cfg["trace.samples"]
     if samples < 1:
         raise ValueError(f"trace.samples must be >= 1, got {samples}")

@@ -209,10 +209,13 @@ class KernelOp:
         Its square is the largest eigenvalue of B = W (I - Lap) W (W is
         symmetric), since the discrete H1 norm of v = W rho is
         <v, v> + <-Lap v, v> by exact summation by parts.  One ARPACK
-        Lanczos solve (``eigsh``) applies B matrix-free through ``convolve``.
-        It starts from a fixed random vector: B commutes with the box's
-        reflections, so a symmetric start such as all-ones would never see the
-        odd eigenvectors, which can carry the top eigenvalue.
+        Lanczos solve (``eigsh``) applies B / s^2 matrix-free through
+        ``convolve``, with s = max |generator|, and the norm is s sqrt(lambda):
+        B itself scales as the square of the amplitude, which underflows to
+        zero for an amplitude near 1e-200.  It starts from a fixed random
+        vector: B commutes with the box's reflections, so a symmetric start
+        such as all-ones would never see the odd eigenvectors, which can carry
+        the top eigenvalue.
         """
         # ARPACK raises on the zero operator
         if not self.generator.any():
@@ -220,15 +223,17 @@ class KernelOp:
         # imported here: at module level it would add ~9 MB to every process
         from scipy.sparse.linalg import LinearOperator, eigsh
 
+        s = float(np.max(np.abs(self.generator)))
+
         def apply_b(x: np.ndarray) -> np.ndarray:
-            v = self.convolve(x)
-            return self.convolve(v - laplacian_neumann(self.grid, v))
+            v = self.convolve(x) / s
+            return self.convolve(v - laplacian_neumann(self.grid, v)) / s
 
         size = self.grid.num_nodes
         b = LinearOperator((size, size), matvec=apply_b, dtype=float)
         start = np.random.default_rng(12345).standard_normal(size)
         (lam,) = eigsh(b, k=1, which="LA", v0=start, return_eigenvectors=False)
-        return math.sqrt(lam)
+        return s * math.sqrt(lam)
 
     @cached_property
     def rinf_est(self) -> float:

@@ -126,7 +126,10 @@ def _as_field(grid: Grid, value, name: str, lo=None, hi=None) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.ndim == 0:
         v = np.full(grid.num_nodes, float(v))
-    v = check_field(grid, v)
+    try:
+        v = check_field(grid, v)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     if lo is not None and np.any(v < lo):
         raise ValueError(f"{name} must be >= {lo} everywhere")
     if hi is not None and np.any(v > hi):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import nlch.timestepper
-from nlch.cli import COMMANDS, CSV_HEADER, build_scenario, execute, main, parse_config
+from nlch.cli import COMMANDS, CSV_HEADER, build_scenario, echo, execute, main, parse_config
 from nlch.grid import build_grid, l2_norm
 from nlch.io import read_field, write_field
 from nlch.timestepper import _trajectory
@@ -188,13 +188,13 @@ class TestParseConfig:
         cfg = parse_config("equilibrium.seed_values = 0.3, 0.6\nremainder.eps_list = 1e-2,3e-3")
         assert cfg["equilibrium.seed_values"] == (0.3, 0.6)
         assert cfg["remainder.eps_list"] == (1e-2, 3e-3)
-        echo = cfg.echo().split("\n")
-        assert "equilibrium.seed_values = 0.29999999999999999,0.59999999999999998" in echo
-        assert "remainder.eps_list = 0.01,0.0030000000000000001" in echo
-        assert parse_config(cfg.echo()).values == cfg.values
+        lines = echo(cfg).split("\n")
+        assert "equilibrium.seed_values = 0.29999999999999999,0.59999999999999998" in lines
+        assert "remainder.eps_list = 0.01,0.0030000000000000001" in lines
+        assert parse_config(echo(cfg)) == cfg
         empty = parse_config("")
         assert empty["equilibrium.seed_values"] == ()
-        assert parse_config(empty.echo()).values == empty.values
+        assert parse_config(echo(empty)) == empty
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# full-line comment\n\ngrid.n = 32  # trailing\n")
@@ -248,9 +248,9 @@ class TestExecuteRun:
 
     def test_seed_override_leaves_config_unchanged(self, tmp_path):
         cfg = parse_config(OONO_CFG + INIT2)
-        before = dict(cfg.values)
+        before = dict(cfg)
         assert execute(cfg, tmp_path / "b", command="run", seed_override=99) == 0
-        assert cfg.values == before
+        assert cfg == before
         report = (tmp_path / "b" / "report.txt").read_text()
         assert "\nseed = 99\n" in report
         assert "\ninit.seed = 99\n" in report and "\ninit2.seed = 100\n" in report
@@ -349,6 +349,23 @@ class TestOtherCommands:
                                             skiprows=1)[:, 0])
         scen = build_scenario(cfg)
         assert dist[0] == l2_norm(scen.grid, scen.u0 - scen.u0_second)
+
+    def test_pair_reports_through_the_run_path(self, tmp_path):
+        """pair writes run's snapshots and final state of the first datum,
+        byte for byte, and reports run's checks before its distance."""
+        cfg = parse_config(OONO_CFG + INIT2 + "output.snapshot_every = 50\n")
+        assert execute(cfg, tmp_path / "p", command="pair") == 0
+        assert execute(cfg, tmp_path / "r", command="run") == 0
+        dumps = sorted(p.name for p in (tmp_path / "r").glob("u_*.nlch"))
+        assert "u_final.nlch" in dumps and "u_000050.nlch" in dumps and len(dumps) == 6
+        assert sorted(p.name for p in (tmp_path / "p").glob("u_*.nlch")) == dumps
+        for name in dumps:
+            assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+        run_report = (tmp_path / "r" / "report.txt").read_text()
+        checks = run_report.split("\n\n")[2]
+        assert "[PASS] phase bounds" in checks and "[PASS] mass identity" in checks
+        assert (tmp_path / "p" / "report.txt").read_text().split("\n\n")[2].startswith(
+            checks + "\ninitial distance = ")
 
     def test_pair_steps_each_trajectory_once(self, tmp_path, monkeypatch):
         calls = []
@@ -493,6 +510,25 @@ class TestMain:
         assert f"aborted: {kept} recorded distances after the first quarter" in report
         assert "solver.t_end" in report and "solver.record_every" in report
 
+    def test_cli_equilibrium_random_seed_with_nan_bound_returns_2(self, tmp_path, capsys):
+        # the datum is constant: the bad bound is met only by the command's random seeds
+        cfg_path = tmp_path / "eq.cfg"
+        cfg_path.write_text(EQ_CFG + "equilibrium.random_seeds = 1\ninit.lo = nan\n")
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert "aborted: init.lo = nan and init.hi = 1 must be finite" in \
+            (out / "report.txt").read_text()
+
+    def test_cli_tiny_kernel_amplitude_runs(self, tmp_path, capsys):
+        # the square of the amplitude underflows: the r2 solve runs on B / s^2
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(OONO_CFG.replace("kernel.c = 0.05", "kernel.c = 1e-200"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert "r2_est = 1.30456e-200," in (out / "report.txt").read_text()
+
     def test_cli_negative_random_seeds_returns_2(self, tmp_path, capsys):
         # parse_config rejects it, before any output exists
         cfg_path = tmp_path / "eq.cfg"
@@ -523,8 +559,12 @@ class TestMain:
         ("grid.n = 4", "configuration error: n must be >= 8 per axis, got 4"),
         ("output.snapshot_every = -1",
          "key 'output.snapshot_every' needs a non-negative int, got '-1'"),
+        ("init.lo = nan", "configuration error: init.lo = nan and init.hi = 0.8 must be finite"),
+        ("init.hi = inf", "configuration error: init.lo = 0.2 and init.hi = inf must be finite"),
+        ("init.lo = 0.9", "init.lo = 0.9 and init.hi = 0.8 must be finite, "
+                          "with init.lo <= init.hi"),
     ], ids=["lam_inf", "dt_negative", "dt_zero", "t_end_negative", "grid_dim_3", "grid_n_4",
-            "snapshot_every_negative"])
+            "snapshot_every_negative", "random_lo_nan", "random_hi_inf", "random_reversed"])
     def test_cli_invalid_kernel_or_solver_value_returns_2(self, tmp_path, capsys, line,
                                                           message):
         key = line.split(" = ")[0]
@@ -700,7 +740,7 @@ FUZZ_BASE = {
 }
 # grid.n keeps its small value and the solve its cap of 20 sweeps: their
 # defaults (256 nodes, 10000 sweeps) make single examples take seconds
-_FUZZ_KEYS = sorted(k for k in parse_config("").values if k != "grid.n")
+_FUZZ_KEYS = sorted(k for k in parse_config("") if k != "grid.n")
 # bounded values only: a tiny dt or a huge t_end would ask for 1e300 steps
 _FUZZ_VALUES = ["0", "1", "2", "3", "-1", "8", "16", "0.5", "0.05", "1e-3", "-0.1", "1.5",
                 "nan", "inf", "-inf", "", "abc", "0,0.5,1", "1,0", "1e-2,-1"] + \

@@ -192,10 +192,12 @@ class TestKernelConstants:
         assert op.k2_sup <= mass * (1 + 1e-3)
         assert op.k2_sup >= 0.95 * mass
 
-    def test_r2_scales_linearly_with_amplitude(self, grid1d):
-        op1 = assemble_kernel(gaussian_kernel(0.3, 0.1), grid1d)
-        op2 = assemble_kernel(gaussian_kernel(0.6, 0.1), grid1d)
-        assert op2.r2_est == pytest.approx(2.0 * op1.r2_est, rel=1e-10)
+    # the second pair squares to below the smallest double
+    @pytest.mark.parametrize("c1,c2", [(0.3, 0.6), (0.3e-200, 0.3)], ids=["double", "tiny"])
+    def test_r2_scales_linearly_with_amplitude(self, grid1d, c1, c2):
+        op1 = assemble_kernel(gaussian_kernel(c1, 0.1), grid1d)
+        op2 = assemble_kernel(gaussian_kernel(c2, 0.1), grid1d)
+        assert op2.r2_est == pytest.approx(c2 / c1 * op1.r2_est, rel=1e-10)
 
     def test_constants_finite_and_reported(self, gaussian_op):
         assert np.isfinite(gaussian_op.k2_sup)

@@ -130,6 +130,10 @@ class TestReactionPresets:
             logistic_reaction(grid, -1.0)
         with pytest.raises(ValueError, match="h must be"):
             bertozzi_reaction(grid, 1.0, 1.5)
+        with pytest.raises(ValueError, match="^h: field contains non-finite entries"):
+            bertozzi_reaction(grid, 1.0, np.nan)
+        with pytest.raises(ValueError, match="^alpha: field has shape"):
+            logistic_reaction(grid, np.ones(3))
         with pytest.raises(ValueError, match="sigma"):
             oono_reaction(grid, -0.1)
 
