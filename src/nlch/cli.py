@@ -26,8 +26,8 @@ from . import diagnostics
 from .equilibrium import multistart_equilibria
 from .grid import Grid, build_grid, neumann_mode
 from .io import read_field, write_field
-from .kernels import (KernelOp, assemble_kernel, gaussian_kernel, mollifier_kernel,
-                      newton_kernel, zero_kernel)
+from .kernels import (KernelOp, assemble_kernel, gaussian_kernel, kernel_constants,
+                      mollifier_kernel, newton_kernel, zero_kernel)
 from .model import (
     ReactionSpec,
     balanced_cubic_reaction,
@@ -288,7 +288,10 @@ def execute(cfg: dict, out_dir, command: str,
     """Run a command, write series/snapshots/report, return the exit status.
 
     ``seed_override`` s runs a copy of ``cfg`` with init.seed = s and
-    init2.seed = s + 1; the echoed configuration records both.
+    init2.seed = s + 1; the echoed configuration records both.  A failure
+    before the command (the scenario, the kernel constants) is reported as
+    a configuration error and one inside it as an abort, both with status
+    2; every report ends with the resolved configuration.
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
@@ -304,24 +307,20 @@ def execute(cfg: dict, out_dir, command: str,
     report = Report()
     report.add(f"nlch {command}")
     report.add()
+    failure = "configuration error"
     try:
         scen = build_scenario(cfg)
-    except (ValueError, SolverError) as exc:
-        report.add(f"configuration error: {exc}")
-        report.write(out / "report.txt")
-        return 2
-    report.add(f"seed = {cfg['init.seed']}")
-    report.add(f"kernel constants: r2_est = {scen.op.r2_est:.6g}, "
-               f"rinf_est = {scen.op.rinf_est:.6g}, k2_sup = {scen.op.k2_sup:.6g}")
-    if scen.op.spec.family == "newton":
-        report.add(f"newton constant kd = {scen.op.spec.kd:.6g}")
-    report.add()
-
-    try:
+        r2, rinf, k2 = kernel_constants(scen.op)
+        report.add(f"seed = {cfg['init.seed']}")
+        report.add(f"kernel constants: r2_est = {r2:.6g}, rinf_est = {rinf:.6g}, k2_sup = {k2:.6g}")
+        if scen.op.spec.family == "newton":
+            report.add(f"newton constant kd = {scen.op.spec.kd:.6g}")
+        report.add()
+        failure = "aborted"
         _COMMANDS[command](cfg, scen, out, report)
         status = 1 if report.failures else 0
     except (SolverError, ValueError) as exc:
-        report.add(f"aborted: {exc}")
+        report.add(f"{failure}: {exc}")
         status = 2
 
     report.add()
@@ -478,20 +477,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(text)
+        cfg = parse_config(Path(args.config).read_text())
         seed = None if args.seed is None else _convert("--seed", _count, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = args.out if args.out is not None else cfg["output.directory"]
-    try:
+        out_dir = args.out if args.out is not None else cfg["output.directory"]
         status = execute(cfg, out_dir, command=args.command, seed_override=seed)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if status != 0:

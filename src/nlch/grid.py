@@ -13,6 +13,7 @@ telescope to zero up to round-off.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, reduce
 
@@ -59,14 +60,20 @@ class Grid:
 
 
 def build_grid(dim: int, n: int, length: float) -> Grid:
-    """Construct a grid, rejecting unsupported dimensions and coarse meshes."""
+    """Construct a grid, rejecting unsupported dimensions, coarse meshes and
+    lengths whose mesh width squared is not a normal float."""
     if dim not in (1, 2):
         raise ValueError(f"unsupported dimension: {dim} (must be 1 or 2)")
     if n < 8:
         raise ValueError(f"n must be >= 8 per axis, got {n}")
-    if not np.isfinite(length) or length <= 0:
-        raise ValueError(f"length must be positive and finite, got {length}")
-    return Grid(dim=int(dim), n=int(n), length=float(length), h=float(length) / int(n))
+    h = float(length) / int(n)
+    # the stencils compute 0.5 / h**2 in Python floats: h**2 raises on
+    # overflow, and the quotient raises on 0 and is inf on a subnormal, so
+    # h^2 must be a finite normal float
+    if not (h > 0 and sys.float_info.min <= h * h < math.inf):
+        raise ValueError(f"length must be positive and finite, with (length / n)^2 a "
+                         f"finite normal float, got {length}")
+    return Grid(dim=int(dim), n=int(n), length=float(length), h=h)
 
 
 def check_field(grid: Grid, f: np.ndarray, columns: bool = False) -> np.ndarray:

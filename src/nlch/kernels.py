@@ -22,7 +22,8 @@ exactly symmetric.
 The 2D Newton kernel, unbounded at r = 0, gets its zero-offset entry from
 the analytic cell average of -k2 ln|x| over one cell, which keeps the
 quadrature second order and the row sums finite.  The operator-norm
-constants are computed on first use.
+constants are computed on first use, which rejects an amplitude whose
+constants would overflow.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ from .grid import Grid, check_field, laplacian_neumann
 DENSE_MAX_NODES = 511
 
 
+# family -> its parameters as (name, role, whether 0 is admitted), the
+# amplitude, which scales the kernel, first
+_PARAMETERS = {
+    "gaussian": (("c", "amplitude", True), ("lam", "width", False)),
+    "mollifier": (("c", "amplitude", True), ("hcut", "cutoff", False)),
+    "newton": (("kd", "constant", False),),
+}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One of the admissible kernel families with positive parameters.
@@ -66,20 +76,13 @@ class KernelSpec:
     kd: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "mollifier", "newton"):
+        if self.family not in _PARAMETERS:
             raise ValueError(f"unknown kernel family: {self.family!r}")
-        if self.family == "gaussian":
-            if self.c < 0 or not np.isfinite(self.c):
-                raise ValueError("gaussian amplitude c must be finite and >= 0")
-            if not (np.isfinite(self.lam) and self.lam > 0):
-                raise ValueError("gaussian width lam must be finite and positive")
-        elif self.family == "mollifier":
-            if self.c < 0 or not np.isfinite(self.c):
-                raise ValueError("mollifier amplitude c must be finite and >= 0")
-            if not (np.isfinite(self.hcut) and self.hcut > 0):
-                raise ValueError("mollifier cutoff hcut must be finite and positive")
-        elif not (np.isfinite(self.kd) and self.kd > 0):
-            raise ValueError("newton constant kd must be finite and positive")
+        for name, role, zero_ok in _PARAMETERS[self.family]:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+                raise ValueError(f"{self.family} {role} {name} must be finite and "
+                                 f"{'>= 0' if zero_ok else 'positive'}")
 
 
 def gaussian_kernel(c: float = 1.0, lam: float = 1.0) -> KernelSpec:
@@ -133,8 +136,9 @@ class KernelOp:
     kernel by ``weights`` or by ``_apply_fft``, by size.  The dense matrix
     ``weights``, the factor and the operator-norm constants ``r2_est``
     (the L2 -> H1 norm, an eigenvalue solve), ``rinf_est`` and ``k2_sup``
-    (row sums of the generator) are computed on first use and cached.  The
-    constants are those of the discrete W, to round-off, not estimates.
+    (row sums of the generator) are computed on first use and cached; each
+    first checks the amplitude (``_amplitude_scale``).  The constants are
+    those of the discrete W, to round-off, not estimates.
     """
 
     grid: Grid
@@ -197,9 +201,28 @@ class KernelOp:
         w.flags.writeable = False
         return w
 
+    def _amplitude_scale(self) -> float:
+        """s = max |g|, once it is known that the constants and every
+        intermediate of their computation are finite floats.
+
+        All of them are bounded by s (2n)^(2 dim) (1 + 4 dim / h^2): the
+        row sums of |g| by N s, those of |g| + |grad g| by
+        (2n - 1)^dim s (1 + 2 sqrt(2) / h), and the products in ``r2_est``,
+        whose Lanczos vectors have unit norm, by N^2 s (1 + 4 dim / h^2).
+        An amplitude that breaks the bound is rejected by name.
+        """
+        s = float(np.max(np.abs(self.generator)))
+        n, h, dim = self.grid.n, self.grid.h, self.grid.dim
+        if not math.isfinite(s * (2 * n) ** (2 * dim) * (1.0 + 4.0 * dim / (h * h))):
+            name = _PARAMETERS[self.spec.family][0][0]
+            raise ValueError(f"kernel amplitude {name} = {getattr(self.spec, name):g} is too "
+                             "large: the operator-norm constants of its W overflow")
+        return s
+
     @cached_property
     def k2_sup(self) -> float:
         """max_i sum_j |W[i,j]|, the L-infinity row-sum bound."""
+        self._amplitude_scale()
         return float(np.max(_row_sums(np.abs(self.generator), self.grid.n)))
 
     @cached_property
@@ -223,7 +246,7 @@ class KernelOp:
         # imported here: at module level it would add ~9 MB to every process
         from scipy.sparse.linalg import LinearOperator, eigsh
 
-        s = float(np.max(np.abs(self.generator)))
+        s = self._amplitude_scale()
 
         def apply_b(x: np.ndarray) -> np.ndarray:
             v = self.convolve(x) / s
@@ -238,6 +261,7 @@ class KernelOp:
     @cached_property
     def rinf_est(self) -> float:
         """max_i sum_j (|W[i,j]| + |grad_x W[i,j]|), gradient as np.gradient."""
+        self._amplitude_scale()
         return float(np.max(_gradient_row_sums(self)))
 
 

@@ -48,6 +48,18 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(1, 16, -1.0)
 
+    # h = length / 16: h^2 underflows to 0 or below the normal range, or overflows
+    @pytest.mark.parametrize("length", [1e-300, 16e-154, 1e300, 32e154])
+    def test_rejects_length_whose_mesh_width_squared_is_not_normal(self, length):
+        # in Python floats the flux stencil's h**2 overflows or 0.5 / h**2 divides by 0
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            build_grid(1, 16, length)
+
+    @pytest.mark.parametrize("length", [16 * 1.5e-154, 16 * 1.3e154], ids=["small", "large"])
+    def test_extreme_admitted_lengths_run_the_stencil(self, length):
+        g = build_grid(1, 16, length)
+        assert np.isfinite(laplacian_neumann(g, neumann_mode(g, 1))).all()
+
     def test_cell_centers(self):
         g = build_grid(1, 8, 1.0)
         assert g.axis_coords()[0] == pytest.approx(0.0625)

@@ -1,7 +1,10 @@
 """Field dumps, config parsing, and the command-line entry point."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -13,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import nlch.cli
 import nlch.timestepper
 from nlch.cli import COMMANDS, CSV_HEADER, build_scenario, echo, execute, main, parse_config
-from nlch.grid import build_grid, l2_norm
+from nlch.grid import Grid, build_grid, l2_norm
 from nlch.io import read_field, write_field
 from nlch.timestepper import _trajectory
 
@@ -106,6 +110,13 @@ class TestFieldDumps:
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="1 trailing bytes"):
             read_field(path)
+
+    @pytest.mark.parametrize("length", [1e-300, 1e300])
+    def test_length_outside_the_grid_range_rejected(self, tmp_path, length):
+        dump = tmp_path / "far.nlch"
+        write_field(dump, Grid(dim=1, n=16, length=length, h=length / 16), np.full(16, 0.5), 0.0)
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            read_field(dump)
 
     def test_corrupt_dimension_rejected(self, tmp_path):
         path = tmp_path / "field.nlch"
@@ -529,6 +540,37 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
         assert "r2_est = 1.30456e-200," in (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize("line,message", [
+        ("grid.length = 1e-300", "length must be positive and finite, with (length / n)^2"),
+        ("grid.length = 1e300", "length must be positive and finite, with (length / n)^2"),
+        ("kernel.c = 1e308", "kernel amplitude c = 1e+308 is too large"),
+        ("solver.dt = 1e-300", "t_end / dt = 2e+300 must round to a number of steps"),
+    ], ids=["length_tiny", "length_huge", "amplitude_huge", "dt_tiny"])
+    def test_cli_value_at_the_float_range_returns_2(self, tmp_path, line, message):
+        # a process of its own: LAPACK writes to the process's stdout, and a
+        # run of 2e300 steps would not return
+        key = line.split(" = ")[0]
+        text = "\n".join(ln for ln in OONO_CFG.replace("grid.n = 64", "grid.n = 16").splitlines()
+                         if not ln.startswith(key))
+        cfg_path = tmp_path / "far.cfg"
+        cfg_path.write_text(text + f"\n{line}\n")
+        out = tmp_path / "o"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(nlch.cli.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "nlch.cli", "run", "--config", str(cfg_path),
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2
+        for marker in ("Traceback", "Warning", "DLASCL"):
+            assert marker not in proc.stdout + proc.stderr
+        report = (out / "report.txt").read_text()
+        assert f"configuration error: {message}" in report
+        # a configuration error's report ends with the resolved configuration too
+        assert report.endswith("resolved configuration:\n"
+                               + echo(parse_config(cfg_path.read_text())) + "\n")
+        assert not (out / "series.csv").exists()
+
     def test_cli_negative_random_seeds_returns_2(self, tmp_path, capsys):
         # parse_config rejects it, before any output exists
         cfg_path = tmp_path / "eq.cfg"
@@ -741,9 +783,9 @@ FUZZ_BASE = {
 # grid.n keeps its small value and the solve its cap of 20 sweeps: their
 # defaults (256 nodes, 10000 sweeps) make single examples take seconds
 _FUZZ_KEYS = sorted(k for k in parse_config("") if k != "grid.n")
-# bounded values only: a tiny dt or a huge t_end would ask for 1e300 steps
 _FUZZ_VALUES = ["0", "1", "2", "3", "-1", "8", "16", "0.5", "0.05", "1e-3", "-0.1", "1.5",
-                "nan", "inf", "-inf", "", "abc", "0,0.5,1", "1,0", "1e-2,-1"] + \
+                "1e-300", "1e300", "1e308", "nan", "inf", "-inf", "", "abc", "0,0.5,1", "1,0",
+                "1e-2,-1"] + \
                ["gaussian", "mollifier", "newton", "zero", "logistic", "bertozzi",
                 "balanced_cubic", "none", "constant", "cosine", "random", "file"] + list(COMMANDS)
 _mutations = st.one_of(

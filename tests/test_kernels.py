@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,28 @@ class TestKernelConstants:
         op1 = assemble_kernel(gaussian_kernel(c1, 0.1), grid1d)
         op2 = assemble_kernel(gaussian_kernel(c2, 0.1), grid1d)
         assert op2.r2_est == pytest.approx(c2 / c1 * op1.r2_est, rel=1e-10)
+
+    @pytest.mark.parametrize("spec,dims,name", [
+        (gaussian_kernel(1e308, 0.05), (1, 16, 1.0), "c = 1e\\+308"),
+        (mollifier_kernel(1e308, 0.25), (1, 16, 1.0), "c = 1e\\+308"),
+        (newton_kernel(1e305), (2, 8, 1.0), "kd = 1e\\+305"),
+    ], ids=["gaussian", "mollifier", "newton"])
+    def test_amplitude_whose_constants_overflow_is_rejected_by_name(self, spec, dims, name):
+        # W and its row sums are finite (3.96e307 for the gaussian), but rinf_est
+        # and the products of the r2 solve would overflow
+        op = assemble_kernel(spec, build_grid(*dims))
+        assert np.isfinite(op.kbar).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for constant in ("r2_est", "rinf_est", "k2_sup"):
+                with pytest.raises(ValueError, match=f"kernel amplitude {name} is too large"):
+                    getattr(op, constant)
+
+    def test_large_admitted_amplitude_has_finite_constants(self, grid1d):
+        op = assemble_kernel(gaussian_kernel(1e300, 0.1), grid1d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(kernel_constants(op)).all()
 
     def test_constants_finite_and_reported(self, gaussian_op):
         assert np.isfinite(gaussian_op.k2_sup)

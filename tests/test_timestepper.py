@@ -27,6 +27,7 @@ from nlch.model import (
 from nlch.solvers import SolverError, SpdNeumannSolver
 from nlch.timestepper import (
     HARD_BOUND_TOL,
+    MAX_STEPS,
     WARN_BOUND_TOL,
     SolverConfig,
     State,
@@ -65,6 +66,8 @@ class TestConfigValidation:
         (0.01, float("nan"), "t_end must be positive and finite"),
         (0.01, 0.004, "steps >= 1"),
         (1e-320, 1e300, "steps >= 1"),
+        (1e-300, 0.1, "t_end / dt = 1e\\+299 must round to a number of steps >= 1 and <= "
+                      "MAX_STEPS"),
     ])
     def test_rejects_nonfinite_or_stepless_runs(self, dt, t_end, match):
         with pytest.raises(ValueError, match=match):
@@ -72,6 +75,11 @@ class TestConfigValidation:
 
     def test_single_step_run_accepted(self):
         assert SolverConfig(dt=0.01, t_end=0.006).n_steps == 1
+
+    def test_step_count_bounded_by_max_steps(self):
+        assert SolverConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps == MAX_STEPS
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            SolverConfig(dt=1.0, t_end=float(MAX_STEPS + 1))
 
     def test_reaction_stability_guard(self, grid, null_op):
         spec = oono_reaction(grid, 10.0)
