@@ -158,22 +158,25 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp) -> E
                          f"values in [{np.min(u):.6g}, {np.max(u):.6g}]")
     solver = neumann_solver(grid, shift, 1.0)
     mixer = _AndersonHistory()
-    for sweeps in range(1, MAX_SWEEPS + 2):
-        rhs = _rhs(u, spec, op)
-        # equilibrium_residual(u) bit for bit: negating both terms is exact
-        resid = l2_norm(grid, laplacian_neumann(grid, u) + rhs)
-        if resid < RESIDUAL_TOL or sweeps > MAX_SWEEPS:
-            break
-        g = (1.0 - DAMPING) * u + DAMPING * solver.solve(rhs + shift * u)
-        np.clip(g, 0.0, 1.0, out=g)
-        u = mixer.mix(g, g - u)
+    # a stiff reaction (sigma = 1e308) can give an iterate a residual whose
+    # norm overflows to inf, which is not below RESIDUAL_TOL: the sweeps go on
+    with np.errstate(over="ignore"):
+        for sweeps in range(1, MAX_SWEEPS + 2):
+            rhs = _rhs(u, spec, op)
+            # equilibrium_residual(u) bit for bit: negating both terms is exact
+            resid = l2_norm(grid, laplacian_neumann(grid, u) + rhs)
+            if resid < RESIDUAL_TOL or sweeps > MAX_SWEEPS:
+                break
+            g = (1.0 - DAMPING) * u + DAMPING * solver.solve(rhs + shift * u)
+            np.clip(g, 0.0, 1.0, out=g)
+            u = mixer.mix(g, g - u)
 
-    return EquilibriumResult(
-        u=u,
-        residual=resid,
-        iterations=sweeps,
-        mass_defect=abs(float(mean(reaction_eval(spec, u)))),
-    )
+        return EquilibriumResult(
+            u=u,
+            residual=resid,
+            iterations=sweeps,
+            mass_defect=abs(float(mean(reaction_eval(spec, u)))),
+        )
 
 
 def multistart_equilibria(seeds, spec: ReactionSpec, op: KernelOp) -> list[EquilibriumResult]:

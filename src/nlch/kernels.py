@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,6 +84,12 @@ class KernelSpec:
             if not (np.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
                 raise ValueError(f"{self.family} {role} {name} must be finite and "
                                  f"{'>= 0' if zero_ok else 'positive'}")
+        # the weights divide by hcut^2 - r^2, so hcut^2 must be a finite
+        # normal float, the rule build_grid applies to h^2
+        hcut = float(self.hcut)
+        if self.family == "mollifier" and not sys.float_info.min <= hcut * hcut < math.inf:
+            raise ValueError(f"mollifier cutoff hcut = {hcut:g} must have hcut^2 a finite "
+                             "normal float")
 
 
 def gaussian_kernel(c: float = 1.0, lam: float = 1.0) -> KernelSpec:
@@ -214,9 +221,7 @@ class KernelOp:
         s = float(np.max(np.abs(self.generator)))
         n, h, dim = self.grid.n, self.grid.h, self.grid.dim
         if not math.isfinite(s * (2 * n) ** (2 * dim) * (1.0 + 4.0 * dim / (h * h))):
-            name = _PARAMETERS[self.spec.family][0][0]
-            raise ValueError(f"kernel amplitude {name} = {getattr(self.spec, name):g} is too "
-                             "large: the operator-norm constants of its W overflow")
+            raise _amplitude_error(self.spec, "the operator-norm constants of its W overflow")
         return s
 
     @cached_property
@@ -265,6 +270,13 @@ class KernelOp:
         return float(np.max(_gradient_row_sums(self)))
 
 
+def _amplitude_error(spec: KernelSpec, consequence: str) -> ValueError:
+    """The error that names the family's amplitude (c, or kd for newton)."""
+    name = _PARAMETERS[spec.family][0][0]
+    return ValueError(f"kernel amplitude {name} = {getattr(spec, name):g} is too large: "
+                      f"{consequence}")
+
+
 def _separable(spec: KernelSpec, grid: Grid) -> bool:
     """Whether W is the Kronecker square of a Toeplitz factor: a 2D Gaussian."""
     return spec.family == "gaussian" and grid.dim == 2
@@ -310,21 +322,27 @@ def _row_sums(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
-    """Evaluate the generator g[d] = K(|d| h) h^dim and the row sums kbar."""
+    """Evaluate the generator g[d] = K(|d| h) h^dim and the row sums kbar.
+
+    A weight that overflows makes a row sum non-finite too, so one check on
+    kbar rejects both, by the amplitude's name.
+    """
     if spec.family == "newton" and grid.dim != 2:
         raise ValueError(f"newton potentials are defined only on 2D grids, got dim {grid.dim}")
-    if _separable(spec, grid):
-        # the product form, so that g, kbar and the constants describe the
-        # W that the factors apply
-        e = _gaussian_profile(spec, grid)
-        g = spec.c * np.multiply.outer(e, e)
-    else:
-        g = _evaluate(spec, _offset_distances(grid)) * grid.cell_volume
-    if spec.family == "newton":
-        g[(grid.n - 1,) * grid.dim] = newton_self_cell_average(grid.h, spec.kd) * grid.cell_volume
-    if not np.all(np.isfinite(g)):
-        raise ValueError("kernel evaluation produced non-finite weights")
-    kbar = _row_sums(g, grid.n).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _separable(spec, grid):
+            # the product form, so that g, kbar and the constants describe the
+            # W that the factors apply
+            e = _gaussian_profile(spec, grid)
+            g = spec.c * np.multiply.outer(e, e)
+        else:
+            g = _evaluate(spec, _offset_distances(grid)) * grid.cell_volume
+        if spec.family == "newton":
+            g[(grid.n - 1,) * grid.dim] = (newton_self_cell_average(grid.h, spec.kd)
+                                           * grid.cell_volume)
+        kbar = _row_sums(g, grid.n).ravel()
+    if not np.isfinite(kbar).all():
+        raise _amplitude_error(spec, "its weights or their row sums kbar overflow")
     g.flags.writeable = False
     kbar.flags.writeable = False
     return KernelOp(grid=grid, spec=spec, generator=g, kbar=kbar)

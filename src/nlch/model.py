@@ -1,10 +1,13 @@
 """
 Pointwise physics: degenerate mobility, logarithmic potential, reaction terms.
 
-The mobility mu(s) = s(1-s) and the reaction g are extended constantly
-outside [0,1] (mu by zero, g by its boundary values), matching the phase
-bounds the dynamics preserve.  The reaction family carries its s-derivative
-explicitly because the tangent flow needs it with uniform accuracy.
+The mobility mu(s) = s(1-s), the potential f and the reaction g are
+evaluated on the phase interval [0,1] only, where the dynamics keeps every
+state: ``_trajectory`` and ``solve_equilibrium`` reject data outside it,
+``step`` clamps every excursion or aborts, each Picard sweep clips its
+iterate and ``remainder_order`` skips perturbations that leave it.  The
+reaction family carries its s-derivative explicitly because the tangent
+flow needs it with uniform accuracy.
 """
 
 from __future__ import annotations
@@ -13,40 +16,28 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# np.clip's own ufunc, bit for bit (-0.0 and NaN included), without the three
-# Python wrappers that np.clip calls it through and that cost more than the
-# clip of a 1D field; np.minimum(np.maximum(...)) may turn -0.0 into +0.0
-from numpy._core.umath import clip as _clip
 from scipy.special import xlogy
 
 from .grid import Grid, check_field
 
 
 def mobility(s: np.ndarray | float) -> np.ndarray | float:
-    """mu(s) = s(1-s) on [0,1], zero outside (degenerate at the pure phases).
-
-    s(1-s) is negative exactly outside [0,1], so clipping it below at zero
-    is the extension by zero; a NaN entry stays NaN.
-    """
+    """mu(s) = s(1-s) on [0,1], degenerate at the pure phases."""
     s = np.asarray(s, dtype=float)
-    out = _clip(s * (1.0 - s), 0.0, np.inf)
+    out = s * (1.0 - s)
     return out if out.ndim else float(out)
 
 
 def mobility_deriv(s: np.ndarray | float) -> np.ndarray | float:
-    """mu'(s) = 1-2s on [0,1], zero outside (interior limit at the endpoints).
-
-    clip(s, 0, 1) == s holds exactly for s in [0,1] (-0.0 included) and fails
-    for NaN and +-inf, the truth table of (s >= 0) & (s <= 1) in two calls.
-    """
+    """mu'(s) = 1-2s on [0,1]."""
     s = np.asarray(s, dtype=float)
-    out = np.where(_clip(s, 0.0, 1.0) == s, 1.0 - 2.0 * s, 0.0)
+    out = 1.0 - 2.0 * s
     return out if out.ndim else float(out)
 
 
 def potential(s: np.ndarray | float) -> np.ndarray | float:
-    """f(s) = s log s + (1-s) log(1-s), extended continuously by f(0)=f(1)=0."""
-    s = _clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    """f(s) = s log s + (1-s) log(1-s) on [0,1], with f(0) = f(1) = 0."""
+    s = np.asarray(s, dtype=float)
     out = xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
     return out if out.ndim else float(out)
 
@@ -81,9 +72,8 @@ def chemical_potential(u: np.ndarray, op) -> np.ndarray:
 class ReactionSpec:
     """A reaction term g(x, s) with its s-derivative and validity checks.
 
-    ``g_fn`` and ``dg_fn`` map a nodal state array (already clamped to [0,1])
-    to nodal values; the constant extension outside [0,1] is applied by the
-    evaluation wrappers.  ``lipschitz_s`` is the uniform Lipschitz constant
+    ``g_fn`` and ``dg_fn`` map a nodal state array with entries in [0,1]
+    to nodal values.  ``lipschitz_s`` is the uniform Lipschitz constant
     in s, stored for stability guards and reports.
     """
 
@@ -109,17 +99,13 @@ class ReactionSpec:
 
 
 def reaction_eval(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
-    """Pointwise g(x_i, u_i) with constant extension outside [0,1]."""
-    u = np.asarray(u, dtype=float)
-    return spec.g_fn(_clip(u, 0.0, 1.0))
+    """Pointwise g(x_i, u_i) for u in [0,1]."""
+    return spec.g_fn(np.asarray(u, dtype=float))
 
 
 def reaction_deriv(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
-    """Pointwise d_s g(x_i, u_i); zero outside [0,1] where g is constant."""
-    u = np.asarray(u, dtype=float)
-    c = _clip(u, 0.0, 1.0)
-    # c == u exactly on [0,1], as in mobility_deriv
-    return np.where(c == u, spec.dg_fn(c), 0.0)
+    """Pointwise d_s g(x_i, u_i) for u in [0,1]."""
+    return spec.dg_fn(np.asarray(u, dtype=float))
 
 
 def _as_field(grid: Grid, value, name: str, lo=None, hi=None) -> np.ndarray:

@@ -247,8 +247,9 @@ def remainder_order(u0: np.ndarray, direction: np.ndarray, eps_list, spec: React
         r = l2_norm(grid, pert_state.u - base_state.u - eps * lam_dir)
         eps_used.append(eps)
         remainders.append(r)
-    if len(eps_used) < 2:
-        raise ValueError("fewer than 2 usable eps values after bound checks")
+    # any two points lie on a line
+    if len(eps_used) < 3:
+        raise ValueError("fewer than 3 usable eps values after bound checks")
     eps_used = np.asarray(eps_used)
     remainders = np.asarray(remainders)
 

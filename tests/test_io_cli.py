@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import nlch.cli
+import nlch.model
 import nlch.timestepper
 from nlch.cli import COMMANDS, CSV_HEADER, build_scenario, echo, execute, main, parse_config
 from nlch.grid import Grid, build_grid, l2_norm
 from nlch.io import read_field, write_field
-from nlch.timestepper import _trajectory
+from nlch.kernels import assemble_kernel, gaussian_kernel
+from nlch.model import zero_reaction
+from nlch.timestepper import SolverConfig, _trajectory
 
 OONO_CFG = """
 # oono decay scenario
@@ -544,14 +547,21 @@ class TestMain:
         ("grid.length = 1e-300", "length must be positive and finite, with (length / n)^2"),
         ("grid.length = 1e300", "length must be positive and finite, with (length / n)^2"),
         ("kernel.c = 1e308", "kernel amplitude c = 1e+308 is too large"),
+        ("kernel.c = 1e308\nkernel.lam = 1e300", "kernel amplitude c = 1e+308 is too large: "
+                                                 "its weights or their row sums kbar overflow"),
+        ("kernel.family = mollifier\nkernel.hcut = 1e-300",
+         "mollifier cutoff hcut = 1e-300 must have hcut^2 a finite normal float"),
+        ("kernel.family = mollifier\nkernel.hcut = 1e300",
+         "mollifier cutoff hcut = 1e+300 must have hcut^2 a finite normal float"),
         ("solver.dt = 1e-300", "t_end / dt = 2e+300 must round to a number of steps"),
-    ], ids=["length_tiny", "length_huge", "amplitude_huge", "dt_tiny"])
+    ], ids=["length_tiny", "length_huge", "amplitude_huge", "row_sums_overflow", "hcut_tiny",
+            "hcut_huge", "dt_tiny"])
     def test_cli_value_at_the_float_range_returns_2(self, tmp_path, line, message):
         # a process of its own: LAPACK writes to the process's stdout, and a
         # run of 2e300 steps would not return
-        key = line.split(" = ")[0]
+        keys = {ln.split(" = ")[0] for ln in line.splitlines()}
         text = "\n".join(ln for ln in OONO_CFG.replace("grid.n = 64", "grid.n = 16").splitlines()
-                         if not ln.startswith(key))
+                         if ln.split(" = ")[0] not in keys)
         cfg_path = tmp_path / "far.cfg"
         cfg_path.write_text(text + f"\n{line}\n")
         out = tmp_path / "o"
@@ -570,6 +580,30 @@ class TestMain:
         assert report.endswith("resolved configuration:\n"
                                + echo(parse_config(cfg_path.read_text())) + "\n")
         assert not (out / "series.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:eps = .* skipped:UserWarning")
+    @pytest.mark.parametrize("command,lines,status,message", [
+        # the residual norm of an early iterate overflows; u = 0 is certified
+        ("equilibrium", "reaction.sigma = 1e308\nequilibrium.seed_values = 0.3", 0,
+         "[PASS] equilibrium 0 certified: residual = 0.000e+00, mass = 0,"),
+        # eps = 0.1 and 0.03 lift the datum above 1: two points lie on any line
+        ("remainder", "grid.n = 64\nreaction.preset = logistic\ninit.kind = constant\n"
+         "init.value = 0.995\nremainder.eps_list = 1e-1,3e-2,1e-3,3e-4\nremainder.t = 0.2", 2,
+         "aborted: fewer than 3 usable eps values after bound checks"),
+    ], ids=["equilibrium_sigma_huge", "remainder_two_eps"])
+    def test_cli_command_ends_without_a_runtime_warning(self, tmp_path, capsys, command, lines,
+                                                       status, message):
+        # a RuntimeWarning raised as an error would escape main as a traceback
+        keys = {ln.split(" = ")[0] for ln in lines.splitlines()}
+        base = OONO_CFG.replace("grid.n = 64", "grid.n = 16")
+        text = "\n".join(ln for ln in base.splitlines() if ln.split(" = ")[0] not in keys)
+        cfg_path = tmp_path / "far.cfg"
+        cfg_path.write_text(text + f"\n{lines}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == status
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in (out / "report.txt").read_text()
 
     def test_cli_negative_random_seeds_returns_2(self, tmp_path, capsys):
         # parse_config rejects it, before any output exists
@@ -819,3 +853,69 @@ class TestConfigFuzz:
                 status = main([command, "--config", str(cfg_path),
                                "--out", str(Path(tmp) / "o")])
         assert status in (0, 1, 2)
+
+
+_POINTWISE = ("mobility", "mobility_deriv", "potential", "reaction_eval", "reaction_deriv")
+
+
+@pytest.fixture
+def phase_inputs(monkeypatch):
+    """Wrap the five pointwise functions of nlch.model in every nlch module
+    that binds them; count the calls and record each input outside [0, 1]."""
+    calls, outside = dict.fromkeys(_POINTWISE, 0), []
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "nlch"]
+    for fname in _POINTWISE:
+        original = getattr(nlch.model, fname)
+
+        def checked(*args, _fname=fname, _original=original):
+            # the phase value is the last argument: s, or u after the spec
+            s = np.asarray(args[-1], dtype=float)
+            calls[_fname] += 1
+            if not ((s >= 0.0) & (s <= 1.0)).all():
+                outside.append((_fname, float(np.min(s)), float(np.max(s))))
+            return _original(*args)
+
+        for module in modules:
+            if getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, checked)
+    return calls, outside
+
+
+class TestPhaseDomain:
+    """The pointwise physics is evaluated on [0, 1] only: in every flow, each
+    input that reaches it lies in the phase interval."""
+
+    def test_command_flows_stay_in_the_phase_interval(self, tmp_path, phase_inputs):
+        calls, outside = phase_inputs
+        smoke = tmp_path / "smoke.cfg"
+        smoke.write_text(OONO_CFG + INIT2 + "output.snapshot_every = 50\n")
+        for command in COMMANDS:
+            assert main([command, "--config", str(smoke), "--out", str(tmp_path / command)]) == 0
+        spinodal = tmp_path / "spinodal.cfg"
+        spinodal.write_text(EQ_CFG.replace("kernel.c = 0.05", "kernel.c = 80")
+                            + "init.kind = random\ninit.lo = 0.05\ninit.hi = 0.95\n"
+                            "init.seed = 99\nequilibrium.random_seeds = 2\n")
+        assert main(["equilibrium", "--config", str(spinodal),
+                     "--out", str(tmp_path / "spinodal")]) == 0
+        # eps = 0.1 lifts the datum above 1 and is skipped; three are left
+        near_one = tmp_path / "near_one.cfg"
+        near_one.write_text(OONO_CFG.replace("reaction.preset = oono", "reaction.preset = logistic")
+                            .replace("init.kind = random", "init.kind = constant")
+                            + "init.value = 0.995\nremainder.eps_list = 1e-1,1e-3,3e-4,1e-4\n"
+                            "remainder.t = 0.2\n")
+        with pytest.warns(UserWarning, match="eps = 0.1 drives the initial datum out"):
+            assert main(["remainder", "--config", str(near_one),
+                         "--out", str(tmp_path / "near_one")]) == 0
+        assert outside == []
+        assert all(calls.values()), calls
+
+    def test_clamping_run_stays_in_the_phase_interval(self, phase_inputs):
+        calls, outside = phase_inputs
+        grid = build_grid(1, 64, 1.0)
+        op = assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
+        u0 = np.where(grid.axis_coords() < 0.5, 0.0, 0.9)
+        state, _ = nlch.timestepper.run(u0, zero_reaction(grid), op,
+                                        SolverConfig(dt=1e-4, t_end=50e-4))
+        assert state.clamp_events > 0
+        assert outside == []
+        assert calls["mobility"] == 50

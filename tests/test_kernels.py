@@ -62,6 +62,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite and positive"):
             KernelSpec(**spec)
 
+    @pytest.mark.parametrize("hcut", [1e-300, 1.4e-154, 1.4e154, 1e300])
+    def test_rejects_cutoff_whose_square_is_not_a_normal_float(self, hcut):
+        # hcut^2 underflows below the normal floats or overflows: the weights'
+        # exp(-hcut^2 / (hcut^2 - r^2)) would be 0/0 or inf/inf at r = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mollifier cutoff hcut = .* must have hcut"):
+                mollifier_kernel(1.0, hcut)
+
     def test_rejects_newton_1d(self, grid1d):
         # the kernel takes the grid's dimension, so assembly is the one check
         with pytest.raises(ValueError, match="only on 2D grids, got dim 1"):
@@ -215,6 +224,20 @@ class TestKernelConstants:
             for constant in ("r2_est", "rinf_est", "k2_sup"):
                 with pytest.raises(ValueError, match=f"kernel amplitude {name} is too large"):
                     getattr(op, constant)
+
+    @pytest.mark.parametrize("spec,dims,name", [
+        (gaussian_kernel(1e308, 1e300), (1, 16, 1.0), "c = 1e\\+308"),
+        (gaussian_kernel(1e308, 0.05), (1, 16, 1e100), "c = 1e\\+308"),
+        (newton_kernel(1e308), (2, 8, 1.0), "kd = 1e\\+308"),
+    ], ids=["row_sums", "weights", "newton"])
+    def test_amplitude_whose_row_sums_overflow_is_rejected_by_name(self, spec, dims, name):
+        # every weight of the first is finite, but the prefix sums of its
+        # row sums kbar overflow; the weights of the other two overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"kernel amplitude {name} is too large: "
+                                                 "its weights or their row sums kbar overflow"):
+                assemble_kernel(spec, build_grid(*dims))
 
     def test_large_admitted_amplitude_has_finite_constants(self, grid1d):
         op = assemble_kernel(gaussian_kernel(1e300, 0.1), grid1d)

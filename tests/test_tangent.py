@@ -204,6 +204,16 @@ class TestRemainderOrder:
                                     spec, null_op, cfg, t=0.1)
         assert study.eps.size == 3
 
+    def test_two_usable_eps_are_not_fitted(self, grid, weak_op):
+        # any two points lie on a line: the fit would report r^2 = 1
+        spec = logistic_reaction(grid, 1.0)
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
+        u0 = np.full(grid.num_nodes, 0.995)
+        with pytest.warns(UserWarning, match="out of"):
+            with pytest.raises(ValueError, match="fewer than 3 usable eps values"):
+                remainder_order(u0, cosine_direction(grid), [1e-1, 3e-2, 1e-3, 3e-4],
+                                spec, weak_op, cfg, t=0.2)
+
 
 class TestFrames:
     def test_cosine_frame_orthonormal(self, grid):
