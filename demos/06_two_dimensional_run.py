@@ -5,7 +5,7 @@ snapshots in the portable NLCH binary format.
 
 The same guarantees hold as in 1D: bounds, exact mass balance, and a
 monotone energy when the reaction is switched off.  Writes the final field
-to nlch_2d_demo.nlch next to this script.
+to nlch_2d_demo.nlch in the working directory.
 """
 
 from pathlib import Path
@@ -36,7 +36,7 @@ d_energy = np.diff(rec.energy)
 print(f"energy monotone: {bool(np.all(d_energy <= 1e-10))} "
       f"(max increment {np.max(d_energy):.2e})")
 
-out = Path(__file__).with_name("nlch_2d_demo.nlch")
+out = Path("nlch_2d_demo.nlch")
 write_field(out, grid, state.u, state.t)
 g2, u2, t2 = read_field(out)
 print(f"snapshot round trip: {out.name}, t = {t2}, "

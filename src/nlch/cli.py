@@ -364,20 +364,22 @@ def _cmd_pair(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     """Run's trajectory report for the first datum, then the distance of the pair."""
     if scen.u0_second is None:
         raise ValueError("pair command needs an init2 section")
-    pair = PairRecord(times=np.empty(0), dist=np.empty(0))
-    _report_trajectory(paired_trajectory(scen.u0, scen.u0_second, scen.spec, scen.op,
-                                         scen.solver_cfg, pair), cfg, scen, out, report)
-    _write_csv(out / "pair_distance.csv", "t,distance", [pair.times, pair.dist])
-    report.add(f"initial distance = {pair.dist[0]:.6g}, final distance = {pair.dist[-1]:.6g}")
-    # the first quarter is a transient (fast modes of the initial
-    # difference die first); linearity is judged on the remainder, and any
-    # two points lie on a line
-    t0 = pair.times[0] + 0.25 * (pair.times[-1] - pair.times[0])
-    sel = pair.times >= t0
+    # the record steps' times k dt are known before the first step.  The first
+    # quarter is a transient (fast modes of the initial difference die first);
+    # linearity is judged on the remainder, and any two points lie on a line
+    solver = scen.solver_cfg
+    times = np.array([k * solver.dt for k in range(solver.n_steps + 1)
+                      if solver.is_record_step(k)])
+    sel = times >= times[0] + 0.25 * (times[-1] - times[0])
     if (kept := np.count_nonzero(sel)) < 3:
         raise ValueError(f"{kept} recorded distances after the first "
                          "quarter, need >= 3 to judge linearity: raise solver.t_end or "
                          "lower solver.record_every")
+    pair = PairRecord(times=np.empty(0), dist=np.empty(0))
+    _report_trajectory(paired_trajectory(scen.u0, scen.u0_second, scen.spec, scen.op,
+                                         solver, pair), cfg, scen, out, report)
+    _write_csv(out / "pair_distance.csv", "t,distance", [pair.times, pair.dist])
+    report.add(f"initial distance = {pair.dist[0]:.6g}, final distance = {pair.dist[-1]:.6g}")
     if np.all(pair.dist > 0):
         slope = diagnostics._fit_line(pair.times, np.log(pair.dist))[0]
         report.add(f"fitted continuous-dependence constant C = {slope:.6g} per unit time")
@@ -419,6 +421,8 @@ def _cmd_remainder(cfg: dict, scen: Scenario, out: Path, report: Report) -> None
                f"direction = cosine mode {mode}")
     for e, r in zip(study.eps, study.remainders):
         report.add(f"  eps = {e:.3e}   remainder = {r:.6e}")
+    for e in study.skipped:
+        report.add(f"  eps = {e:.3e}   skipped: u0 + eps d leaves [0, 1]")
     report.add(f"result: {study}")
 
 

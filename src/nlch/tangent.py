@@ -20,14 +20,13 @@ functional literally.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from itertools import pairwise, product
 
 import numpy as np
 
 from .diagnostics import _fit_line
-from .grid import Grid, div_flux, l2_norm, laplacian_neumann, neumann_mode
+from .grid import Grid, check_field, div_flux, l2_norm, laplacian_neumann, neumann_mode
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, mobility_deriv, reaction_deriv
 from .solvers import SolverError, neumann_solver
@@ -199,13 +198,15 @@ def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
 
 @dataclass
 class RemainderStudy:
-    """Remainders of the first-order tangent approximation at several eps."""
+    """Remainders of the first-order tangent approximation at several eps,
+    and the eps whose datum u0 + eps d leaves [0, 1] (``skipped``)."""
 
     eps: np.ndarray
     remainders: np.ndarray
     order: float
     r_squared: float
     exact: bool
+    skipped: np.ndarray
 
     def __str__(self) -> str:
         if self.exact:
@@ -217,45 +218,38 @@ def remainder_order(u0: np.ndarray, direction: np.ndarray, eps_list, spec: React
                     op: KernelOp, cfg: SolverConfig, t: float) -> RemainderStudy:
     """Observed order of || S(t)(u0+eps d) - S(t)u0 - eps Lambda(t) d ||.
 
-    Fits the slope of log remainder against log eps.  If every remainder
-    sits below the noise floor the flow is affine along this direction and
-    the study reports order = inf with ``exact`` set.
+    Fits the slope of log remainder against log eps over the eps whose datum
+    u0 + eps d lies in [0, 1]; the others are ``skipped``, before any step.
+    If every remainder sits below the noise floor the flow is affine along
+    this direction and the study reports order = inf with ``exact`` set.
     """
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    if eps_arr.size < 3:
-        raise ValueError(f"need >= 3 points to fit, got {eps_arr.size}")
     if not (np.isfinite(eps_arr) & (eps_arr > 0)).all():
         raise ValueError("eps values must be positive and finite")
     grid = op.grid
-    direction = np.asarray(direction, dtype=float)
+    u0 = check_field(grid, u0)
+    direction = check_field(grid, direction)
     nrm = l2_norm(grid, direction)
     if nrm == 0:
         raise ValueError("direction must be nonzero")
     direction = direction / nrm
 
+    data = u0 + eps_arr[:, None] * direction
+    leaves = (data.min(axis=1) < 0.0) | (data.max(axis=1) > 1.0)
+    # any two points lie on a line
+    if (usable := np.count_nonzero(~leaves)) < 3:
+        raise ValueError(f"fewer than 3 usable eps values after bound checks: {usable} of "
+                         f"{eps_arr.size} keep u0 + eps d in [0, 1]")
+    eps_used = eps_arr[~leaves]
     run_cfg = replace(cfg, t_end=float(t))
     base_state, lam_dir = _propagate(direction, u0, spec, op, run_cfg)
-
-    eps_used, remainders = [], []
-    for eps in eps_arr:
-        v0 = u0 + eps * direction
-        if float(np.min(v0)) < 0.0 or float(np.max(v0)) > 1.0:
-            warnings.warn(f"eps = {eps:g} drives the initial datum out of [0,1]; skipped",
-                          stacklevel=2)
-            continue
-        pert_state, _ = run(v0, spec, op, run_cfg)
-        r = l2_norm(grid, pert_state.u - base_state.u - eps * lam_dir)
-        eps_used.append(eps)
-        remainders.append(r)
-    # any two points lie on a line
-    if len(eps_used) < 3:
-        raise ValueError("fewer than 3 usable eps values after bound checks")
-    eps_used = np.asarray(eps_used)
-    remainders = np.asarray(remainders)
+    remainders = np.array([l2_norm(grid, run(v0, spec, op, run_cfg)[0].u - base_state.u
+                                   - eps * lam_dir)
+                           for eps, v0 in zip(eps_used, data[~leaves])])
 
     if np.all(remainders <= EXACT_REMAINDER_FLOOR):
-        return RemainderStudy(eps=eps_used, remainders=remainders,
-                              order=float("inf"), r_squared=1.0, exact=True)
+        return RemainderStudy(eps=eps_used, remainders=remainders, order=float("inf"),
+                              r_squared=1.0, exact=True, skipped=eps_arr[leaves])
     slope, _, r2 = _fit_line(np.log(eps_used), np.log(np.maximum(remainders, 1e-300)))
-    return RemainderStudy(eps=eps_used, remainders=remainders,
-                          order=float(slope), r_squared=r2, exact=False)
+    return RemainderStudy(eps=eps_used, remainders=remainders, order=float(slope),
+                          r_squared=r2, exact=False, skipped=eps_arr[leaves])

@@ -1,4 +1,4 @@
-"""Every demo runs to completion."""
+"""Every demo runs to completion, in a fresh working directory for the files it writes."""
 
 import os
 import subprocess
@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_exits_zero(demo):
+def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -523,6 +523,25 @@ class TestMain:
         report = (out / "report.txt").read_text()
         assert f"aborted: {kept} recorded distances after the first quarter" in report
         assert "solver.t_end" in report and "solver.record_every" in report
+        # the count is known before the first step: nothing was stepped or written
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
+
+    def test_cli_run_without_reaction_checks_the_energy(self, tmp_path):
+        cfg_path = tmp_path / "free.cfg"
+        cfg_path.write_text(OONO_CFG.replace("reaction.preset = oono", "reaction.preset = none"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "[PASS] energy monotone (g = 0): max energy increment = " in \
+            (out / "report.txt").read_text()
+
+    def test_cli_pair_of_equal_data_coincides(self, tmp_path):
+        cfg_path = tmp_path / "same.cfg"
+        cfg_path.write_text(OONO_CFG + INIT2.replace("init2.seed = 8", "init2.seed = 7"))
+        out = tmp_path / "o"
+        assert main(["pair", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "initial distance = 0, final distance = 0" in report
+        assert "distance hit zero; trajectories coincide" in report
 
     def test_cli_equilibrium_random_seed_with_nan_bound_returns_2(self, tmp_path, capsys):
         # the datum is constant: the bad bound is met only by the command's random seeds
@@ -903,9 +922,12 @@ class TestPhaseDomain:
                             .replace("init.kind = random", "init.kind = constant")
                             + "init.value = 0.995\nremainder.eps_list = 1e-1,1e-3,3e-4,1e-4\n"
                             "remainder.t = 0.2\n")
-        with pytest.warns(UserWarning, match="eps = 0.1 drives the initial datum out"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["remainder", "--config", str(near_one),
                          "--out", str(tmp_path / "near_one")]) == 0
+        assert "  eps = 1.000e-01   skipped: u0 + eps d leaves [0, 1]\n" in \
+            (tmp_path / "near_one" / "report.txt").read_text()
         assert outside == []
         assert all(calls.values()), calls
 

@@ -1,10 +1,12 @@
 """Tangent flow, uniform differentiability, and trace-based dimension bounds."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nlch.tangent
 from nlch.equilibrium import _rhs
 from nlch.grid import (build_grid, div_flux, h1_seminorm, inner, l2_norm, laplacian_neumann,
                        neumann_mode)
@@ -183,7 +185,8 @@ class TestRemainderOrder:
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=1.0)
         u0 = np.full(grid.num_nodes, 0.5)
-        with pytest.raises(ValueError, match="need >= 3 points"):
+        with pytest.raises(ValueError, match="fewer than 3 usable eps values after bound "
+                                             "checks: 1 of 1"):
             remainder_order(u0, cosine_direction(grid), [1e-3], spec, null_op, cfg, t=0.1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -199,20 +202,47 @@ class TestRemainderOrder:
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=1.0)
         u0 = np.full(grid.num_nodes, 0.998)   # close to the upper phase
-        with pytest.warns(UserWarning, match="out of"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             study = remainder_order(u0, cosine_direction(grid), [0.5, 1e-3, 3e-4, 1e-4],
                                     spec, null_op, cfg, t=0.1)
-        assert study.eps.size == 3
+        assert study.eps.tolist() == [1e-3, 3e-4, 1e-4]
+        assert study.skipped.tolist() == [0.5]
 
     def test_two_usable_eps_are_not_fitted(self, grid, weak_op):
         # any two points lie on a line: the fit would report r^2 = 1
         spec = logistic_reaction(grid, 1.0)
         cfg = SolverConfig(dt=0.01, t_end=1.0)
         u0 = np.full(grid.num_nodes, 0.995)
-        with pytest.warns(UserWarning, match="out of"):
-            with pytest.raises(ValueError, match="fewer than 3 usable eps values"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fewer than 3 usable eps values after bound "
+                                                 "checks: 2 of 4"):
                 remainder_order(u0, cosine_direction(grid), [1e-1, 3e-2, 1e-3, 3e-4],
                                 spec, weak_op, cfg, t=0.2)
+
+    def test_too_few_usable_eps_raise_before_any_step(self, grid, weak_op, monkeypatch):
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("_propagate", "run"):
+            monkeypatch.setattr(nlch.tangent, name, counted(name, getattr(nlch.tangent, name)))
+        spec = logistic_reaction(grid, 1.0)
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
+        u0 = np.full(grid.num_nodes, 0.995)
+        with pytest.raises(ValueError, match="fewer than 3 usable eps values"):
+            remainder_order(u0, cosine_direction(grid), [1e-1, 3e-2, 1e-3, 3e-4],
+                            spec, weak_op, cfg, t=0.2)
+        assert calls == []
+        # the wrappers count: a fitted study calls each of them
+        remainder_order(u0, cosine_direction(grid), [1e-3, 3e-4, 1e-4], spec, weak_op, cfg,
+                        t=0.2)
+        assert calls == ["_propagate", "run", "run", "run"]
 
 
 class TestFrames:

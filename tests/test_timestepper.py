@@ -128,6 +128,22 @@ class TestSingleStep:
         assert state.clamp_events > 0
         assert mass_balance_residual(rec) <= 1e-12
 
+    def test_excursions_between_the_tolerances_warn_and_drift_the_mass(self):
+        """At c = 160 the overshoot is O(dt): each excursion between
+        WARN_BOUND_TOL and HARD_BOUND_TOL is clamped with a warning and
+        counted, the record stays in [0, 1], and the clamps move the mass off
+        the per-step identity (the drift ``nlch run`` reports as a FAIL)."""
+        grid = build_grid(1, 128, 1.0)
+        op = assemble_kernel(gaussian_kernel(160.0, 0.05), grid)
+        u0 = np.random.default_rng(1).uniform(0.1, 0.9, grid.num_nodes)
+        with pytest.warns(UserWarning, match="phase bound excursion") as caught:
+            state, rec = run(u0, zero_reaction(grid), op, SolverConfig(dt=1e-5, t_end=0.01))
+        excursions = [float(str(w.message).split()[3]) for w in caught]
+        assert all(WARN_BOUND_TOL < e <= HARD_BOUND_TOL for e in excursions)
+        assert state.clamp_events > 0
+        assert min(rec.min_u) >= 0.0 and max(rec.max_u) <= 1.0
+        assert mass_balance_residual(rec) > 1e-12
+
 
 class TestMassIdentity:
     def test_oono_mean_recursion(self, grid, weak_op):
