@@ -38,7 +38,8 @@ from .model import (
 )
 from .solvers import SolverError
 from .tangent import DimensionScan, dimension_bound, remainder_order
-from .timestepper import PairRecord, SolverConfig, _trajectory, paired_trajectory, record
+from .timestepper import (BOUND_TOL, PairRecord, SolverConfig, _trajectory, paired_trajectory,
+                          record)
 
 CSV_HEADER = "t,mass,min_u,max_u,l2_norm,h1_seminorm,energy,dist_to_ref,clamp_events"
 
@@ -341,7 +342,7 @@ def _report_trajectory(states, cfg: dict, scen: Scenario, out: Path, report: Rep
                f"clamp events = {state.clamp_events}")
     report.add(f"final mass = {arrays['mass'][-1]:.12g}")
     lo, hi = float(np.min(arrays["min_u"])), float(np.max(arrays["max_u"]))
-    report.check("phase bounds", lo >= -1e-8 and hi <= 1.0 + 1e-8,
+    report.check("phase bounds", lo >= -BOUND_TOL and hi <= 1.0 + BOUND_TOL,
                  f"min u = {lo:.3e}, max u = {hi:.6f}")
     resid = diagnostics.mass_balance_residual(rec)
     report.check("mass identity", resid <= 1e-12, f"per-step residual = {resid:.3e}")
@@ -405,8 +406,8 @@ def _cmd_equilibrium(cfg: dict, scen: Scenario, out: Path, report: Report) -> No
         write_field(out / f"equilibrium_{i:02d}.nlch", scen.grid, res.u, 0.0)
         report.check(
             f"equilibrium {i} certified",
-            res.certified and float(np.min(res.u)) >= -1e-8
-            and float(np.max(res.u)) <= 1.0 + 1e-8,
+            res.certified and float(np.min(res.u)) >= -BOUND_TOL
+            and float(np.max(res.u)) <= 1.0 + BOUND_TOL,
             f"residual = {res.residual:.3e}, mass = {np.mean(res.u):.6g}, "
             f"iterations = {res.iterations}, mass defect = {res.mass_defect:.3e}",
         )

@@ -4,7 +4,7 @@ Pointwise physics: degenerate mobility, logarithmic potential, reaction terms.
 The mobility mu(s) = s(1-s), the potential f and the reaction g are
 evaluated on the phase interval [0,1] only, where the dynamics keeps every
 state: ``_trajectory`` and ``solve_equilibrium`` reject data outside it,
-``step`` clamps every excursion or aborts, each Picard sweep clips its
+``step`` clips a round-off excursion or aborts, each Picard sweep clips its
 iterate and ``remainder_order`` skips perturbations that leave it.  The
 reaction family carries its s-derivative explicitly because the tangent
 flow needs it with uniform accuracy.

@@ -506,6 +506,20 @@ class TestMain:
         assert "aborted: tangent frame lost rank" in report
         assert "tighten ortho_every" in report
 
+    @pytest.mark.filterwarnings("error")
+    def test_cli_bound_excursion_returns_2(self, tmp_path, capsys):
+        # a kernel this strong overshoots [0, 1] by O(dt) on 128 nodes
+        cfg_path = tmp_path / "stiff.cfg"
+        cfg_path.write_text("grid.n = 128\nkernel.c = 160\nkernel.lam = 0.05\n"
+                            "reaction.preset = none\nsolver.dt = 1e-5\nsolver.t_end = 0.01\n"
+                            "solver.record_every = 100\ninit.kind = random\ninit.lo = 0.1\n"
+                            "init.hi = 0.9\ninit.seed = 1\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert ("aborted: phase bound excursion 1.751e-06 exceeds 1e-08 at t = 0.00762: "
+                "reduce dt or refine the grid\n") in (out / "report.txt").read_text()
+
     @pytest.mark.parametrize("t_end,kept", [(0.02, 2), (0.01, 1)], ids=["two_dt", "one_dt"])
     def test_cli_pair_too_short_to_judge_linearity_returns_2(self, tmp_path, capsys,
                                                              t_end, kept):
@@ -601,7 +615,6 @@ class TestMain:
         assert not (out / "series.csv").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:eps = .* skipped:UserWarning")
     @pytest.mark.parametrize("command,lines,status,message", [
         # the residual norm of an early iterate overflows; u = 0 is certified
         ("equilibrium", "reaction.sigma = 1e308\nequilibrium.seed_values = 0.3", 0,

@@ -26,9 +26,8 @@ from nlch.model import (
 )
 from nlch.solvers import SolverError, SpdNeumannSolver
 from nlch.timestepper import (
-    HARD_BOUND_TOL,
+    BOUND_TOL,
     MAX_STEPS,
-    WARN_BOUND_TOL,
     SolverConfig,
     State,
     _trajectory,
@@ -128,24 +127,52 @@ class TestSingleStep:
         assert state.clamp_events > 0
         assert mass_balance_residual(rec) <= 1e-12
 
-    def test_excursions_between_the_tolerances_warn_and_drift_the_mass(self):
-        """At c = 160 the overshoot is O(dt): each excursion between
-        WARN_BOUND_TOL and HARD_BOUND_TOL is clamped with a warning and
-        counted, the record stays in [0, 1], and the clamps move the mass off
-        the per-step identity (the drift ``nlch run`` reports as a FAIL)."""
+    @pytest.mark.filterwarnings("error")
+    def test_excursions_beyond_the_tolerance_abort(self):
+        """At c = 160 the overshoot is O(dt): the first excursion beyond
+        BOUND_TOL aborts the run, with no warning before it, instead of a
+        clip that would move the mass off the per-step identity."""
         grid = build_grid(1, 128, 1.0)
         op = assemble_kernel(gaussian_kernel(160.0, 0.05), grid)
         u0 = np.random.default_rng(1).uniform(0.1, 0.9, grid.num_nodes)
-        with pytest.warns(UserWarning, match="phase bound excursion") as caught:
-            state, rec = run(u0, zero_reaction(grid), op, SolverConfig(dt=1e-5, t_end=0.01))
-        excursions = [float(str(w.message).split()[3]) for w in caught]
-        assert all(WARN_BOUND_TOL < e <= HARD_BOUND_TOL for e in excursions)
-        assert state.clamp_events > 0
-        assert min(rec.min_u) >= 0.0 and max(rec.max_u) <= 1.0
-        assert mass_balance_residual(rec) > 1e-12
+        with pytest.raises(SolverError, match=r"^phase bound excursion 1\.751e-06 exceeds "
+                           r"1e-08 at t = 0\.00762: reduce dt or refine the grid$"):
+            run(u0, zero_reaction(grid), op, SolverConfig(dt=1e-5, t_end=0.01))
+
+    @pytest.mark.parametrize("c,dt,completes", [
+        (40.0, 1.6e-3, True), (40.0, 2.5e-3, False),
+        (80.0, 2.56e-4, True), (80.0, 4e-4, False),
+    ])
+    def test_step_size_cliff(self, c, dt, completes):
+        """Two points on each side of the largest clean dt of a smooth datum:
+        below it the run stays inside [0, 1] with no clamp, above it it aborts."""
+        grid = build_grid(1, 128, 1.0)
+        op = assemble_kernel(gaussian_kernel(c, 0.05), grid)
+        u0 = 0.5 + 0.05 * np.cos(3 * np.pi * grid.axis_coords())
+        cfg = SolverConfig(dt=dt, t_end=0.5)
+        if completes:
+            assert run(u0, zero_reaction(grid), op, cfg)[0].clamp_events == 0
+        else:
+            with pytest.raises(SolverError, match="phase bound excursion"):
+                run(u0, zero_reaction(grid), op, cfg)
 
 
 class TestMassIdentity:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt", [1e-5, 2e-4, 5e-4])
+    @pytest.mark.parametrize("c", [80.0, 160.0])
+    def test_every_completed_run_keeps_the_mass_identity(self, c, dt):
+        """A stiff kernel either aborts on the phase bounds or completes with
+        the per-step mass identity intact: no run ends with a drifted mass."""
+        grid = build_grid(1, 128, 1.0)
+        op = assemble_kernel(gaussian_kernel(c, 0.05), grid)
+        u0 = np.random.default_rng(1).uniform(0.1, 0.9, grid.num_nodes)
+        try:
+            _, rec = run(u0, zero_reaction(grid), op, SolverConfig(dt=dt, t_end=0.01))
+        except SolverError:
+            return
+        assert mass_balance_residual(rec) <= 1e-12
+
     def test_oono_mean_recursion(self, grid, weak_op):
         sigma, dt = 1.0, 0.01
         spec = oono_reaction(grid, sigma)
@@ -350,18 +377,12 @@ def _oracle_step(state, spec, op, cfg, solver=None):
     lo, hi = float(np.min(u_new)), float(np.max(u_new))
     excursion = max(0.0 - lo, hi - 1.0, 0.0)
     clamped = 0
-    if excursion > HARD_BOUND_TOL:
+    if excursion > BOUND_TOL:
         raise SolverError(
-            f"phase bound excursion {excursion:.3e} exceeds {HARD_BOUND_TOL:.0e} "
-            f"at t = {state.t + cfg.dt:.6g}: scheme unstable, reduce dt"
+            f"phase bound excursion {excursion:.3e} exceeds {BOUND_TOL:.0e} "
+            f"at t = {state.t + cfg.dt:.6g}: reduce dt or refine the grid"
         )
     if excursion > 0.0:
-        if excursion > WARN_BOUND_TOL:
-            warnings.warn(
-                f"phase bound excursion {excursion:.3e} beyond "
-                f"{WARN_BOUND_TOL:.0e} at t = {state.t + cfg.dt:.6g}; clamping",
-                stacklevel=2,
-            )
         clamped = int(np.sum((u_new < 0.0) | (u_new > 1.0)))
         np.clip(u_new, 0.0, 1.0, out=u_new)
 
