@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +40,9 @@ from .model import (
 )
 from .solvers import SolverError
 from .tangent import DimensionScan, dimension_bound, remainder_order
-from .timestepper import (BOUND_TOL, PairRecord, SolverConfig, _trajectory, paired_trajectory,
-                          record)
+from .timestepper import BOUND_TOL, SolverConfig, _trajectory, record
 
-CSV_HEADER = "t,mass,min_u,max_u,l2_norm,h1_seminorm,energy,dist_to_ref,clamp_events"
+CSV_HEADER = "t,mass,min_u,max_u,l2_norm,h1_seminorm,energy,clamp_events"
 
 
 # -- value types: each converts a config string, or raises ValueError -------------
@@ -282,7 +283,7 @@ def execute(cfg: dict, out_dir, command: str,
     init2.seed = s + 1; the echoed configuration records both.  A failure
     before the command (the scenario, the kernel constants) is reported as
     a configuration error and one inside it as an abort, both with status
-    2; every report ends with the resolved configuration.
+    2; every report ends with its ``warning: <message>`` lines and the resolved configuration.
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
@@ -299,20 +300,25 @@ def execute(cfg: dict, out_dir, command: str,
     report.add(f"nlch {command}")
     report.add()
     failure = "configuration error"
-    try:
-        scen = build_scenario(cfg)
-        r2, rinf, k2 = kernel_constants(scen.op)
-        report.add(f"seed = {cfg['init.seed']}")
-        report.add(f"kernel constants: r2_est = {r2:.6g}, rinf_est = {rinf:.6g}, k2_sup = {k2:.6g}")
-        if scen.op.spec.family == "newton":
-            report.add(f"newton constant kd = {scen.op.spec.kd:.6g}")
-        report.add()
-        failure = "aborted"
-        _COMMANDS[command](cfg, scen, out, report)
-        status = 1 if report.failures else 0
-    except (SolverError, ValueError) as exc:
-        report.add(f"{failure}: {exc}")
-        status = 2
+    # the filters stay as they are, so a warning turned into an error escapes
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            scen = build_scenario(cfg)
+            r2, rinf, k2 = kernel_constants(scen.op)
+            report.add(f"seed = {cfg['init.seed']}")
+            report.add(f"kernel constants: r2_est = {r2:.6g}, rinf_est = {rinf:.6g}, "
+                       f"k2_sup = {k2:.6g}")
+            if scen.op.spec.family == "newton":
+                report.add(f"newton constant kd = {scen.op.spec.kd:.6g}")
+            report.add()
+            failure = "aborted"
+            _COMMANDS[command](cfg, scen, out, report)
+            status = 1 if report.failures else 0
+        except (SolverError, ValueError) as exc:
+            report.add(f"{failure}: {exc}")
+            status = 2
+    for w in caught:
+        report.add(f"warning: {w.message}")
 
     report.add()
     report.add("resolved configuration:")
@@ -329,11 +335,13 @@ def _snapshots(states, out: Path, grid: Grid, every: int):
         yield state
 
 
-def _report_trajectory(states, cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
-    """Record a state stream as it is stepped, writing its snapshots,
-    series.csv and u_final.nlch, and report its invariant checks."""
-    states = _snapshots(states, out, scen.grid, cfg["output.snapshot_every"])
-    state, rec = record(states, scen.spec, scen.op, scen.solver_cfg)
+def _report_trajectory(refs, cfg: dict, scen: Scenario, out: Path, report: Report) -> dict:
+    """Record the first datum's trajectory against ``refs`` (see ``record``)
+    as it is stepped, writing its snapshots, series.csv and u_final.nlch;
+    report its invariant checks and return the record's series."""
+    states = _snapshots(_trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg), out,
+                        scen.grid, cfg["output.snapshot_every"])
+    state, rec = record(states, refs, scen.spec, scen.op, scen.solver_cfg)
     arrays = rec.as_arrays()
     _write_csv(out / "series.csv", CSV_HEADER, [arrays[c] for c in CSV_HEADER.split(",")])
     write_field(out / "u_final.nlch", scen.grid, state.u, state.t)
@@ -354,15 +362,15 @@ def _report_trajectory(states, cfg: dict, scen: Scenario, out: Path, report: Rep
     if grad_tail.size:
         report.add(f"gradient norm bound for t >= 1: {np.max(grad_tail):.6g}")
     report.add(f"l2 norm decay: {_trailing_rate(arrays['t'], arrays['l2_norm'])}")
+    return arrays
 
 
 def _cmd_run(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
-    _report_trajectory(_trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg),
-                       cfg, scen, out, report)
+    _report_trajectory(repeat(None), cfg, scen, out, report)
 
 
 def _cmd_pair(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
-    """Run's trajectory report for the first datum, then the distance of the pair."""
+    """Run's report for the first datum against the second's states, then the pair's distance."""
     if scen.u0_second is None:
         raise ValueError("pair command needs an init2 section")
     # the record steps' times k dt are known before the first step.  The first
@@ -376,19 +384,17 @@ def _cmd_pair(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
         raise ValueError(f"{kept} recorded distances after the first "
                          "quarter, need >= 3 to judge linearity: raise solver.t_end or "
                          "lower solver.record_every")
-    pair = PairRecord(times=np.empty(0), dist=np.empty(0))
-    _report_trajectory(paired_trajectory(scen.u0, scen.u0_second, scen.spec, scen.op,
-                                         solver, pair), cfg, scen, out, report)
-    _write_csv(out / "pair_distance.csv", "t,distance", [pair.times, pair.dist])
-    report.add(f"initial distance = {pair.dist[0]:.6g}, final distance = {pair.dist[-1]:.6g}")
-    if np.all(pair.dist > 0):
-        slope = diagnostics._fit_line(pair.times, np.log(pair.dist))[0]
+    second = (s.u for s in _trajectory(scen.u0_second, scen.spec, scen.op, solver))
+    dist = _report_trajectory(second, cfg, scen, out, report)["dist_to_ref"]
+    _write_csv(out / "pair_distance.csv", "t,distance", [times, dist])
+    report.add(f"initial distance = {dist[0]:.6g}, final distance = {dist[-1]:.6g}")
+    if np.all(dist > 0):
+        slope = diagnostics._fit_line(times, np.log(dist))[0]
         report.add(f"fitted continuous-dependence constant C = {slope:.6g} per unit time")
-        frac = diagnostics.linear_fit_residual_fraction(pair.times[sel],
-                                                        np.log(pair.dist[sel]))
+        frac = diagnostics.linear_fit_residual_fraction(times[sel], np.log(dist[sel]))
         report.check("no super-exponential growth (post-transient)", frac <= 0.10,
                      f"linear-fit residual fraction = {frac:.3f}")
-        report.add(f"distance decay: {_trailing_rate(pair.times, pair.dist)}")
+        report.add(f"distance decay: {_trailing_rate(times, dist)}")
     else:
         report.add("distance hit zero; trajectories coincide")
 

@@ -243,7 +243,8 @@ def remainder_order(u0: np.ndarray, direction: np.ndarray, eps_list, spec: React
     eps_used = eps_arr[~leaves]
     run_cfg = replace(cfg, t_end=float(t))
     base_state, lam_dir = _propagate(direction, u0, spec, op, run_cfg)
-    remainders = np.array([l2_norm(grid, run(v0, spec, op, run_cfg)[0].u - base_state.u
+    end_cfg = replace(run_cfg, record_every=run_cfg.n_steps)   # only the final states are used
+    remainders = np.array([l2_norm(grid, run(v0, spec, op, end_cfg)[0].u - base_state.u
                                    - eps * lam_dir)
                            for eps, v0 in zip(eps_used, data[~leaves])])
 

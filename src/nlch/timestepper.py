@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
@@ -115,7 +115,10 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig) -> S
 
 def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
                 cfg: SolverConfig) -> Iterator[State]:
-    """Yield the states after k = 0..n_steps steps, at t = k dt exactly."""
+    """Yield the states after k = 0..n_steps steps, at t = k dt exactly,
+    making every check on the datum as the first state is drawn.  A
+    pure-phase mean that the reaction does not move warns, naming ``run``'s caller
+    (``pair_run``, ``dimension_bound`` and ``remainder_order`` warn too)."""
     state = initial_state(u0, op)
     if np.min(state.u) < 0.0 or np.max(state.u) > 1.0:
         raise ValueError("initial datum must satisfy 0 <= u0 <= 1 nodewise")
@@ -124,6 +127,13 @@ def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
             f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
             f"reaction is unstable, reduce dt below {0.5 / spec.lipschitz_s:.3g}"
         )
+    mean0 = float(mean(state.u))
+    if not (0.0 < mean0 < 1.0) and float(mean(reaction_eval(spec, state.u))) == 0.0:
+        # this generator, record, run, and run's caller
+        warnings.warn(
+            f"mean(u0) = {mean0} is a pure phase and the reaction does not "
+            f"move mass there; the run will remain stationary", stacklevel=4,
+        )
     yield state
     for k in range(1, cfg.n_steps + 1):
         state = step(state, spec, op, cfg)
@@ -131,21 +141,14 @@ def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
         yield state
 
 
-def record(states: Iterator[State], spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
-           ref: np.ndarray | None = None) -> tuple[State, TrajectoryRecord]:
+def record(states: Iterator[State], refs: Iterable[np.ndarray | None], spec: ReactionSpec,
+           op: KernelOp, cfg: SolverConfig) -> tuple[State, TrajectoryRecord]:
     """Consume a ``_trajectory`` state stream as it is stepped, keeping no
-    state; return the final state and the diagnostics record.  ``ref`` adds
-    an L2 distance-to-reference series."""
-    state = next(states)
-    mean0 = float(mean(state.u))
-    if not (0.0 < mean0 < 1.0) and float(mean(reaction_eval(spec, state.u))) == 0.0:
-        warnings.warn(
-            f"mean(u0) = {mean0} is a pure phase and the reaction does not "
-            f"move mass there; the run will remain stationary", stacklevel=3,
-        )
-
+    state; return the final state and the diagnostics record.  ``refs``
+    holds each state's reference field for ``dist_to_ref`` (nan for None),
+    and is drawn first: a reference trajectory's datum is checked first."""
     rec = TrajectoryRecord(grid=op.grid, dt=cfg.dt)
-    for state in chain([state], states):
+    for ref, state in zip(refs, states):
         k = state.step_count
         rec.step_mass.append(float(mean(state.u)))
         if cfg.is_record_step(k):
@@ -157,8 +160,8 @@ def record(states: Iterator[State], spec: ReactionSpec, op: KernelOp, cfg: Solve
 
 def run(u0: np.ndarray, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig,
         ref: np.ndarray | None = None) -> tuple[State, TrajectoryRecord]:
-    """Integrate from u0 to t_end, recording diagnostics (see ``record``)."""
-    return record(_trajectory(u0, spec, op, cfg), spec, op, cfg, ref)
+    """Integrate from u0 to t_end, recording diagnostics against ``ref`` (see ``record``)."""
+    return record(_trajectory(u0, spec, op, cfg), repeat(ref), spec, op, cfg)
 
 
 @dataclass
@@ -169,19 +172,6 @@ class PairRecord:
     dist: np.ndarray
 
 
-def paired_trajectory(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
-                      cfg: SolverConfig, pair: PairRecord) -> Iterator[State]:
-    """Step two initial data in lockstep and yield the states of the first;
-    their L2 distance at the record steps is stored in ``pair`` at the end."""
-    times, dist = [], []
-    for s1, s2 in zip(_trajectory(u01, spec, op, cfg), _trajectory(u02, spec, op, cfg)):
-        if cfg.is_record_step(s1.step_count):
-            times.append(s1.t)
-            dist.append(l2_norm(op.grid, s1.u - s2.u))
-        yield s1
-    pair.times, pair.dist = np.asarray(times), np.asarray(dist)
-
-
 def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
              cfg: SolverConfig) -> PairRecord:
     """Evolve two initial data side by side and record their L2 distance.
@@ -190,7 +180,9 @@ def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
     reported, never asserted against a specific value) and for the
     contraction checks of strictly decreasing reactions.
     """
-    pair = PairRecord(times=np.empty(0), dist=np.empty(0))
-    for _ in paired_trajectory(u01, u02, spec, op, cfg, pair):
-        pass
-    return pair
+    times, dist = [], []
+    for s1, s2 in zip(_trajectory(u01, spec, op, cfg), _trajectory(u02, spec, op, cfg)):
+        if cfg.is_record_step(s1.step_count):
+            times.append(s1.t)
+            dist.append(l2_norm(op.grid, s1.u - s2.u))
+    return PairRecord(times=np.asarray(times), dist=np.asarray(dist))

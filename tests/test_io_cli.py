@@ -63,6 +63,15 @@ equilibrium.seed_values = 0,0.5,1
 """
 
 
+def _cli_process(*args: str) -> subprocess.CompletedProcess:
+    """``python -m nlch.cli *args`` in a process of its own, on the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(nlch.cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "nlch.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestFieldDumps:
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_roundtrip_bit_exact(self, tmp_path, dim, n):
@@ -381,6 +390,19 @@ class TestOtherCommands:
         assert (tmp_path / "p" / "report.txt").read_text().split("\n\n")[2].startswith(
             checks + "\ninitial distance = ")
 
+    @pytest.mark.parametrize("section", ["init", "init2"])
+    def test_pair_with_a_datum_outside_the_bounds_writes_only_the_report(self, tmp_path,
+                                                                         section):
+        # the second datum is checked before the first state is drawn, so
+        # no snapshot of the first is written either
+        cfg = parse_config(OONO_CFG + INIT2 + "output.snapshot_every = 1\n")
+        cfg.update({f"{section}.kind": "constant", f"{section}.value": 1.5})
+        out = tmp_path / "p"
+        assert execute(cfg, out, command="pair") == 2
+        assert [p.name for p in out.iterdir()] == ["report.txt"]
+        assert "aborted: initial datum must satisfy 0 <= u0 <= 1 nodewise" in \
+            (out / "report.txt").read_text()
+
     def test_pair_steps_each_trajectory_once(self, tmp_path, monkeypatch):
         calls = []
         step = nlch.timestepper.step
@@ -598,12 +620,7 @@ class TestMain:
         cfg_path = tmp_path / "far.cfg"
         cfg_path.write_text(text + f"\n{line}\n")
         out = tmp_path / "o"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(nlch.cli.__file__).parents[1]),
-                                                          env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "nlch.cli", "run", "--config", str(cfg_path),
-                               "--out", str(out)], env=env, capture_output=True, text=True,
-                              timeout=60)
+        proc = _cli_process("run", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
         for marker in ("Traceback", "Warning", "DLASCL"):
             assert marker not in proc.stdout + proc.stderr
@@ -636,6 +653,27 @@ class TestMain:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == status
         assert "Traceback" not in capsys.readouterr().err
         assert message in (out / "report.txt").read_text()
+
+    def test_cli_warning_goes_to_the_report(self, tmp_path):
+        # a process of its own, so that stderr is what a user sees
+        cfg_path = tmp_path / "pure.cfg"
+        cfg_path.write_text("grid.n = 16\ninit.kind = constant\ninit.value = 0\n"
+                            "solver.t_end = 0.05\n")
+        out = tmp_path / "o"
+        proc = _cli_process("run", "--config", str(cfg_path), "--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert ("\nwarning: mean(u0) = 0.0 is a pure phase and the reaction does not move mass "
+                "there; the run will remain stationary\n\nresolved configuration:\n") in \
+            (out / "report.txt").read_text()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_warning_filtered_as_an_error_escapes_execute(self, tmp_path, monkeypatch):
+        def warn(*args):
+            warnings.warn("probe", RuntimeWarning)
+
+        monkeypatch.setitem(nlch.cli._COMMANDS, "run", warn)
+        with pytest.raises(RuntimeWarning, match="probe"):
+            execute(parse_config(OONO_CFG), tmp_path / "o", command="run")
 
     def test_cli_negative_random_seeds_returns_2(self, tmp_path, capsys):
         # parse_config rejects it, before any output exists

@@ -221,6 +221,26 @@ class TestRemainderOrder:
                 remainder_order(u0, cosine_direction(grid), [1e-1, 3e-2, 1e-3, 3e-4],
                                 spec, weak_op, cfg, t=0.2)
 
+    def test_perturbed_runs_are_sampled_at_their_ends(self, grid, weak_op, monkeypatch):
+        samples = []
+        sample = nlch.TrajectoryRecord.sample
+
+        def counted(rec, t, *args):
+            samples.append(t)
+            return sample(rec, t, *args)
+
+        spec = logistic_reaction(grid, 1.0)
+        u0 = 0.5 + 0.2 * cosine_direction(grid)
+        eps = [1e-2, 3e-3, 1e-3, 3e-4]
+        want = remainder_order(u0, cosine_direction(grid), eps, spec, weak_op,
+                               SolverConfig(dt=0.01, t_end=1.0, record_every=7), t=0.5)
+        monkeypatch.setattr(nlch.TrajectoryRecord, "sample", counted)
+        study = remainder_order(u0, cosine_direction(grid), eps, spec, weak_op,
+                                SolverConfig(dt=0.01, t_end=1.0), t=0.5)
+        assert samples == [0.0, 0.5] * 4
+        # the remainders do not depend on the configured sampling
+        assert np.array_equal(study.remainders, want.remainders)
+
     def test_too_few_usable_eps_raise_before_any_step(self, grid, weak_op, monkeypatch):
         calls = []
 

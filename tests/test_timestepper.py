@@ -10,6 +10,8 @@ from scipy.special import xlogy
 from nlch.diagnostics import TrajectoryRecord, fit_exponential_rate, mass_balance_residual
 from nlch.grid import build_grid, check_field, div_flux, l2_norm
 from nlch.kernels import (
+    DENSE_MAX_NODES,
+    _separable,
     assemble_kernel,
     gaussian_kernel,
     mollifier_kernel,
@@ -33,6 +35,7 @@ from nlch.timestepper import (
     _trajectory,
     initial_state,
     pair_run,
+    record,
     run,
     step,
 )
@@ -199,9 +202,11 @@ class TestMassIdentity:
     def test_zero_initial_datum_with_logistic_stays_zero(self, grid, weak_op):
         spec = logistic_reaction(grid, 1.0)
         cfg = SolverConfig(dt=0.01, t_end=0.5)
-        with pytest.warns(UserWarning, match="pure phase"):
+        with pytest.warns(UserWarning, match="pure phase") as caught:
             state, _ = run(np.zeros(grid.num_nodes), spec, weak_op, cfg)
         assert np.all(state.u == 0.0), "u = 0 is an equilibrium point"
+        # the datum check in _trajectory names the caller of run
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestDecay:
@@ -295,6 +300,27 @@ class TestPairRuns:
         rate, r2 = fit_exponential_rate(pair.times, pair.dist, (3.0, 6.0))
         assert rate >= beta0 - c1 - 0.1
         assert r2 >= 0.99
+
+
+    @pytest.mark.parametrize("dim,n,factors,fft", [(1, 64, False, False), (1, 512, False, True),
+                                                   (2, 16, True, False)],
+                             ids=["dense_1d", "fft_1d", "factors_2d"])
+    def test_record_against_the_second_datum_is_the_pair_run(self, dim, n, factors, fft):
+        """``nlch pair``'s record: the second datum's states as references give
+        pair_run's times and distances bit for bit, on each kernel apply."""
+        grid = build_grid(dim, n, 1.0)
+        op = assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
+        # the apply the case is named after
+        assert (_separable(op.spec, grid), grid.num_nodes > DENSE_MAX_NODES) == (factors, fft)
+        spec = oono_reaction(grid, 1.0)
+        u01, u02 = np.random.default_rng(11).uniform(0.2, 0.8, (2, grid.num_nodes))
+        cfg = SolverConfig(dt=0.01, t_end=0.3, record_every=4)
+        pair = pair_run(u01, u02, spec, op, cfg)
+        second = (s.u for s in _trajectory(u02, spec, op, cfg))
+        _, rec = record(_trajectory(u01, spec, op, cfg), second, spec, op, cfg)
+        assert len(pair.times) == 9 and np.all(pair.dist > 0)
+        assert np.array_equal(rec.times, pair.times)
+        assert np.array_equal(rec.dist_to_ref, pair.dist)
 
 
 class Test2D:
