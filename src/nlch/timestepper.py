@@ -21,11 +21,12 @@ import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
 from .diagnostics import TrajectoryRecord
-from .grid import check_field, div_flux, l2_norm, mean
+from .grid import check_field, div_flux, mean
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, reaction_eval
 from .solvers import SolverError, neumann_solver
@@ -116,9 +117,9 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig) -> S
 def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
                 cfg: SolverConfig) -> Iterator[State]:
     """Yield the states after k = 0..n_steps steps, at t = k dt exactly,
-    making every check on the datum as the first state is drawn.  A
-    pure-phase mean that the reaction does not move warns, naming ``run``'s caller
-    (``pair_run``, ``dimension_bound`` and ``remainder_order`` warn too)."""
+    making every check on the datum as the first state is drawn.  A pure-phase
+    mean that the reaction does not move warns, naming the caller of ``run``,
+    ``pair_run``, ``propagate_tangent``, ``dimension_bound`` or ``remainder_order``."""
     state = initial_state(u0, op)
     if np.min(state.u) < 0.0 or np.max(state.u) > 1.0:
         raise ValueError("initial datum must satisfy 0 <= u0 <= 1 nodewise")
@@ -129,11 +130,9 @@ def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
         )
     mean0 = float(mean(state.u))
     if not (0.0 < mean0 < 1.0) and float(mean(reaction_eval(spec, state.u))) == 0.0:
-        # this generator, record, run, and run's caller
-        warnings.warn(
-            f"mean(u0) = {mean0} is a pure phase and the reaction does not "
-            f"move mass there; the run will remain stationary", stacklevel=4,
-        )
+        # this generator, the private frame drawing it, the public function, its caller
+        warnings.warn(f"mean(u0) = {mean0} is a pure phase and the reaction does not move "
+                      "mass there; the run will remain stationary", stacklevel=4)
     yield state
     for k in range(1, cfg.n_steps + 1):
         state = step(state, spec, op, cfg)
@@ -147,6 +146,8 @@ def record(states: Iterator[State], refs: Iterable[np.ndarray | None], spec: Rea
     state; return the final state and the diagnostics record.  ``refs``
     holds each state's reference field for ``dist_to_ref`` (nan for None),
     and is drawn first: a reference trajectory's datum is checked first."""
+    if isinstance(refs, np.ndarray):
+        raise TypeError("refs is a stream of fields: pass repeat(ref) for one field")
     rec = TrajectoryRecord(grid=op.grid, dt=cfg.dt)
     for ref, state in zip(refs, states):
         k = state.step_count
@@ -155,6 +156,8 @@ def record(states: Iterator[State], refs: Iterable[np.ndarray | None], spec: Rea
             rec.sample(state.t, state.u, op, state.clamp_events, ref)
         if k < cfg.n_steps:
             rec.step_g_mean.append(float(mean(reaction_eval(spec, state.u))))
+    if state.step_count != cfg.n_steps:
+        raise ValueError(f"refs ended after {state.step_count + 1} of {cfg.n_steps + 1} states")
     return state, rec
 
 
@@ -180,9 +183,7 @@ def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
     reported, never asserted against a specific value) and for the
     contraction checks of strictly decreasing reactions.
     """
-    times, dist = [], []
-    for s1, s2 in zip(_trajectory(u01, spec, op, cfg), _trajectory(u02, spec, op, cfg)):
-        if cfg.is_record_step(s1.step_count):
-            times.append(s1.t)
-            dist.append(l2_norm(op.grid, s1.u - s2.u))
-    return PairRecord(times=np.asarray(times), dist=np.asarray(dist))
+    # the second datum's states as references; map keeps its warning at run's depth
+    _, rec = record(_trajectory(u01, spec, op, cfg),
+                    map(attrgetter("u"), _trajectory(u02, spec, op, cfg)), spec, op, cfg)
+    return PairRecord(times=np.asarray(rec.times), dist=np.asarray(rec.dist_to_ref))

@@ -626,6 +626,8 @@ class TestMain:
             assert marker not in proc.stdout + proc.stderr
         report = (out / "report.txt").read_text()
         assert f"configuration error: {message}" in report
+        # execute writes the warnings it records here, not to stderr
+        assert "warning:" not in report
         # a configuration error's report ends with the resolved configuration too
         assert report.endswith("resolved configuration:\n"
                                + echo(parse_config(cfg_path.read_text())) + "\n")

@@ -27,6 +27,7 @@ from nlch.model import (
     zero_reaction,
 )
 from nlch.solvers import SolverError, SpdNeumannSolver
+from nlch.tangent import dimension_bound, propagate_tangent, remainder_order
 from nlch.timestepper import (
     BOUND_TOL,
     MAX_STEPS,
@@ -208,6 +209,19 @@ class TestMassIdentity:
         # the datum check in _trajectory names the caller of run
         assert [w.filename for w in caught] == [__file__]
 
+    @pytest.mark.parametrize("driver,warns", [
+        (lambda u0, *a: pair_run(u0, u0, *a), 2),
+        (lambda u0, spec, op, cfg: propagate_tangent(np.ones_like(u0), u0, spec, op, cfg), 1),
+        (lambda u0, spec, op, cfg: dimension_bound(u0, 2, 0.2, spec, op, cfg, transient=0.1), 1),
+        (lambda u0, spec, op, cfg: remainder_order(u0, np.ones_like(u0), [1e-1, 1e-2, 1e-3],
+                                                   spec, op, cfg, t=0.1), 1),
+    ], ids=["pair_run", "propagate_tangent", "dimension_bound", "remainder_order"])
+    def test_every_pure_phase_warning_names_the_callers_line(self, grid, weak_op, driver, warns):
+        spec = logistic_reaction(grid, 1.0)
+        with pytest.warns(UserWarning, match="pure phase") as caught:
+            driver(np.zeros(grid.num_nodes), spec, weak_op, SolverConfig(dt=0.01, t_end=0.1))
+        assert [w.filename for w in caught] == [__file__] * warns
+
 
 class TestDecay:
     def test_heat_mode_decay_rate(self, grid, null_op):
@@ -305,9 +319,10 @@ class TestPairRuns:
     @pytest.mark.parametrize("dim,n,factors,fft", [(1, 64, False, False), (1, 512, False, True),
                                                    (2, 16, True, False)],
                              ids=["dense_1d", "fft_1d", "factors_2d"])
-    def test_record_against_the_second_datum_is_the_pair_run(self, dim, n, factors, fft):
-        """``nlch pair``'s record: the second datum's states as references give
-        pair_run's times and distances bit for bit, on each kernel apply."""
+    def test_pair_run_is_the_lockstep_distance(self, dim, n, factors, fft):
+        """pair_run, which records against the second datum's states, gives
+        the distances of the two trajectories stepped side by side, bit for
+        bit, on each kernel apply."""
         grid = build_grid(dim, n, 1.0)
         op = assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
         # the apply the case is named after
@@ -316,11 +331,25 @@ class TestPairRuns:
         u01, u02 = np.random.default_rng(11).uniform(0.2, 0.8, (2, grid.num_nodes))
         cfg = SolverConfig(dt=0.01, t_end=0.3, record_every=4)
         pair = pair_run(u01, u02, spec, op, cfg)
-        second = (s.u for s in _trajectory(u02, spec, op, cfg))
-        _, rec = record(_trajectory(u01, spec, op, cfg), second, spec, op, cfg)
+        times, dist = [], []
+        for s1, s2 in zip(_trajectory(u01, spec, op, cfg), _trajectory(u02, spec, op, cfg)):
+            if cfg.is_record_step(s1.step_count):
+                times.append(s1.t)
+                dist.append(l2_norm(grid, s1.u - s2.u))
         assert len(pair.times) == 9 and np.all(pair.dist > 0)
-        assert np.array_equal(rec.times, pair.times)
-        assert np.array_equal(rec.dist_to_ref, pair.dist)
+        assert np.array_equal(pair.times, times)
+        assert np.array_equal(pair.dist, dist)
+
+    def test_record_rejects_a_reference_stream_that_is_not_one(self, grid, weak_op):
+        spec = logistic_reaction(grid, 1.0)
+        u0 = np.full(grid.num_nodes, 0.5)
+        cfg = SolverConfig(dt=0.01, t_end=0.1)
+        # a stream shorter than the run would truncate it silently
+        with pytest.raises(ValueError, match="refs ended after 4 of 11 states"):
+            record(_trajectory(u0, spec, weak_op, cfg), [None] * 4, spec, weak_op, cfg)
+        # a field would be drawn node by node
+        with pytest.raises(TypeError, match="pass repeat"):
+            record(_trajectory(u0, spec, weak_op, cfg), u0, spec, weak_op, cfg)
 
 
 class Test2D:
