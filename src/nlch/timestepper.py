@@ -34,8 +34,10 @@ from .solvers import SolverError, neumann_solver
 BOUND_TOL = 1e-8   # the largest phase-bound excursion clipped; larger ones abort
 # The most steps a run may take.  ``record`` keeps two Python floats per step
 # (``step_mass`` and ``step_g_mean``), about 64 bytes, so this caps that ledger
-# at about 64 MB.  At 84 us per 1D step on 256 nodes (2-core VM) it is also
-# a run of about 90 s, far longer than any study here needs (4000 steps).
+# at about 64 MB.  A ``run`` step on 1D 256 nodes took 46 us when sampled
+# every 2000th step and 76 us when sampled every step (``step`` alone 43 us;
+# timeit best of 7, 2-core VM), so this is also a run of about 45 to 75 s,
+# far longer than any study here needs (4000 steps).
 MAX_STEPS = 10**6
 
 

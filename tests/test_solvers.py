@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.fftpack import dctn, idctn
 
+from nlch import solvers
 from nlch.grid import build_grid, laplacian_neumann, neumann_mode
 from nlch.solvers import SolverError, SpdNeumannSolver, neumann_solver
 
@@ -58,6 +60,62 @@ def test_bit_identical_to_the_transform_pair_with_axes(dim, n, mass_coef, diff_c
     solver = SpdNeumannSolver(grid, mass_coef, diff_coef)
     b = np.random.default_rng(dim + n).standard_normal((grid.num_nodes,) + cols)
     assert np.array_equal(solver.solve(b), transform_pair_solve(solver, b))
+
+
+@pytest.mark.parametrize("cols", [(), (3,)])
+@pytest.mark.parametrize("n", [8, 24, 64, 256])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_core_transforms_bit_identical_to_scipy_fft(dim, n, cols):
+    """The solve's private pocketfft calls against the public scipy.fft pair."""
+    axes = tuple(range(dim))
+    x = np.random.default_rng(n + dim).standard_normal((n,) * dim + cols)
+    coef = solvers.dctn(x, axes)
+    assert np.array_equal(coef, scipy.fft.dctn(x, type=2, norm="ortho", axes=axes))
+    want = scipy.fft.idctn(coef, type=2, norm="ortho", axes=axes)
+    assert solvers.idctn(coef, axes) is coef
+    assert np.array_equal(coef, want)
+
+
+@pytest.mark.parametrize("cols", [(), (3,)])
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_solve_makes_one_transform_pair_and_leaves_b_alone(monkeypatch, dim, n, cols):
+    calls = {"dctn": 0, "idctn": 0}
+
+    def counted(name):
+        inner = getattr(solvers, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solvers, name, counted(name))
+    grid = build_grid(dim, n, 1.0)
+    b = np.random.default_rng(7).standard_normal((grid.num_nodes,) + cols)
+    kept = b.copy()
+    x = SpdNeumannSolver(grid, 1.0, 0.01).solve(b)
+    assert calls == {"dctn": 1, "idctn": 1}
+    assert np.array_equal(b, kept)
+    assert not np.shares_memory(x, b)
+
+
+@pytest.mark.parametrize("convert", [
+    lambda b: np.rint(1e3 * b).astype(np.int64),
+    lambda b: b.astype(np.float32),
+    lambda b: np.rint(1e3 * b).astype(np.int64).tolist(),
+], ids=["int64", "float32", "list"])
+@pytest.mark.parametrize("cols", [(), (3,)])
+def test_right_side_of_another_type_is_solved_in_float64(convert, cols):
+    """Every right side is transformed in float64: single-precision transforms
+    would fail the certificate (eta about 3e-8), and the pocketfft core takes
+    no integer arrays and no lists."""
+    grid = build_grid(1, 16, 1.0)
+    solver = SpdNeumannSolver(grid, 1.0, 0.01)
+    b = convert(np.random.default_rng(5).uniform(0.0, 1.0, (grid.num_nodes,) + cols))
+    x = solver.solve(b)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, solver.solve(np.array(b, dtype=np.float64)))
 
 
 @pytest.mark.parametrize("mass_coef,diff_coef", SHIFTS)
