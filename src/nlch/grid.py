@@ -4,10 +4,11 @@ Cell-centered uniform grids on a box with zero-flux (Neumann) boundary.
 Fields are plain 1D numpy arrays of length ``grid.num_nodes`` (row-major
 flattening in 2D); an (N, m) array is a block of m fields, one per column,
 and the operators below act on each column.  Both spatial operators, the
-Laplacian and the coefficient-weighted flux divergence, are one face-flux
-routine: each interior face flux is added to one neighbour and subtracted
+Laplacian and the coefficient-weighted flux divergence, are face-flux
+sums: each interior face flux is added to one neighbour and subtracted
 from the other, and boundary faces carry none, so their weighted sums
-telescope to zero up to round-off.
+telescope to zero up to round-off.  The Laplacian is its own stencil and
+has the bits of the flux divergence with a unit coefficient.
 """
 
 from __future__ import annotations
@@ -171,18 +172,24 @@ def _face_flux_divergence(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarra
 def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order centered Laplacian with zero flux through the boundary.
 
-    The face-flux sum with a unit coefficient (0.5 (1 + 1) = 1 exactly);
-    ``f`` is a field (N,) or a block (N, m).
+    A stencil of its own with the same face fluxes and scatters as the
+    face-flux sum: the flux d + d, d = p_hi - p_lo, is exactly the
+    unit-coefficient flux (1 + 1) d, overflow included, so the result is
+    bit for bit ``div_flux(grid, ones, f)``.  ``f`` is a field (N,) or a
+    block (N, m).
     """
-    return _face_flux_divergence(grid, _unit_coefficient(grid.num_nodes), f)
-
-
-@cache
-def _unit_coefficient(num_nodes: int) -> np.ndarray:
-    """A read-only field of ones, built once per size."""
-    ones = np.ones(num_nodes)
-    ones.flags.writeable = False
-    return ones
+    f = np.asarray(f, dtype=float)      # the in-place flux needs a float difference
+    vf = f.reshape((grid.n,) * grid.dim + f.shape[1:])
+    out = np.zeros(vf.shape)
+    scale = 0.5 / grid.h**2
+    for lo, hi in _face_slices(grid.dim):
+        flux = vf[hi] - vf[lo]
+        flux += flux
+        flux *= scale
+        out_lo, out_hi = out[lo], out[hi]
+        out_lo += flux
+        out_hi -= flux
+    return out.reshape(f.shape)
 
 
 def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:

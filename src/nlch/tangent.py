@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from itertools import pairwise, product
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .diagnostics import _fit_line
 from .grid import Grid, check_field, div_flux, l2_norm, laplacian_neumann, neumann_mode
@@ -59,8 +60,13 @@ def tangent_step(U: np.ndarray, u: np.ndarray, w: np.ndarray, spec: ReactionSpec
     column; the result has the shape of ``U``.  The implicit solve is the
     nonlinear step's own, the shared (I - dt Lap) solver of the grid and dt.
     """
-    rhs = U + cfg.dt * _tangent_rhs_terms(U, u, w, spec, op)
-    return neumann_solver(op.grid, 1.0, cfg.dt).solve(rhs)
+    return _step_from_terms(U, _tangent_rhs_terms(U, u, w, spec, op), op.grid, cfg)
+
+
+def _step_from_terms(U: np.ndarray, terms: np.ndarray, grid: Grid,
+                     cfg: SolverConfig) -> np.ndarray:
+    """The tangent step from U, given ``_tangent_rhs_terms`` at U and the base state."""
+    return neumann_solver(grid, 1.0, cfg.dt).solve(U + cfg.dt * terms)
 
 
 def _propagate(U0: np.ndarray, u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
@@ -82,6 +88,27 @@ def propagate_tangent(U0: np.ndarray, u0: np.ndarray, spec: ReactionSpec,
     return _propagate(U0, u0, spec, op, cfg)[1]
 
 
+def _qr_r_raw_numpy_2_0(a: np.ndarray) -> np.ndarray:
+    """numpy 2.0's ``qr_r_raw``: one gufunc per shorter side of ``a``."""
+    rows, cols = a.shape
+    return (_umath_linalg.qr_r_raw_m if rows <= cols else _umath_linalg.qr_r_raw_n)(a)
+
+
+# numpy >= 2.1 has one gufunc that sizes the reflector factors min(m, n) itself
+_qr_r_raw = getattr(_umath_linalg, "qr_r_raw", _qr_r_raw_numpy_2_0)
+
+
+def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced Q and the R diagonal of ``np.linalg.qr(a)``, bit for bit.
+
+    Calls the two Householder gufuncs behind ``np.linalg.qr`` without its
+    wrapper: ``qr_r_raw`` factors ``a`` in place, leaving R in its upper
+    triangle, and ``qr_reduced`` forms Q.  ``a`` is overwritten.
+    """
+    tau = _qr_r_raw(a)
+    return _umath_linalg.qr_reduced(a, tau), a.diagonal()
+
+
 @dataclass
 class TangentFrame:
     """An evolving set of tangent vectors (the columns of ``vectors``),
@@ -93,8 +120,7 @@ class TangentFrame:
     def orthonormalize(self) -> None:
         """QR sweep in the L2 inner product; raises on rank loss."""
         scale = math.sqrt(self.grid.cell_volume)
-        q, r = np.linalg.qr(self.vectors * scale)
-        diag = np.diag(r).copy()
+        q, diag = _householder_qr(self.vectors * scale)
         top = float(np.max(np.abs(diag)))
         if top == 0.0 or not np.all(np.isfinite(diag)) or np.any(np.abs(diag) < 1e-14 * top):
             raise FrameDegeneracyError(
@@ -102,8 +128,10 @@ class TangentFrame:
                 "14 decades between sweeps; tighten ortho_every): "
                 f"QR diagonal {diag}"
             )
-        signs = np.sign(diag)
-        self.vectors = (q * signs) / scale
+        # multiplying by +-1 is exact, so this keeps the bits of (q * signs) / scale
+        q /= scale
+        q *= np.sign(diag)
+        self.vectors = q
 
 
 def cosine_frame(grid: Grid, n: int) -> TangentFrame:
@@ -128,8 +156,14 @@ def trace_form(cols: np.ndarray, u: np.ndarray, w: np.ndarray, spec: ReactionSpe
                op: KernelOp) -> np.ndarray:
     """Per-column values (L phi_j, phi_j) of the linearized operator at (u, w),
     for an (N, m) block of columns phi_j."""
-    lphi = laplacian_neumann(op.grid, cols) + _tangent_rhs_terms(cols, u, w, spec, op)
-    return op.grid.cell_volume * np.einsum("ij,ij->j", lphi, cols)
+    return _form_from_terms(cols, _tangent_rhs_terms(cols, u, w, spec, op), op.grid)
+
+
+def _form_from_terms(cols: np.ndarray, terms: np.ndarray, grid: Grid) -> np.ndarray:
+    """The trace form of the columns, given ``_tangent_rhs_terms`` at them and
+    the base state."""
+    lphi = laplacian_neumann(grid, cols) + terms
+    return grid.cell_volume * np.einsum("ij,ij->j", lphi, cols)
 
 
 def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
@@ -145,16 +179,25 @@ def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
 
     sums = np.zeros(n)
     n_evals = 0
+    # the rhs terms of the last trace form, at the frame and the state the
+    # next step starts from, so that step reuses them; every other step is
+    # a tangent_step call, which keeps that name's layer timing in perfbench
+    terms = None
     # the frame steps with the state before the step, the trace form is
     # evaluated at the state after it
     for prev, state in pairwise(_trajectory(u0, spec, op, run_cfg)):
         k = state.step_count
-        frame.vectors = tangent_step(frame.vectors, prev.u, prev.w, spec, op, cfg)
+        if terms is None:
+            frame.vectors = tangent_step(frame.vectors, prev.u, prev.w, spec, op, cfg)
+        else:
+            frame.vectors = _step_from_terms(frame.vectors, terms, op.grid, cfg)
+            terms = None
         at_record = run_cfg.is_record_step(k)
         if k % ortho_every == 0 or at_record:
             frame.orthonormalize()
         if at_record and state.t >= transient:
-            sums += trace_form(frame.vectors, state.u, state.w, spec, op)
+            terms = _tangent_rhs_terms(frame.vectors, state.u, state.w, spec, op)
+            sums += _form_from_terms(frame.vectors, terms, op.grid)
             n_evals += 1
     if not n_evals:
         raise ValueError("no evaluation times fell inside [transient, T]; "

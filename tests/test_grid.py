@@ -385,6 +385,18 @@ def _bits(x) -> np.ndarray:
 
 
 class TestBitIdentity:
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_laplacian_keeps_the_unit_flux_bits_past_overflow(self, dim, n):
+        # d + d and (1 + 1) d agree where d or 2 d overflows, and on inf and nan
+        g = build_grid(dim, n, 1.0)
+        rng = np.random.default_rng(n)
+        values = np.array([1e308, -1e308, 8e307, np.inf, -np.inf, np.nan, 1.0, -3.0])
+        for p in (rng.choice(values, g.num_nodes), rng.choice(values, (g.num_nodes, 3))):
+            with np.errstate(all="ignore"):
+                got = laplacian_neumann(g, p)
+                want = _oracle_face_flux_divergence(g, np.ones(g.num_nodes), p)
+            assert np.array_equal(_bits(got), _bits(want))
+
     @settings(max_examples=60, deadline=None)
     @given(_grid_and_fields())
     def test_face_flux_operators(self, case):

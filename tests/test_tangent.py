@@ -1,7 +1,9 @@
 """Tangent flow, uniform differentiability, and trace-based dimension bounds."""
 
+import math
 import warnings
 from dataclasses import replace
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from nlch.tangent import (
     FrameDegeneracyError,
     TangentFrame,
     _evolve_frame_traces,
+    _householder_qr,
     _tangent_rhs_terms,
     cosine_frame,
     dimension_bound,
@@ -285,6 +288,18 @@ class TestFrames:
         with pytest.raises(FrameDegeneracyError):
             frame.orthonormalize()
 
+    @pytest.mark.parametrize("bad", [np.ones, lambda shape: np.full(shape, np.nan),
+                                     lambda shape: np.full(shape, np.inf)],
+                             ids=["ones", "nan", "inf"])
+    def test_degenerate_frames_raise_without_a_warning(self, grid, bad):
+        # the QR gufuncs run without np.linalg.qr's errstate: no RuntimeWarning
+        # may leak from them before the rank check
+        frame = TangentFrame(grid=grid, vectors=bad((grid.num_nodes, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameDegeneracyError, match="tighten ortho_every"):
+                frame.orthonormalize()
+
     def test_frame_size_validation(self, grid):
         with pytest.raises(ValueError):
             cosine_frame(grid, 0)
@@ -296,6 +311,58 @@ class TestFrames:
         got, want = cosine_frame(g, m).vectors, _oracle_cosine_frame(g, m).vectors
         assert got.shape == want.shape == (g.num_nodes, m)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _qr_case(dim, n, m, cond=None):
+    g = build_grid(dim, n, 1.7)
+    rng = np.random.default_rng(n + m)
+    a = rng.standard_normal((g.num_nodes, m))
+    if cond is not None:
+        # singular values spread evenly over log10(cond) decades
+        left, _ = np.linalg.qr(a)
+        right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        a = (left * np.logspace(0.0, -math.log10(cond), m)) @ right.T
+    return g, a
+
+
+QR_CASES = {"1d-64-1": (1, 64, 1), "1d-64-30": (1, 64, 30), "1d-256-1": (1, 256, 1),
+            "1d-256-30": (1, 256, 30), "2d-16-30": (2, 16, 30), "1d-256-30-cond1e10":
+            (1, 256, 30, 1e10)}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestHouseholderCore:
+    """The QR gufuncs called directly against np.linalg.qr, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(QR_CASES))
+    def test_core_is_numpy_qr(self, case):
+        g, a = _qr_case(*QR_CASES[case])
+        q_np, r_np = np.linalg.qr(a)
+        q, diag = _householder_qr(a.copy())
+        assert np.array_equal(_bits(q), _bits(q_np))
+        assert np.array_equal(_bits(np.abs(diag)), _bits(np.abs(np.diag(r_np))))
+
+    @pytest.mark.parametrize("case", list(QR_CASES))
+    def test_orthonormalize_is_the_sign_normalized_numpy_qr(self, case):
+        g, a = _qr_case(*QR_CASES[case])
+        frame = TangentFrame(grid=g, vectors=a)
+        frame.orthonormalize()
+        assert np.array_equal(_bits(frame.vectors), _bits(_oracle_orthonormalized(g, a)))
+        if "cond" in case:
+            # the spread is far below the 14-decade rank rule, and Q stays orthonormal
+            assert np.linalg.cond(a) > 1e9
+            gram = g.cell_volume * frame.vectors.T @ frame.vectors
+            assert np.allclose(gram, np.eye(a.shape[1]), atol=1e-12)
+
+
+def _oracle_orthonormalized(grid, vectors):
+    """orthonormalize's body before it called the QR gufuncs directly."""
+    scale = math.sqrt(grid.cell_volume)
+    q, r = np.linalg.qr(vectors * scale)
+    return (q * np.sign(np.diag(r))) / scale
 
 
 def _oracle_cosine_frame(grid, n):
@@ -442,6 +509,26 @@ def _oracle_frame_traces(u0, n, T, spec, op, cfg, ortho_every=10, transient=1.0)
     return sums / n_evals
 
 
+def _oracle_streamed_traces(u0, n, T, spec, op, cfg, ortho_every=10, transient=1.0):
+    """The streamed block loop before a trace form's rhs terms served the next
+    step: tangent_step on every step, np.linalg.qr in every sweep and
+    trace_form at every record in the window."""
+    run_cfg = replace(cfg, t_end=float(T))
+    vectors = cosine_frame(op.grid, n).vectors
+    sums = np.zeros(n)
+    n_evals = 0
+    for prev, state in pairwise(_trajectory(u0, spec, op, run_cfg)):
+        k = state.step_count
+        vectors = tangent_step(vectors, prev.u, prev.w, spec, op, cfg)
+        at_record = run_cfg.is_record_step(k)
+        if k % ortho_every == 0 or at_record:
+            vectors = _oracle_orthonormalized(op.grid, vectors)
+        if at_record and state.t >= transient:
+            sums += trace_form(vectors, state.u, state.w, spec, op)
+            n_evals += 1
+    return sums / n_evals
+
+
 def _oracle_remainders(u0, direction, eps_list, spec, op, cfg, t):
     """Remainders with the tangent replayed over the stored trajectory, one
     vector step per time step."""
@@ -536,6 +623,14 @@ class TestStreamedFrames:
         want = _oracle_frame_traces(*args)
         assert _rel_max_error(got, want) <= 1e-12
 
+    @pytest.mark.parametrize("ortho_every", [1, 3])
+    def test_traces_are_the_unshared_loop_bit_for_bit(self, block_case, ortho_every):
+        g, op, spec, u0 = block_case
+        cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=5)
+        args = (u0, 6, 0.6, spec, op, cfg, ortho_every, 0.3)
+        assert np.array_equal(_bits(_evolve_frame_traces(*args)),
+                              _bits(_oracle_streamed_traces(*args)))
+
     def test_remainders_match_replayed_tangent(self, block_case):
         g, op, spec, u0 = block_case
         cfg = SolverConfig(dt=0.01, t_end=1.0)
@@ -563,3 +658,34 @@ class TestStreamedFrames:
         final, _ = run(u0, spec, weak_op, cfg)
         streamed = list(_trajectory(u0, spec, weak_op, cfg))[-1]
         assert np.array_equal(streamed.u, final.u) and np.array_equal(streamed.w, final.w)
+
+
+class TestOneRhsEvaluationPerStep:
+    """Criterion 09's scan, the one the tangent_scan_1d benchmark times."""
+
+    @pytest.fixture(scope="class")
+    def scan_case(self):
+        g = build_grid(1, 256, 1.0)
+        op = assemble_kernel(gaussian_kernel(0.02, 0.05), g)
+        u0 = np.random.default_rng(5).uniform(0.2, 0.8, g.num_nodes)
+        cfg = SolverConfig(dt=0.01, t_end=4.0, record_every=10)
+        return (u0, 30, 4.0, oono_reaction(g, 1.0), op, cfg, 1)
+
+    def test_each_step_evaluates_the_rhs_terms_once(self, scan_case, monkeypatch):
+        calls = []
+        terms = nlch.tangent._tangent_rhs_terms
+
+        def counted(*args):
+            calls.append(None)
+            return terms(*args)
+
+        monkeypatch.setattr(nlch.tangent, "_tangent_rhs_terms", counted)
+        _evolve_frame_traces(*scan_case)
+        # a trace form's terms are the next step's, so only the trace form of
+        # the final state, which no step follows, adds an evaluation; one
+        # evaluation per step and per trace form would make 400 + 31
+        assert len(calls) == scan_case[5].n_steps + 1
+
+    def test_traces_are_the_unshared_loop_bit_for_bit(self, scan_case):
+        assert np.array_equal(_bits(_evolve_frame_traces(*scan_case)),
+                              _bits(_oracle_streamed_traces(*scan_case)))
