@@ -145,35 +145,11 @@ def _face_slices(dim: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]],
                   (slice(None),) * axis + (slice(1, None),)) for axis in range(dim))
 
 
-def _face_flux_divergence(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Sum of the face fluxes 0.5 (a_lo + a_hi) (p_hi - p_lo) / h^2 per node.
-
-    Each interior face adds its flux to the lower neighbour and subtracts it
-    from the upper one; boundary faces carry none, so the nodal sum
-    telescopes to zero.  ``a`` and ``p`` are fields (N,) or blocks (N, m);
-    the node axes come first and a field is broadcast over the columns of
-    a block.
-    """
-    nodes = (grid.n,) * grid.dim
-    va = a.reshape(nodes + a.shape[1:] + (1,) * (p.ndim - a.ndim))
-    vp = p.reshape(nodes + p.shape[1:] + (1,) * (a.ndim - p.ndim))
-    cols = a.shape[1:] or p.shape[1:]
-    out = np.zeros(nodes + cols)
-    scale = 0.5 / grid.h**2
-    for lo, hi in _face_slices(grid.dim):
-        flux = (va[lo] + va[hi]) * (vp[hi] - vp[lo])
-        flux *= scale
-        out_lo, out_hi = out[lo], out[hi]
-        out_lo += flux
-        out_hi -= flux
-    return out.reshape((grid.num_nodes,) + cols)
-
-
 def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order centered Laplacian with zero flux through the boundary.
 
-    A stencil of its own with the same face fluxes and scatters as the
-    face-flux sum: the flux d + d, d = p_hi - p_lo, is exactly the
+    A stencil of its own with the same face fluxes and scatters as
+    ``div_flux``: the flux d + d, d = p_hi - p_lo, is exactly the
     unit-coefficient flux (1 + 1) d, overflow included, so the result is
     bit for bit ``div_flux(grid, ones, f)``.  ``f`` is a field (N,) or a
     block (N, m).
@@ -202,7 +178,19 @@ def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     (the tangent flow relies on that linearity).  Either ``a`` or ``p`` (or
     both) may be an (N, m) block; the result is then one column per column.
     """
-    return _face_flux_divergence(grid, a, p)
+    nodes = (grid.n,) * grid.dim
+    va = a.reshape(nodes + a.shape[1:] + (1,) * (p.ndim - a.ndim))
+    vp = p.reshape(nodes + p.shape[1:] + (1,) * (a.ndim - p.ndim))
+    cols = a.shape[1:] or p.shape[1:]
+    out = np.zeros(nodes + cols)
+    scale = 0.5 / grid.h**2
+    for lo, hi in _face_slices(grid.dim):
+        flux = (va[lo] + va[hi]) * (vp[hi] - vp[lo])
+        flux *= scale
+        out_lo, out_hi = out[lo], out[hi]
+        out_lo += flux
+        out_hi -= flux
+    return out.reshape((grid.num_nodes,) + cols)
 
 
 # -- spectral helpers (exact for the constant-coefficient Neumann stencil) ----

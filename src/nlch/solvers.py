@@ -23,28 +23,13 @@ from __future__ import annotations
 from functools import cache
 
 import numpy as np
-# The pocketfft core that scipy.fft and scipy.fftpack both end in, called
-# without their argument handling: a 1D n = 256 transform measured 1.6 us
-# here against 6.4 us through scipy.fftpack (timeit best of 9, 2-core VM).
-# The module is private, so tests/test_solvers.py pins both calls bit for
-# bit to the public scipy.fft.dctn/idctn.
-from scipy.fft._pocketfft.pypocketfft import dct as _dct
 
+# bound here by name: perfbench traces solvers.dctn and solvers.idctn
+from ._cores import dctn, idctn
 from .grid import Grid, laplacian_eigenvalues, laplacian_neumann
 
 # about 400x the largest eta measured in stepping, tangent and equilibrium solves
 BACKWARD_ERROR_TOL = 1e-13
-
-
-def dctn(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Orthonormal DCT-II of a float64 array over ``axes``, in a new array."""
-    return _dct(x, 2, axes, 1, None, 1)
-
-
-def idctn(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``dctn`` (the orthonormal DCT-III) over ``axes``, in place:
-    ``x`` is overwritten and returned."""
-    return _dct(x, 3, axes, 1, x, 1)
 
 
 class SolverError(RuntimeError):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from itertools import pairwise, product
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
+from ._cores import householder_qr
 from .diagnostics import _fit_line
 from .grid import Grid, check_field, div_flux, l2_norm, laplacian_neumann, neumann_mode
 from .kernels import KernelOp
@@ -88,27 +88,6 @@ def propagate_tangent(U0: np.ndarray, u0: np.ndarray, spec: ReactionSpec,
     return _propagate(U0, u0, spec, op, cfg)[1]
 
 
-def _qr_r_raw_numpy_2_0(a: np.ndarray) -> np.ndarray:
-    """numpy 2.0's ``qr_r_raw``: one gufunc per shorter side of ``a``."""
-    rows, cols = a.shape
-    return (_umath_linalg.qr_r_raw_m if rows <= cols else _umath_linalg.qr_r_raw_n)(a)
-
-
-# numpy >= 2.1 has one gufunc that sizes the reflector factors min(m, n) itself
-_qr_r_raw = getattr(_umath_linalg, "qr_r_raw", _qr_r_raw_numpy_2_0)
-
-
-def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced Q and the R diagonal of ``np.linalg.qr(a)``, bit for bit.
-
-    Calls the two Householder gufuncs behind ``np.linalg.qr`` without its
-    wrapper: ``qr_r_raw`` factors ``a`` in place, leaving R in its upper
-    triangle, and ``qr_reduced`` forms Q.  ``a`` is overwritten.
-    """
-    tau = _qr_r_raw(a)
-    return _umath_linalg.qr_reduced(a, tau), a.diagonal()
-
-
 @dataclass
 class TangentFrame:
     """An evolving set of tangent vectors (the columns of ``vectors``),
@@ -120,7 +99,7 @@ class TangentFrame:
     def orthonormalize(self) -> None:
         """QR sweep in the L2 inner product; raises on rank loss."""
         scale = math.sqrt(self.grid.cell_volume)
-        q, diag = _householder_qr(self.vectors * scale)
+        q, diag = householder_qr(self.vectors * scale)
         top = float(np.max(np.abs(diag)))
         if top == 0.0 or not np.all(np.isfinite(diag)) or np.any(np.abs(diag) < 1e-14 * top):
             raise FrameDegeneracyError(

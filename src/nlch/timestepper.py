@@ -158,8 +158,8 @@ def record(states: Iterator[State], refs: Iterable[np.ndarray | None], spec: Rea
             rec.sample(state.t, state.u, op, state.clamp_events, ref)
         if k < cfg.n_steps:
             rec.step_g_mean.append(float(mean(reaction_eval(spec, state.u))))
-    if state.step_count != cfg.n_steps:
-        raise ValueError(f"refs ended after {state.step_count + 1} of {cfg.n_steps + 1} states")
+    if len(rec.step_mass) != cfg.n_steps + 1:
+        raise ValueError(f"refs ended after {len(rec.step_mass)} of {cfg.n_steps + 1} states")
     return state, rec
 
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.fftpack import dctn, idctn
 
 from nlch import solvers
@@ -60,20 +59,6 @@ def test_bit_identical_to_the_transform_pair_with_axes(dim, n, mass_coef, diff_c
     solver = SpdNeumannSolver(grid, mass_coef, diff_coef)
     b = np.random.default_rng(dim + n).standard_normal((grid.num_nodes,) + cols)
     assert np.array_equal(solver.solve(b), transform_pair_solve(solver, b))
-
-
-@pytest.mark.parametrize("cols", [(), (3,)])
-@pytest.mark.parametrize("n", [8, 24, 64, 256])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_core_transforms_bit_identical_to_scipy_fft(dim, n, cols):
-    """The solve's private pocketfft calls against the public scipy.fft pair."""
-    axes = tuple(range(dim))
-    x = np.random.default_rng(n + dim).standard_normal((n,) * dim + cols)
-    coef = solvers.dctn(x, axes)
-    assert np.array_equal(coef, scipy.fft.dctn(x, type=2, norm="ortho", axes=axes))
-    want = scipy.fft.idctn(coef, type=2, norm="ortho", axes=axes)
-    assert solvers.idctn(coef, axes) is coef
-    assert np.array_equal(coef, want)
 
 
 @pytest.mark.parametrize("cols", [(), (3,)])

@@ -345,8 +345,9 @@ class TestPairRuns:
         u0 = np.full(grid.num_nodes, 0.5)
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         # a stream shorter than the run would truncate it silently
-        with pytest.raises(ValueError, match="refs ended after 4 of 11 states"):
-            record(_trajectory(u0, spec, weak_op, cfg), [None] * 4, spec, weak_op, cfg)
+        for refs, drawn in [([None] * 4, 4), ([], 0)]:
+            with pytest.raises(ValueError, match=f"refs ended after {drawn} of 11 states"):
+                record(_trajectory(u0, spec, weak_op, cfg), refs, spec, weak_op, cfg)
         # a field would be drawn node by node
         with pytest.raises(TypeError, match="pass repeat"):
             record(_trajectory(u0, spec, weak_op, cfg), u0, spec, weak_op, cfg)
