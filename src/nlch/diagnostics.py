@@ -27,19 +27,23 @@ def separation(u: np.ndarray) -> tuple[float, float]:
     return float(np.minimum.reduce(u, axis=None)), 1.0 - float(np.maximum.reduce(u, axis=None))
 
 
-def energy(u: np.ndarray, op) -> float:
+def energy(u: np.ndarray, op, w: np.ndarray | None = None) -> float:
     """The free energy E(u) = int f(u) + int int K(x - y) u(x) (1 - u(y)).
 
     Its variational derivative f'(u) + K*(1-2u) is the chemical potential
     of the flow, so E is its Lyapunov functional when g = 0.  Discretely
     E(u) = h^dim sum_i u_i (kbar_i - (W u)_i) + h^dim sum_i f(u_i), with W
     the assembled kernel, kbar its row sums and the potential extended
-    continuously by f(0) = f(1) = 0.
+    continuously by f(0) = f(1) = 0.  Since w = W (1 - 2u) = kbar - 2 W u,
+    the pair term is h^dim/2 (kbar + w) . u, so a state's energy needs no
+    kernel apply of its own: ``w`` is the state's K*(1-2u), and it is
+    computed from u when not given.
     """
     grid = op.grid
     u = check_field(grid, u)
-    ku = op.convolve(u)
-    pair = (float(op.kbar @ u) - float(u @ ku)) * grid.cell_volume
+    if w is None:
+        w = op.convolve(1.0 - 2.0 * u)
+    pair = 0.5 * grid.cell_volume * float((op.kbar + w) @ u)
     bulk = integrate(grid, potential(u))
     return pair + bulk
 
@@ -69,14 +73,15 @@ class TrajectoryRecord:
     step_g_mean: list[float] = field(default_factory=list)
 
     def sample(self, t: float, u: np.ndarray, op, clamp_events: int,
-               ref: np.ndarray | None) -> None:
+               ref: np.ndarray | None, w: np.ndarray | None = None) -> None:
+        """Append one sample of the state u, whose K*(1-2u) is ``w`` if given."""
         self.times.append(float(t))
         self.mass.append(mass(u))
         self.min_u.append(float(np.minimum.reduce(u, axis=None)))
         self.max_u.append(float(np.maximum.reduce(u, axis=None)))
         self.l2_norm.append(l2_norm(self.grid, u))
         self.h1_seminorm.append(h1_seminorm(self.grid, u))
-        self.energy.append(energy(u, op))
+        self.energy.append(energy(u, op, w))
         self.dist_to_ref.append(l2_norm(self.grid, u - ref) if ref is not None else float("nan"))
         self.clamp_events.append(int(clamp_events))
 
@@ -123,9 +128,9 @@ def fit_exponential_rate(times, values, window: tuple[float, float]) -> tuple[fl
     """Least-squares exponential rate of a positive series on a time window.
 
     Fits log(values) ~ a - rate * t for window samples and returns
-    (rate, r_squared).  Nonpositive values inside the window are an error;
-    callers fitting a distance-to-limit that has hit its floor should
-    report that instead of fitting.
+    (rate, r_squared).  Non-finite or nonpositive values inside the window
+    are an error; callers fitting a distance-to-limit that has hit its floor
+    should report that instead of fitting.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -135,6 +140,8 @@ def fit_exponential_rate(times, values, window: tuple[float, float]) -> tuple[fl
                          f"{int(np.sum(sel))} samples, need >= 10")
     t = times[sel]
     v = values[sel]
+    if not np.isfinite(v).all():
+        raise ValueError("non-finite values in fit window")
     if np.any(v <= 0.0):
         raise ValueError("nonpositive values in fit window (converged below floor?)")
     slope, _, r2 = _fit_line(t, np.log(v))

@@ -14,6 +14,7 @@ has the bits of the flux divergence with a unit coefficient.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -61,20 +62,25 @@ class Grid:
 
 
 def build_grid(dim: int, n: int, length: float) -> Grid:
-    """Construct a grid, rejecting unsupported dimensions, coarse meshes and
+    """Construct a grid, rejecting unsupported dimensions, a node count n
+    that is not an integer (an int or a numpy integer), coarse meshes and
     lengths whose mesh width squared is not a normal float."""
     if dim not in (1, 2):
         raise ValueError(f"unsupported dimension: {dim} (must be 1 or 2)")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 8:
         raise ValueError(f"n must be >= 8 per axis, got {n}")
-    h = float(length) / int(n)
+    h = float(length) / n
     # the stencils compute 0.5 / h**2 in Python floats: h**2 raises on
     # overflow, and the quotient raises on 0 and is inf on a subnormal, so
     # h^2 must be a finite normal float
     if not (h > 0 and sys.float_info.min <= h * h < math.inf):
         raise ValueError(f"length must be positive and finite, with (length / n)^2 a "
                          f"finite normal float, got {length}")
-    return Grid(dim=int(dim), n=int(n), length=float(length), h=h)
+    return Grid(dim=int(dim), n=n, length=float(length), h=h)
 
 
 def check_field(grid: Grid, f: np.ndarray, columns: bool = False) -> np.ndarray:

@@ -10,15 +10,21 @@ grid is separable, c exp(-|d|^2 h^2 / lam) h^2 = c e[a] e[b] with
 e[d] = exp(-(d h)^2 / lam) h, so its W is the Kronecker product c (F x F) of
 the n x n Toeplitz matrix F[i, j] = e[i - j], and ``convolve`` applies it as
 c F U F on the n x n view U of the field: two n x n matrix products (Van
-Loan, J. Comput. Appl. Math. 123, 2000).  Every other operator is applied
-by a matrix-vector product on small grids and, above ``DENSE_MAX_NODES``,
-by circulant embedding: zero padding to 2n per axis and one real FFT pair,
-which reproduces the box sums exactly rather than a periodic convolution
-(Chan & Jin, An Introduction to Iterative Toeplitz Solvers, SIAM 2007).
-An (N, m) block of fields takes the same paths: matrix-matrix products, or
-one FFT pair batched over the columns.  The kernel is evaluated on |d|, so
-g[d] and g[-d] are the same number and the matrix gathered from g is
-exactly symmetric.
+Loan, J. Comput. Appl. Math. 123, 2000).  A 1D field of at most
+``DENSE_MAX_NODES`` nodes is applied by one ``np.convolve`` over the
+generator's nonzero offsets, so a kernel of short support, such as the
+mollifier, costs only its support: that beats the matrix-vector product at
+every such size, and above it the FFT below wins (at n = 1024, 31 us
+against 80 us for a full-support convolution).
+Every other operator is applied by a matrix-vector product on small grids
+and, above ``DENSE_MAX_NODES``, by circulant embedding: zero padding to 2n
+per axis and one real FFT pair, which reproduces the box sums exactly
+rather than a periodic convolution (Chan & Jin, An Introduction to
+Iterative Toeplitz Solvers, SIAM 2007).  An (N, m) block of fields takes
+matrix-matrix products, or one FFT pair batched over the columns: one
+convolution per column would cost far more than one matrix product.  The
+kernel is evaluated on |d|, so g[d] and g[-d] are the same number and the
+matrix gathered from g is exactly symmetric.
 The 2D Newton kernel, unbounded at r = 0, gets its zero-offset entry from
 the analytic cell average of -k2 ln|x| over one cell, which keeps the
 quadrature second order and the row sums finite.  The operator-norm
@@ -40,12 +46,18 @@ from scipy.fft import irfftn, rfftn
 from .grid import Grid, check_field, laplacian_neumann
 
 # Above this many nodes ``convolve`` uses the padded FFT instead of the dense
-# matrix-vector product, for every kernel but the separable 2D Gaussian.
+# matrix-vector product or, for a 1D field, ``np.convolve`` over the
+# generator's support, for every kernel but the separable 2D Gaussian.
 # Measured crossover on a 2-core Xeon VM with 2 MiB of L2 per core (numpy
 # 2.4 with OpenBLAS, scipy 1.17): the dense product wins up to N = 448 in 1D
 # and N = 484 (22 x 22) in 2D; the FFT wins from N = 512 in 1D (67 vs 78 us,
 # where W reaches 2 MiB) and N = 576 (24 x 24) in 2D, a crossover that
-# concerns only mollifier and Newton kernels.
+# concerns only mollifier and Newton kernels.  For a 1D field np.convolve
+# beats the dense product at every N <= 512: at N = 256 it takes 6.5 us
+# against 6.9 us for a Gaussian of full support and 3.6 us against 7.1 us
+# for a mollifier with 103 of 511 offsets nonzero.  At N = 1024 a
+# full-support np.convolve takes 80 us against 31 us for the FFT, so the
+# same bound serves both.
 DENSE_MAX_NODES = 511
 
 
@@ -140,8 +152,9 @@ class KernelOp:
     offsets, with offset 0 at index n - 1 on every axis, and ``kbar`` the
     row sums of the operator (the discrete k-bar function).  A Gaussian on
     a 2D grid is applied by its Toeplitz factor ``_factor``, every other
-    kernel by ``weights`` or by ``_apply_fft``, by size.  The dense matrix
-    ``weights``, the factor and the operator-norm constants ``r2_est``
+    kernel by ``_apply_taps`` (a 1D field), ``weights`` or ``_apply_fft``,
+    by size.  The dense matrix ``weights``, the taps ``_taps``, the factor
+    and the operator-norm constants ``r2_est``
     (the L2 -> H1 norm, an eigenvalue solve), ``rinf_est`` and ``k2_sup``
     (row sums of the generator) are computed on first use and cached; each
     first checks the amplitude (``_amplitude_scale``).  The constants are
@@ -161,7 +174,27 @@ class KernelOp:
             return self._apply_factors(rho)
         if self.grid.num_nodes > DENSE_MAX_NODES:
             return self._apply_fft(rho)
+        if rho.ndim == 1 and self.grid.dim == 1:
+            return self._apply_taps(rho)
         return self.weights @ rho
+
+    def _apply_taps(self, rho: np.ndarray) -> np.ndarray:
+        """W rho for a 1D field: (W rho)_i = sum_d g[d] rho_(i-d), one
+        np.convolve over ``_taps`` when they fit in the box, else the
+        'valid' part of the convolution with the whole generator."""
+        taps = self._taps
+        if taps.size <= rho.size:
+            return np.convolve(rho, taps, "same")
+        return np.convolve(rho, self.generator, "valid")
+
+    @cached_property
+    def _taps(self) -> np.ndarray:
+        """The 1D generator trimmed to its nonzero offsets -k..k (offset 0
+        alone for the zero kernel); g[d] == g[-d], so the trim is symmetric."""
+        g, centre = self.generator, self.grid.n - 1
+        nonzero = np.flatnonzero(g)
+        k = centre - int(nonzero[0]) if nonzero.size else 0
+        return g[centre - k:centre + k + 1]
 
     def _apply_factors(self, rho: np.ndarray) -> np.ndarray:
         """W rho = F R F on the n x n view R of rho, with W = F x F the

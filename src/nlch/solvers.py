@@ -20,6 +20,7 @@ of the process and every call shares it, so its eigenvalues are read-only.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -53,11 +54,13 @@ class SpdNeumannSolver:
         self._axes = tuple(range(grid.dim))
 
     def _residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """b - A x, rounded as b - (mass_coef x - diff_coef Lap x) but built
-        in the Laplacian's output array."""
+        """b - A x with A x = mass_coef (x - (diff_coef / mass_coef) Lap x),
+        built in the Laplacian's output array with no other temporary; at
+        mass_coef = 1 it rounds as b - (x - diff_coef Lap x)."""
         r = laplacian_neumann(self.grid, x)
-        r *= -self.diff_coef
-        r += self.mass_coef * x
+        r *= -(self.diff_coef / self.mass_coef)
+        r += x
+        r *= self.mass_coef
         return np.subtract(b, r, out=r)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -69,11 +72,19 @@ class SpdNeumannSolver:
         coef = dctn(b.reshape(diag.shape + cols), self._axes)
         coef /= diag.reshape(diag.shape + (1,) * len(cols))
         x = idctn(coef, self._axes).reshape(b.shape)
-        resid = _column_norms(self._residual(b, x))
-        scale = self._norm * _column_norms(x) + _column_norms(b)
-        if not (resid <= BACKWARD_ERROR_TOL * scale).all():     # also catches NaN
+        r = self._residual(b, x)
+        # a field's norms are Python floats: numpy scalars cost more than the sums
+        if b.ndim == 1:
+            resid = math.sqrt(r.dot(r))
+            scale = self._norm * math.sqrt(x.dot(x)) + math.sqrt(b.dot(b))
+            certified = resid <= BACKWARD_ERROR_TOL * scale     # False for NaN
+        else:
+            resid = _column_norms(r)
+            scale = self._norm * _column_norms(x) + _column_norms(b)
+            certified = (resid <= BACKWARD_ERROR_TOL * scale).all()
+        if not certified:
             with np.errstate(divide="ignore", invalid="ignore"):
-                eta = np.max(resid / scale)
+                eta = np.max(np.divide(resid, scale))
             raise SolverError(
                 f"direct solve failed its certificate: backward error "
                 f"{eta:.3e} exceeds {BACKWARD_ERROR_TOL:.0e}"

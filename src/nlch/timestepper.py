@@ -17,6 +17,7 @@ break the mass identity.  So every completed run keeps both.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -55,8 +56,12 @@ class SolverConfig:
         if not (math.isfinite(self.t_end / self.dt) and 1 <= self.n_steps <= MAX_STEPS):
             raise ValueError(f"t_end / dt = {self.t_end / self.dt:.3g} must round to "
                              f"a number of steps >= 1 and <= MAX_STEPS = {MAX_STEPS}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        try:
+            admitted = operator.index(self.record_every) >= 1
+        except TypeError:       # a float, even an integral one, or a string
+            admitted = False
+        if not admitted:
+            raise ValueError("record_every must be an integer >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -155,7 +160,7 @@ def record(states: Iterator[State], refs: Iterable[np.ndarray | None], spec: Rea
         k = state.step_count
         rec.step_mass.append(float(mean(state.u)))
         if cfg.is_record_step(k):
-            rec.sample(state.t, state.u, op, state.clamp_events, ref)
+            rec.sample(state.t, state.u, op, state.clamp_events, ref, state.w)
         if k < cfg.n_steps:
             rec.step_g_mean.append(float(mean(reaction_eval(spec, state.u))))
     if len(rec.step_mass) != cfg.n_steps + 1:

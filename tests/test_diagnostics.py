@@ -15,7 +15,7 @@ from nlch.diagnostics import (
     separation,
 )
 from nlch.grid import build_grid
-from nlch.kernels import assemble_kernel, gaussian_kernel
+from nlch.kernels import assemble_kernel, gaussian_kernel, mollifier_kernel, newton_kernel
 from nlch.model import oono_reaction, potential, zero_reaction
 from nlch.timestepper import SolverConfig, run
 
@@ -109,7 +109,69 @@ class TestEnergy:
         assert np.max(np.diff(rec.energy)) <= 1e-10
 
 
+def _oracle_energy_terms(u, op):
+    """The pair and bulk terms of the energy before it read the pair term
+    from w: h^dim (kbar . u - u . W u) and h^dim sum f(u)."""
+    pair = (float(op.kbar @ u) - float(u @ (op.weights @ u))) * op.grid.cell_volume
+    return pair, op.grid.cell_volume * float(np.sum(potential(u)))
+
+
+ENERGY_CASES = {
+    "1d-gaussian": (1, 256, gaussian_kernel(0.05, 0.05)),
+    "1d-mollifier": (1, 256, mollifier_kernel(0.05, 0.2)),
+    "1d-strong-gaussian": (1, 256, gaussian_kernel(20.0, 0.05)),
+    "1d-fft-mollifier": (1, 512, mollifier_kernel(20.0, 0.2)),
+    "2d-gaussian": (2, 16, gaussian_kernel(20.0, 0.05)),
+    "2d-newton": (2, 16, newton_kernel(0.1)),
+}
+
+
+class TestEnergyFromW:
+    @pytest.mark.parametrize("case", list(ENERGY_CASES))
+    def test_a_given_w_is_the_computed_one(self, case):
+        dim, n, spec = ENERGY_CASES[case]
+        op = assemble_kernel(spec, build_grid(dim, n, 1.0))
+        u = np.random.default_rng(n).uniform(0.1, 0.9, op.grid.num_nodes)
+        e = energy(u, op)
+        assert energy(u, op, op.convolve(1.0 - 2.0 * u)) == e
+        pair, bulk = _oracle_energy_terms(u, op)
+        assert abs(e - (pair + bulk)) <= 1e-13 * (abs(pair) + abs(bulk))
+
+    def test_a_sample_reads_the_states_w(self, grid, op, monkeypatch):
+        """A recorded run samples the energy from each state's w, with no
+        kernel apply of its own."""
+        u0 = np.random.default_rng(2).uniform(0.2, 0.8, grid.num_nodes)
+        cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2)
+        _, rec = run(u0, oono_reaction(grid, 1.0), op, cfg)
+        applies = []
+        convolve = type(op).convolve
+        monkeypatch.setattr(type(op), "convolve",
+                            lambda self, rho: applies.append(1) or convolve(self, rho))
+        _, again = run(u0, oono_reaction(grid, 1.0), op, cfg)
+        assert again.energy == rec.energy
+        assert len(applies) == cfg.n_steps + 1     # one per state, none per sample
+
+
 class TestRateFitting:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_is_error(self, bad):
+        t = np.linspace(0, 5, 101)
+        v = np.exp(-t)
+        v[60] = bad
+        with pytest.raises(ValueError, match="non-finite values in fit window"):
+            fit_exponential_rate(t, v, (2.5, 5.0))
+        # a non-finite value outside the window is not read
+        assert fit_exponential_rate(t, v, (0.0, 2.5))[0] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_the_cli_reports_a_non_finite_window_as_not_fitted(self, bad):
+        from nlch.cli import _trailing_rate
+
+        t = np.linspace(0, 5, 101)
+        v = np.exp(-t)
+        v[-1] = bad
+        assert _trailing_rate(t, v) == "not fitted: non-finite values in fit window"
+
     def test_exact_exponential(self):
         t = np.linspace(0, 5, 101)
         rate, r2 = fit_exponential_rate(t, np.exp(-2.0 * t), (1.0, 5.0))

@@ -1,5 +1,6 @@
 """Grid construction and the conservative Neumann operators."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -43,6 +44,17 @@ class TestBuildGrid:
     def test_rejects_coarse(self):
         with pytest.raises(ValueError, match="n must be"):
             build_grid(1, 4, 1.0)
+
+    @pytest.mark.parametrize("n", [8.7, 16.0, np.float64(16.0), "16", None])
+    def test_rejects_a_node_count_that_is_not_an_integer(self, n):
+        """A fractional n is not truncated: 8.7 would build 8 nodes."""
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            build_grid(1, n, 1.0)
+
+    @pytest.mark.parametrize("n", [16, np.int64(16), np.int32(16)])
+    def test_accepts_an_int_or_a_numpy_integer(self, n):
+        g = build_grid(2, n, 1.0)
+        assert type(g.n) is int and g == build_grid(2, 16, 1.0)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

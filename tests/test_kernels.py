@@ -375,15 +375,20 @@ class TestDenseOracle:
 
     def test_convolve_picks_the_apply_by_kernel_and_size(self, oracle_case):
         """A Gaussian on a 2D grid goes through its Toeplitz factors; every
-        other kernel goes by size."""
+        other kernel goes by size, and on a small grid a 1D field goes
+        through its taps and a block, or a 2D field, through W."""
         op, _ = oracle_case
-        x = np.random.default_rng(5).standard_normal(op.grid.num_nodes)
-        if op.spec.family == "gaussian" and op.grid.dim == 2:
-            assert np.array_equal(op.convolve(x), op._apply_factors(x))
-        elif op.grid.num_nodes > DENSE_MAX_NODES:
-            assert np.array_equal(op.convolve(x), op._apply_fft(x))
-        else:
-            assert np.array_equal(op.convolve(x), op.weights @ x)
+        rng = np.random.default_rng(5)
+        for x in (rng.standard_normal(op.grid.num_nodes),
+                  rng.standard_normal((op.grid.num_nodes, 3))):
+            if op.spec.family == "gaussian" and op.grid.dim == 2:
+                assert np.array_equal(op.convolve(x), op._apply_factors(x))
+            elif op.grid.num_nodes > DENSE_MAX_NODES:
+                assert np.array_equal(op.convolve(x), op._apply_fft(x))
+            elif x.ndim == 1 and op.grid.dim == 1:
+                assert np.array_equal(op.convolve(x), op._apply_taps(x))
+            else:
+                assert np.array_equal(op.convolve(x), op.weights @ x)
 
     def test_r2_is_attained_by_the_top_eigenvector(self):
         """r2 is the norm itself, not a lower estimate: the dense top
@@ -452,10 +457,55 @@ class TestSeparableGaussian:
             assert _relative(got, ref) <= 1e-13
 
     def test_1d_apply_is_the_matrix_product(self):
-        """In 1D the factor is W itself, so the apply keeps its bits."""
+        """In 1D a Gaussian has no factors: a field goes through its taps and
+        a block through W, bit for bit."""
         op = assemble_kernel(gaussian_kernel(0.3, 0.05), build_grid(1, 256, 1.0))
-        x = np.random.default_rng(6).standard_normal(op.grid.num_nodes)
+        x = np.random.default_rng(6).standard_normal((op.grid.num_nodes, 2))
+        assert np.array_equal(op.convolve(x[:, 0]), op._apply_taps(x[:, 0]))
         assert np.array_equal(op.convolve(x), op.weights @ x)
+
+
+# the suite's two kernels, a Gaussian whose tails underflow to 0 on every
+# grid here, a mollifier wider than most of the boxes, and the zero kernel
+TAP_SPECS = {
+    "gaussian": gaussian_kernel(0.05, 0.05),
+    "mollifier": mollifier_kernel(0.05, 0.2),
+    "narrow-gaussian": gaussian_kernel(1.0, 1e-4),
+    "wide-mollifier": mollifier_kernel(1.0, 0.9),
+    "zero": zero_kernel(),
+}
+
+
+class TestTaps:
+    """The 1D field apply over the generator's support, against W."""
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 511])
+    @pytest.mark.parametrize("name", list(TAP_SPECS))
+    def test_taps_match_the_matrix(self, name, n):
+        op = assemble_kernel(TAP_SPECS[name], build_grid(1, n, 1.0))
+        x = np.random.default_rng(n).standard_normal(n)
+        got, ref = op._apply_taps(x), op.weights @ x
+        assert got.shape == (n,)
+        if name == "zero":
+            assert not got.any() and op._taps.size == 1
+        else:
+            assert _relative(got, ref) <= 1e-13
+
+    @pytest.mark.parametrize("name", list(TAP_SPECS))
+    def test_taps_are_the_nonzero_offsets(self, name):
+        n = 256
+        op = assemble_kernel(TAP_SPECS[name], build_grid(1, n, 1.0))
+        taps, k = op._taps, (op._taps.size - 1) // 2
+        assert np.array_equal(taps, op.generator[n - 1 - k:n + k])
+        assert not np.delete(op.generator, np.s_[n - 1 - k:n + k]).any()
+        assert name == "zero" or (taps[0] != 0.0 and taps[-1] != 0.0)
+
+    def test_both_regimes_are_covered(self):
+        """'same' on the taps when they fit in the box, 'valid' on the whole
+        generator when they do not."""
+        fits = {assemble_kernel(spec, build_grid(1, n, 1.0))._taps.size <= n
+                for spec in TAP_SPECS.values() for n in (8, 64, 256, 511)}
+        assert fits == {True, False}
 
 
 class TestMatrixFree:

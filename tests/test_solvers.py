@@ -133,6 +133,17 @@ def test_certificate_rejects_a_wrong_inverse():
         solver.solve(np.random.default_rng(3).uniform(0.0, 1.0, grid.num_nodes))
 
 
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_a_field_whose_solve_returns_nan_raises(dim, n):
+    """The field certificate compares Python floats, and a NaN fails it."""
+    grid = build_grid(dim, n, 1.0)
+    solver = SpdNeumannSolver(grid, 1.0, 0.01)
+    solver._diag = solver._diag.copy()
+    solver._diag[(1,) * dim] = np.nan
+    with pytest.raises(SolverError, match="backward error nan exceeds"):
+        solver.solve(np.random.default_rng(3).uniform(0.0, 1.0, grid.num_nodes))
+
+
 def test_block_with_a_nan_column_raises():
     grid = build_grid(1, 16, 1.0)
     b = np.random.default_rng(4).uniform(0.0, 1.0, (grid.num_nodes, 3))

@@ -76,6 +76,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             SolverConfig(dt=dt, t_end=t_end)
 
+    @pytest.mark.parametrize("every", [2.5, 2.0, 0, -1, "2", None])
+    def test_record_every_must_be_an_integer_at_least_one(self, every):
+        """A fractional record_every would sample at k % 2.5 == 0: k = 0, 5, 10."""
+        with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+            SolverConfig(dt=0.01, t_end=0.1, record_every=every)
+
+    @pytest.mark.parametrize("every", [1, 3, np.int64(3)])
+    def test_record_every_accepts_integers(self, every):
+        cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=every)
+        assert [k for k in range(cfg.n_steps + 1) if cfg.is_record_step(k)] == \
+            ([0, 3, 6, 9, 10] if every == 3 else list(range(11)))
+
     def test_single_step_run_accepted(self):
         assert SolverConfig(dt=0.01, t_end=0.006).n_steps == 1
 
@@ -504,10 +516,11 @@ def _oracle_h1_seminorm(grid, f):
 
 
 def _oracle_energy(u, op):
+    """The pair term from w = K*(1-2u) = kbar - 2 W u, as h^dim/2 (kbar + w) . u."""
     grid = op.grid
     u = check_field(grid, u)
-    ku = op.convolve(u)
-    pair = (float(op.kbar @ u) - float(u @ ku)) * grid.cell_volume
+    w = op.convolve(1.0 - 2.0 * u)
+    pair = 0.5 * grid.cell_volume * float((op.kbar + w) @ u)
     s = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     bulk = grid.cell_volume * float(np.sum(xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)))
     return pair + bulk
