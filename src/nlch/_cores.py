@@ -25,6 +25,18 @@ def _bind(module: str, name: str):
 _dct = _bind("scipy.fft._pocketfft.pypocketfft", "dct")
 _qr_r_raw = _bind("numpy.linalg._umath_linalg", "qr_r_raw")     # one gufunc since numpy 2.1
 _qr_reduced = _bind("numpy.linalg._umath_linalg", "qr_reduced")
+# the LAPACK gufuncs behind np.linalg.cholesky(a) (the lower factor) and
+# np.linalg.solve(a, b) for a vector b.  Where a twin raises LinAlgError its
+# core fills the result with NaNs and raises the 'invalid' flag: call them
+# under ``linalg_errstate()``
+cholesky_lo = _bind("numpy.linalg._umath_linalg", "cholesky_lo")
+solve1 = _bind("numpy.linalg._umath_linalg", "solve1")
+# the ufunc behind np.clip(a, lo, hi, out=out), called the same way
+clip = _bind("numpy._core.umath", "clip")
+# the core behind np.convolve: for len(v) <= len(a), np.convolve(a, v, mode)
+# is correlate(a, v[::-1], mode) with the modes "valid", "same" and "full"
+# numbered 0, 1 and 2
+correlate = _bind("numpy._core.multiarray", "correlate")
 
 
 def dctn(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -45,3 +57,10 @@ def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     triangle, and ``qr_reduced`` forms Q.  ``a`` is overwritten."""
     tau = _qr_r_raw(a)
     return _qr_reduced(a, tau), a.diagonal()
+
+
+def linalg_errstate() -> np.errstate:
+    """np.linalg's own errstate, with 'invalid' ignored where np.linalg raises:
+    under it ``cholesky_lo`` and ``solve1`` answer a matrix their twins reject
+    with NaNs, and warn of nothing."""
+    return np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._cores import cholesky_lo, clip, linalg_errstate, solve1
 from .grid import check_field, div_flux, l2_norm, laplacian_neumann, mean
 from .kernels import KernelOp
 from .model import ReactionSpec, mobility, reaction_eval
@@ -80,9 +81,18 @@ def _rhs(z: np.ndarray, spec: ReactionSpec, op: KernelOp) -> np.ndarray:
 # Anderson mixing keeps the differences of the last ANDERSON_DEPTH map values;
 # a column whose direction lies within sine ANDERSON_SIN_TOL of the span of
 # the older ones makes the least-squares fit ill-posed, and the oldest column
-# is dropped until none does and the fit's Gram system solves
+# is dropped until none does and the fit's Gram system solves.  The fit calls
+# numpy's LAPACK cores, which mark a failed factorization or solve by NaNs
+# where np.linalg would raise LinAlgError, so a NaN fails either test
 ANDERSON_DEPTH = 5
 ANDERSON_SIN_TOL = 1e-7
+
+
+def _columns(fields: list[np.ndarray]) -> np.ndarray:
+    """The C-ordered (N, k) stack of k fields, as np.stack(fields, axis=1)
+    lays it out, at less cost; a transposed view would change the bits of
+    the Gram matrix."""
+    return np.array(fields).T.copy()
 
 
 class _AndersonHistory:
@@ -110,16 +120,16 @@ class _AndersonHistory:
                     del self.dg[0], self.df[0]
         self._last = (g, f)
         while self.df:
-            F = np.stack(self.df, axis=1)
+            F = _columns(self.df)
             gram = F.T @ F
             # the Cholesky diagonal of the unit-diagonal Gram matrix holds
             # each column's sine to the span of the older ones
-            try:
-                if np.linalg.cholesky(gram).diagonal().min() > ANDERSON_SIN_TOL:
-                    u = g - np.stack(self.dg, axis=1) @ np.linalg.solve(gram, F.T @ f)
-                    return np.clip(u, 0.0, 1.0, out=u)
-            except np.linalg.LinAlgError:
-                pass
+            with linalg_errstate():
+                fits = np.minimum.reduce(cholesky_lo(gram).diagonal()) > ANDERSON_SIN_TOL
+                c = solve1(gram, F.T @ f) if fits else None
+            if fits and np.isfinite(c).all():
+                u = g - _columns(self.dg) @ c
+                return clip(u, 0.0, 1.0, out=u)
             del self.dg[0], self.df[0]
         return g
 
@@ -168,7 +178,7 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp) -> E
             if resid < RESIDUAL_TOL or sweeps > MAX_SWEEPS:
                 break
             g = (1.0 - DAMPING) * u + DAMPING * solver.solve(rhs + shift * u)
-            np.clip(g, 0.0, 1.0, out=g)
+            clip(g, 0.0, 1.0, out=g)
             u = mixer.mix(g, g - u)
 
         return EquilibriumResult(

@@ -11,7 +11,8 @@ e[d] = exp(-(d h)^2 / lam) h, so its W is the Kronecker product c (F x F) of
 the n x n Toeplitz matrix F[i, j] = e[i - j], and ``convolve`` applies it as
 c F U F on the n x n view U of the field: two n x n matrix products (Van
 Loan, J. Comput. Appl. Math. 123, 2000).  A 1D field of at most
-``DENSE_MAX_NODES`` nodes is applied by one ``np.convolve`` over the
+``DENSE_MAX_NODES`` nodes is applied by one call of numpy's convolution
+core, the one behind ``np.convolve`` (``nlch._cores.correlate``), over the
 generator's nonzero offsets, so a kernel of short support, such as the
 mollifier, costs only its support: that beats the matrix-vector product at
 every such size, and above it the FFT below wins (at n = 1024, 31 us
@@ -43,20 +44,22 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import irfftn, rfftn
 
+from ._cores import correlate
 from .grid import Grid, check_field, laplacian_neumann
 
 # Above this many nodes ``convolve`` uses the padded FFT instead of the dense
-# matrix-vector product or, for a 1D field, ``np.convolve`` over the
+# matrix-vector product or, for a 1D field, numpy's convolution core over the
 # generator's support, for every kernel but the separable 2D Gaussian.
 # Measured crossover on a 2-core Xeon VM with 2 MiB of L2 per core (numpy
 # 2.4 with OpenBLAS, scipy 1.17): the dense product wins up to N = 448 in 1D
 # and N = 484 (22 x 22) in 2D; the FFT wins from N = 512 in 1D (67 vs 78 us,
 # where W reaches 2 MiB) and N = 576 (24 x 24) in 2D, a crossover that
-# concerns only mollifier and Newton kernels.  For a 1D field np.convolve
-# beats the dense product at every N <= 512: at N = 256 it takes 6.5 us
-# against 6.9 us for a Gaussian of full support and 3.6 us against 7.1 us
-# for a mollifier with 103 of 511 offsets nonzero.  At N = 1024 a
-# full-support np.convolve takes 80 us against 31 us for the FFT, so the
+# concerns only mollifier and Newton kernels.  For a 1D field the
+# convolution beats the dense product at every N <= 512: at N = 256, called
+# through np.convolve, it took 6.5 us against 6.9 us for a Gaussian of full
+# support and 3.6 us against 7.1 us for a mollifier with 103 of 511 offsets
+# nonzero, and the core called directly takes 0.4-0.6 us less.  At N = 1024
+# a full-support np.convolve takes 80 us against 31 us for the FFT, so the
 # same bound serves both.
 DENSE_MAX_NODES = 511
 
@@ -179,13 +182,16 @@ class KernelOp:
         return self.weights @ rho
 
     def _apply_taps(self, rho: np.ndarray) -> np.ndarray:
-        """W rho for a 1D field: (W rho)_i = sum_d g[d] rho_(i-d), one
-        np.convolve over ``_taps`` when they fit in the box, else the
-        'valid' part of the convolution with the whole generator."""
+        """W rho for a 1D field: (W rho)_i = sum_d g[d] rho_(i-d), by numpy's
+        convolution core: the 'same' part over ``_taps`` when they fit in the
+        box, else the 'valid' part with the whole generator.  These are
+        np.convolve(rho, taps, "same") and np.convolve(rho, generator,
+        "valid") bit for bit; the taps are symmetric, and np.convolve swaps a
+        generator longer than the field to the front."""
         taps = self._taps
         if taps.size <= rho.size:
-            return np.convolve(rho, taps, "same")
-        return np.convolve(rho, self.generator, "valid")
+            return correlate(rho, taps, 1)
+        return correlate(self.generator, rho[::-1], 0)
 
     @cached_property
     def _taps(self) -> np.ndarray:

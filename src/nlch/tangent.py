@@ -100,8 +100,10 @@ class TangentFrame:
         """QR sweep in the L2 inner product; raises on rank loss."""
         scale = math.sqrt(self.grid.cell_volume)
         q, diag = householder_qr(self.vectors * scale)
-        top = float(np.max(np.abs(diag)))
-        if top == 0.0 or not np.all(np.isfinite(diag)) or np.any(np.abs(diag) < 1e-14 * top):
+        mags = np.abs(diag)
+        top, low = float(np.maximum.reduce(mags)), float(np.minimum.reduce(mags))
+        # a NaN in the diagonal makes both extremes NaN, and both tests false
+        if not (0.0 < top < math.inf and low >= 1e-14 * top):
             raise FrameDegeneracyError(
                 "tangent frame lost rank (stretching factors span more than "
                 "14 decades between sweeps; tighten ortho_every): "

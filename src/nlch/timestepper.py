@@ -21,11 +21,13 @@ import operator
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
 
+from ._cores import clip
 from .diagnostics import TrajectoryRecord
 from .grid import check_field, div_flux, mean
 from .kernels import KernelOp
@@ -63,8 +65,10 @@ class SolverConfig:
         if not admitted:
             raise ValueError("record_every must be an integer >= 1")
 
-    @property
+    @cached_property
     def n_steps(self) -> int:
+        # cached in the instance's __dict__, which the frozen dataclass keeps;
+        # ``replace`` builds a new instance and so counts afresh
         return int(round(self.t_end / self.dt))
 
     def is_record_step(self, k: int) -> bool:
@@ -110,7 +114,7 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig) -> S
         )
     if excursion > 0.0:
         clamped = int(np.sum((u_new < 0.0) | (u_new > 1.0)))
-        np.clip(u_new, 0.0, 1.0, out=u_new)
+        clip(u_new, 0.0, 1.0, out=u_new)
 
     return State(
         t=state.t + cfg.dt,

@@ -4,16 +4,19 @@ import, and called from ``nlch._cores`` only."""
 import ast
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 import scipy.fft
+from numpy._core import multiarray, umath
 from numpy.linalg import _umath_linalg
 from scipy.fft._pocketfft import pypocketfft
 
-from nlch._cores import dctn, householder_qr, idctn
+from nlch._cores import (cholesky_lo, clip, correlate, dctn, householder_qr, idctn,
+                         linalg_errstate, solve1)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nlch"
 
@@ -60,6 +63,74 @@ def _numpy_qr(a):
     return q, np.abs(np.diag(r))
 
 
+def _gram_case(k, sine=None):
+    """The Gram matrix of k unit columns on 256 nodes and the fit's right side,
+    as Anderson mixing builds them; with ``sine``, the newest column lies
+    within that sine of the span of the older ones."""
+    rng = np.random.default_rng(k)
+    F = rng.standard_normal((256, k))
+    if sine is not None:
+        F[:, -1] = F[:, :-1] @ rng.standard_normal(k - 1) + sine * F[:, -1]
+    F /= np.sqrt(np.einsum("ij,ij->j", F, F))
+    return F.T @ F, F.T @ rng.standard_normal(256)
+
+
+def _core_cholesky(gram, rhs):
+    with linalg_errstate():
+        return (cholesky_lo(gram),)
+
+
+def _core_solve(gram, rhs):
+    with linalg_errstate():
+        return (solve1(gram, rhs),)
+
+
+def _clip_case(kind):
+    if kind == "specials":
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                      1.0 - tiny, 1.0, np.nextafter(1.0, 2.0), -1e-300, 1.5, -2.0, 0.25])
+    else:
+        x = np.random.default_rng(4).uniform(-0.5, 1.5, 256)
+    return (x,)
+
+
+def _core_clip(x):
+    out = x.copy()
+    assert clip(out, 0.0, 1.0, out=out) is out
+    return (out,)
+
+
+def _numpy_clip(x):
+    return (np.clip(x, 0.0, 1.0),)
+
+
+def _correlate_case(n, mode):
+    """A field and, for 'same', symmetric taps that fit in it, or, for
+    'valid', a whole 2n - 1 generator: the two applies of KernelOp._apply_taps."""
+    h = 1.0 / n
+    rho = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    half = n // 4 if mode == "same" else n - 1
+    # evaluated on |d|, so g[d] and g[-d] are the same number
+    d = np.abs(np.arange(-half, half + 1)) * h
+    return rho, np.exp(-(d * d) / 0.05) * h, mode
+
+
+def _core_correlate(rho, v, mode):
+    if mode == "same":
+        return (correlate(rho, v, 1),)
+    return (correlate(v, rho[::-1], 0),)
+
+
+def _numpy_convolve(rho, v, mode):
+    return (np.convolve(rho, v, mode),)
+
+
+# k = 1..5 columns, and a newest column nearly in the span of the older ones:
+# Cholesky diagonals on both sides of ANDERSON_SIN_TOL = 1e-7
+GRAM_CASES = {**{f"k{k}": (k,) for k in range(1, 6)},
+              "k3-sine1e-6": (3, 1e-6), "k5-sine1e-7": (5, 1e-7), "k2-sine1e-7": (2, 1e-7)}
+
 # (core, public twin, case builder, cases): each core call against its twin
 PINS = {
     "dctn-idctn": (_core_dct_pair, _scipy_dct_pair, _dct_case,
@@ -69,6 +140,15 @@ PINS = {
                        {"1d-64-1": (1, 64, 1), "1d-64-30": (1, 64, 30),
                         "1d-256-1": (1, 256, 1), "1d-256-30": (1, 256, 30),
                         "2d-16-30": (2, 16, 30), "1d-256-30-cond1e10": (1, 256, 30, 1e10)}),
+    "cholesky_lo": (_core_cholesky, lambda gram, rhs: (np.linalg.cholesky(gram),), _gram_case,
+                    GRAM_CASES),
+    "solve1": (_core_solve, lambda gram, rhs: (np.linalg.solve(gram, rhs),), _gram_case,
+               GRAM_CASES),
+    "clip": (_core_clip, _numpy_clip, _clip_case, {"specials": ("specials",),
+                                                   "1d-256": ("random",)}),
+    "correlate": (_core_correlate, _numpy_convolve, _correlate_case,
+                  {f"{mode}-{n}": (n, mode) for mode in ("same", "valid")
+                   for n in (8, 64, 256, 511)}),
 }
 
 
@@ -81,6 +161,24 @@ def test_core_is_its_public_twin_bit_for_bit(core, twin, build, case):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("core,twin,args", [
+    pytest.param(cholesky_lo, np.linalg.cholesky, (np.array([[1.0, 2.0], [2.0, 1.0]]),),
+                 id="cholesky-indefinite"),
+    pytest.param(cholesky_lo, np.linalg.cholesky, (np.ones((3, 3)),), id="cholesky-singular"),
+    pytest.param(solve1, np.linalg.solve, (np.ones((3, 3)), np.ones(3)), id="solve-singular"),
+    pytest.param(solve1, np.linalg.solve, (np.zeros((2, 2)), np.ones(2)), id="solve-zero"),
+])
+def test_a_linalg_core_answers_its_twins_error_with_nans_silently(core, twin, args):
+    with pytest.raises(np.linalg.LinAlgError):
+        twin(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with linalg_errstate():
+            got = core(*args)
+    # the shape of the factor, or of the solution
+    assert got.shape == args[-1].shape and np.isnan(got).all()
 
 
 def _is_private(dotted: str) -> bool:
@@ -134,7 +232,9 @@ def test_only_cores_touches_private_numpy_or_scipy_names():
 
 
 @pytest.mark.parametrize("module,name", [(pypocketfft, "dct"), (_umath_linalg, "qr_r_raw"),
-                                         (_umath_linalg, "qr_reduced")])
+                                         (_umath_linalg, "qr_reduced"),
+                                         (_umath_linalg, "cholesky_lo"), (_umath_linalg, "solve1"),
+                                         (umath, "clip"), (multiarray, "correlate")])
 def test_a_missing_core_fails_the_import_naming_it(monkeypatch, module, name):
     monkeypatch.delattr(module, name)
     spec = importlib.util.spec_from_file_location("nlch_cores_fresh", SRC / "_cores.py")

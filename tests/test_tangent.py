@@ -289,8 +289,10 @@ class TestFrames:
             frame.orthonormalize()
 
     @pytest.mark.parametrize("bad", [np.ones, lambda shape: np.full(shape, np.nan),
-                                     lambda shape: np.full(shape, np.inf)],
-                             ids=["ones", "nan", "inf"])
+                                     lambda shape: np.full(shape, np.inf),
+                                     lambda shape: _one_entry(shape, np.nan),
+                                     lambda shape: _one_entry(shape, -np.inf)],
+                             ids=["ones", "nan", "inf", "one-nan", "one-inf"])
     def test_degenerate_frames_raise_without_a_warning(self, grid, bad):
         # the QR gufuncs run without np.linalg.qr's errstate: no RuntimeWarning
         # may leak from them before the rank check
@@ -311,6 +313,13 @@ class TestFrames:
         got, want = cosine_frame(g, m).vectors, _oracle_cosine_frame(g, m).vectors
         assert got.shape == want.shape == (g.num_nodes, m)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _one_entry(shape, value):
+    """A random, finite frame but for ``value`` at one node of its middle column."""
+    a = np.random.default_rng(9).standard_normal(shape)
+    a[shape[0] // 2, shape[1] // 2] = value
+    return a
 
 
 def _qr_case(dim, n, m, cond=None):

@@ -1,6 +1,7 @@
 """Semi-implicit stepping: bounds, mass identity, decay, and guards."""
 
 import warnings
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -87,6 +88,13 @@ class TestConfigValidation:
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=every)
         assert [k for k in range(cfg.n_steps + 1) if cfg.is_record_step(k)] == \
             ([0, 3, 6, 9, 10] if every == 3 else list(range(11)))
+
+    def test_step_count_is_counted_once_per_config(self):
+        cfg = SolverConfig(dt=0.01, t_end=0.1)
+        assert cfg.n_steps == 10 and cfg.__dict__["n_steps"] == 10
+        # replace builds a new config, which counts its own steps
+        assert replace(cfg, t_end=0.2).n_steps == 20 and cfg.n_steps == 10
+        assert cfg == SolverConfig(dt=0.01, t_end=0.1)
 
     def test_single_step_run_accepted(self):
         assert SolverConfig(dt=0.01, t_end=0.006).n_steps == 1
