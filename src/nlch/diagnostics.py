@@ -43,6 +43,8 @@ def energy(u: np.ndarray, op, w: np.ndarray | None = None) -> float:
     u = check_field(grid, u)
     if w is None:
         w = op.convolve(1.0 - 2.0 * u)
+    elif np.shape(w) != u.shape:
+        raise ValueError(f"w has shape {np.shape(w)}, expected u's shape {u.shape}")
     pair = 0.5 * grid.cell_volume * float((op.kbar + w) @ u)
     bulk = integrate(grid, potential(u))
     return pair + bulk

@@ -17,7 +17,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -35,8 +35,10 @@ class Grid:
     length: float
     h: float
 
-    @property
+    @cached_property
     def num_nodes(self) -> int:
+        # kept in the instance's __dict__, which the frozen dataclass allows:
+        # every operator checks its arguments' length against it
         return self.n ** self.dim
 
     @property
@@ -90,12 +92,23 @@ def check_field(grid: Grid, f: np.ndarray, columns: bool = False) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     if f.shape[:1] != (grid.num_nodes,) or f.ndim > 1 + columns:
-        expected = "(N,) or (N, m)" if columns else "(N,)"
-        raise ValueError(f"field has shape {f.shape}, expected {expected} "
-                         f"with N = {grid.num_nodes}")
+        raise _length_error(grid, f.shape, "(N,) or (N, m)" if columns else "(N,)")
     if not np.isfinite(f).all():
         raise ValueError("field contains non-finite entries")
     return f
+
+
+def check_rows(grid: Grid, shape: tuple[int, ...]) -> None:
+    """Raise a ValueError naming N unless ``shape`` is that of a field (N,)
+    or a block (N, m).  The operators and norms below call it on every
+    argument instead of ``check_field``: they read the entries, they do not
+    validate them."""
+    if shape[:1] != (grid.num_nodes,):
+        raise _length_error(grid, shape, "(N,) or (N, m)")
+
+
+def _length_error(grid: Grid, shape: tuple[int, ...], expected: str) -> ValueError:
+    return ValueError(f"field has shape {shape}, expected {expected} with N = {grid.num_nodes}")
 
 
 # -- quadrature and norms -----------------------------------------------------
@@ -107,6 +120,7 @@ def check_field(grid: Grid, f: np.ndarray, columns: bool = False) -> np.ndarray:
 
 def integrate(grid: Grid, f: np.ndarray) -> float:
     """Midpoint-rule integral h^dim * sum(f)."""
+    check_rows(grid, np.shape(f))
     return grid.cell_volume * float(np.add.reduce(f, axis=None))
 
 
@@ -118,11 +132,15 @@ def mean(f: np.ndarray) -> np.floating | np.ndarray:
 
 def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     """Discrete L2 inner product."""
+    check_rows(grid, np.shape(f))
+    check_rows(grid, np.shape(g))
     return grid.cell_volume * float(np.dot(f, g))
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:
-    v = np.asarray(f, dtype=float).ravel(order="K")
+    v = np.asarray(f, dtype=float)
+    check_rows(grid, v.shape)
+    v = v.ravel(order="K")
     return math.sqrt(grid.cell_volume) * math.sqrt(v.dot(v))
 
 
@@ -133,6 +151,7 @@ def h1_seminorm(grid: Grid, f: np.ndarray) -> float:
     inner(-laplacian_neumann(f), f) == h1_seminorm(f)**2 exactly
     (summation by parts with zero boundary flux).
     """
+    check_rows(grid, f.shape)
     v = grid.reshape(f)
     total = 0.0
     for lo, hi in _face_slices(grid.dim):
@@ -161,7 +180,10 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     block (N, m).
     """
     f = np.asarray(f, dtype=float)      # the in-place flux needs a float difference
-    vf = f.reshape((grid.n,) * grid.dim + f.shape[1:])
+    check_rows(grid, f.shape)
+    # on a 1D grid a field or block is already node-shaped, and the reshapes
+    # would be identity views
+    vf = f if grid.dim == 1 else f.reshape((grid.n,) * grid.dim + f.shape[1:])
     out = np.zeros(vf.shape)
     scale = 0.5 / grid.h**2
     for lo, hi in _face_slices(grid.dim):
@@ -171,7 +193,7 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
         out_lo, out_hi = out[lo], out[hi]
         out_lo += flux
         out_hi -= flux
-    return out.reshape(f.shape)
+    return out if grid.dim == 1 else out.reshape(f.shape)
 
 
 def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -184,11 +206,15 @@ def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     (the tangent flow relies on that linearity).  Either ``a`` or ``p`` (or
     both) may be an (N, m) block; the result is then one column per column.
     """
-    nodes = (grid.n,) * grid.dim
-    va = a.reshape(nodes + a.shape[1:] + (1,) * (p.ndim - a.ndim))
-    vp = p.reshape(nodes + p.shape[1:] + (1,) * (a.ndim - p.ndim))
-    cols = a.shape[1:] or p.shape[1:]
-    out = np.zeros(nodes + cols)
+    check_rows(grid, a.shape)
+    check_rows(grid, p.shape)
+    if grid.dim == 1 and a.ndim == p.ndim:      # the reshapes would be identity views
+        va, vp, out = a, p, np.zeros(a.shape)
+    else:
+        nodes = (grid.n,) * grid.dim
+        va = a.reshape(nodes + a.shape[1:] + (1,) * (p.ndim - a.ndim))
+        vp = p.reshape(nodes + p.shape[1:] + (1,) * (a.ndim - p.ndim))
+        out = np.zeros(nodes + (a.shape[1:] or p.shape[1:]))
     scale = 0.5 / grid.h**2
     for lo, hi in _face_slices(grid.dim):
         flux = (va[lo] + va[hi]) * (vp[hi] - vp[lo])
@@ -196,7 +222,7 @@ def div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
         out_lo, out_hi = out[lo], out[hi]
         out_lo += flux
         out_hi -= flux
-    return out.reshape((grid.num_nodes,) + cols)
+    return out if grid.dim == 1 else out.reshape((grid.num_nodes,) + out.shape[2:])
 
 
 # -- spectral helpers (exact for the constant-coefficient Neumann stencil) ----

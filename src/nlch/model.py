@@ -38,7 +38,8 @@ def mobility_deriv(s: np.ndarray | float) -> np.ndarray | float:
 def potential(s: np.ndarray | float) -> np.ndarray | float:
     """f(s) = s log s + (1-s) log(1-s) on [0,1], with f(0) = f(1) = 0."""
     s = np.asarray(s, dtype=float)
-    out = xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
+    t = 1.0 - s
+    out = xlogy(s, s) + xlogy(t, t)
     return out if out.ndim else float(out)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 # bound here by name: perfbench traces solvers.dctn and solvers.idctn
 from ._cores import dctn, idctn
-from .grid import Grid, laplacian_eigenvalues, laplacian_neumann
+from .grid import Grid, check_rows, laplacian_eigenvalues, laplacian_neumann
 
 # about 400x the largest eta measured in stepping, tangent and equilibrium solves
 BACKWARD_ERROR_TOL = 1e-13
@@ -60,7 +60,8 @@ class SpdNeumannSolver:
         r = laplacian_neumann(self.grid, x)
         r *= -(self.diff_coef / self.mass_coef)
         r += x
-        r *= self.mass_coef
+        if self.mass_coef != 1.0:       # x * 1.0 is x, bit for bit
+            r *= self.mass_coef
         return np.subtract(b, r, out=r)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -68,10 +69,17 @@ class SpdNeumannSolver:
         (N, m), raising SolverError if a column's backward error is too large.
         ``b`` is read as float64, whatever its type."""
         b = np.asarray(b, dtype=float)
-        diag, cols = self._diag, b.shape[1:]
-        coef = dctn(b.reshape(diag.shape + cols), self._axes)
-        coef /= diag.reshape(diag.shape + (1,) * len(cols))
-        x = idctn(coef, self._axes).reshape(b.shape)
+        check_rows(self.grid, b.shape)
+        diag = self._diag
+        if b.shape == diag.shape:       # a 1D field is already node-shaped
+            coef = dctn(b, self._axes)
+            coef /= diag
+            x = idctn(coef, self._axes)
+        else:
+            cols = b.shape[1:]
+            coef = dctn(b.reshape(diag.shape + cols), self._axes)
+            coef /= diag.reshape(diag.shape + (1,) * len(cols))
+            x = idctn(coef, self._axes).reshape(b.shape)
         r = self._residual(b, x)
         # a field's norms are Python floats: numpy scalars cost more than the sums
         if b.ndim == 1:

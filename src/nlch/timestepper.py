@@ -20,7 +20,7 @@ import math
 import operator
 import warnings
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
@@ -37,10 +37,10 @@ from .solvers import SolverError, neumann_solver
 BOUND_TOL = 1e-8   # the largest phase-bound excursion clipped; larger ones abort
 # The most steps a run may take.  ``record`` keeps two Python floats per step
 # (``step_mass`` and ``step_g_mean``), about 64 bytes, so this caps that ledger
-# at about 64 MB.  A ``run`` step on 1D 256 nodes took 46 us when sampled
-# every 2000th step and 76 us when sampled every step (``step`` alone 43 us;
-# timeit best of 7, 2-core VM), so this is also a run of about 45 to 75 s,
-# far longer than any study here needs (4000 steps).
+# at about 64 MB.  A ``run`` step on 1D 256 nodes (Gaussian c = 20, Oono)
+# took 34 us when sampled every 2000th step and 52 us when sampled every step
+# (``step`` alone 33 us; timeit best of 7, 2-core VM), so this is also a run
+# of about 35 to 55 s, far longer than any study here needs (4000 steps).
 MAX_STEPS = 10**6
 
 
@@ -79,13 +79,19 @@ class SolverConfig:
 
 @dataclass
 class State:
-    """Solver state: time, phase field, and the cached convolution w."""
+    """Solver state: time, phase field, and the cached convolution w.  Its
+    ``mass``, float(mean(u)), is computed once, when the state is built: the
+    mass ledger of ``record`` and the next step's target mean both read it."""
 
     t: float
     u: np.ndarray
     w: np.ndarray
     step_count: int = 0
     clamp_events: int = 0
+    mass: float = field(init=False)
+
+    def __post_init__(self):
+        self.mass = float(mean(self.u))
 
 
 def initial_state(u0: np.ndarray, op: KernelOp) -> State:
@@ -99,8 +105,13 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig) -> S
     grid = op.grid
     u, w = state.u, state.w
     g_vals = reaction_eval(spec, u)
-    rhs = u + cfg.dt * div_flux(grid, mobility(u), w) + cfg.dt * g_vals
-    target_mean = float(mean(u)) + cfg.dt * float(mean(g_vals))
+    # u + dt F + dt g, built in F's array: the sums and products commute
+    # exactly, so the bits are those of the three-temporary expression
+    rhs = div_flux(grid, mobility(u), w)
+    rhs *= cfg.dt
+    rhs += u
+    rhs += cfg.dt * g_vals
+    target_mean = state.mass + cfg.dt * float(mean(g_vals))
     u_new = neumann_solver(grid, 1.0, cfg.dt).solve(rhs)
     u_new += target_mean - float(mean(u_new))
 
@@ -139,7 +150,7 @@ def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
             f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
             f"reaction is unstable, reduce dt below {0.5 / spec.lipschitz_s:.3g}"
         )
-    mean0 = float(mean(state.u))
+    mean0 = state.mass
     if not (0.0 < mean0 < 1.0) and float(mean(reaction_eval(spec, state.u))) == 0.0:
         # this generator, the private frame drawing it, the public function, its caller
         warnings.warn(f"mean(u0) = {mean0} is a pure phase and the reaction does not move "
@@ -162,7 +173,7 @@ def record(states: Iterator[State], refs: Iterable[np.ndarray | None], spec: Rea
     rec = TrajectoryRecord(grid=op.grid, dt=cfg.dt)
     for ref, state in zip(refs, states):
         k = state.step_count
-        rec.step_mass.append(float(mean(state.u)))
+        rec.step_mass.append(state.mass)
         if cfg.is_record_step(k):
             rec.sample(state.t, state.u, op, state.clamp_events, ref, state.w)
         if k < cfg.n_steps:

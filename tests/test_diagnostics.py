@@ -108,6 +108,19 @@ class TestEnergy:
         assert rec.max_u[-1] - rec.min_u[-1] > 1e-3
         assert np.max(np.diff(rec.energy)) <= 1e-10
 
+    @pytest.mark.parametrize("w", [0.5, np.full(8, 0.5), np.full((16, 1), 0.5)],
+                             ids=["scalar", "short", "column"])
+    def test_a_w_of_another_shape_is_rejected(self, w):
+        """A w that broadcasts is not the state's K*(1-2u): at u = 0.5 on 1D
+        n = 16 with gaussian_kernel(1, 0.05), energy(u, op, 0.5) read -0.4814
+        against the true -0.6064."""
+        grid = build_grid(1, 16, 1.0)
+        op = assemble_kernel(gaussian_kernel(1.0, 0.05), grid)
+        u = np.full(grid.num_nodes, 0.5)
+        assert energy(u, op) == pytest.approx(-0.6064, abs=1e-4)
+        with pytest.raises(ValueError, match=r"w has shape .*, expected u's shape \(16,\)"):
+            energy(u, op, w)
+
 
 def _oracle_energy_terms(u, op):
     """The pair and bulk terms of the energy before it read the pair term

@@ -24,6 +24,7 @@ from nlch.grid import (
     neumann_mode,
 )
 from nlch.model import mobility
+from nlch.solvers import SpdNeumannSolver
 
 
 class TestBuildGrid:
@@ -195,6 +196,41 @@ class TestNeumannModes:
         assert f.shape == (g.num_nodes,)
         with pytest.raises(ValueError):
             neumann_mode(g, (1,))
+
+
+# each of the seven functions with the field of the wrong length in one of
+# its field arguments; ``ok`` is a field of the right length
+_WRONG_LENGTH_CALLS = {
+    "integrate": lambda g, ok, bad: integrate(g, bad),
+    "inner(f)": lambda g, ok, bad: inner(g, bad, ok),
+    "inner(g)": lambda g, ok, bad: inner(g, ok, bad),
+    "l2_norm": lambda g, ok, bad: l2_norm(g, bad),
+    "h1_seminorm": lambda g, ok, bad: h1_seminorm(g, bad),
+    "laplacian_neumann": lambda g, ok, bad: laplacian_neumann(g, bad),
+    "div_flux(a)": lambda g, ok, bad: div_flux(g, bad, ok),
+    "div_flux(p)": lambda g, ok, bad: div_flux(g, ok, bad),
+    "solve": lambda g, ok, bad: SpdNeumannSolver(g, 1.0, 0.01).solve(bad),
+}
+
+
+class TestLengthCheck:
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    @pytest.mark.parametrize("call", list(_WRONG_LENGTH_CALLS))
+    def test_a_field_of_the_wrong_length_is_rejected_naming_n(self, call, dim, n):
+        """A half-length field, which a 1D grid's operators read without a
+        reshape, is named with N, as ``check_field`` names it."""
+        g = build_grid(dim, n, 1.0)
+        ok, bad = np.linspace(0.1, 0.9, g.num_nodes), np.linspace(0.1, 0.9, g.num_nodes // 2)
+        msg = f"field has shape ({g.num_nodes // 2},), expected (N,) or (N, m) with N = {g.num_nodes}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            _WRONG_LENGTH_CALLS[call](g, ok, bad)
+
+    @pytest.mark.parametrize("call", ["l2_norm", "laplacian_neumann", "div_flux(p)", "solve"])
+    def test_a_block_of_the_wrong_length_is_rejected(self, call):
+        g = build_grid(1, 16, 1.0)
+        ok = np.full((g.num_nodes, 2), 0.5)
+        with pytest.raises(ValueError, match=re.escape("with N = 16")):
+            _WRONG_LENGTH_CALLS[call](g, ok, np.full((8, 2), 0.5))
 
 
 # -- oracle: the pre-face-flux bodies, kept verbatim ----------------------------

@@ -6,10 +6,11 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from field_oracles import oracle_div_flux, oracle_solve
 from scipy.special import xlogy
 
 from nlch.diagnostics import TrajectoryRecord, fit_exponential_rate, mass_balance_residual
-from nlch.grid import build_grid, check_field, div_flux, l2_norm
+from nlch.grid import build_grid, check_field, l2_norm, mean
 from nlch.kernels import (
     DENSE_MAX_NODES,
     _separable,
@@ -437,7 +438,8 @@ class TestRecordShapes:
 
 # -- oracle: step, _trajectory, run and TrajectoryRecord.sample as they were
 # before the wrapper-cost rewrite (np.mean, np.min, np.clip, np.linalg.norm),
-# verbatim except that the diagnostics they call are the old bodies below ----
+# verbatim except that the diagnostics they call are the old bodies below and
+# the flux and the solve are the old bodies in field_oracles -----------------
 
 def _oracle_step(state, spec, op, cfg, solver=None):
     grid = op.grid
@@ -445,9 +447,9 @@ def _oracle_step(state, spec, op, cfg, solver=None):
         solver = SpdNeumannSolver(grid, 1.0, cfg.dt)
     u, w = state.u, state.w
     g_vals = reaction_eval(spec, u)
-    rhs = u + cfg.dt * div_flux(grid, mobility(u), w) + cfg.dt * g_vals
+    rhs = u + cfg.dt * oracle_div_flux(grid, mobility(u), w) + cfg.dt * g_vals
     target_mean = float(np.mean(u)) + cfg.dt * float(np.mean(g_vals))
-    u_new = solver.solve(rhs)
+    u_new = oracle_solve(solver, rhs)
     u_new += target_mean - float(np.mean(u_new))
 
     lo, hi = float(np.min(u_new)), float(np.max(u_new))
@@ -608,6 +610,33 @@ class TestBitIdentity:
         _assert_same_run(got, _oracle_run(u0, spec, op, cfg))
         _assert_same_states(_trajectory(u0, spec, op, cfg),
                             _oracle_trajectory(u0, spec, op, cfg))
+
+    @pytest.mark.parametrize("case", ["suite", "clamping", "2d"])
+    def test_each_state_carries_its_mass(self, suite_grid, case):
+        """``State.mass`` is float(mean(u)) of the state's final u, after the
+        clip of a clamped step too, and the ledger is those masses."""
+        if case == "suite":
+            grid, u0, spec, cfg = (suite_grid,
+                                   np.random.default_rng(5).uniform(0.1, 0.9, suite_grid.num_nodes),
+                                   SUITE_REACTIONS["bertozzi"](suite_grid),
+                                   SolverConfig(dt=0.01, t_end=1.0))
+        elif case == "clamping":
+            grid = build_grid(1, 64, 1.0)
+            u0 = np.where(grid.axis_coords() < 0.5, 0.0, 0.9)
+            spec, cfg = zero_reaction(grid), SolverConfig(dt=1e-4, t_end=50e-4)
+        else:
+            grid = build_grid(2, 16, 1.0)
+            u0 = np.random.default_rng(3).uniform(0.2, 0.8, grid.num_nodes)
+            spec, cfg = oono_reaction(grid, 1.0), SolverConfig(dt=0.01, t_end=0.2)
+        op = assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
+        states = list(_trajectory(u0, spec, op, cfg))
+        assert len(states) == cfg.n_steps + 1
+        for state in states:
+            assert state.mass == float(mean(state.u)) == float(np.mean(state.u))
+        if case == "clamping":
+            assert states[-1].clamp_events > 0
+        _, rec = run(u0, spec, op, cfg)
+        assert rec.step_mass == [state.mass for state in states]
 
     def test_2d_newton_run(self):
         grid = build_grid(2, 16, 1.0)
