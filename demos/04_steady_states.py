@@ -1,8 +1,8 @@
 """
 Steady states: existence, non-uniqueness, and certification.
 
-The solver runs a damped fixed-point iteration at one regularization
-shift, accelerated by Anderson mixing.  A limit is certified by its
+The solver runs a damped fixed-point iteration on the semi-implicit step
+at one pseudo-time, accelerated by Anderson mixing.  A limit is certified by its
 strong-form residual alone, which must fall below 1e-9, and multistart
 keeps only certified limits.  The demo prints each limit's residual and,
 as a check against the time integrator, how far the flow moves it over

@@ -74,18 +74,18 @@ class TrajectoryRecord:
     step_mass: list[float] = field(default_factory=list)
     step_g_mean: list[float] = field(default_factory=list)
 
-    def sample(self, t: float, u: np.ndarray, op, clamp_events: int,
-               ref: np.ndarray | None, w: np.ndarray | None = None) -> None:
-        """Append one sample of the state u, whose K*(1-2u) is ``w`` if given."""
-        self.times.append(float(t))
-        self.mass.append(mass(u))
+    def sample(self, state, op, ref: np.ndarray | None) -> None:
+        """Append one sample of a ``State``, reading its t, mass and w."""
+        u = state.u
+        self.times.append(float(state.t))
+        self.mass.append(state.mass)
         self.min_u.append(float(np.minimum.reduce(u, axis=None)))
         self.max_u.append(float(np.maximum.reduce(u, axis=None)))
         self.l2_norm.append(l2_norm(self.grid, u))
         self.h1_seminorm.append(h1_seminorm(self.grid, u))
-        self.energy.append(energy(u, op, w))
+        self.energy.append(energy(u, op, state.w))
         self.dist_to_ref.append(l2_norm(self.grid, u - ref) if ref is not None else float("nan"))
-        self.clamp_events.append(int(clamp_events))
+        self.clamp_events.append(int(state.clamp_events))
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         return {

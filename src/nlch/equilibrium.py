@@ -1,21 +1,22 @@
 """
 Steady states of the reacting nonlocal Cahn-Hilliard system by Anderson-
-accelerated damped Picard iteration with a shifted linear solve.
+accelerated damped Picard iteration on the semi-implicit step: each sweep
+is the time step without its mass correction at the pseudo-time
+tau = 1 / (rho + EQ_SHIFT), rho the reaction's Lipschitz constant in s,
 
-Each sweep solves
+    (I - tau Lap) u_next = z + tau (div(mu(z) grad K*(1-2z)) + g(z)),
 
-    (-Lap + s I) u_next = div(mu(z) grad K*(1-2z)) + g(z) + s z,   s = rho + EQ_SHIFT,
-
-with rho the reaction's Lipschitz constant in s.  Every true equilibrium is
-a fixed point of this map at every shift (the shift terms cancel at a fixed
-point), so one shift serves: the rho part keeps the map contractive for
-stiff monotone reactions where no fixed damping could, and EQ_SHIFT keeps
-the operator regular when the reaction vanishes.  A solve is certified by
-the shift-free strong residual falling below RESIDUAL_TOL, not by the map;
-multistart counts limits within DEDUP_TOL as one.  The compatibility defect
-|mean(g(u))| is reported, since no steady state exists when the reaction
-pumps net mass.  Iterates are clamped to [0,1]: the existence construction
-proves the bounds by truncation, and the pure phases are reachable limits.
+which is pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer.
+Anal. 35, 1998).  Every true equilibrium is a fixed point of this map at
+every tau (the z terms cancel at a fixed point), so one tau serves: the
+rho part keeps the map contractive for stiff monotone reactions where no
+fixed damping could, and EQ_SHIFT keeps tau finite when the reaction
+vanishes.  A solve is certified by the strong residual falling below
+RESIDUAL_TOL, not by the map; multistart counts limits within DEDUP_TOL
+as one.  The compatibility defect |mean(g(u))| is reported, since no
+steady state exists when the reaction pumps net mass.  Iterates are
+clamped to [0,1]: the existence construction proves the bounds by
+truncation, and the pure phases are reachable limits.
 
 The damped map G(u) = clip((1 - DAMPING) u + DAMPING u_next) contracts slowly
 (0.75-0.9 per sweep), so the iteration mixes its last few values by
@@ -40,10 +41,10 @@ from .kernels import KernelOp
 from .model import ReactionSpec, mobility, reaction_eval
 from .solvers import neumann_solver
 
-# shift of the Picard solve above the reaction's Lipschitz constant; any
-# positive value has the same fixed points.  On the 1D n = 64 test cases 0.5
-# keeps the mixed limits within 1e-9 of the plain loop's (1.0 does not) and
-# the mixed sweeps under half of its (0.3 does not, on oono)
+# the sweep's pseudo-time is 1 / (rho + EQ_SHIFT); any positive value has
+# the same fixed points.  On the 1D n = 64 test cases 0.5 keeps the mixed
+# limits within 1e-9 of the plain loop's (1.0 does not) and the mixed sweeps
+# under half of its (0.3 does not, on oono)
 EQ_SHIFT = 0.5
 # weight of the solve u_next in the damped step
 DAMPING = 0.5
@@ -147,8 +148,8 @@ def equilibrium_residual(u: np.ndarray, spec: ReactionSpec, op: KernelOp) -> flo
 
 
 def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp) -> EquilibriumResult:
-    """Damped Picard iteration at the shift rho + EQ_SHIFT with Anderson
-    mixing; its first step is the plain damped step.
+    """Damped Picard iteration on the semi-implicit step at the pseudo-time
+    1 / (rho + EQ_SHIFT) with Anderson mixing; its first step is plain.
 
     Each sweep evaluates the right-hand side at the current iterate once.
     The iterate's strong-form residual comes from it, and the solve
@@ -161,12 +162,12 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp) -> E
     iteration converges.
     """
     grid = op.grid
-    shift = spec.lipschitz_s + EQ_SHIFT
-    u = check_field(grid, u_init)
+    tau = 1.0 / (spec.lipschitz_s + EQ_SHIFT)
+    u = check_field(grid, u_init).copy()      # as initial_state: res.u is not the seed
     if np.min(u) < 0.0 or np.max(u) > 1.0:
         raise ValueError("equilibrium seed must satisfy 0 <= u <= 1 nodewise, got "
                          f"values in [{np.min(u):.6g}, {np.max(u):.6g}]")
-    solver = neumann_solver(grid, shift, 1.0)
+    solver = neumann_solver(grid, tau)
     mixer = _AndersonHistory()
     # a stiff reaction (sigma = 1e308) can give an iterate a residual whose
     # norm overflows to inf, which is not below RESIDUAL_TOL: the sweeps go on
@@ -177,7 +178,7 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp) -> E
             resid = l2_norm(grid, laplacian_neumann(grid, u) + rhs)
             if resid < RESIDUAL_TOL or sweeps > MAX_SWEEPS:
                 break
-            g = (1.0 - DAMPING) * u + DAMPING * solver.solve(rhs + shift * u)
+            g = (1.0 - DAMPING) * u + DAMPING * solver.solve(u + tau * rhs)
             clip(g, 0.0, 1.0, out=g)
             u = mixer.mix(g, g - u)
 

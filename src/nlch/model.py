@@ -110,7 +110,7 @@ def reaction_deriv(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
 
 
 def _as_field(grid: Grid, value, name: str, lo=None, hi=None) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
+    v = np.array(value, dtype=float)      # a copy: the spec's g is not the caller's
     if v.ndim == 0:
         v = np.full(grid.num_nodes, float(v))
     try:
@@ -121,6 +121,7 @@ def _as_field(grid: Grid, value, name: str, lo=None, hi=None) -> np.ndarray:
         raise ValueError(f"{name} must be >= {lo} everywhere")
     if hi is not None and np.any(v > hi):
         raise ValueError(f"{name} must be <= {hi} everywhere")
+    v.flags.writeable = False
     return v
 
 

@@ -1,10 +1,10 @@
 """
-Direct solves for the SPD Neumann operators (a I - b Lap), a > 0, b >= 0.
-
-Every implicit operator in the package has constant coefficients, so the
-DCT-II diagonalizes it exactly: a solve is one forward transform, a
-division by the eigenvalues, and one inverse transform.  Each result is
-certified by its normwise backward error
+Direct solves for the package's one implicit operator, the SPD Neumann
+operator (I - tau Lap), tau >= 0: the time and tangent steps take tau = dt
+and the equilibrium sweep the pseudo-time 1 / (rho + EQ_SHIFT).  The DCT-II
+diagonalizes it exactly: a solve is one forward transform, a division by
+the eigenvalues, and one inverse transform.  Each result is certified by
+its normwise backward error
 
     eta = ||b - A x|| / (||A||_2 ||x|| + ||b||),
 
@@ -14,8 +14,8 @@ Numerical Algorithms, ch. 7).  An (N, m) block of right sides is solved by
 one batched transform pair, and each column is certified on its own, so a
 small wrong column cannot hide behind large right ones.
 
-``neumann_solver`` keeps one solver per (grid, coefficients) for the life
-of the process and every call shares it, so its eigenvalues are read-only.
+``neumann_solver`` keeps one solver per (grid, tau) for the life of the
+process and every call shares it, so its eigenvalues are read-only.
 """
 
 from __future__ import annotations
@@ -38,30 +38,26 @@ class SolverError(RuntimeError):
 
 
 class SpdNeumannSolver:
-    """Direct DCT solver for (mass_coef * I - diff_coef * Lap) with zero-flux
-    boundary, mass_coef > 0 and diff_coef >= 0."""
+    """Direct DCT solver for (I - tau Lap) with zero-flux boundary, tau >= 0
+    finite: at tau = inf the constant mode's eigenvalue is 1 + inf * 0 = NaN."""
 
-    def __init__(self, grid: Grid, mass_coef: float, diff_coef: float):
-        if not (mass_coef > 0 and diff_coef >= 0):
-            raise ValueError("need mass_coef > 0 and diff_coef >= 0")
+    def __init__(self, grid: Grid, tau: float):
+        if not (math.isfinite(tau) and tau >= 0):
+            raise ValueError(f"need a finite tau >= 0, got {tau}")
         self.grid = grid
-        self.mass_coef = float(mass_coef)
-        self.diff_coef = float(diff_coef)
-        diag = mass_coef + diff_coef * laplacian_eigenvalues(grid)
+        self.tau = float(tau)
+        diag = 1.0 + self.tau * laplacian_eigenvalues(grid)
         self._norm = float(np.max(diag))      # ||A||_2 of the symmetric operator
         self._diag = diag.reshape((grid.n,) * grid.dim)
         self._diag.flags.writeable = False
         self._axes = tuple(range(grid.dim))
 
     def _residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """b - A x with A x = mass_coef (x - (diff_coef / mass_coef) Lap x),
-        built in the Laplacian's output array with no other temporary; at
-        mass_coef = 1 it rounds as b - (x - diff_coef Lap x)."""
+        """b - (x - tau Lap x), built in the Laplacian's output array with no
+        other temporary."""
         r = laplacian_neumann(self.grid, x)
-        r *= -(self.diff_coef / self.mass_coef)
+        r *= -self.tau
         r += x
-        if self.mass_coef != 1.0:       # x * 1.0 is x, bit for bit
-            r *= self.mass_coef
         return np.subtract(b, r, out=r)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -101,9 +97,9 @@ class SpdNeumannSolver:
 
 
 @cache
-def neumann_solver(grid: Grid, mass_coef: float, diff_coef: float) -> SpdNeumannSolver:
-    """The shared solver of (mass_coef * I - diff_coef * Lap) on ``grid``."""
-    return SpdNeumannSolver(grid, mass_coef, diff_coef)
+def neumann_solver(grid: Grid, tau: float) -> SpdNeumannSolver:
+    """The shared solver of (I - tau Lap) on ``grid``."""
+    return SpdNeumannSolver(grid, tau)
 
 
 def _column_norms(v: np.ndarray) -> np.ndarray:

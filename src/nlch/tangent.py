@@ -66,7 +66,7 @@ def tangent_step(U: np.ndarray, u: np.ndarray, w: np.ndarray, spec: ReactionSpec
 def _step_from_terms(U: np.ndarray, terms: np.ndarray, grid: Grid,
                      cfg: SolverConfig) -> np.ndarray:
     """The tangent step from U, given ``_tangent_rhs_terms`` at U and the base state."""
-    return neumann_solver(grid, 1.0, cfg.dt).solve(U + cfg.dt * terms)
+    return neumann_solver(grid, cfg.dt).solve(U + cfg.dt * terms)
 
 
 def _propagate(U0: np.ndarray, u0: np.ndarray, spec: ReactionSpec, op: KernelOp,

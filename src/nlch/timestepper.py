@@ -112,7 +112,7 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig) -> S
     rhs += u
     rhs += cfg.dt * g_vals
     target_mean = state.mass + cfg.dt * float(mean(g_vals))
-    u_new = neumann_solver(grid, 1.0, cfg.dt).solve(rhs)
+    u_new = neumann_solver(grid, cfg.dt).solve(rhs)
     u_new += target_mean - float(mean(u_new))
 
     lo, hi = float(np.minimum.reduce(u_new)), float(np.maximum.reduce(u_new))
@@ -175,7 +175,7 @@ def record(states: Iterator[State], refs: Iterable[np.ndarray | None], spec: Rea
         k = state.step_count
         rec.step_mass.append(state.mass)
         if cfg.is_record_step(k):
-            rec.sample(state.t, state.u, op, state.clamp_events, ref, state.w)
+            rec.sample(state, op, ref)
         if k < cfg.n_steps:
             rec.step_g_mean.append(float(mean(reaction_eval(spec, state.u))))
     if len(rec.step_mass) != cfg.n_steps + 1:

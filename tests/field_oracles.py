@@ -5,7 +5,9 @@ and ``_residual``, and ``model.potential`` as they were before a 1D field
 skipped their reshapes, the step built its right-hand side in place and the
 residual skipped its product by a unit mass coefficient.  They are kept
 verbatim, except that the solve and its residual take the live solver as
-``self`` and call the oracle bodies here.  The new bodies must keep every bit.
+``self`` and call the oracle bodies here, and that the residual, written for
+(a I - b Lap), is the same body for (I - tau Lap): a = 1 and b = tau.  The
+new bodies must keep every bit.
 """
 
 import math
@@ -51,9 +53,9 @@ def oracle_div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def oracle_residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     r = oracle_laplacian_neumann(self.grid, x)
-    r *= -(self.diff_coef / self.mass_coef)
+    r *= -self.tau      # -(b / a) at a = 1
     r += x
-    r *= self.mass_coef
+    r *= 1.0            # the product by a = 1 that the live residual skips
     return np.subtract(b, r, out=r)
 
 

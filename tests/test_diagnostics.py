@@ -17,7 +17,7 @@ from nlch.diagnostics import (
 from nlch.grid import build_grid
 from nlch.kernels import assemble_kernel, gaussian_kernel, mollifier_kernel, newton_kernel
 from nlch.model import oono_reaction, potential, zero_reaction
-from nlch.timestepper import SolverConfig, run
+from nlch.timestepper import SolverConfig, initial_state, run
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ class TestTrajectoryRecord:
     def test_max_u_is_recorded_as_read(self, grid, op):
         """max u is stored as it is, not as 1 - (1 - max u), which rounds it."""
         rec = TrajectoryRecord(grid, 0.01)
-        rec.sample(0.0, np.linspace(0.1, 0.3, grid.num_nodes), op, 0, None)
+        rec.sample(initial_state(np.linspace(0.1, 0.3, grid.num_nodes), op), op, None)
         assert rec.min_u == [0.1] and rec.max_u == [0.3]
 
     def test_decayed_max_u_is_not_rounded_to_zero(self, grid):

@@ -25,7 +25,7 @@ from nlch.model import (
     zero_reaction,
 )
 from nlch.solvers import SpdNeumannSolver
-from nlch.timestepper import SolverConfig, run
+from nlch.timestepper import SolverConfig, initial_state, run, step
 
 
 @pytest.fixture(scope="module")
@@ -47,21 +47,21 @@ PICARD_TOL = 1e-10
 
 
 def _oracle_solve(u_init, spec, op, max_sweeps=10000):
-    """The plain damped Picard loop at the shift of solve_equilibrium, with
-    its own stop rule: a residual check once the plain step is below
-    PICARD_TOL, and a flag when such a check falls by less than 1%; returns
-    (u, converged, iterations)."""
+    """The plain damped Picard loop on the semi-implicit step at the pseudo-
+    time of solve_equilibrium, with its own stop rule: a residual check once
+    the plain step is below PICARD_TOL, and a flag when such a check falls
+    by less than 1%; returns (u, converged, iterations)."""
     grid = op.grid
     theta = DAMPING
-    shift = spec.lipschitz_s + EQ_SHIFT
+    tau = 1.0 / (spec.lipschitz_s + EQ_SHIFT)
     u = check_field(grid, u_init)
-    solver = SpdNeumannSolver(grid, shift, 1.0)
+    solver = SpdNeumannSolver(grid, tau)
     converged = False
     stall_residual = np.inf
     iters = 0
     for _ in range(max_sweeps):
         iters += 1
-        gamma = solver.solve(_rhs(u, spec, op) + shift * u)
+        gamma = solver.solve(u + tau * _rhs(u, spec, op))
         u_next = (1.0 - theta) * u + theta * gamma
         np.clip(u_next, 0.0, 1.0, out=u_next)
         delta = l2_norm(grid, u_next - u)
@@ -107,6 +107,15 @@ class TestSolve:
             assert res.converged
             assert res.residual < 1e-10
             assert np.max(np.abs(res.u - c)) < 1e-10
+
+    def test_result_is_not_the_seed(self, grid, op):
+        """A seed certified at once is copied: a later write to it leaves
+        the result alone."""
+        seed = const(grid, 0.5)
+        res = solve_equilibrium(seed, balanced_cubic_reaction(grid, 1.0), op)
+        assert res.converged and res.iterations == 1
+        seed[:] = 0.9
+        assert np.all(res.u == 0.5)
 
     @pytest.mark.parametrize("value", [1.5, -2.0, 1.0 + 1e-12])
     def test_seed_outside_phase_bounds_rejected(self, grid, op, value):
@@ -220,6 +229,25 @@ class TestCertification:
         state, _ = run(res.u, spec, op, SolverConfig(dt=dt, t_end=1.0))
         drift = l2_norm(grid, state.u - res.u)
         assert drift <= 10 * dt, drift
+
+
+class TestSteadyStateOfTheStep:
+    @pytest.mark.parametrize("name", ["oono", "bertozzi", "logistic", "balanced_cubic"])
+    def test_one_step_leaves_a_certified_limit_in_place(self, grid, op, name):
+        """At u* the step's right side is (I - dt Lap) u* - dt r, r the strong
+        residual, and its mass correction is round-off: since (I - dt Lap)^-1
+        is an L2 contraction, one step moves u* by at most dt ||r||, at the
+        sweep's pseudo-time and at a time step's dt alike."""
+        spec = REACTIONS[name](grid)
+        seeds = [const(grid, c) for c in (0.0, 0.5, 1.0)]
+        seeds += [np.random.default_rng(k).uniform(0.1, 0.9, grid.num_nodes) for k in (3, 4)]
+        found = multistart_equilibria(seeds, spec, op)
+        assert found
+        for res in found:
+            for dt in (1.0 / (spec.lipschitz_s + EQ_SHIFT), 0.01):
+                state = step(initial_state(res.u, op), spec, op, SolverConfig(dt=dt, t_end=dt))
+                moved = l2_norm(grid, state.u - res.u)
+                assert moved <= dt * res.residual + 1e-14, (name, dt, moved, res.residual)
 
 
 class TestMultistart:

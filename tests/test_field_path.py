@@ -95,17 +95,18 @@ def _same_solve(solver, b) -> bool:
 
 class TestSolve:
     @settings(max_examples=80, deadline=None)
-    @given(_case(), st.sampled_from([(1.0, 1e-3), (1.0, 0.5), (0.75, 1.0), (1e-3, 1.0)]))
-    def test_matches_the_oracle_body(self, case, coefs):
-        """The step's unit mass coefficient and the equilibrium sweep's shift;
-        a right side the certificate rejects is rejected with the same message."""
+    @given(_case(), st.sampled_from([1e-3, 0.5, 2.0, 1e3, 1.0 / (1.7e308 + 0.5)]))
+    def test_matches_the_oracle_body(self, case, tau):
+        """The step's dt and the equilibrium sweep's pseudo-times, the last
+        subnormal; a right side the certificate rejects is rejected with the
+        same message."""
         g, rng, shape, _ = case
-        solver = SpdNeumannSolver(g, *coefs)
+        solver = SpdNeumannSolver(g, tau)
         assert _same_solve(solver, _mixed(rng, shape, -1.0, 1.0))
 
     def test_a_subnormal_right_side_keeps_its_verdict(self):
         g = build_grid(1, 32, 1.0)
-        solver = SpdNeumannSolver(g, 1.0, 1e-3)
+        solver = SpdNeumannSolver(g, 1e-3)
         for b in (np.full(g.num_nodes, 5e-324), np.zeros(g.num_nodes), -np.zeros(g.num_nodes),
                   _mixed(np.random.default_rng(1), (g.num_nodes,), -1e-300, 1e-300)):
             assert _same_solve(solver, b)

@@ -209,7 +209,7 @@ _WRONG_LENGTH_CALLS = {
     "laplacian_neumann": lambda g, ok, bad: laplacian_neumann(g, bad),
     "div_flux(a)": lambda g, ok, bad: div_flux(g, bad, ok),
     "div_flux(p)": lambda g, ok, bad: div_flux(g, ok, bad),
-    "solve": lambda g, ok, bad: SpdNeumannSolver(g, 1.0, 0.01).solve(bad),
+    "solve": lambda g, ok, bad: SpdNeumannSolver(g, 0.01).solve(bad),
 }
 
 

@@ -638,11 +638,14 @@ class TestMain:
         # the residual norm of an early iterate overflows; u = 0 is certified
         ("equilibrium", "reaction.sigma = 1e308\nequilibrium.seed_values = 0.3", 0,
          "[PASS] equilibrium 0 certified: residual = 0.000e+00, mass = 0,"),
+        # the sweep's pseudo-time 1 / (sigma + EQ_SHIFT) is subnormal
+        ("equilibrium", "reaction.sigma = 1.7e308", 0,
+         "[PASS] equilibrium 0 certified: residual = 0.000e+00, mass = 0,"),
         # eps = 0.1 and 0.03 lift the datum above 1: two points lie on any line
         ("remainder", "grid.n = 64\nreaction.preset = logistic\ninit.kind = constant\n"
          "init.value = 0.995\nremainder.eps_list = 1e-1,3e-2,1e-3,3e-4\nremainder.t = 0.2", 2,
          "aborted: fewer than 3 usable eps values after bound checks"),
-    ], ids=["equilibrium_sigma_huge", "remainder_two_eps"])
+    ], ids=["equilibrium_sigma_huge", "equilibrium_tau_subnormal", "remainder_two_eps"])
     def test_cli_command_ends_without_a_runtime_warning(self, tmp_path, capsys, command, lines,
                                                        status, message):
         # a RuntimeWarning raised as an error would escape main as a traceback

@@ -132,6 +132,23 @@ class TestReactionPresets:
         with pytest.raises(ValueError, match="sigma"):
             oono_reaction(grid, -0.1)
 
+    @pytest.mark.parametrize("make", [
+        oono_reaction,
+        logistic_reaction,
+        lambda grid, c: bertozzi_reaction(grid, c, 0.5 * c),
+        balanced_cubic_reaction,
+    ], ids=["oono", "logistic", "bertozzi", "balanced_cubic"])
+    def test_a_later_write_to_the_coefficient_leaves_the_spec_alone(self, grid, make):
+        """The spec keeps a copy: its g stays the one its lipschitz_s bounds,
+        and a negative coefficient written after the lo = 0 check stays out."""
+        c = np.linspace(0.5, 1.0, grid.num_nodes)
+        spec = make(grid, c)
+        u = np.linspace(0.0, 1.0, grid.num_nodes)
+        g, lipschitz = reaction_eval(spec, u), spec.lipschitz_s
+        c[:] = -100.0
+        assert np.array_equal(reaction_eval(spec, u), g)
+        assert spec.lipschitz_s == lipschitz
+
 
 class TestSignCondition:
     def test_all_presets_satisfy_it(self, grid):

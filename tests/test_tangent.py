@@ -228,9 +228,9 @@ class TestRemainderOrder:
         samples = []
         sample = nlch.TrajectoryRecord.sample
 
-        def counted(rec, t, *args):
-            samples.append(t)
-            return sample(rec, t, *args)
+        def counted(rec, state, *args):
+            samples.append(state.t)
+            return sample(rec, state, *args)
 
         spec = logistic_reaction(grid, 1.0)
         u0 = 0.5 + 0.2 * cosine_direction(grid)
@@ -595,7 +595,7 @@ class TestBlockOperators:
             (laplacian_neumann(g, P), columns(lambda c: laplacian_neumann(g, c), P)),
             (op.convolve(P), columns(op.convolve, P)),
         ]
-        for solver in (SpdNeumannSolver(g, 1.0, 0.01), SpdNeumannSolver(g, 0.5, 1.0)):
+        for solver in (SpdNeumannSolver(g, 0.01), SpdNeumannSolver(g, 2.0)):
             pairs.append((solver.solve(P), columns(solver.solve, P)))
         cfg = SolverConfig(dt=0.01, t_end=1.0)
         w = op.convolve(1.0 - 2.0 * u0)

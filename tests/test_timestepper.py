@@ -444,7 +444,7 @@ class TestRecordShapes:
 def _oracle_step(state, spec, op, cfg, solver=None):
     grid = op.grid
     if solver is None:
-        solver = SpdNeumannSolver(grid, 1.0, cfg.dt)
+        solver = SpdNeumannSolver(grid, cfg.dt)
     u, w = state.u, state.w
     g_vals = reaction_eval(spec, u)
     rhs = u + cfg.dt * oracle_div_flux(grid, mobility(u), w) + cfg.dt * g_vals
@@ -482,7 +482,7 @@ def _oracle_trajectory(u0, spec, op, cfg):
             f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
             f"reaction is unstable, reduce dt below {0.5 / max(spec.lipschitz_s, 1e-300):.3g}"
         )
-    solver = SpdNeumannSolver(op.grid, 1.0, cfg.dt)
+    solver = SpdNeumannSolver(op.grid, cfg.dt)
     state = initial_state(u0, op)
     yield state
     for k in range(1, cfg.n_steps + 1):
