@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass, field
+from functools import cache, reduce
 
 import numpy as np
 
@@ -28,18 +28,35 @@ class Grid:
 
     Node coordinates are cell centers, x_i = (i + 1/2) h, so the quadrature
     weight per node is h^dim and the midpoint rule is exact for linears.
+    h = length / n and num_nodes = n^dim are derived; construction rejects a dim
+    not in {1, 2}, an n not an int or numpy integer, n < 8 and h^2 not a normal float.
     """
 
     dim: int
     n: int
     length: float
-    h: float
+    h: float = field(init=False)
+    num_nodes: int = field(init=False, repr=False)      # operators check lengths against it
 
-    @cached_property
-    def num_nodes(self) -> int:
-        # kept in the instance's __dict__, which the frozen dataclass allows:
-        # every operator checks its arguments' length against it
-        return self.n ** self.dim
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError(f"unsupported dimension: {self.dim} (must be 1 or 2)")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
+        if n < 8:
+            raise ValueError(f"n must be >= 8 per axis, got {n}")
+        h = float(self.length) / n
+        # the stencils compute 0.5 / h**2 in Python floats: h**2 raises on
+        # overflow, and the quotient raises on 0 and is inf on a subnormal, so
+        # h^2 must be a finite normal float
+        if not (h > 0 and sys.float_info.min <= h * h < math.inf):
+            raise ValueError(f"length must be positive and finite, with (length / n)^2 a "
+                             f"finite normal float, got {self.length}")
+        # past the frozen dataclass's __setattr__
+        self.__dict__.update(dim=int(self.dim), n=n, length=float(self.length), h=h,
+                             num_nodes=n ** int(self.dim))
 
     @property
     def cell_volume(self) -> float:
@@ -64,25 +81,7 @@ class Grid:
 
 
 def build_grid(dim: int, n: int, length: float) -> Grid:
-    """Construct a grid, rejecting unsupported dimensions, a node count n
-    that is not an integer (an int or a numpy integer), coarse meshes and
-    lengths whose mesh width squared is not a normal float."""
-    if dim not in (1, 2):
-        raise ValueError(f"unsupported dimension: {dim} (must be 1 or 2)")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
-    if n < 8:
-        raise ValueError(f"n must be >= 8 per axis, got {n}")
-    h = float(length) / n
-    # the stencils compute 0.5 / h**2 in Python floats: h**2 raises on
-    # overflow, and the quotient raises on 0 and is inf on a subnormal, so
-    # h^2 must be a finite normal float
-    if not (h > 0 and sys.float_info.min <= h * h < math.inf):
-        raise ValueError(f"length must be positive and finite, with (length / n)^2 a "
-                         f"finite normal float, got {length}")
-    return Grid(dim=int(dim), n=n, length=float(length), h=h)
+    return Grid(dim, n, length)
 
 
 def check_field(grid: Grid, f: np.ndarray, columns: bool = False) -> np.ndarray:
@@ -151,6 +150,7 @@ def h1_seminorm(grid: Grid, f: np.ndarray) -> float:
     inner(-laplacian_neumann(f), f) == h1_seminorm(f)**2 exactly
     (summation by parts with zero boundary flux).
     """
+    f = np.asarray(f, dtype=float)
     check_rows(grid, f.shape)
     v = grid.reshape(f)
     total = 0.0

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, build_grid, check_field
+from .grid import Grid, check_field
 
 MAGIC = b"NLCH"
 VERSION = 1
@@ -56,7 +56,10 @@ def read_field(path) -> tuple[Grid, np.ndarray, float]:
     (t,) = struct.unpack_from("<d", raw, header - 8)
     if len(set(ns)) != 1 or len(set(lengths)) != 1:
         raise ValueError(f"{path}: anisotropic dumps are not supported")
-    grid = build_grid(dim, ns[0], lengths[0])
+    try:
+        grid = Grid(dim, ns[0], lengths[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     size = header + 8 * grid.num_nodes
     if len(raw) < size:
         raise ValueError(f"{path}: truncated dump: {len(raw)} bytes, expected {size}")

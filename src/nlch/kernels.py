@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,7 +82,7 @@ class KernelSpec:
     family 'newton':    K(r) = -kd ln r, the 2D Newton potential
 
     A spec holds no dimension: it takes the grid's when it is assembled, and
-    ``assemble_kernel`` rejects a newton kernel on a grid that is not 2D.
+    ``KernelOp`` rejects a newton kernel on a grid that is not 2D.
     """
 
     family: str
@@ -161,13 +161,37 @@ class KernelOp:
     (the L2 -> H1 norm, an eigenvalue solve), ``rinf_est`` and ``k2_sup``
     (row sums of the generator) are computed on first use and cached; each
     first checks the amplitude (``_amplitude_scale``).  The constants are
-    those of the discrete W, to round-off, not estimates.
+    those of the discrete W, to round-off, not estimates.  ``generator`` and
+    ``kbar`` are derived, read-only; an overflowing weight makes a row sum
+    non-finite too, so one check on kbar rejects both, by the amplitude's name.
     """
 
     grid: Grid
     spec: KernelSpec
-    generator: np.ndarray
-    kbar: np.ndarray
+    generator: np.ndarray = field(init=False)
+    kbar: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        spec, grid = self.spec, self.grid
+        if spec.family == "newton" and grid.dim != 2:
+            raise ValueError(f"newton potentials are defined only on 2D grids, got dim {grid.dim}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if _separable(spec, grid):
+                # the product form, so that g, kbar and the constants describe the
+                # W that the factors apply
+                e = _gaussian_profile(spec, grid)
+                g = spec.c * np.multiply.outer(e, e)
+            else:
+                g = _evaluate(spec, _offset_distances(grid)) * grid.cell_volume
+            if spec.family == "newton":
+                g[(grid.n - 1,) * grid.dim] = (newton_self_cell_average(grid.h, spec.kd)
+                                               * grid.cell_volume)
+            kbar = _row_sums(g, grid.n).ravel()
+        if not np.isfinite(kbar).all():
+            raise _amplitude_error(spec, "its weights or their row sums kbar overflow")
+        g.flags.writeable = False
+        kbar.flags.writeable = False
+        self.__dict__.update(generator=g, kbar=kbar)     # the dataclass is frozen
 
     def convolve(self, rho: np.ndarray) -> np.ndarray:
         """(K * rho)(x_i) = sum_j W[i,j] rho_j, for a field (N,) or for each
@@ -361,30 +385,7 @@ def _row_sums(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
-    """Evaluate the generator g[d] = K(|d| h) h^dim and the row sums kbar.
-
-    A weight that overflows makes a row sum non-finite too, so one check on
-    kbar rejects both, by the amplitude's name.
-    """
-    if spec.family == "newton" and grid.dim != 2:
-        raise ValueError(f"newton potentials are defined only on 2D grids, got dim {grid.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _separable(spec, grid):
-            # the product form, so that g, kbar and the constants describe the
-            # W that the factors apply
-            e = _gaussian_profile(spec, grid)
-            g = spec.c * np.multiply.outer(e, e)
-        else:
-            g = _evaluate(spec, _offset_distances(grid)) * grid.cell_volume
-        if spec.family == "newton":
-            g[(grid.n - 1,) * grid.dim] = (newton_self_cell_average(grid.h, spec.kd)
-                                           * grid.cell_volume)
-        kbar = _row_sums(g, grid.n).ravel()
-    if not np.isfinite(kbar).all():
-        raise _amplitude_error(spec, "its weights or their row sums kbar overflow")
-    g.flags.writeable = False
-    kbar.flags.writeable = False
-    return KernelOp(grid=grid, spec=spec, generator=g, kbar=kbar)
+    return KernelOp(grid, spec)
 
 
 def _gradient_row_sums(op: KernelOp) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Grid construction and the conservative Neumann operators."""
 
+import dataclasses
 import re
 from itertools import product
 
@@ -72,6 +73,27 @@ class TestBuildGrid:
     def test_extreme_admitted_lengths_run_the_stencil(self, length):
         g = build_grid(1, 16, length)
         assert np.isfinite(laplacian_neumann(g, neumann_mode(g, 1))).all()
+
+    def test_grid_takes_only_its_defining_inputs(self):
+        assert [f.name for f in dataclasses.fields(Grid) if f.init] == ["dim", "n", "length"]
+        with pytest.raises(TypeError):
+            Grid(1, 16, 1.0, 0.5)
+
+    @pytest.mark.parametrize("args,message", [
+        ((1, 4, 1.0), "n must be >= 8 per axis, got 4"),
+        ((3, 16, 1.0), "unsupported dimension: 3 (must be 1 or 2)"),
+        ((1, 16.0, 1.0), "n must be an integer, got 16.0"),
+        ((1, 16, 1e-300), "length must be positive and finite"),
+    ], ids=["coarse", "3d", "float_n", "tiny_length"])
+    def test_grid_checks_itself(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Grid(*args)
+
+    def test_replace_derives_the_mesh_width(self):
+        g = dataclasses.replace(build_grid(1, 128, 1.0), n=256)
+        assert g.h == 1 / 256 and g == build_grid(1, 256, 1.0)
+        with pytest.raises(ValueError, match="n must be >= 8"):
+            dataclasses.replace(g, n=4)
 
     def test_cell_centers(self):
         g = build_grid(1, 8, 1.0)
@@ -211,6 +233,15 @@ _WRONG_LENGTH_CALLS = {
     "div_flux(p)": lambda g, ok, bad: div_flux(g, ok, bad),
     "solve": lambda g, ok, bad: SpdNeumannSolver(g, 0.01).solve(bad),
 }
+
+
+@pytest.mark.parametrize("norm", [integrate, l2_norm, h1_seminorm,
+                                  lambda g, f: inner(g, f, f)],
+                         ids=["integrate", "l2_norm", "h1_seminorm", "inner"])
+def test_a_norm_takes_a_list(norm):
+    g = build_grid(1, 16, 1.0)
+    values = list(np.linspace(0.1, 0.9, 16))
+    assert norm(g, values) == norm(g, np.array(values))
 
 
 class TestLengthCheck:

@@ -20,7 +20,7 @@ import nlch.cli
 import nlch.model
 import nlch.timestepper
 from nlch.cli import COMMANDS, CSV_HEADER, build_scenario, echo, execute, main, parse_config
-from nlch.grid import Grid, build_grid, l2_norm
+from nlch.grid import build_grid, l2_norm
 from nlch.io import read_field, write_field
 from nlch.kernels import assemble_kernel, gaussian_kernel
 from nlch.model import zero_reaction
@@ -72,6 +72,12 @@ def _cli_process(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
+def _dump_bytes(dim: int, n: int, length: float, values: np.ndarray, t: float = 0.0) -> bytes:
+    """The bytes of an NLCH dump with this header, whether or not it makes a grid."""
+    header = struct.pack(f"<4sBI{dim}I{dim}dd", b"NLCH", 1, dim, *[n] * dim, *[length] * dim, t)
+    return header + np.asarray(values, dtype="<f8").tobytes()
+
+
 class TestFieldDumps:
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_roundtrip_bit_exact(self, tmp_path, dim, n):
@@ -96,6 +102,7 @@ class TestFieldDumps:
         path = tmp_path / "field.nlch"
         write_field(path, grid, np.zeros(16), 0.0)
         raw = path.read_bytes()
+        assert raw == _dump_bytes(1, 16, 1.0, np.zeros(16))
         assert raw[:4] == b"NLCH"
         assert raw[4] == 1
         assert int.from_bytes(raw[5:9], "little") == 1      # dim
@@ -123,11 +130,19 @@ class TestFieldDumps:
         with pytest.raises(ValueError, match="1 trailing bytes"):
             read_field(path)
 
-    @pytest.mark.parametrize("length", [1e-300, 1e300])
+    @pytest.mark.parametrize("length", [1e-300, 1e300, float("nan")])
     def test_length_outside_the_grid_range_rejected(self, tmp_path, length):
         dump = tmp_path / "far.nlch"
-        write_field(dump, Grid(dim=1, n=16, length=length, h=length / 16), np.full(16, 0.5), 0.0)
-        with pytest.raises(ValueError, match="length must be positive and finite"):
+        dump.write_bytes(_dump_bytes(1, 16, length, np.full(16, 0.5)))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{dump}: length must be "
+                                                             "positive and finite")):
+            read_field(dump)
+
+    def test_coarse_header_rejected_naming_the_dump(self, tmp_path):
+        dump = tmp_path / "coarse.nlch"
+        dump.write_bytes(_dump_bytes(1, 4, 1.0, np.full(4, 0.5)))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{dump}: n must be >= 8 per "
+                                                             "axis, got 4")):
             read_field(dump)
 
     def test_corrupt_dimension_rejected(self, tmp_path):
@@ -494,6 +509,19 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert "truncated dump" in (out / "report.txt").read_text()
+
+    def test_cli_init_file_the_grid_rejects_returns_2_naming_it(self, tmp_path, capsys):
+        dump = tmp_path / "coarse.nlch"
+        dump.write_bytes(_dump_bytes(1, 4, 1.0, np.full(4, 0.5)))
+        cfg_path = tmp_path / "coarse.cfg"
+        cfg_path.write_text(OONO_CFG.replace("init.kind = random", "init.kind = file")
+                            + f"init.path = {dump}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert (f"configuration error: {dump}: n must be >= 8 per axis, got 4\n"
+                in (out / "report.txt").read_text())
+        assert not (out / "series.csv").exists()
 
     def test_cli_zero_ortho_every_returns_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "trace.cfg"

@@ -1,7 +1,9 @@
 """Kernel assembly, convolution, and operator-norm constants."""
 
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +18,7 @@ from scipy.integrate import dblquad, quad
 from nlch.grid import build_grid, laplacian_neumann
 from nlch.kernels import (
     DENSE_MAX_NODES,
+    KernelOp,
     KernelSpec,
     _gradient_row_sums,
     assemble_kernel,
@@ -83,6 +86,29 @@ class TestSpecValidation:
         assert op.grid.dim == 2 and np.isfinite(op.generator).all()
         with pytest.raises(ValueError, match="only on 2D grids"):
             assemble_kernel(spec, grid1d)
+
+
+class TestKernelOpConstruction:
+    def test_takes_only_its_defining_inputs(self):
+        assert [f.name for f in dataclasses.fields(KernelOp) if f.init] == ["grid", "spec"]
+
+    @pytest.mark.parametrize("change", ["spec", "grid"])
+    def test_replace_derives_generator_and_row_sums(self, gaussian_op, change):
+        new = {"spec": gaussian_kernel(20, 0.05), "grid": build_grid(1, 128, 1.0)}[change]
+        op = dataclasses.replace(gaussian_op, **{change: new})
+        ref = assemble_kernel(op.spec, op.grid)
+        assert np.array_equal(op.generator, ref.generator)
+        assert np.array_equal(op.kbar, ref.kbar)
+        assert not op.generator.flags.writeable and not op.kbar.flags.writeable
+
+    @pytest.mark.parametrize("spec,message", [
+        (newton_kernel(), "newton potentials are defined only on 2D grids, got dim 1"),
+        (gaussian_kernel(1e308, 1e300), "kernel amplitude c = 1e+308 is too large: its "
+                                        "weights or their row sums kbar overflow"),
+    ], ids=["newton_1d", "row_sums_overflow"])
+    def test_checks_itself(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KernelOp(build_grid(1, 16, 1.0), spec)
 
 
 class TestAssembly:
