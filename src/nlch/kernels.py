@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfftn, rfftn
 
-from ._cores import correlate
+from ._cores import correlate, irfftn, rfftn
 from .grid import Grid, check_field, laplacian_neumann
 
 # Above this many nodes ``convolve`` uses the padded FFT instead of the dense
@@ -197,12 +196,23 @@ class KernelOp:
         """(K * rho)(x_i) = sum_j W[i,j] rho_j, for a field (N,) or for each
         column of a block (N, m)."""
         rho = check_field(self.grid, rho, columns=True)
+        return self._applies[rho.ndim - 1](self, rho)
+
+    @cached_property
+    def _applies(self) -> tuple:
+        """The apply of a field and that of a block, chosen once by kernel
+        and size: the Toeplitz factors of a 2D Gaussian, else the padded FFT
+        above ``DENSE_MAX_NODES``, else the taps for a 1D field and W for a
+        block or a 2D field.  They are plain functions of (op, rho), so the
+        operator holds no reference to itself."""
         if _separable(self.spec, self.grid):
-            return self._apply_factors(rho)
+            return KernelOp._apply_factors, KernelOp._apply_factors
         if self.grid.num_nodes > DENSE_MAX_NODES:
-            return self._apply_fft(rho)
-        if rho.ndim == 1 and self.grid.dim == 1:
-            return self._apply_taps(rho)
+            return KernelOp._apply_fft, KernelOp._apply_fft
+        dense = KernelOp._apply_dense
+        return (KernelOp._apply_taps if self.grid.dim == 1 else dense), dense
+
+    def _apply_dense(self, rho: np.ndarray) -> np.ndarray:
         return self.weights @ rho
 
     def _apply_taps(self, rho: np.ndarray) -> np.ndarray:
@@ -244,20 +254,25 @@ class KernelOp:
         return math.sqrt(self.spec.c) * toeplitz
 
     def _apply_fft(self, rho: np.ndarray) -> np.ndarray:
+        """W rho by the 2n-periodic circulant embedding: rho zero-padded to
+        (2n)^dim, one real FFT pair over the node axes, and the leading n^dim
+        block of the result."""
         n, dim = self.grid.n, self.grid.dim
-        shape, axes, cols = (2 * n,) * dim, tuple(range(dim)), rho.shape[1:]
-        symbol = self._symbol.reshape(self._symbol.shape + (1,) * len(cols))
-        spectrum = rfftn(rho.reshape((n,) * dim + cols), s=shape, axes=axes) * symbol
-        out = irfftn(spectrum, s=shape, axes=axes)
+        axes, cols = tuple(range(dim)), rho.shape[1:]
+        pad = np.zeros((2 * n,) * dim + cols)
+        pad[(slice(0, n),) * dim] = rho.reshape((n,) * dim + cols)
+        spectrum = rfftn(pad, axes)
+        spectrum *= self._symbol.reshape(self._symbol.shape + (1,) * len(cols))
+        out = irfftn(spectrum, axes, 2 * n)
         return out[(slice(0, n),) * dim].reshape(rho.shape)
 
     @cached_property
     def _symbol(self) -> np.ndarray:
         """Spectrum of the 2n-periodic circulant whose leading n^dim block is W."""
         n, dim = self.grid.n, self.grid.dim
-        first_column = np.roll(np.pad(self.generator, [(0, 1)] * dim), -(n - 1),
-                               axis=tuple(range(dim)))
-        return rfftn(first_column)
+        axes = tuple(range(dim))
+        first_column = np.roll(np.pad(self.generator, [(0, 1)] * dim), -(n - 1), axis=axes)
+        return rfftn(first_column, axes)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -299,8 +314,8 @@ class KernelOp:
 
         Its square is the largest eigenvalue of B = W (I - Lap) W (W is
         symmetric), since the discrete H1 norm of v = W rho is
-        <v, v> + <-Lap v, v> by exact summation by parts.  One ARPACK
-        Lanczos solve (``eigsh``) applies B / s^2 matrix-free through
+        <v, v> + <-Lap v, v> by exact summation by parts.  One Lanczos solve
+        (``_largest_eigenvalue``) applies B / s^2 matrix-free through
         ``convolve``, with s = max |generator|, and the norm is s sqrt(lambda):
         B itself scales as the square of the amplitude, which underflows to
         zero for an amplitude near 1e-200.  It starts from a fixed random
@@ -308,29 +323,48 @@ class KernelOp:
         such as all-ones would never see the odd eigenvectors, which can carry
         the top eigenvalue.
         """
-        # ARPACK raises on the zero operator
+        # with s = 0 the scaled operator B / s^2 is undefined
         if not self.generator.any():
             return 0.0
-        # imported here: at module level it would add ~9 MB to every process
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
         s = self._amplitude_scale()
 
         def apply_b(x: np.ndarray) -> np.ndarray:
             v = self.convolve(x) / s
             return self.convolve(v - laplacian_neumann(self.grid, v)) / s
 
-        size = self.grid.num_nodes
-        b = LinearOperator((size, size), matvec=apply_b, dtype=float)
-        start = np.random.default_rng(12345).standard_normal(size)
-        (lam,) = eigsh(b, k=1, which="LA", v0=start, return_eigenvectors=False)
-        return s * math.sqrt(lam)
+        start = np.random.default_rng(12345).standard_normal(self.grid.num_nodes)
+        return s * math.sqrt(_largest_eigenvalue(apply_b, start))
 
     @cached_property
     def rinf_est(self) -> float:
         """max_i sum_j (|W[i,j]| + |grad_x W[i,j]|), gradient as np.gradient."""
         self._amplitude_scale()
         return float(np.max(_gradient_row_sums(self)))
+
+
+def _largest_eigenvalue(apply, start: np.ndarray) -> float:
+    """The largest eigenvalue of the symmetric positive semidefinite operator
+    ``apply``, by Lanczos from ``start`` with full reorthogonalization (two
+    Gram-Schmidt passes against every earlier vector).  Like ARPACK at its
+    default tolerance, it stops once the residual bound beta |y_last| of the
+    top Ritz value falls to eps times that value, which also covers an
+    invariant Krylov space, or once the space fills the whole grid."""
+    basis, diag, off = [start / np.linalg.norm(start)], [], []
+    eps = np.finfo(float).eps
+    while True:
+        w = apply(basis[-1])
+        q = np.array(basis)
+        first = q @ w
+        w -= first @ q
+        second = q @ w
+        w -= second @ q
+        diag.append(first[-1] + second[-1])
+        beta = float(np.linalg.norm(w))
+        theta, y = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        if beta * abs(y[-1, -1]) <= eps * theta[-1] or len(basis) == start.size:
+            return float(theta[-1])
+        off.append(beta)
+        basis.append(w / beta)
 
 
 def _amplitude_error(spec: KernelSpec, consequence: str) -> ValueError:
@@ -421,7 +455,7 @@ def kernel_constants(op: KernelOp) -> tuple[float, float, float]:
 
     Returns (r2_est, rinf_est, k2_sup):
       k2_sup  = max_i sum_j |W[i,j]|            (the L-infinity row-sum bound)
-      r2_est  = the L2 -> H1 operator norm, from one ARPACK eigenvalue solve
+      r2_est  = the L2 -> H1 operator norm, from one Lanczos eigenvalue solve
       rinf_est = max_i sum_j (|W[i,j]| + |grad_x W[i,j]|), with the gradient
                  taken along the rows as np.gradient does, summed from the
                  generator by ``_gradient_row_sums``.

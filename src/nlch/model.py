@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
+from ._cores import clip
 from .grid import Grid, check_field
 
 
@@ -35,12 +35,32 @@ def mobility_deriv(s: np.ndarray | float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+# Read as unsigned integers, the float64 bit patterns of +0.0 up to +inf and
+# the default NaN are in the order of the numbers they encode, and every
+# pattern with the sign bit set lies above them all
+_SMALLEST_BITS = np.array(1, dtype=np.uint64)                    # 5e-324
+_NAN_BITS = np.array(np.nan).view(np.uint64)
+
+
 def potential(s: np.ndarray | float) -> np.ndarray | float:
-    """f(s) = s log s + (1-s) log(1-s) on [0,1], with f(0) = f(1) = 0."""
+    """f(s) = s log s + (1-s) log(1-s) on [0,1], with f(0) = f(1) = 0, and
+    NaN outside [0,1].
+
+    Each log is taken of its argument's bits clipped to [5e-324, NaN]: +0.0
+    becomes the smallest subnormal, so that 0 log 0 = 0, and a negative
+    number becomes NaN, without a floating-point warning.  Both terms are
+    evaluated as one (2, ...) array; ``s + 0.0`` turns -0.0 into +0.0.
+    """
     s = np.asarray(s, dtype=float)
-    t = 1.0 - s
-    out = xlogy(s, s) + xlogy(t, t)
-    return out if out.ndim else float(out)
+    if not s.ndim:
+        return float(potential(s.reshape(1))[0])
+    st = np.empty((2,) + s.shape)
+    np.add(s, 0.0, st[0])
+    np.subtract(1.0, s, st[1])
+    logs = clip(st.view(np.uint64), _SMALLEST_BITS, _NAN_BITS).view(float)
+    np.log(logs, logs)
+    logs *= st
+    return np.add(logs[0], logs[1])
 
 
 # distance from the pure phases at which f' is evaluated

@@ -1,19 +1,20 @@
 """
 Oracles for the field path of a time step: the bodies of
 ``grid.laplacian_neumann``, ``grid.div_flux``, ``SpdNeumannSolver.solve``
-and ``_residual``, and ``model.potential`` as they were before a 1D field
-skipped their reshapes, the step built its right-hand side in place and the
-residual skipped its product by a unit mass coefficient.  They are kept
-verbatim, except that the solve and its residual take the live solver as
-``self`` and call the oracle bodies here, and that the residual, written for
-(a I - b Lap), is the same body for (I - tau Lap): a = 1 and b = tau.  The
-new bodies must keep every bit.
+and ``_residual`` as they were before a 1D field skipped their reshapes, the
+step built its right-hand side in place and the residual skipped its product
+by a unit mass coefficient.  They are kept verbatim, except that the solve
+and its residual take the live solver as ``self`` and call the oracle bodies
+here, and that the residual, written for (a I - b Lap), is the same body for
+(I - tau Lap): a = 1 and b = tau.  ``model.potential`` is pinned to its
+plain numpy form: each log of an argument floored at the smallest
+subnormal, so that 0 log 0 = 0, and NaN outside [0, 1].  The new bodies must
+keep every bit.
 """
 
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from nlch._cores import dctn, idctn
 from nlch.grid import Grid, _face_slices
@@ -87,5 +88,7 @@ def oracle_solve(self, b: np.ndarray) -> np.ndarray:
 
 def oracle_potential(s: np.ndarray | float) -> np.ndarray | float:
     s = np.asarray(s, dtype=float)
-    out = xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
+    t = 1.0 - s
+    out = np.log(np.maximum(s, 5e-324)) * s + np.log(np.maximum(t, 5e-324)) * t
+    out = np.where((s >= 0.0) & (t >= 0.0), out, np.nan)
     return out if out.ndim else float(out)

@@ -4,6 +4,9 @@ import, and called from ``nlch._cores`` only."""
 import ast
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,19 +18,37 @@ from numpy._core import multiarray, umath
 from numpy.linalg import _umath_linalg
 from scipy.fft._pocketfft import pypocketfft
 
-from nlch._cores import (cholesky_lo, clip, correlate, dctn, householder_qr, idctn,
-                         linalg_errstate, solve1)
+from nlch._cores import (_POCKETFFT, cholesky_lo, clip, correlate, dctn, householder_qr, idctn,
+                         irfftn, linalg_errstate, rfftn, solve1)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nlch"
 
 
 def _bits(x):
-    return np.asarray(x, dtype=float).view(np.uint64)
+    """The bit patterns of a float or complex array, two words per complex entry."""
+    return np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float).view(
+        np.uint64)
 
 
 def _dct_case(dim, n, cols):
     x = np.random.default_rng(n + dim).standard_normal((n,) * dim + cols)
     return x, tuple(range(dim))
+
+
+def _core_fft_pair(x, axes):
+    """The padded FFT pair of KernelOp._apply_fft: x zero-padded to 2n per
+    axis, its spectrum, and the spectrum's inverse."""
+    n, dim = x.shape[0], len(axes)
+    pad = np.zeros((2 * n,) * dim + x.shape[dim:])
+    pad[(slice(0, n),) * dim] = x
+    spectrum = rfftn(pad, axes)
+    return spectrum, irfftn(spectrum, axes, 2 * n)
+
+
+def _scipy_fft_pair(x, axes):
+    shape = (2 * x.shape[0],) * len(axes)
+    spectrum = scipy.fft.rfftn(x, s=shape, axes=axes)
+    return spectrum, scipy.fft.irfftn(spectrum, s=shape, axes=axes)
 
 
 def _qr_case(dim, n, m, cond=None):
@@ -136,6 +157,10 @@ PINS = {
     "dctn-idctn": (_core_dct_pair, _scipy_dct_pair, _dct_case,
                    {"-".join(map(str, (f"{dim}d", n) + cols)): (dim, n, cols)
                     for dim in (1, 2) for n in (8, 24, 64, 256) for cols in ((), (3,))}),
+    "r2c-c2r": (_core_fft_pair, _scipy_fft_pair, _dct_case,
+                {"-".join(map(str, (f"{dim}d", n) + cols)): (dim, n, cols)
+                 for dim, sizes in ((1, (512, 600)), (2, (24, 64))) for n in sizes
+                 for cols in ((), (3,))}),
     "householder_qr": (_core_qr, _numpy_qr, _qr_case,
                        {"1d-64-1": (1, 64, 1), "1d-64-30": (1, 64, 30),
                         "1d-256-1": (1, 256, 1), "1d-256-30": (1, 256, 30),
@@ -231,17 +256,66 @@ def test_only_cores_touches_private_numpy_or_scipy_names():
         "scipy.fft._pocketfft.x", "numpy.linalg._umath_linalg", "numpy.linalg._x"]
 
 
-@pytest.mark.parametrize("module,name", [(pypocketfft, "dct"), (_umath_linalg, "qr_r_raw"),
-                                         (_umath_linalg, "qr_reduced"),
-                                         (_umath_linalg, "cholesky_lo"), (_umath_linalg, "solve1"),
-                                         (umath, "clip"), (multiarray, "correlate")])
-def test_a_missing_core_fails_the_import_naming_it(monkeypatch, module, name):
-    monkeypatch.delattr(module, name)
+def _exec_fresh_cores():
+    """Run a fresh copy of src/nlch/_cores.py, as ``import nlch`` would."""
     spec = importlib.util.spec_from_file_location("nlch_cores_fresh", SRC / "_cores.py")
-    fresh = importlib.util.module_from_spec(spec)
-    with pytest.raises(ImportError) as err:
-        spec.loader.exec_module(fresh)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def _assert_names_the_core(err, name):
     message = str(err.value)
     assert f".{name}," in message
     assert f"numpy {np.__version__}" in message
     assert f"scipy {scipy.__version__}" in message
+
+
+@pytest.mark.parametrize("module,name", [(pypocketfft, "dct"), (pypocketfft, "r2c"),
+                                         (pypocketfft, "c2r"), (_umath_linalg, "qr_r_raw"),
+                                         (_umath_linalg, "qr_reduced"),
+                                         (_umath_linalg, "cholesky_lo"), (_umath_linalg, "solve1"),
+                                         (umath, "clip"), (multiarray, "correlate")])
+def test_a_missing_core_fails_the_import_naming_it(monkeypatch, module, name):
+    # pocketfft is the module nlch loaded by file: scipy.fft reused it
+    assert sys.modules[_POCKETFFT] is pypocketfft
+    monkeypatch.delattr(module, name)
+    with pytest.raises(ImportError) as err:
+        _exec_fresh_cores()
+    _assert_names_the_core(err, name)
+
+
+def test_a_missing_pocketfft_file_fails_the_import_naming_it(monkeypatch, tmp_path):
+    """With no module registered under its name, pocketfft is looked for as
+    an extension file in scipy's tree: here an empty one."""
+    monkeypatch.delitem(sys.modules, _POCKETFFT)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError) as err:
+        _exec_fresh_cores()
+    _assert_names_the_core(err, "dct")
+    assert _POCKETFFT not in sys.modules
+
+
+def test_scipy_fft_reuses_the_pocketfft_loaded_by_file():
+    """In a fresh process nlch loads pocketfft from its file, with no
+    scipy.fft package init; a later ``import scipy.fft`` takes that module,
+    and its public transforms still equal nlch's cores."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = f"""
+import sys
+import numpy as np
+import nlch
+from nlch import _cores
+assert "scipy.fft" not in sys.modules
+loaded = sys.modules[{_POCKETFFT!r}]
+import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
+assert pypocketfft is loaded and _cores._dct is loaded.dct and _cores._r2c is loaded.r2c
+x = np.random.default_rng(0).standard_normal((24, 24, 3))
+assert np.array_equal(_cores.dctn(x, (0, 1)).view(np.uint64),
+                      scipy.fft.dctn(x, type=2, norm="ortho", axes=(0, 1)).view(np.uint64))
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -265,6 +265,32 @@ class TestKernelConstants:
                                                  "its weights or their row sums kbar overflow"):
                 assemble_kernel(spec, build_grid(*dims))
 
+    @pytest.mark.parametrize("dims,spec", [
+        ((1, 256, 1.0), gaussian_kernel(0.05, 0.05)),
+        ((1, 256, 1.0), mollifier_kernel(0.05, 0.2)),
+        ((1, 256, 1.0), gaussian_kernel(20.0, 0.05)),
+        ((2, 64, 1.0), gaussian_kernel(0.02, 0.02)),
+        ((2, 32, 1.0), newton_kernel(0.1)),
+    ], ids=["suite-gaussian", "suite-mollifier", "gaussian-c20", "2d-64-gaussian",
+            "2d-32-newton"])
+    def test_r2_is_the_arpack_eigenvalue(self, dims, spec):
+        """The Lanczos solve finds ARPACK's top eigenvalue of B / s^2
+        (``eigsh`` from the same start) to 1e-13."""
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        op = assemble_kernel(spec, build_grid(*dims))
+        s = float(np.max(np.abs(op.generator)))
+
+        def apply_b(x):
+            v = op.convolve(x) / s
+            return op.convolve(v - laplacian_neumann(op.grid, v)) / s
+
+        size = op.grid.num_nodes
+        b = LinearOperator((size, size), matvec=apply_b, dtype=float)
+        start = np.random.default_rng(12345).standard_normal(size)
+        (lam,) = eigsh(b, k=1, which="LA", v0=start, return_eigenvectors=False)
+        assert op.r2_est == pytest.approx(s * math.sqrt(lam), rel=1e-13)
+
     def test_large_admitted_amplitude_has_finite_constants(self, grid1d):
         op = assemble_kernel(gaussian_kernel(1e300, 0.1), grid1d)
         with warnings.catch_warnings():
@@ -293,13 +319,26 @@ class TestKernelConstants:
 
 
 def test_import_leaves_arpack_unloaded():
-    """``import nlch`` does not load scipy.sparse.linalg (about 9 MB resident),
-    which only the first r2 solve does, nor scipy.linalg (about 5.5 MB)."""
+    """``import nlch``, the kernel constants of a 1D and a 2D kernel and a
+    padded-FFT apply load no module of the scipy.fft package but pocketfft's
+    extension, which nlch loads by file, and none of scipy.special,
+    scipy.sparse (ARPACK) or scipy.linalg."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = ("import sys, nlch; "
-            "print([m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])")
+    code = """
+import sys
+import numpy as np
+import nlch
+ops = [nlch.assemble_kernel(nlch.mollifier_kernel(1.0, 0.2), nlch.build_grid(1, 64, 1.0)),
+       nlch.assemble_kernel(nlch.newton_kernel(0.1), nlch.build_grid(2, 24, 1.0))]
+for op in ops:
+    nlch.kernel_constants(op)
+ops[1]._apply_fft(np.ones(ops[1].grid.num_nodes))
+heavy = ("scipy.fft", "scipy.special", "scipy.sparse", "scipy.linalg")
+print(sorted(m for m in sys.modules if m != "scipy.fft._pocketfft.pypocketfft"
+             and any(m == p or m.startswith(p + ".") for p in heavy)))
+"""
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from field_oracles import oracle_potential
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -73,6 +74,22 @@ class TestFPrime:
         assert potential(0.0) == 0.0
         assert potential(1.0) == 0.0
         assert potential(0.5) == pytest.approx(-math.log(2.0))
+
+    def test_potential_is_xlogy_to_two_ulp(self):
+        """The numpy form of f is scipy.special.xlogy's to 2 ulp per entry on
+        [0, 1] (numpy's vector log and libm's differ by an ulp in about 0.2%
+        of entries), exact at 0 and 1, and NaN, with no warning, outside."""
+        rng = np.random.default_rng(0)
+        s = np.concatenate([rng.uniform(0.0, 1.0, 100_000), np.logspace(-323.5, 0.0, 5000),
+                            1.0 - np.logspace(-16.0, 0.0, 5000), [5e-324, 0.5, 1.0 - 2.0**-53]])
+        got, want = potential(s), xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
+        assert (got <= 0.0).all() and (want <= 0.0).all()
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+        edges = np.array([0.0, -0.0, 1.0])
+        assert np.array_equal(potential(edges), np.zeros(3))
+        outside = np.array([-1.0, -1e-300, -5e-324, 1.0 + 2.0**-52, 2.0, np.inf, -np.inf, np.nan])
+        assert np.isnan(potential(outside)).all()
+        assert np.isnan(xlogy(outside, outside) + xlogy(1.0 - outside, 1.0 - outside)).all()
 
 
 class TestChemicalPotential:
@@ -198,9 +215,7 @@ def _oracle_mobility(s):
 
 
 def _oracle_potential(s):
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-    out = xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
-    return out if out.ndim else float(out)
+    return oracle_potential(np.clip(np.asarray(s, dtype=float), 0.0, 1.0))
 
 
 def _oracle_reaction_eval(spec, u):
