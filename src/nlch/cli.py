@@ -199,10 +199,18 @@ def _dump_datum(cfg: dict, grid: Grid, section: str) -> np.ndarray:
     return u0
 
 
+def _cosine_mode(cfg: dict, grid: Grid, key: str) -> np.ndarray:
+    """The Neumann cosine mode of index cfg[key] along every axis of the grid."""
+    try:
+        return neumann_mode(grid, (cfg[key],) * grid.dim)
+    except ValueError as exc:
+        raise ValueError(f"{key} = {cfg[key]}: {exc}") from None
+
+
 _INITIALS = {
     "constant": lambda cfg, grid, s: np.full(grid.num_nodes, float(cfg[f"{s}.value"])),
-    "cosine": lambda cfg, grid, s: cfg[f"{s}.value"] + cfg[f"{s}.amplitude"] * neumann_mode(
-        grid, (cfg[f"{s}.mode"],) * grid.dim),
+    "cosine": lambda cfg, grid, s: cfg[f"{s}.value"] + cfg[f"{s}.amplitude"] * _cosine_mode(
+        cfg, grid, f"{s}.mode"),
     "random": lambda cfg, grid, s: _random_datum(cfg, grid, s, cfg[f"{s}.seed"]),
     "file": _dump_datum,
 }
@@ -215,7 +223,6 @@ def build_initial(cfg: dict, grid: Grid, section: str = "init") -> np.ndarray:
 
 @dataclass
 class Scenario:
-    grid: Grid
     op: KernelOp
     spec: ReactionSpec
     solver_cfg: SolverConfig
@@ -226,7 +233,6 @@ class Scenario:
 def build_scenario(cfg: dict) -> Scenario:
     grid = build_grid(cfg["grid.dim"], cfg["grid.n"], cfg["grid.length"])
     return Scenario(
-        grid=grid,
         op=assemble_kernel(_KERNELS[cfg["kernel.family"]](cfg), grid),
         spec=_REACTIONS[cfg["reaction.preset"]](cfg, grid),
         solver_cfg=SolverConfig(dt=cfg["solver.dt"], t_end=cfg["solver.t_end"],
@@ -340,11 +346,11 @@ def _report_trajectory(refs, cfg: dict, scen: Scenario, out: Path, report: Repor
     as it is stepped, writing its snapshots, series.csv and u_final.nlch;
     report its invariant checks and return the record's series."""
     states = _snapshots(_trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg), out,
-                        scen.grid, cfg["output.snapshot_every"])
+                        scen.op.grid, cfg["output.snapshot_every"])
     state, rec = record(states, refs, scen.spec, scen.op, scen.solver_cfg)
     arrays = rec.as_arrays()
     _write_csv(out / "series.csv", CSV_HEADER, [arrays[c] for c in CSV_HEADER.split(",")])
-    write_field(out / "u_final.nlch", scen.grid, state.u, state.t)
+    write_field(out / "u_final.nlch", scen.op.grid, state.u, state.t)
 
     report.add(f"steps = {state.step_count}, t_end = {state.t:g}, "
                f"clamp events = {state.clamp_events}")
@@ -400,8 +406,8 @@ def _cmd_pair(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
 
 
 def _cmd_equilibrium(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
-    seeds = ([np.full(scen.grid.num_nodes, v) for v in cfg["equilibrium.seed_values"]]
-             + [_random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k)
+    seeds = ([np.full(scen.op.grid.num_nodes, v) for v in cfg["equilibrium.seed_values"]]
+             + [_random_datum(cfg, scen.op.grid, "init", cfg["init.seed"] + k)
                 for k in range(cfg["equilibrium.random_seeds"])]) or [scen.u0]
 
     results = multistart_equilibria(seeds, scen.spec, scen.op)
@@ -409,7 +415,7 @@ def _cmd_equilibrium(cfg: dict, scen: Scenario, out: Path, report: Report) -> No
     report.check("some seed converged", bool(results),
                  f"{len(results)} distinct converged equilibria from {len(seeds)} seeds")
     for i, res in enumerate(results):
-        write_field(out / f"equilibrium_{i:02d}.nlch", scen.grid, res.u, 0.0)
+        write_field(out / f"equilibrium_{i:02d}.nlch", scen.op.grid, res.u, 0.0)
         report.check(
             f"equilibrium {i} certified",
             res.certified and float(np.min(res.u)) >= -BOUND_TOL
@@ -421,7 +427,7 @@ def _cmd_equilibrium(cfg: dict, scen: Scenario, out: Path, report: Report) -> No
 
 def _cmd_remainder(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     mode = cfg["remainder.mode"]
-    direction = neumann_mode(scen.grid, (mode,) * scen.grid.dim)
+    direction = _cosine_mode(cfg, scen.op.grid, "remainder.mode")
     study = remainder_order(scen.u0, direction, cfg["remainder.eps_list"], scen.spec, scen.op,
                             scen.solver_cfg, t=cfg["remainder.t"])
     report.add(f"tangent remainder study at t = {cfg['remainder.t']:g}, "
@@ -439,7 +445,7 @@ def _cmd_trace(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
         raise ValueError(f"trace.samples must be >= 1, got {samples}")
     curves = []
     for k in range(samples):
-        u0 = scen.u0 if k == 0 else _random_datum(cfg, scen.grid, "init", cfg["init.seed"] + k)
+        u0 = scen.u0 if k == 0 else _random_datum(cfg, scen.op.grid, "init", cfg["init.seed"] + k)
         curves.append(dimension_bound(u0, cfg["trace.n_max"], cfg["trace.t"], scen.spec,
                                       scen.op, scen.solver_cfg,
                                       ortho_every=cfg["trace.ortho_every"],

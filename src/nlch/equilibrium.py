@@ -38,7 +38,7 @@ import numpy as np
 from ._cores import cholesky_lo, clip, linalg_errstate, solve1
 from .grid import check_field, div_flux, l2_norm, laplacian_neumann, mean
 from .kernels import KernelOp
-from .model import ReactionSpec, mobility, reaction_eval
+from .model import ReactionSpec, check_datum, mobility, reaction_eval
 from .solvers import neumann_solver
 
 # the sweep's pseudo-time is 1 / (rho + EQ_SHIFT); any positive value has
@@ -163,10 +163,7 @@ def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp) -> E
     """
     grid = op.grid
     tau = 1.0 / (spec.lipschitz_s + EQ_SHIFT)
-    u = check_field(grid, u_init).copy()      # as initial_state: res.u is not the seed
-    if np.min(u) < 0.0 or np.max(u) > 1.0:
-        raise ValueError("equilibrium seed must satisfy 0 <= u <= 1 nodewise, got "
-                         f"values in [{np.min(u):.6g}, {np.max(u):.6g}]")
+    u = check_datum(u_init, spec, op, "equilibrium seed")
     solver = neumann_solver(grid, tau)
     mixer = _AndersonHistory()
     # a stiff reaction (sigma = 1e308) can give an iterate a residual whose

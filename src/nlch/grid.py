@@ -238,12 +238,16 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
 def neumann_mode(grid: Grid, modes: int | tuple[int, ...]) -> np.ndarray:
     """Discrete Neumann cosine mode, an exact eigenvector of the stencil.
 
-    ``modes`` is an integer in 1D, or one index per axis; mode 0 is the
-    constant.  Not normalized.
+    ``modes`` is an integer in 1D, or one index per axis in [0, n - 1]; mode 0
+    is the constant.  An index outside would alias: mode 2n - k is mode k
+    negated, mode -k is mode k, and mode n vanishes up to round-off.  Not
+    normalized.
     """
     if isinstance(modes, int):
         modes = (modes,)
     if len(modes) != grid.dim:
         raise ValueError("one mode index per axis required")
+    if not all(0 <= k < grid.n for k in modes):
+        raise ValueError(f"mode indices {tuple(modes)} must lie in [0, {grid.n - 1}]")
     x = np.arange(grid.n) + 0.5
     return reduce(np.multiply.outer, [np.cos(k * np.pi * x / grid.n) for k in modes]).ravel()

@@ -399,9 +399,11 @@ def _offset_distances(grid: Grid) -> np.ndarray:
 
 
 def _gaussian_profile(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """e[d] = exp(-(d h)^2 / lam) h on one axis: the 2D generator is c e[a] e[b]."""
+    """e[d] = exp(-(d h)^2 / lam) h on one axis: the 2D generator is c e[a] e[b].
+    A subnormal lam overflows the quotient to -inf, whose exp is the weight 0."""
     d = _axis_distances(grid)
-    return np.exp(-(d * d) / spec.lam) * grid.h
+    with np.errstate(over="ignore"):
+        return np.exp(-(d * d) / spec.lam) * grid.h
 
 
 def _row_sums(a: np.ndarray, n: int) -> np.ndarray:

@@ -3,11 +3,11 @@ Pointwise physics: degenerate mobility, logarithmic potential, reaction terms.
 
 The mobility mu(s) = s(1-s), the potential f and the reaction g are
 evaluated on the phase interval [0,1] only, where the dynamics keeps every
-state: ``_trajectory`` and ``solve_equilibrium`` reject data outside it,
-``step`` clips a round-off excursion or aborts, each Picard sweep clips its
-iterate and ``remainder_order`` skips perturbations that leave it.  The
-reaction family carries its s-derivative explicitly because the tangent
-flow needs it with uniform accuracy.
+state: ``check_datum`` rejects data outside it (and a reaction built on
+another grid than the kernel's), ``step`` clips a round-off excursion or
+aborts, each Picard sweep clips its iterate and ``remainder_order`` skips
+perturbations that leave it.  The reaction family carries its s-derivative
+explicitly because the tangent flow needs it with uniform accuracy.
 """
 
 from __future__ import annotations
@@ -127,6 +127,19 @@ def reaction_eval(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
 def reaction_deriv(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
     """Pointwise d_s g(x_i, u_i) for u in [0,1]."""
     return spec.dg_fn(np.asarray(u, dtype=float))
+
+
+def check_datum(u: np.ndarray, spec: ReactionSpec, op, what: str) -> np.ndarray:
+    """A checked copy of the datum ``u`` of a run of ``spec`` under ``op``,
+    whose grids must agree, with every entry in [0, 1]; ``what`` names it."""
+    if spec.grid != op.grid:
+        raise ValueError(f"the reaction's grid {spec.grid} is not the kernel's {op.grid}")
+    u = check_field(op.grid, u).copy()
+    lo, hi = float(np.min(u)), float(np.max(u))
+    if lo < 0.0 or hi > 1.0:
+        raise ValueError(f"{what} must satisfy 0 <= u <= 1 nodewise, got values in "
+                         f"[{lo:.6g}, {hi:.6g}]")
+    return u
 
 
 def _as_field(grid: Grid, value, name: str, lo=None, hi=None) -> np.ndarray:

@@ -29,7 +29,7 @@ from ._cores import householder_qr
 from .diagnostics import _fit_line
 from .grid import Grid, check_field, div_flux, l2_norm, laplacian_neumann, neumann_mode
 from .kernels import KernelOp
-from .model import ReactionSpec, mobility, mobility_deriv, reaction_deriv
+from .model import ReactionSpec, check_datum, mobility, mobility_deriv, reaction_deriv
 from .solvers import SolverError, neumann_solver
 from .timestepper import SolverConfig, State, _trajectory, run
 
@@ -251,7 +251,7 @@ def remainder_order(u0: np.ndarray, direction: np.ndarray, eps_list, spec: React
     if not (np.isfinite(eps_arr) & (eps_arr > 0)).all():
         raise ValueError("eps values must be positive and finite")
     grid = op.grid
-    u0 = check_field(grid, u0)
+    u0 = check_datum(u0, spec, op, "initial datum")
     direction = check_field(grid, direction)
     nrm = l2_norm(grid, direction)
     if nrm == 0:

@@ -31,7 +31,7 @@ from ._cores import clip
 from .diagnostics import TrajectoryRecord
 from .grid import check_field, div_flux, mean
 from .kernels import KernelOp
-from .model import ReactionSpec, mobility, reaction_eval
+from .model import ReactionSpec, check_datum, mobility, reaction_eval
 from .solvers import SolverError, neumann_solver
 
 BOUND_TOL = 1e-8   # the largest phase-bound excursion clipped; larger ones abort
@@ -142,9 +142,7 @@ def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
     making every check on the datum as the first state is drawn.  A pure-phase
     mean that the reaction does not move warns, naming the caller of ``run``,
     ``pair_run``, ``propagate_tangent``, ``dimension_bound`` or ``remainder_order``."""
-    state = initial_state(u0, op)
-    if np.min(state.u) < 0.0 or np.max(state.u) > 1.0:
-        raise ValueError("initial datum must satisfy 0 <= u0 <= 1 nodewise")
+    state = initial_state(check_datum(u0, spec, op, "initial datum"), op)
     if cfg.dt * spec.lipschitz_s >= 0.5:
         raise ValueError(
             f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "

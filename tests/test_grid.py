@@ -219,6 +219,15 @@ class TestNeumannModes:
         with pytest.raises(ValueError):
             neumann_mode(g, (1,))
 
+    @pytest.mark.parametrize("dim,modes", [(1, 16), (1, -1), (1, 32), (2, (1, 16))],
+                             ids=["n", "minus_one", "two_n", "2d_second_axis_n"])
+    def test_index_outside_the_grid_is_rejected(self, dim, modes):
+        """At n = 16 mode 2n - k would be mode k negated, mode -k mode k, and
+        mode n a round-off vector (entries of order 1e-15)."""
+        g = build_grid(dim, 16, 1.0)
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 15]")):
+            neumann_mode(g, modes)
+
 
 # each of the seven functions with the field of the wrong length in one of
 # its field arguments; ``ok`` is a field of the right length

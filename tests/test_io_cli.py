@@ -1,5 +1,6 @@
 """Field dumps, config parsing, and the command-line entry point."""
 
+import dataclasses
 import os
 import re
 import struct
@@ -19,7 +20,8 @@ from hypothesis.extra import numpy as hnp
 import nlch.cli
 import nlch.model
 import nlch.timestepper
-from nlch.cli import COMMANDS, CSV_HEADER, build_scenario, echo, execute, main, parse_config
+from nlch.cli import (COMMANDS, CSV_HEADER, Scenario, build_scenario, echo, execute, main,
+                      parse_config)
 from nlch.grid import build_grid, l2_norm
 from nlch.io import read_field, write_field
 from nlch.kernels import assemble_kernel, gaussian_kernel
@@ -234,6 +236,12 @@ class TestParseConfig:
         assert empty["equilibrium.seed_values"] == ()
         assert parse_config(echo(empty)) == empty
 
+    def test_scenario_holds_one_grid(self):
+        # its grid is op.grid; the reaction's is held to it by check_datum
+        assert "grid" not in [f.name for f in dataclasses.fields(Scenario)]
+        scen = build_scenario(parse_config(OONO_CFG))
+        assert scen.spec.grid == scen.op.grid
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# full-line comment\n\ngrid.n = 32  # trailing\n")
         assert cfg["grid.n"] == 32
@@ -241,7 +249,7 @@ class TestParseConfig:
     def test_scenario_construction(self):
         cfg = parse_config(OONO_CFG)
         scen = build_scenario(cfg)
-        assert scen.grid.n == 64
+        assert scen.op.grid.n == 64
         assert scen.spec.name == "oono"
         assert 0.2 <= scen.u0.min() and scen.u0.max() <= 0.8
 
@@ -309,7 +317,7 @@ class TestExecuteRun:
         want.mkdir()
         for state in _trajectory(scen.u0, scen.spec, scen.op, scen.solver_cfg):
             if state.step_count % 7 == 0:
-                write_field(want / f"u_{state.step_count:06d}.nlch", scen.grid, state.u,
+                write_field(want / f"u_{state.step_count:06d}.nlch", scen.op.grid, state.u,
                             state.t)
         got = sorted(p.name for p in (tmp_path / "out").glob("u_[0-9]*.nlch"))
         assert got == sorted(p.name for p in want.iterdir())
@@ -386,7 +394,7 @@ class TestOtherCommands:
         assert np.array_equal(t, np.loadtxt(tmp_path / "r" / "series.csv", delimiter=",",
                                             skiprows=1)[:, 0])
         scen = build_scenario(cfg)
-        assert dist[0] == l2_norm(scen.grid, scen.u0 - scen.u0_second)
+        assert dist[0] == l2_norm(scen.op.grid, scen.u0 - scen.u0_second)
 
     def test_pair_reports_through_the_run_path(self, tmp_path):
         """pair writes run's snapshots and final state of the first datum,
@@ -415,7 +423,7 @@ class TestOtherCommands:
         out = tmp_path / "p"
         assert execute(cfg, out, command="pair") == 2
         assert [p.name for p in out.iterdir()] == ["report.txt"]
-        assert "aborted: initial datum must satisfy 0 <= u0 <= 1 nodewise" in \
+        assert "aborted: initial datum must satisfy 0 <= u <= 1 nodewise" in \
             (out / "report.txt").read_text()
 
     def test_pair_steps_each_trajectory_once(self, tmp_path, monkeypatch):
@@ -673,7 +681,10 @@ class TestMain:
         ("remainder", "grid.n = 64\nreaction.preset = logistic\ninit.kind = constant\n"
          "init.value = 0.995\nremainder.eps_list = 1e-1,3e-2,1e-3,3e-4\nremainder.t = 0.2", 2,
          "aborted: fewer than 3 usable eps values after bound checks"),
-    ], ids=["equilibrium_sigma_huge", "equilibrium_tau_subnormal", "remainder_two_eps"])
+        # a subnormal width: the 2D Toeplitz factor's quotient overflows to -inf
+        ("run", "grid.dim = 2\nkernel.lam = 1e-310", 0, "[PASS] mass identity"),
+    ], ids=["equilibrium_sigma_huge", "equilibrium_tau_subnormal", "remainder_two_eps",
+            "gaussian_2d_lam_subnormal"])
     def test_cli_command_ends_without_a_runtime_warning(self, tmp_path, capsys, command, lines,
                                                        status, message):
         # a RuntimeWarning raised as an error would escape main as a traceback
@@ -728,6 +739,41 @@ class TestMain:
         report = (out / "report.txt").read_text()
         assert "equilibrium seed must satisfy 0 <= u <= 1" in report
         assert not list(out.glob("equilibrium_*.nlch"))
+
+    def test_cli_remainder_datum_outside_the_bounds_returns_2(self, tmp_path, capsys):
+        # the datum is out of range, not the perturbations u0 + eps d
+        cfg_path = tmp_path / "rem.cfg"
+        cfg_path.write_text(OONO_CFG.replace("init.kind = random",
+                                             "init.kind = constant\ninit.value = 1.2"))
+        out = tmp_path / "o"
+        assert main(["remainder", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        report = (out / "report.txt").read_text()
+        assert ("aborted: initial datum must satisfy 0 <= u <= 1 nodewise, got values in "
+                "[1.2, 1.2]") in report
+        assert "usable eps" not in report
+
+    @pytest.mark.parametrize("command,lines,message", [
+        ("run", "init.kind = cosine\ninit.mode = 20",
+         "configuration error: init.mode = 20: mode indices (20,) must lie in [0, 15]"),
+        ("pair", "init2.kind = cosine\ninit2.mode = -3",
+         "configuration error: init2.mode = -3: mode indices (-3,) must lie in [0, 15]"),
+        ("remainder", "remainder.mode = 16",
+         "aborted: remainder.mode = 16: mode indices (16,) must lie in [0, 15]"),
+    ], ids=["init", "init2", "remainder"])
+    def test_cli_mode_outside_the_grid_returns_2_naming_the_key(self, tmp_path, capsys, command,
+                                                               lines, message):
+        # at n = 16, mode 20 would be mode 12 negated, mode -3 mode 3, and
+        # mode 16 a round-off vector that the remainder study normalizes
+        keys = {ln.split(" = ")[0] for ln in lines.splitlines()}
+        base = OONO_CFG.replace("grid.n = 64", "grid.n = 16")
+        text = "\n".join(ln for ln in base.splitlines() if ln.split(" = ")[0] not in keys)
+        cfg_path = tmp_path / "mode.cfg"
+        cfg_path.write_text(text + f"\n{lines}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize("line,message", [
         ("kernel.lam = inf", "gaussian width lam must be finite and positive"),

@@ -1,6 +1,7 @@
 """Mobility, singular potential, chemical potential, and reaction terms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import xlogy
 
-from nlch.grid import build_grid
+from nlch.equilibrium import multistart_equilibria, solve_equilibrium
+from nlch.grid import build_grid, neumann_mode
 from nlch.kernels import assemble_kernel, gaussian_kernel, zero_kernel
 from nlch.model import (
     F_PRIME_GUARD,
     balanced_cubic_reaction,
     bertozzi_reaction,
     chemical_potential,
+    check_datum,
     custom_reaction,
     f_prime,
     logistic_reaction,
@@ -28,6 +31,8 @@ from nlch.model import (
     reaction_eval,
     zero_reaction,
 )
+from nlch.tangent import dimension_bound, propagate_tangent, remainder_order
+from nlch.timestepper import SolverConfig, pair_run, run
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +305,17 @@ class TestPointwiseBitIdentity:
         u = data.draw(hnp.arrays(float, spec.grid.num_nodes, elements=_phase_values))
         assert _same_bits(reaction_deriv(spec, u), _oracle_reaction_deriv(spec, u))
 
+    def test_potential_on_a_dense_sample(self):
+        """One fixed sample that reaches the ~0.2% of entries where numpy's
+        vector log and libm's differ by an ulp, which the 40-value draws above
+        seldom do: 10^6 uniform values, geomspace runs toward 0 and toward 1,
+        both zeros, subnormals and 1 - 2^-53."""
+        rng = np.random.default_rng(38)
+        s = np.concatenate([rng.uniform(0.0, 1.0, 10**6), np.geomspace(5e-324, 0.5, 20_000),
+                            1.0 - np.geomspace(2.0**-53, 0.5, 20_000),
+                            [0.0, -0.0, 5e-324, 1e-310, 2.0**-1022, 1.0 - 2.0**-53, 1.0]])
+        assert _same_bits(potential(s), _oracle_potential(s))
+
     def test_mobility_propagates_nan(self):
         """A NaN phase value has no mobility: it stays NaN (the np.where body
         returned 0.0) and leaves the entries in [0, 1] alone."""
@@ -307,3 +323,72 @@ class TestPointwiseBitIdentity:
         out = mobility(np.array([0.5, math.nan, 1.0, -0.0]))
         assert math.isnan(out[1])
         assert _same_bits(out[[0, 2, 3]], _oracle_mobility(np.array([0.5, 1.0, -0.0])))
+
+
+# -- the datum gate: every entry point of a trajectory or a solve -------------
+
+_GATE_CFG = SolverConfig(dt=0.01, t_end=0.05)
+
+# entry point -> (the name its datum gets, a call on the datum u)
+_GATED = {
+    "run": ("initial datum", lambda u, spec, op: run(u, spec, op, _GATE_CFG)),
+    "pair_run_first": ("initial datum",
+                       lambda u, spec, op: pair_run(u, np.full_like(u, 0.5), spec, op, _GATE_CFG)),
+    "pair_run_second": ("initial datum",
+                        lambda u, spec, op: pair_run(np.full_like(u, 0.5), u, spec, op,
+                                                     _GATE_CFG)),
+    "propagate_tangent": ("initial datum", lambda u, spec, op: propagate_tangent(
+        np.ones_like(u), u, spec, op, _GATE_CFG)),
+    "dimension_bound": ("initial datum", lambda u, spec, op: dimension_bound(
+        u, 2, 0.05, spec, op, _GATE_CFG, transient=0.0)),
+    "remainder_order": ("initial datum", lambda u, spec, op: remainder_order(
+        u, neumann_mode(op.grid, 1), [1e-3, 3e-4, 1e-4], spec, op, _GATE_CFG, t=0.05)),
+    "solve_equilibrium": ("equilibrium seed", solve_equilibrium),
+    "multistart_equilibria": ("equilibrium seed",
+                              lambda u, spec, op: multistart_equilibria([u], spec, op)),
+}
+
+
+class TestCheckDatum:
+    """``check_datum`` is the one gate of a trajectory's datum and of an
+    equilibrium seed: the reaction's grid must be the kernel's, and the datum
+    must lie in [0, 1]."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return build_grid(1, 64, 1.0)
+
+    @pytest.fixture(scope="class")
+    def op(self, grid):
+        return assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
+
+    @pytest.fixture(scope="class")
+    def spec(self, grid):
+        # alpha = 1 on x < 0.5
+        return logistic_reaction(grid, (grid.coords()[:, 0] < 0.5).astype(float))
+
+    @pytest.mark.parametrize("entry", _GATED)
+    def test_a_reaction_on_another_grid_is_rejected(self, spec, entry):
+        op = assemble_kernel(gaussian_kernel(0.05, 0.05), build_grid(1, 64, 2.0))
+        message = f"the reaction's grid {spec.grid} is not the kernel's {op.grid}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _GATED[entry][1](np.full(64, 0.5), spec, op)
+
+    @pytest.mark.parametrize("entry", _GATED)
+    def test_a_datum_outside_the_phase_interval_is_rejected(self, spec, op, entry):
+        what, call = _GATED[entry]
+        u = np.full(64, 0.5)
+        u[17] = 1.2
+        message = f"{what} must satisfy 0 <= u <= 1 nodewise, got values in [0.5, 1.2]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(u, spec, op)
+
+    def test_returns_a_checked_copy(self, spec, op):
+        u = np.linspace(0.0, 1.0, 64)
+        got = check_datum(u, spec, op, "datum")
+        assert not np.shares_memory(got, u)
+        assert np.array_equal(got.view(np.uint64), u.view(np.uint64))
+        with pytest.raises(ValueError, match="field contains non-finite entries"):
+            check_datum(np.full(64, np.nan), spec, op, "datum")
+        with pytest.raises(ValueError, match=re.escape("field has shape (32,)")):
+            check_datum(np.full(32, 0.5), spec, op, "datum")

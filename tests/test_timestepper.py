@@ -431,7 +431,7 @@ class TestRecordShapes:
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         bad = np.full(grid.num_nodes, 1.2)
-        with pytest.raises(ValueError, match="0 <= u0 <= 1"):
+        with pytest.raises(ValueError, match="0 <= u <= 1"):
             run(bad, spec, weak_op, cfg)
 
 
