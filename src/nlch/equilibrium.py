@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._cores import cholesky_lo, clip, linalg_errstate, solve1
-from .grid import check_field, div_flux, l2_norm, laplacian_neumann, mean
+from .grid import div_flux, l2_norm, laplacian_neumann, mean
 from .kernels import KernelOp
 from .model import ReactionSpec, check_datum, mobility, reaction_eval
 from .solvers import neumann_solver
@@ -141,10 +141,9 @@ def equilibrium_residual(u: np.ndarray, spec: ReactionSpec, op: KernelOp) -> flo
     Equals the weak residual against the full nodal test basis because the
     discretization is conservative.
     """
-    grid = op.grid
-    u = check_field(grid, u)
-    r = -laplacian_neumann(grid, u) - _rhs(u, spec, op)
-    return l2_norm(grid, r)
+    u = check_datum(u, spec, op, "equilibrium point")
+    r = -laplacian_neumann(op.grid, u) - _rhs(u, spec, op)
+    return l2_norm(op.grid, r)
 
 
 def solve_equilibrium(u_init: np.ndarray, spec: ReactionSpec, op: KernelOp) -> EquilibriumResult:

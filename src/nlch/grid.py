@@ -238,13 +238,17 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
 def neumann_mode(grid: Grid, modes: int | tuple[int, ...]) -> np.ndarray:
     """Discrete Neumann cosine mode, an exact eigenvector of the stencil.
 
-    ``modes`` is an integer in 1D, or one index per axis in [0, n - 1]; mode 0
-    is the constant.  An index outside would alias: mode 2n - k is mode k
-    negated, mode -k is mode k, and mode n vanishes up to round-off.  Not
-    normalized.
+    ``modes`` is an integer in 1D, or one index per axis in [0, n - 1], each a
+    Python or numpy integer but not a bool; mode 0 is the constant.  An index
+    outside would alias: mode 2n - k is mode k negated, mode -k is mode k, and
+    mode n vanishes up to round-off.  Not normalized.
     """
-    if isinstance(modes, int):
-        modes = (modes,)
+    modes = modes if np.ndim(modes) else (modes,)
+    for k in modes:
+        # what operator.index admits, but not a bool
+        if isinstance(k, (bool, np.bool_)) or not hasattr(type(k), "__index__"):
+            raise ValueError(f"mode indices must be integers, got {type(k).__name__} {k!r}")
+    modes = tuple(map(operator.index, modes))
     if len(modes) != grid.dim:
         raise ValueError("one mode index per axis required")
     if not all(0 <= k < grid.n for k in modes):

@@ -49,17 +49,15 @@ from .grid import Grid, check_field, laplacian_neumann
 # Above this many nodes ``convolve`` uses the padded FFT instead of the dense
 # matrix-vector product or, for a 1D field, numpy's convolution core over the
 # generator's support, for every kernel but the separable 2D Gaussian.
-# Measured crossover on a 2-core Xeon VM with 2 MiB of L2 per core (numpy
-# 2.4 with OpenBLAS, scipy 1.17): the dense product wins up to N = 448 in 1D
-# and N = 484 (22 x 22) in 2D; the FFT wins from N = 512 in 1D (67 vs 78 us,
-# where W reaches 2 MiB) and N = 576 (24 x 24) in 2D, a crossover that
-# concerns only mollifier and Newton kernels.  For a 1D field the
-# convolution beats the dense product at every N <= 512: at N = 256, called
-# through np.convolve, it took 6.5 us against 6.9 us for a Gaussian of full
-# support and 3.6 us against 7.1 us for a mollifier with 103 of 511 offsets
-# nonzero, and the core called directly takes 0.4-0.6 us less.  At N = 1024
-# a full-support np.convolve takes 80 us against 31 us for the FFT, so the
-# same bound serves both.
+# Crossovers measured with the FFT cores bound (timeit, best of 7, 2-core VM,
+# numpy 2.4, scipy 1.17; us, dense or taps against FFT): a 2D field goes to
+# the FFT from about 20 x 20 (22.8 vs 20.5 on a Newton kernel); a 2D block of
+# 30 columns stays dense through 24 x 24 (272 vs 636); a 1D field of a
+# full-support Gaussian goes to the FFT at n = 384 (taps 16.4 vs 10.4); a 1D
+# block stays dense to n = 511 (at n = 512 the FFT takes 185 against 232).
+# At n = 511 itself the FFT is slow, because its padded length
+# 2n = 1022 = 2 * 7 * 73 has a large prime factor.  No one bound is every
+# path's crossover, and no benchmark workload sits near any of them.
 DENSE_MAX_NODES = 511
 
 

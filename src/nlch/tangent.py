@@ -181,8 +181,10 @@ def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
             sums += _form_from_terms(frame.vectors, terms, op.grid)
             n_evals += 1
     if not n_evals:
-        raise ValueError("no evaluation times fell inside [transient, T]; "
-                         "increase T or lower record_every")
+        raise ValueError(f"no evaluation times fell inside [transient, T] = [{transient:g}, "
+                         f"{T:g}]; the run of {run_cfg.n_steps} steps of dt = {cfg.dt:g} ends "
+                         f"at t = {run_cfg.n_steps * cfg.dt:.6g}: increase T or lower "
+                         "record_every")
     return sums / n_evals
 
 
@@ -250,6 +252,9 @@ def remainder_order(u0: np.ndarray, direction: np.ndarray, eps_list, spec: React
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if not (np.isfinite(eps_arr) & (eps_arr > 0)).all():
         raise ValueError("eps values must be positive and finite")
+    # sorted, so a repeat is its neighbour; it would count as a second point
+    if (repeats := eps_arr[1:][eps_arr[1:] == eps_arr[:-1]]).size:
+        raise ValueError(f"eps values must be distinct, {float(repeats[0])!r} is repeated")
     grid = op.grid
     u0 = check_datum(u0, spec, op, "initial datum")
     direction = check_field(grid, direction)

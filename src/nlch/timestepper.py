@@ -29,7 +29,7 @@ import numpy as np
 
 from ._cores import clip
 from .diagnostics import TrajectoryRecord
-from .grid import check_field, div_flux, mean
+from .grid import div_flux, mean
 from .kernels import KernelOp
 from .model import ReactionSpec, check_datum, mobility, reaction_eval
 from .solvers import SolverError, neumann_solver
@@ -94,9 +94,10 @@ class State:
         self.mass = float(mean(self.u))
 
 
-def initial_state(u0: np.ndarray, op: KernelOp) -> State:
-    u0 = check_field(op.grid, u0)
-    return State(t=0.0, u=u0.copy(), w=op.convolve(1.0 - 2.0 * u0))
+def initial_state(u0: np.ndarray, spec: ReactionSpec, op: KernelOp) -> State:
+    """The state at t = 0 of a run of ``spec`` under ``op``, on ``check_datum``'s copy of u0."""
+    u = check_datum(u0, spec, op, "initial datum")
+    return State(t=0.0, u=u, w=op.convolve(1.0 - 2.0 * u))
 
 
 def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig) -> State:
@@ -142,7 +143,7 @@ def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
     making every check on the datum as the first state is drawn.  A pure-phase
     mean that the reaction does not move warns, naming the caller of ``run``,
     ``pair_run``, ``propagate_tangent``, ``dimension_bound`` or ``remainder_order``."""
-    state = initial_state(check_datum(u0, spec, op, "initial datum"), op)
+    state = initial_state(u0, spec, op)
     if cfg.dt * spec.lipschitz_s >= 0.5:
         raise ValueError(
             f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "

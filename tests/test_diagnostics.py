@@ -59,7 +59,8 @@ class TestTrajectoryRecord:
     def test_max_u_is_recorded_as_read(self, grid, op):
         """max u is stored as it is, not as 1 - (1 - max u), which rounds it."""
         rec = TrajectoryRecord(grid, 0.01)
-        rec.sample(initial_state(np.linspace(0.1, 0.3, grid.num_nodes), op), op, None)
+        rec.sample(initial_state(np.linspace(0.1, 0.3, grid.num_nodes), zero_reaction(grid), op),
+                   op, None)
         assert rec.min_u == [0.1] and rec.max_u == [0.3]
 
     def test_decayed_max_u_is_not_rounded_to_zero(self, grid):

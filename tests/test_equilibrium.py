@@ -245,7 +245,8 @@ class TestSteadyStateOfTheStep:
         assert found
         for res in found:
             for dt in (1.0 / (spec.lipschitz_s + EQ_SHIFT), 0.01):
-                state = step(initial_state(res.u, op), spec, op, SolverConfig(dt=dt, t_end=dt))
+                state = step(initial_state(res.u, spec, op), spec, op,
+                             SolverConfig(dt=dt, t_end=dt))
                 moved = l2_norm(grid, state.u - res.u)
                 assert moved <= dt * res.residual + 1e-14, (name, dt, moved, res.residual)
 

@@ -228,6 +228,19 @@ class TestNeumannModes:
         with pytest.raises(ValueError, match=re.escape("must lie in [0, 15]")):
             neumann_mode(g, modes)
 
+    def test_numpy_integers_are_indices(self):
+        g1, g2 = build_grid(1, 16, 1.0), build_grid(2, 12, 1.0)
+        assert np.array_equal(_bits(neumann_mode(g1, np.int64(3))), _bits(neumann_mode(g1, 3)))
+        assert np.array_equal(_bits(neumann_mode(g2, (np.int64(1), np.int32(2)))),
+                              _bits(neumann_mode(g2, (1, 2))))
+
+    @pytest.mark.parametrize("dim,modes,named", [(1, 3.0, "float 3.0"), (1, True, "bool True"),
+                                                 (2, (1, 2.0), "float 2.0")])
+    def test_a_bool_or_a_non_integer_is_rejected_by_type(self, dim, modes, named):
+        g = build_grid(dim, 16, 1.0)
+        with pytest.raises(ValueError, match=f"mode indices must be integers, got {named}$"):
+            neumann_mode(g, modes)
+
 
 # each of the seven functions with the field of the wrong length in one of
 # its field arguments; ``ok`` is a field of the right length

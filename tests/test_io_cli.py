@@ -156,6 +156,23 @@ class TestFieldDumps:
         with pytest.raises(ValueError, match="unsupported dump dimension 3"):
             read_field(path)
 
+    def test_another_version_rejected(self, tmp_path):
+        path = tmp_path / "field.nlch"
+        raw = bytearray(_dump_bytes(1, 8, 1.0, np.zeros(8)))
+        raw[4] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: unsupported dump "
+                                                             "version 2") + "$"):
+            read_field(path)
+
+    def test_anisotropic_header_rejected(self, tmp_path):
+        path = tmp_path / "field.nlch"
+        path.write_bytes(struct.pack("<4sBI2I2dd", b"NLCH", 1, 2, 8, 9, 1.0, 1.0, 0.0)
+                         + bytes(8 * 72))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: anisotropic dumps are "
+                                                             "not supported") + "$"):
+            read_field(path)
+
 
 @st.composite
 def _dumps(draw):
@@ -482,6 +499,28 @@ trace.samples = 2
         report = (tmp_path / "t" / "report.txt").read_text()
         assert "attractor dimension bound N = 1" in report
         assert "n =   1" in report and "n =   3" in report
+
+    @pytest.mark.parametrize("eps_list", ["1e-2,1e-2,1e-2", "1e-2,1e-2,1e-3"])
+    def test_remainder_command_rejects_a_repeated_eps(self, tmp_path, eps_list):
+        # repeats would pass as three points, and two distinct ones fit any line
+        text = f"""
+grid.n = 64
+kernel.c = 20
+kernel.lam = 0.05
+reaction.preset = logistic
+init.kind = cosine
+remainder.mode = 2
+remainder.t = 0.5
+remainder.eps_list = {eps_list}
+"""
+        assert execute(parse_config(text), tmp_path / "r", command="remainder") == 2
+        assert ("aborted: eps values must be distinct, 0.01 is repeated"
+                in (tmp_path / "r" / "report.txt").read_text())
+
+    def test_an_unknown_command_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape("unknown command: 'jump'")):
+            execute(parse_config(OONO_CFG), tmp_path / "o", command="jump")
+        assert not (tmp_path / "o").exists()
 
 
 class TestMain:

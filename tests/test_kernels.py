@@ -584,7 +584,7 @@ class TestMatrixFree:
         op = assemble_kernel(newton_kernel(kd=0.1), grid)
         spec = logistic_reaction(grid, 1.0)
         cfg = SolverConfig(dt=0.001, t_end=0.003)
-        state = initial_state(np.random.default_rng(2).uniform(0.3, 0.7, grid.num_nodes), op)
+        state = initial_state(np.random.default_rng(2).uniform(0.3, 0.7, grid.num_nodes), spec, op)
         for _ in range(3):
             target = float(np.mean(state.u)) + cfg.dt * float(np.mean(reaction_eval(spec, state.u)))
             state = step(state, spec, op, cfg)
@@ -602,7 +602,7 @@ class TestMatrixFree:
         op = assemble_kernel(gaussian_kernel(0.05, 0.02), grid)
         spec = logistic_reaction(grid, 1.0)
         cfg = SolverConfig(dt=0.001, t_end=0.003)
-        state = initial_state(np.random.default_rng(2).uniform(0.3, 0.7, grid.num_nodes), op)
+        state = initial_state(np.random.default_rng(2).uniform(0.3, 0.7, grid.num_nodes), spec, op)
         for _ in range(3):
             target = float(np.mean(state.u)) + cfg.dt * float(np.mean(reaction_eval(spec, state.u)))
             state = step(state, spec, op, cfg)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import xlogy
 
-from nlch.equilibrium import multistart_equilibria, solve_equilibrium
+from nlch.equilibrium import equilibrium_residual, multistart_equilibria, solve_equilibrium
 from nlch.grid import build_grid, neumann_mode
 from nlch.kernels import assemble_kernel, gaussian_kernel, zero_kernel
 from nlch.model import (
@@ -32,7 +33,7 @@ from nlch.model import (
     zero_reaction,
 )
 from nlch.tangent import dimension_bound, propagate_tangent, remainder_order
-from nlch.timestepper import SolverConfig, pair_run, run
+from nlch.timestepper import SolverConfig, initial_state, pair_run, run, step
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +190,11 @@ class TestSignCondition:
         with pytest.raises(ValueError, match="derivative"):
             custom_reaction(grid, lambda s: np.zeros_like(s), None, 0.0)
 
+    @pytest.mark.parametrize("lipschitz", [-1.0, math.nan])
+    def test_custom_lipschitz_must_be_finite_and_nonnegative(self, grid, lipschitz):
+        with pytest.raises(ValueError, match="^lipschitz_s must be finite and nonnegative$"):
+            custom_reaction(grid, np.zeros_like, np.zeros_like, lipschitz)
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("maker", [
@@ -343,9 +349,11 @@ _GATED = {
         u, 2, 0.05, spec, op, _GATE_CFG, transient=0.0)),
     "remainder_order": ("initial datum", lambda u, spec, op: remainder_order(
         u, neumann_mode(op.grid, 1), [1e-3, 3e-4, 1e-4], spec, op, _GATE_CFG, t=0.05)),
+    "initial_state": ("initial datum", initial_state),
     "solve_equilibrium": ("equilibrium seed", solve_equilibrium),
     "multistart_equilibria": ("equilibrium seed",
                               lambda u, spec, op: multistart_equilibria([u], spec, op)),
+    "equilibrium_residual": ("equilibrium point", equilibrium_residual),
 }
 
 
@@ -392,3 +400,31 @@ class TestCheckDatum:
             check_datum(np.full(64, np.nan), spec, op, "datum")
         with pytest.raises(ValueError, match=re.escape("field has shape (32,)")):
             check_datum(np.full(32, 0.5), spec, op, "datum")
+
+    def test_a_datum_above_one_is_rejected_before_any_step(self, grid, op):
+        spec = oono_reaction(grid, 1.0)
+        message = "initial datum must satisfy 0 <= u <= 1 nodewise, got values in [1.2, 1.2]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step(initial_state(np.full(64, 1.2), spec, op), spec, op, _GATE_CFG)
+        message = "equilibrium point must satisfy 0 <= u <= 1 nodewise, got values in [1.2, 1.2]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            equilibrium_residual(np.full(64, 1.2), spec, op)
+
+    @pytest.mark.parametrize("entry, calls", [
+        ("run", 1), ("pair_run_first", 2), ("propagate_tangent", 1), ("dimension_bound", 1),
+        ("initial_state", 1), ("solve_equilibrium", 1), ("equilibrium_residual", 1),
+    ])
+    def test_the_gate_runs_once_per_trajectory_or_call(self, spec, op, monkeypatch, entry,
+                                                       calls):
+        seen = []
+
+        def counted(*args):
+            seen.append(args[-1])
+            return check_datum(*args)
+
+        bound = [m for name, m in sys.modules.items()
+                 if name.split(".")[0] == "nlch" and vars(m).get("check_datum") is check_datum]
+        for module in bound:                    # every module that binds the gate
+            monkeypatch.setattr(module, "check_datum", counted)
+        _GATED[entry][1](np.full(64, 0.5), spec, op)
+        assert seen == [_GATED[entry][0]] * calls

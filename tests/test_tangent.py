@@ -1,6 +1,7 @@
 """Tangent flow, uniform differentiability, and trace-based dimension bounds."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 from itertools import pairwise
@@ -89,8 +90,8 @@ class TestTangentStep:
         rng = np.random.default_rng(1)
         u = rng.uniform(0.3, 0.7, grid.num_nodes)
         U = 0.05 * rng.standard_normal(grid.num_nodes)
-        s1 = step(initial_state(u, null_op), spec, null_op, cfg)
-        s2 = step(initial_state(u + U, null_op), spec, null_op, cfg)
+        s1 = step(initial_state(u, spec, null_op), spec, null_op, cfg)
+        s2 = step(initial_state(u + U, spec, null_op), spec, null_op, cfg)
         w = null_op.convolve(1 - 2 * u)
         tangent = tangent_step(U, u, w, spec, null_op, cfg)
         assert np.allclose(s2.u - s1.u, tangent, atol=1e-11)
@@ -191,6 +192,22 @@ class TestRemainderOrder:
         with pytest.raises(ValueError, match="fewer than 3 usable eps values after bound "
                                              "checks: 1 of 1"):
             remainder_order(u0, cosine_direction(grid), [1e-3], spec, null_op, cfg, t=0.1)
+
+    @pytest.mark.parametrize("eps_list", [[1e-2, 1e-2, 1e-2], [1e-3, 1e-2, 1e-2]])
+    def test_a_repeated_eps_is_rejected(self, grid, weak_op, eps_list):
+        # the repeats would count as points: 0.01 twice and 0.001 fit a line exactly
+        spec = logistic_reaction(grid, 1.0)
+        u0 = 0.5 + 0.1 * np.cos(np.pi * grid.axis_coords())
+        with pytest.raises(ValueError, match="^eps values must be distinct, 0.01 is repeated$"):
+            remainder_order(u0, cosine_direction(grid, 2), eps_list, spec, weak_op,
+                            SolverConfig(dt=0.01, t_end=1.0), t=0.5)
+
+    def test_a_zero_direction_is_rejected(self, grid, null_op):
+        spec = zero_reaction(grid)
+        with pytest.raises(ValueError, match="^direction must be nonzero$"):
+            remainder_order(np.full(grid.num_nodes, 0.5), np.zeros(grid.num_nodes),
+                            [1e-2, 1e-3, 1e-4], spec, null_op, SolverConfig(dt=0.01, t_end=1.0),
+                            t=0.1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_eps_rejected(self, grid, null_op, bad):
@@ -473,6 +490,16 @@ class TestTraceEstimates:
         cfg = SolverConfig(dt=0.01, t_end=0.5)
         with pytest.raises(ValueError, match="transient"):
             dimension_bound(np.full(grid.num_nodes, 0.5), 1, 0.5, spec, null_op, cfg)
+
+    def test_a_run_ending_before_the_transient_names_its_last_time(self, grid, null_op):
+        # T / dt = 3.33 rounds to 3 steps, which end at t = 0.9 < transient = T
+        spec = zero_reaction(grid)
+        cfg = SolverConfig(dt=0.3, t_end=1.0)
+        message = ("no evaluation times fell inside [transient, T] = [1, 1]; the run of 3 "
+                   "steps of dt = 0.3 ends at t = 0.9: increase T or lower record_every")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            dimension_bound(np.full(grid.num_nodes, 0.5), 1, 1.0, spec, null_op, cfg,
+                            transient=1.0)
 
 
 # -- oracle: the per-column frame evolution, kept verbatim ----------------------

@@ -115,7 +115,7 @@ class TestSingleStep:
     def test_half_is_fixed_point_of_pure_diffusion(self, grid, null_op):
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=1.0)
-        state = initial_state(np.full(grid.num_nodes, 0.5), null_op)
+        state = initial_state(np.full(grid.num_nodes, 0.5), spec, null_op)
         new = step(state, spec, null_op, cfg)
         assert np.max(np.abs(new.u - 0.5)) < 1e-14
         assert new.t == pytest.approx(0.01)
@@ -124,7 +124,7 @@ class TestSingleStep:
         spec = logistic_reaction(grid, 1.0)
         cfg = SolverConfig(dt=0.01, t_end=1.0)
         rng = np.random.default_rng(0)
-        state = initial_state(rng.uniform(0.2, 0.8, grid.num_nodes), weak_op)
+        state = initial_state(rng.uniform(0.2, 0.8, grid.num_nodes), spec, weak_op)
         for _ in range(5):
             state = step(state, spec, weak_op, cfg)
         want = weak_op.convolve(1.0 - 2.0 * state.u)
@@ -482,7 +482,7 @@ def _oracle_trajectory(u0, spec, op, cfg):
             f"reaction is unstable, reduce dt below {0.5 / max(spec.lipschitz_s, 1e-300):.3g}"
         )
     solver = SpdNeumannSolver(op.grid, cfg.dt)
-    state = initial_state(u0, op)
+    state = State(t=0.0, u=u0.copy(), w=op.convolve(1.0 - 2.0 * u0))
     yield state
     for k in range(1, cfg.n_steps + 1):
         state = _oracle_step(state, spec, op, cfg, solver=solver)
