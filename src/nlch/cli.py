@@ -18,7 +18,7 @@ import argparse
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -425,11 +425,21 @@ def _cmd_equilibrium(cfg: dict, scen: Scenario, out: Path, report: Report) -> No
         )
 
 
+def _run_length(cfg: dict, scen: Scenario, key: str) -> float:
+    """cfg[key], checked before the first step as the t_end of a run of the
+    scenario's solver."""
+    try:
+        replace(scen.solver_cfg, t_end=cfg[key])
+    except ValueError as exc:
+        raise ValueError(f"{key} = {cfg[key]}: {exc}") from None
+    return cfg[key]
+
+
 def _cmd_remainder(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     mode = cfg["remainder.mode"]
     direction = _cosine_mode(cfg, scen.op.grid, "remainder.mode")
     study = remainder_order(scen.u0, direction, cfg["remainder.eps_list"], scen.spec, scen.op,
-                            scen.solver_cfg, t=cfg["remainder.t"])
+                            scen.solver_cfg, t=_run_length(cfg, scen, "remainder.t"))
     report.add(f"tangent remainder study at t = {cfg['remainder.t']:g}, "
                f"direction = cosine mode {mode}")
     for e, r in zip(study.eps, study.remainders):
@@ -443,10 +453,11 @@ def _cmd_trace(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     samples = cfg["trace.samples"]
     if samples < 1:
         raise ValueError(f"trace.samples must be >= 1, got {samples}")
+    t = _run_length(cfg, scen, "trace.t")
     curves = []
     for k in range(samples):
         u0 = scen.u0 if k == 0 else _random_datum(cfg, scen.op.grid, "init", cfg["init.seed"] + k)
-        curves.append(dimension_bound(u0, cfg["trace.n_max"], cfg["trace.t"], scen.spec,
+        curves.append(dimension_bound(u0, cfg["trace.n_max"], t, scen.spec,
                                       scen.op, scen.solver_cfg,
                                       ortho_every=cfg["trace.ortho_every"],
                                       transient=cfg["trace.transient"]).traces)

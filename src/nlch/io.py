@@ -6,7 +6,8 @@ dim, uint32 n per axis, float64 length per axis, float64 time stamp, then
 the node values as float64 in row-major order.  Bit-exact and trivially
 parseable from any language.  ``read_field`` accepts exactly the byte
 length the header declares: a short file is reported as truncated and
-extra bytes as trailing.
+extra bytes as trailing.  It rejects a non-finite node value, which
+``write_field`` never writes, naming the first such node.
 """
 
 from __future__ import annotations
@@ -67,4 +68,6 @@ def read_field(path) -> tuple[Grid, np.ndarray, float]:
         raise ValueError(f"{path}: {len(raw) - size} trailing bytes after the "
                          f"{size}-byte dump")
     values = np.frombuffer(raw, dtype="<f8", count=grid.num_nodes, offset=header).astype(float)
+    if (bad := np.flatnonzero(~np.isfinite(values))).size:
+        raise ValueError(f"{path}: node {bad[0]} holds the non-finite value {values[bad[0]]}")
     return grid, values, t

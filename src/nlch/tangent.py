@@ -147,47 +147,6 @@ def _form_from_terms(cols: np.ndarray, terms: np.ndarray, grid: Grid) -> np.ndar
     return grid.cell_volume * np.einsum("ij,ij->j", lphi, cols)
 
 
-def _evolve_frame_traces(u0: np.ndarray, n: int, T: float, spec: ReactionSpec,
-                         op: KernelOp, cfg: SolverConfig, ortho_every: int = 10,
-                         transient: float = 1.0) -> np.ndarray:
-    """Per-column time-averaged trace contributions (L phi_j, phi_j) on [transient, T]."""
-    if T < transient:
-        raise ValueError(f"T = {T} must be >= the transient window {transient}")
-    if ortho_every < 1:
-        raise ValueError(f"ortho_every must be >= 1, got {ortho_every}")
-    run_cfg = replace(cfg, t_end=float(T))
-    frame = cosine_frame(op.grid, n)
-
-    sums = np.zeros(n)
-    n_evals = 0
-    # the rhs terms of the last trace form, at the frame and the state the
-    # next step starts from, so that step reuses them; every other step is
-    # a tangent_step call, which keeps that name's layer timing in perfbench
-    terms = None
-    # the frame steps with the state before the step, the trace form is
-    # evaluated at the state after it
-    for prev, state in pairwise(_trajectory(u0, spec, op, run_cfg)):
-        k = state.step_count
-        if terms is None:
-            frame.vectors = tangent_step(frame.vectors, prev.u, prev.w, spec, op, cfg)
-        else:
-            frame.vectors = _step_from_terms(frame.vectors, terms, op.grid, cfg)
-            terms = None
-        at_record = run_cfg.is_record_step(k)
-        if k % ortho_every == 0 or at_record:
-            frame.orthonormalize()
-        if at_record and state.t >= transient:
-            terms = _tangent_rhs_terms(frame.vectors, state.u, state.w, spec, op)
-            sums += _form_from_terms(frame.vectors, terms, op.grid)
-            n_evals += 1
-    if not n_evals:
-        raise ValueError(f"no evaluation times fell inside [transient, T] = [{transient:g}, "
-                         f"{T:g}]; the run of {run_cfg.n_steps} steps of dt = {cfg.dt:g} ends "
-                         f"at t = {run_cfg.n_steps * cfg.dt:.6g}: increase T or lower "
-                         "record_every")
-    return sums / n_evals
-
-
 @dataclass
 class DimensionScan:
     """Time-averaged traces over the nested rank-n projectors, n = 1..len(traces)."""
@@ -212,14 +171,47 @@ def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
                     transient: float = 1.0) -> DimensionScan:
     """Smallest n with a negative time-averaged trace, plus the trace curve.
 
-    A single n_max-column frame is evolved; nested partial sums over its
+    A single n_max-column frame rides along with the run from u0 to T, and
+    the traces (L phi_j, phi_j) are averaged over the record states after the
+    first step that lie in [transient, T].  Nested partial sums over its
     leading columns reproduce the individual trace estimates exactly because
     QR orthonormalization is column-sequential.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return DimensionScan(traces=np.cumsum(
-        _evolve_frame_traces(u0, n_max, T, spec, op, cfg, ortho_every, transient)))
+    if T < transient:
+        raise ValueError(f"T = {T} must be >= the transient window {transient}")
+    if ortho_every < 1:
+        raise ValueError(f"ortho_every must be >= 1, got {ortho_every}")
+    run_cfg = replace(cfg, t_end=float(T))
+    frame = cosine_frame(op.grid, n_max)
+
+    def sampled(s: State) -> bool:
+        return s.step_count >= 1 and run_cfg.is_record_step(s.step_count) and s.t >= transient
+
+    sums = np.zeros(n_max)
+    n_evals = 0
+    # a step's rhs terms, at the frame and the state before the step, also
+    # give that state's trace form if it is sampled; the final state, which
+    # no step follows, takes trace_form
+    for prev, state in pairwise(_trajectory(u0, spec, op, run_cfg)):
+        terms = _tangent_rhs_terms(frame.vectors, prev.u, prev.w, spec, op)
+        if sampled(prev):
+            sums += _form_from_terms(frame.vectors, terms, op.grid)
+            n_evals += 1
+        frame.vectors = _step_from_terms(frame.vectors, terms, op.grid, cfg)
+        k = state.step_count
+        if k % ortho_every == 0 or run_cfg.is_record_step(k):
+            frame.orthonormalize()
+    if sampled(state):
+        sums += trace_form(frame.vectors, state.u, state.w, spec, op)
+        n_evals += 1
+    if not n_evals:
+        raise ValueError(f"no evaluation times fell inside [transient, T] = [{transient:g}, "
+                         f"{T:g}]; the run of {run_cfg.n_steps} steps of dt = {cfg.dt:g} ends "
+                         f"at t = {run_cfg.n_steps * cfg.dt:.6g}: increase T or lower "
+                         "record_every")
+    return DimensionScan(traces=np.cumsum(sums / n_evals))
 
 
 @dataclass

@@ -140,6 +140,16 @@ class TestFieldDumps:
                                                              "positive and finite")):
             read_field(dump)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_node_rejected_naming_it(self, tmp_path, value):
+        values = np.full(16, 0.5)
+        values[[3, 7]] = value          # the first bad node is named
+        dump = tmp_path / "bad.nlch"
+        dump.write_bytes(_dump_bytes(1, 16, 1.0, values))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{dump}: node 3 holds the non-finite value {value}") + "$"):
+            read_field(dump)
+
     def test_coarse_header_rejected_naming_the_dump(self, tmp_path):
         dump = tmp_path / "coarse.nlch"
         dump.write_bytes(_dump_bytes(1, 4, 1.0, np.full(4, 0.5)))
@@ -569,6 +579,38 @@ class TestMain:
         assert (f"configuration error: {dump}: n must be >= 8 per axis, got 4\n"
                 in (out / "report.txt").read_text())
         assert not (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "equilibrium", "trace", "remainder"])
+    def test_cli_init_file_with_a_nan_node_returns_2_naming_it(self, tmp_path, capsys, command):
+        values = np.full(16, 0.5)
+        values[3] = np.nan
+        dump = tmp_path / "nan.nlch"
+        dump.write_bytes(_dump_bytes(1, 16, 1.0, values))
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(OONO_CFG.replace("grid.n = 64", "grid.n = 16")
+                            .replace("init.kind = random", "init.kind = file")
+                            + f"init.path = {dump}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert (f"configuration error: {dump}: node 3 holds the non-finite value nan\n"
+                in (out / "report.txt").read_text())
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("trace", "trace.t = 1e5", "aborted: trace.t = 100000.0: t_end / dt = 1e+07 must round "
+                                   "to a number of steps >= 1 and <= MAX_STEPS = 1000000\n"),
+        ("remainder", "remainder.t = 0",
+         "aborted: remainder.t = 0.0: t_end must be positive and finite, got 0.0\n"),
+    ], ids=["trace", "remainder"])
+    def test_cli_bad_study_time_returns_2_naming_the_key(self, tmp_path, capsys, command, line,
+                                                        message):
+        cfg_path = tmp_path / "t.cfg"
+        cfg_path.write_text(OONO_CFG.replace("grid.n = 64", "grid.n = 16")
+                            + f"trace.n_max = 2\ntrace.samples = 1\n{line}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in (out / "report.txt").read_text()
 
     def test_cli_zero_ortho_every_returns_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "trace.cfg"

@@ -29,7 +29,6 @@ from nlch.tangent import (
     DimensionScan,
     FrameDegeneracyError,
     TangentFrame,
-    _evolve_frame_traces,
     _tangent_rhs_terms,
     cosine_frame,
     dimension_bound,
@@ -516,7 +515,7 @@ def _oracle_trace_form(cols, u, w, spec, op):
 
 
 def _oracle_frame_traces(u0, n, T, spec, op, cfg, ortho_every=10, transient=1.0):
-    """The per-column body of _evolve_frame_traces before frames were blocks,
+    """The per-column body of dimension_bound's scan before frames were blocks,
     replaying the (u, w) pairs collected from the trajectory."""
     run_cfg = replace(cfg, t_end=float(T))
     states = list(_trajectory(u0, spec, op, run_cfg))
@@ -649,8 +648,8 @@ class TestStreamedFrames:
         g, op, spec, u0 = block_case
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=5)
         args = (u0, 6, 0.6, spec, op, cfg, ortho_every, 0.3)
-        got = _evolve_frame_traces(*args)
-        want = _oracle_frame_traces(*args)
+        got = dimension_bound(*args).traces
+        want = np.cumsum(_oracle_frame_traces(*args))
         assert _rel_max_error(got, want) <= 1e-12
 
     @pytest.mark.parametrize("ortho_every", [1, 3])
@@ -658,8 +657,22 @@ class TestStreamedFrames:
         g, op, spec, u0 = block_case
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=5)
         args = (u0, 6, 0.6, spec, op, cfg, ortho_every, 0.3)
-        assert np.array_equal(_bits(_evolve_frame_traces(*args)),
-                              _bits(_oracle_streamed_traces(*args)))
+        assert np.array_equal(_bits(dimension_bound(*args).traces),
+                              _bits(np.cumsum(_oracle_streamed_traces(*args))))
+
+    @pytest.mark.parametrize("T, record_every, transient", [
+        (0.6, 5, 0.0),      # the initial state is a record state in the window, not sampled
+        (0.63, 5, 0.3),     # the final state is a record state only as the last one
+        (0.63, 100, 0.3),   # the final state is the only record state after the first step
+    ], ids=["no-transient", "final-off-the-interval", "final-only"])
+    def test_scan_edges_are_the_unshared_loop_bit_for_bit(self, block_case, T, record_every,
+                                                          transient):
+        g, op, spec, u0 = block_case
+        cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=record_every)
+        # at T = 0.63 the 63 steps are no multiple of 4: the final sweep is the record rule's
+        args = (u0, 6, T, spec, op, cfg, 4, transient)
+        assert np.array_equal(_bits(dimension_bound(*args).traces),
+                              _bits(np.cumsum(_oracle_streamed_traces(*args))))
 
     def test_remainders_match_replayed_tangent(self, block_case):
         g, op, spec, u0 = block_case
@@ -710,12 +723,12 @@ class TestOneRhsEvaluationPerStep:
             return terms(*args)
 
         monkeypatch.setattr(nlch.tangent, "_tangent_rhs_terms", counted)
-        _evolve_frame_traces(*scan_case)
+        dimension_bound(*scan_case)
         # a trace form's terms are the next step's, so only the trace form of
         # the final state, which no step follows, adds an evaluation; one
         # evaluation per step and per trace form would make 400 + 31
         assert len(calls) == scan_case[5].n_steps + 1
 
     def test_traces_are_the_unshared_loop_bit_for_bit(self, scan_case):
-        assert np.array_equal(_bits(_evolve_frame_traces(*scan_case)),
-                              _bits(_oracle_streamed_traces(*scan_case)))
+        assert np.array_equal(_bits(dimension_bound(*scan_case).traces),
+                              _bits(np.cumsum(_oracle_streamed_traces(*scan_case))))
