@@ -454,6 +454,8 @@ def _cmd_trace(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     if samples < 1:
         raise ValueError(f"trace.samples must be >= 1, got {samples}")
     t = _run_length(cfg, scen, "trace.t")
+    if t < cfg["trace.transient"]:
+        raise ValueError(f"trace.t = {t} must be >= trace.transient = {cfg['trace.transient']}")
     curves = []
     for k in range(samples):
         u0 = scen.u0 if k == 0 else _random_datum(cfg, scen.op.grid, "init", cfg["init.seed"] + k)

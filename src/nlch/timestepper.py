@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -137,23 +138,38 @@ def step(state: State, spec: ReactionSpec, op: KernelOp, cfg: SolverConfig) -> S
     )
 
 
+def _user_stacklevel() -> int:
+    """The ``stacklevel`` that makes a warning raised in the calling frame
+    name the first frame outside the nlch package, walking back from the
+    frame that called or drew the calling one."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
                 cfg: SolverConfig) -> Iterator[State]:
     """Yield the states after k = 0..n_steps steps, at t = k dt exactly,
-    making every check on the datum as the first state is drawn.  A pure-phase
-    mean that the reaction does not move warns, naming the caller of ``run``,
-    ``pair_run``, ``propagate_tangent``, ``dimension_bound`` or ``remainder_order``."""
+    making every check on the datum as the first state is drawn.  A horizon
+    t_end that is not a whole number of steps, and a pure-phase mean that the
+    reaction does not move, warn, naming the first line outside nlch that
+    led to the first draw."""
     state = initial_state(u0, spec, op)
     if cfg.dt * spec.lipschitz_s >= 0.5:
         raise ValueError(
             f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
             f"reaction is unstable, reduce dt below {0.5 / spec.lipschitz_s:.3g}"
         )
+    reached = cfg.n_steps * cfg.dt
+    if abs(reached - cfg.t_end) > 1e-9 * cfg.t_end:
+        warnings.warn(f"t_end = {cfg.t_end!r} is not a whole number of steps of dt = "
+                      f"{cfg.dt!r}: the run takes {cfg.n_steps} steps and ends at "
+                      f"t = {reached:.10g}", stacklevel=_user_stacklevel())
     mean0 = state.mass
     if not (0.0 < mean0 < 1.0) and float(mean(reaction_eval(spec, state.u))) == 0.0:
-        # this generator, the private frame drawing it, the public function, its caller
         warnings.warn(f"mean(u0) = {mean0} is a pure phase and the reaction does not move "
-                      "mass there; the run will remain stationary", stacklevel=4)
+                      "mass there; the run will remain stationary", stacklevel=_user_stacklevel())
     yield state
     for k in range(1, cfg.n_steps + 1):
         state = step(state, spec, op, cfg)
@@ -204,7 +220,7 @@ def pair_run(u01: np.ndarray, u02: np.ndarray, spec: ReactionSpec, op: KernelOp,
     reported, never asserted against a specific value) and for the
     contraction checks of strictly decreasing reactions.
     """
-    # the second datum's states as references; map keeps its warning at run's depth
+    # the second datum's states as references
     _, rec = record(_trajectory(u01, spec, op, cfg),
                     map(attrgetter("u"), _trajectory(u02, spec, op, cfg)), spec, op, cfg)
     return PairRecord(times=np.asarray(rec.times), dist=np.asarray(rec.dist_to_ref))

@@ -9,7 +9,8 @@ here, and that the residual, written for (a I - b Lap), is the same body for
 (I - tau Lap): a = 1 and b = tau.  ``model.potential`` is pinned to its
 plain numpy form: each log of an argument floored at the smallest
 subnormal, so that 0 log 0 = 0, and NaN outside [0, 1].  The new bodies must
-keep every bit.
+keep every bit.  The H1 seminorm oracle and the two comparison helpers,
+``bits`` and ``rel_max_error``, are shared by several test modules.
 """
 
 import math
@@ -92,3 +93,20 @@ def oracle_potential(s: np.ndarray | float) -> np.ndarray | float:
     out = np.log(np.maximum(s, 5e-324)) * s + np.log(np.maximum(t, 5e-324)) * t
     out = np.where((s >= 0.0) & (t >= 0.0), out, np.nan)
     return out if out.ndim else float(out)
+
+
+def oracle_h1_seminorm(grid: Grid, f: np.ndarray) -> float:
+    v = grid.reshape(f)
+    total = 0.0
+    for axis in range(grid.dim):
+        d = np.diff(v, axis=axis) / grid.h
+        total += float(np.sum(d * d))
+    return float(np.sqrt(grid.cell_volume * total))
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def rel_max_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))

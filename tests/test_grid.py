@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from field_oracles import bits, oracle_h1_seminorm, rel_max_error
 from hypothesis.extra import numpy as hnp
 
 from nlch.grid import (
@@ -230,9 +231,9 @@ class TestNeumannModes:
 
     def test_numpy_integers_are_indices(self):
         g1, g2 = build_grid(1, 16, 1.0), build_grid(2, 12, 1.0)
-        assert np.array_equal(_bits(neumann_mode(g1, np.int64(3))), _bits(neumann_mode(g1, 3)))
-        assert np.array_equal(_bits(neumann_mode(g2, (np.int64(1), np.int32(2)))),
-                              _bits(neumann_mode(g2, (1, 2))))
+        assert np.array_equal(bits(neumann_mode(g1, np.int64(3))), bits(neumann_mode(g1, 3)))
+        assert np.array_equal(bits(neumann_mode(g2, (np.int64(1), np.int32(2)))),
+                              bits(neumann_mode(g2, (1, 2))))
 
     @pytest.mark.parametrize("dim,modes,named", [(1, 3.0, "float 3.0"), (1, True, "bool True"),
                                                  (2, (1, 2.0), "float 2.0")])
@@ -331,10 +332,6 @@ def _degenerate_coefficient(grid: Grid, rng) -> np.ndarray:
     return mobility(u.ravel())
 
 
-def _rel_max_error(got: np.ndarray, want: np.ndarray) -> float:
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
-
 ORACLE_GRIDS = [(1, 8), (1, 64), (1, 256), (2, 8), (2, 16), (2, 64)]
 
 
@@ -349,7 +346,7 @@ class TestFaceFluxOracle:
         for _ in range(3):
             f = rng.standard_normal(g.num_nodes)
             want = _oracle_laplacian_neumann(g, f)
-            assert _rel_max_error(laplacian_neumann(g, f), want) <= 1e-13
+            assert rel_max_error(laplacian_neumann(g, f), want) <= 1e-13
 
     @pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
     def test_div_flux_matches_pad_take_stencil(self, dim, n):
@@ -361,7 +358,7 @@ class TestFaceFluxOracle:
             p = rng.standard_normal(g.num_nodes)
             want = _oracle_div_flux(g, a, p)
             got = div_flux(g, a, p)
-            assert _rel_max_error(got, want) <= 1e-13
+            assert rel_max_error(got, want) <= 1e-13
             # faces with a zero coefficient on both sides carry exactly nothing
             assert np.all(got[want == 0.0] == 0.0)
 
@@ -472,19 +469,6 @@ def _oracle_face_flux_divergence(grid: Grid, a: np.ndarray, p: np.ndarray) -> np
     return out.reshape((grid.num_nodes,) + cols)
 
 
-def _oracle_h1_seminorm(grid: Grid, f: np.ndarray) -> float:
-    v = grid.reshape(f)
-    total = 0.0
-    for axis in range(grid.dim):
-        d = np.diff(v, axis=axis) / grid.h
-        total += float(np.sum(d * d))
-    return float(np.sqrt(grid.cell_volume * total))
-
-
-def _bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).view(np.uint64)
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_laplacian_keeps_the_unit_flux_bits_past_overflow(self, dim, n):
@@ -496,28 +480,28 @@ class TestBitIdentity:
             with np.errstate(all="ignore"):
                 got = laplacian_neumann(g, p)
                 want = _oracle_face_flux_divergence(g, np.ones(g.num_nodes), p)
-            assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(bits(got), bits(want))
 
     @settings(max_examples=60, deadline=None)
     @given(_grid_and_fields())
     def test_face_flux_operators(self, case):
         g, a, p, _ = case
-        assert np.array_equal(_bits(div_flux(g, a, p)),
-                              _bits(_oracle_face_flux_divergence(g, a, p)))
-        assert np.array_equal(_bits(laplacian_neumann(g, p)),
-                              _bits(_oracle_face_flux_divergence(g, np.ones(g.num_nodes), p)))
+        assert np.array_equal(bits(div_flux(g, a, p)),
+                              bits(_oracle_face_flux_divergence(g, a, p)))
+        assert np.array_equal(bits(laplacian_neumann(g, p)),
+                              bits(_oracle_face_flux_divergence(g, np.ones(g.num_nodes), p)))
 
     @settings(max_examples=60, deadline=None)
     @given(_grid_and_fields())
     def test_reductions(self, case):
         g, _, p, _ = case
         f = p if p.ndim == 1 else p[:, 0]
-        assert _bits(integrate(g, f)) == _bits(g.cell_volume * float(np.sum(f)))
-        assert np.array_equal(_bits(mean(p)), _bits(np.mean(p, axis=0)))
-        assert _bits(l2_norm(g, f)) == _bits(float(np.sqrt(g.cell_volume) * np.linalg.norm(f)))
-        assert _bits(l2_norm(g, p[::-1])) == \
-            _bits(float(np.sqrt(g.cell_volume) * np.linalg.norm(p[::-1])))
-        assert _bits(h1_seminorm(g, f)) == _bits(_oracle_h1_seminorm(g, f))
+        assert bits(integrate(g, f)) == bits(g.cell_volume * float(np.sum(f)))
+        assert np.array_equal(bits(mean(p)), bits(np.mean(p, axis=0)))
+        assert bits(l2_norm(g, f)) == bits(float(np.sqrt(g.cell_volume) * np.linalg.norm(f)))
+        assert bits(l2_norm(g, p[::-1])) == \
+            bits(float(np.sqrt(g.cell_volume) * np.linalg.norm(p[::-1])))
+        assert bits(h1_seminorm(g, f)) == bits(oracle_h1_seminorm(g, f))
 
 
 # -- oracle: the per-dimension bodies that one formula for any dimension
@@ -560,13 +544,13 @@ class TestOneFormulaForAnyDimension:
                                               (2, 16, 0.7)])
     def test_helpers_match_the_per_dimension_bodies(self, dim, n, length):
         g = build_grid(dim, n, length)
-        assert np.array_equal(_bits(g.coords()), _bits(_oracle_coords(g)))
-        assert np.array_equal(_bits(laplacian_eigenvalues(g)),
-                              _bits(_oracle_laplacian_eigenvalues(g)))
+        assert np.array_equal(bits(g.coords()), bits(_oracle_coords(g)))
+        assert np.array_equal(bits(laplacian_eigenvalues(g)),
+                              bits(_oracle_laplacian_eigenvalues(g)))
         f = np.random.default_rng(n).standard_normal(g.num_nodes)
-        assert np.array_equal(_bits(g.reshape(f)), _bits(_oracle_reshape(g, f)))
+        assert np.array_equal(bits(g.reshape(f)), bits(_oracle_reshape(g, f)))
         for modes in product(range(n), repeat=dim):
             got = neumann_mode(g, modes if dim > 1 else modes[0])
-            assert np.array_equal(_bits(got), _bits(_oracle_neumann_mode(g, modes)))
+            assert np.array_equal(bits(got), bits(_oracle_neumann_mode(g, modes)))
         if dim == 1:
-            assert np.array_equal(_bits(neumann_mode(g, (3,))), _bits(neumann_mode(g, 3)))
+            assert np.array_equal(bits(neumann_mode(g, (3,))), bits(neumann_mode(g, 3)))

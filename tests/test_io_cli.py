@@ -601,7 +601,9 @@ class TestMain:
                                    "to a number of steps >= 1 and <= MAX_STEPS = 1000000\n"),
         ("remainder", "remainder.t = 0",
          "aborted: remainder.t = 0.0: t_end must be positive and finite, got 0.0\n"),
-    ], ids=["trace", "remainder"])
+        # checked before the first step, in the keys' names, not dimension_bound's T
+        ("trace", "trace.t = 0.5", "aborted: trace.t = 0.5 must be >= trace.transient = 1.0\n"),
+    ], ids=["trace", "remainder", "trace_before_transient"])
     def test_cli_bad_study_time_returns_2_naming_the_key(self, tmp_path, capsys, command, line,
                                                         message):
         cfg_path = tmp_path / "t.cfg"
@@ -790,6 +792,19 @@ class TestMain:
         assert ("\nwarning: mean(u0) = 0.0 is a pure phase and the reaction does not move mass "
                 "there; the run will remain stationary\n\nresolved configuration:\n") in \
             (out / "report.txt").read_text()
+
+    def test_cli_horizon_off_the_step_grid_warns_in_the_report(self, tmp_path, capsys):
+        cfg_path = tmp_path / "horizon.cfg"
+        cfg_path.write_text(OONO_CFG.replace("grid.n = 64", "grid.n = 16")
+                            .replace("solver.dt = 0.01", "solver.dt = 0.3")
+                            .replace("solver.t_end = 2.0", "solver.t_end = 1.0"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = (out / "report.txt").read_text()
+        assert "steps = 3, t_end = 0.9, " in report
+        assert ("\nwarning: t_end = 1.0 is not a whole number of steps of dt = 0.3: the run "
+                "takes 3 steps and ends at t = 0.9\n\nresolved configuration:\n") in report
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_warning_filtered_as_an_error_escapes_execute(self, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
+from field_oracles import bits, rel_max_error
 
 import nlch.tangent
 from nlch._cores import householder_qr
@@ -355,10 +356,6 @@ QR_CASES = {"1d-64-1": (1, 64, 1), "1d-64-30": (1, 64, 30), "1d-256-1": (1, 256,
             (1, 256, 30, 1e10)}
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.uint64)
-
-
 class TestHouseholderCore:
     """The frame QR sweep against np.linalg.qr, bit for bit."""
 
@@ -369,7 +366,7 @@ class TestHouseholderCore:
         g, a = _qr_case(*QR_CASES[case])
         frame = TangentFrame(grid=g, vectors=a)
         frame.orthonormalize()
-        assert np.array_equal(_bits(frame.vectors), _bits(_oracle_orthonormalized(g, a)))
+        assert np.array_equal(bits(frame.vectors), bits(_oracle_orthonormalized(g, a)))
         if "cond" in case:
             # the spread is far below the 14-decade rank rule, and Q stays orthonormal
             assert np.linalg.cond(a) > 1e9
@@ -573,10 +570,6 @@ def _oracle_remainders(u0, direction, eps_list, spec, op, cfg, t):
                      for eps in sorted(eps_list, reverse=True)])
 
 
-def _rel_max_error(got, want):
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
-
 # the four applies of the kernel: GEMV/GEMM, 1D FFT, 2D FFT and the 2D
 # Gaussian's Toeplitz factors
 BLOCK_CASES = {
@@ -629,7 +622,7 @@ class TestBlockOperators:
                       columns(lambda c: tangent_step(c, u0, w, spec, op, cfg), P)))
         for got, want in pairs:
             assert got.shape == want.shape == (g.num_nodes, m)
-            assert _rel_max_error(got, want) <= 1e-13
+            assert rel_max_error(got, want) <= 1e-13
 
     def test_trace_form_matches_column_loop(self, block_case):
         g, op, spec, u0 = block_case
@@ -637,7 +630,7 @@ class TestBlockOperators:
         w = op.convolve(1.0 - 2.0 * u0)
         got = trace_form(frame.vectors, u0, w, spec, op)
         want = _oracle_trace_form(frame.vectors, u0, w, spec, op)
-        assert _rel_max_error(got, want) <= 1e-13
+        assert rel_max_error(got, want) <= 1e-13
 
 
 class TestStreamedFrames:
@@ -650,15 +643,15 @@ class TestStreamedFrames:
         args = (u0, 6, 0.6, spec, op, cfg, ortho_every, 0.3)
         got = dimension_bound(*args).traces
         want = np.cumsum(_oracle_frame_traces(*args))
-        assert _rel_max_error(got, want) <= 1e-12
+        assert rel_max_error(got, want) <= 1e-12
 
     @pytest.mark.parametrize("ortho_every", [1, 3])
     def test_traces_are_the_unshared_loop_bit_for_bit(self, block_case, ortho_every):
         g, op, spec, u0 = block_case
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=5)
         args = (u0, 6, 0.6, spec, op, cfg, ortho_every, 0.3)
-        assert np.array_equal(_bits(dimension_bound(*args).traces),
-                              _bits(np.cumsum(_oracle_streamed_traces(*args))))
+        assert np.array_equal(bits(dimension_bound(*args).traces),
+                              bits(np.cumsum(_oracle_streamed_traces(*args))))
 
     @pytest.mark.parametrize("T, record_every, transient", [
         (0.6, 5, 0.0),      # the initial state is a record state in the window, not sampled
@@ -671,8 +664,8 @@ class TestStreamedFrames:
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=record_every)
         # at T = 0.63 the 63 steps are no multiple of 4: the final sweep is the record rule's
         args = (u0, 6, T, spec, op, cfg, 4, transient)
-        assert np.array_equal(_bits(dimension_bound(*args).traces),
-                              _bits(np.cumsum(_oracle_streamed_traces(*args))))
+        assert np.array_equal(bits(dimension_bound(*args).traces),
+                              bits(np.cumsum(_oracle_streamed_traces(*args))))
 
     def test_remainders_match_replayed_tangent(self, block_case):
         g, op, spec, u0 = block_case
@@ -682,7 +675,7 @@ class TestStreamedFrames:
         study = remainder_order(u0, direction, eps_list, spec, op, cfg, t=0.3)
         want = _oracle_remainders(u0, direction, eps_list, spec, op, cfg, 0.3)
         assert not study.exact
-        assert _rel_max_error(study.remainders, want) <= 1e-12
+        assert rel_max_error(study.remainders, want) <= 1e-12
 
     def test_propagated_block_matches_columns(self, block_case):
         g, op, spec, u0 = block_case
@@ -691,7 +684,7 @@ class TestStreamedFrames:
         got = propagate_tangent(U0, u0, spec, op, cfg)
         want = np.column_stack([propagate_tangent(U0[:, j], u0, spec, op, cfg)
                                 for j in range(3)])
-        assert _rel_max_error(got, want) <= 1e-12
+        assert rel_max_error(got, want) <= 1e-12
 
     def test_base_trajectory_is_the_run(self, grid, weak_op):
         """dimension_bound steps the same trajectory as run, bit for bit."""
@@ -730,5 +723,5 @@ class TestOneRhsEvaluationPerStep:
         assert len(calls) == scan_case[5].n_steps + 1
 
     def test_traces_are_the_unshared_loop_bit_for_bit(self, scan_case):
-        assert np.array_equal(_bits(dimension_bound(*scan_case).traces),
-                              _bits(np.cumsum(_oracle_streamed_traces(*scan_case))))
+        assert np.array_equal(bits(dimension_bound(*scan_case).traces),
+                              bits(np.cumsum(_oracle_streamed_traces(*scan_case))))

@@ -1,13 +1,19 @@
 """Semi-implicit stepping: bounds, mass identity, decay, and guards."""
 
+import inspect
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
-from field_oracles import oracle_div_flux, oracle_potential, oracle_solve
+from field_oracles import oracle_div_flux, oracle_h1_seminorm, oracle_potential, oracle_solve
 
+import nlch
 from nlch.diagnostics import TrajectoryRecord, fit_exponential_rate, mass_balance_residual
 from nlch.grid import build_grid, check_field, l2_norm, mean
 from nlch.kernels import (
@@ -103,6 +109,23 @@ class TestConfigValidation:
         assert SolverConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps == MAX_STEPS
         with pytest.raises(ValueError, match="MAX_STEPS"):
             SolverConfig(dt=1.0, t_end=float(MAX_STEPS + 1))
+
+    def test_a_horizon_off_the_step_grid_warns_naming_the_callers_line(self, grid, weak_op):
+        # the horizon is run as the nearest whole number of steps, and says so
+        with pytest.warns(UserWarning, match="t_end = 1.0 is not a whole number of steps of "
+                          "dt = 0.3: the run takes 3 steps and ends at t = 0.9$") as caught:
+            line = inspect.currentframe().f_lineno + 1
+            state, _ = run(np.full(grid.num_nodes, 0.5), oono_reaction(grid, 1.0), weak_op,
+                           SolverConfig(dt=0.3, t_end=1.0))
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+        assert (state.step_count, state.t) == (3, 3 * 0.3)
+
+    @pytest.mark.parametrize("dt,t_end", [(0.01, 0.1), (0.005, 0.5), (0.01, 4.0), (1e-3, 0.7)])
+    def test_a_whole_number_of_steps_runs_without_a_warning(self, grid, weak_op, dt, t_end):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(np.full(grid.num_nodes, 0.5), oono_reaction(grid, 1.0), weak_op,
+                SolverConfig(dt=dt, t_end=t_end, record_every=100))
 
     def test_reaction_stability_guard(self, grid, null_op):
         spec = oono_reaction(grid, 10.0)
@@ -229,18 +252,45 @@ class TestMassIdentity:
         # the datum check in _trajectory names the caller of run
         assert [w.filename for w in caught] == [__file__]
 
-    @pytest.mark.parametrize("driver,warns", [
-        (lambda u0, *a: pair_run(u0, u0, *a), 2),
-        (lambda u0, spec, op, cfg: propagate_tangent(np.ones_like(u0), u0, spec, op, cfg), 1),
-        (lambda u0, spec, op, cfg: dimension_bound(u0, 2, 0.2, spec, op, cfg, transient=0.1), 1),
-        (lambda u0, spec, op, cfg: remainder_order(u0, np.ones_like(u0), [1e-1, 1e-2, 1e-3],
-                                                   spec, op, cfg, t=0.1), 1),
-    ], ids=["pair_run", "propagate_tangent", "dimension_bound", "remainder_order"])
-    def test_every_pure_phase_warning_names_the_callers_line(self, grid, weak_op, driver, warns):
+    @pytest.mark.parametrize("driver,leading,kwargs,warns", [
+        (run, lambda u0: (u0,), {}, 1),
+        (pair_run, lambda u0: (u0, u0), {}, 2),
+        (propagate_tangent, lambda u0: (np.ones_like(u0), u0), {}, 1),
+        (dimension_bound, lambda u0: (u0, 2, 0.2), {"transient": 0.1}, 1),
+        (remainder_order, lambda u0: (u0, np.ones_like(u0), [1e-1, 1e-2, 1e-3]), {"t": 0.1}, 1),
+    ], ids=["run", "pair_run", "propagate_tangent", "dimension_bound", "remainder_order"])
+    def test_every_pure_phase_warning_names_the_callers_line(self, grid, weak_op, driver,
+                                                             leading, kwargs, warns):
         spec = logistic_reaction(grid, 1.0)
+        args = leading(np.zeros(grid.num_nodes))
         with pytest.warns(UserWarning, match="pure phase") as caught:
-            driver(np.zeros(grid.num_nodes), spec, weak_op, SolverConfig(dt=0.01, t_end=0.1))
-        assert [w.filename for w in caught] == [__file__] * warns
+            line = inspect.currentframe().f_lineno + 1
+            driver(*args, spec, weak_op, SolverConfig(dt=0.01, t_end=0.1), **kwargs)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)] * warns
+
+    def test_a_module_level_call_names_the_scripts_line(self, tmp_path):
+        # a script's module frame has no caller: a walk past it would name sys:1
+        script = tmp_path / "scan.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from nlch.grid import build_grid\n"
+            "from nlch.kernels import assemble_kernel, gaussian_kernel\n"
+            "from nlch.model import logistic_reaction\n"
+            "from nlch.tangent import dimension_bound\n"
+            "from nlch.timestepper import SolverConfig, run\n"
+            "grid = build_grid(1, 32, 1.0)\n"
+            "args = (logistic_reaction(grid, 1.0), assemble_kernel(gaussian_kernel(0.05, 0.05), "
+            "grid), SolverConfig(dt=0.01, t_end=0.1))\n"
+            "run(np.zeros(32), *args)\n"
+            "dimension_bound(np.zeros(32), 2, 0.2, *args, transient=0.1)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(nlch.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "always::UserWarning", str(script)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert [ln.split(": UserWarning")[0] for ln in proc.stderr.splitlines()
+                if "UserWarning" in ln] == [f"{script}:9", f"{script}:10"]
 
 
 class TestDecay:
@@ -515,15 +565,6 @@ def _oracle_l2_norm(grid, f):
     return float(np.sqrt(grid.cell_volume) * np.linalg.norm(f))
 
 
-def _oracle_h1_seminorm(grid, f):
-    v = grid.reshape(f)
-    total = 0.0
-    for axis in range(grid.dim):
-        d = np.diff(v, axis=axis) / grid.h
-        total += float(np.sum(d * d))
-    return float(np.sqrt(grid.cell_volume * total))
-
-
 def _oracle_energy(u, op):
     """The pair term from w = K*(1-2u) = kbar - 2 W u, as h^dim/2 (kbar + w) . u."""
     grid = op.grid
@@ -541,7 +582,7 @@ def _oracle_sample(rec, t, u, op, clamp_events, ref):
     rec.min_u.append(float(np.min(u)))
     rec.max_u.append(float(np.max(u)))
     rec.l2_norm.append(_oracle_l2_norm(rec.grid, u))
-    rec.h1_seminorm.append(_oracle_h1_seminorm(rec.grid, u))
+    rec.h1_seminorm.append(oracle_h1_seminorm(rec.grid, u))
     rec.energy.append(_oracle_energy(u, op))
     rec.dist_to_ref.append(_oracle_l2_norm(rec.grid, u - ref) if ref is not None
                            else float("nan"))
