@@ -216,9 +216,22 @@ _INITIALS = {
 }
 
 
+# the keys whose values a constant or cosine datum is computed from; a random
+# datum checks its bounds as it is drawn, and a dump its nodes as it is read
+_FORMULA_KEYS = {"constant": ("value",), "cosine": ("value", "amplitude")}
+
+
 def build_initial(cfg: dict, grid: Grid, section: str = "init") -> np.ndarray:
-    """The initial datum of ``section`` (init or init2), built by its kind."""
-    return _INITIALS[cfg[f"{section}.kind"]](cfg, grid, section)
+    """The initial datum of ``section`` (init or init2), built by its kind;
+    a non-finite entry is an error that names the section's keys."""
+    kind = cfg[f"{section}.kind"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = _INITIALS[kind](cfg, grid, section)
+    if not np.isfinite(u0).all():
+        keys = " and ".join(f"{section}.{k} = {cfg[f'{section}.{k}']:g}"
+                            for k in _FORMULA_KEYS[kind])
+        raise ValueError(f"{keys} must give a finite datum")
+    return u0
 
 
 @dataclass
@@ -289,7 +302,9 @@ def execute(cfg: dict, out_dir, command: str,
     init2.seed = s + 1; the echoed configuration records both.  A failure
     before the command (the scenario, the kernel constants) is reported as
     a configuration error and one inside it as an abort, both with status
-    2; every report ends with its ``warning: <message>`` lines and the resolved configuration.
+    2, and so is an array too large to allocate in either phase; every
+    report ends with its ``warning: <message>`` lines and the resolved
+    configuration.
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command: {command!r}")
@@ -320,7 +335,7 @@ def execute(cfg: dict, out_dir, command: str,
             failure = "aborted"
             _COMMANDS[command](cfg, scen, out, report)
             status = 1 if report.failures else 0
-        except (SolverError, ValueError) as exc:
+        except (SolverError, ValueError, MemoryError) as exc:
             report.add(f"{failure}: {exc}")
             status = 2
     for w in caught:

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -64,14 +65,6 @@ reaction.preset = balanced_cubic
 equilibrium.seed_values = 0,0.5,1
 """
 
-
-def _cli_process(*args: str) -> subprocess.CompletedProcess:
-    """``python -m nlch.cli *args`` in a process of its own, on the package under test."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(nlch.cli.__file__).parents[1]),
-                                                      env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "nlch.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=60)
 
 
 def _dump_bytes(dim: int, n: int, length: float, values: np.ndarray, t: float = 0.0) -> bytes:
@@ -396,11 +389,6 @@ class TestOtherCommands:
         assert report.count("iterations = 1,") == 3
         assert len(list((tmp_path / "eq").glob("equilibrium_*.nlch"))) == 3
 
-    def test_pair_command_needs_init2(self, tmp_path):
-        status = execute(parse_config(OONO_CFG), tmp_path / "p", command="pair")
-        assert status == 2
-        assert "init2" in (tmp_path / "p" / "report.txt").read_text()
-
     def test_pair_command(self, tmp_path):
         status = execute(parse_config(OONO_CFG + INIT2), tmp_path / "p", command="pair")
         assert status == 0
@@ -439,19 +427,6 @@ class TestOtherCommands:
         assert "[PASS] phase bounds" in checks and "[PASS] mass identity" in checks
         assert (tmp_path / "p" / "report.txt").read_text().split("\n\n")[2].startswith(
             checks + "\ninitial distance = ")
-
-    @pytest.mark.parametrize("section", ["init", "init2"])
-    def test_pair_with_a_datum_outside_the_bounds_writes_only_the_report(self, tmp_path,
-                                                                         section):
-        # the second datum is checked before the first state is drawn, so
-        # no snapshot of the first is written either
-        cfg = parse_config(OONO_CFG + INIT2 + "output.snapshot_every = 1\n")
-        cfg.update({f"{section}.kind": "constant", f"{section}.value": 1.5})
-        out = tmp_path / "p"
-        assert execute(cfg, out, command="pair") == 2
-        assert [p.name for p in out.iterdir()] == ["report.txt"]
-        assert "aborted: initial datum must satisfy 0 <= u <= 1 nodewise" in \
-            (out / "report.txt").read_text()
 
     def test_pair_steps_each_trajectory_once(self, tmp_path, monkeypatch):
         calls = []
@@ -510,301 +485,350 @@ trace.samples = 2
         assert "attractor dimension bound N = 1" in report
         assert "n =   1" in report and "n =   3" in report
 
-    @pytest.mark.parametrize("eps_list", ["1e-2,1e-2,1e-2", "1e-2,1e-2,1e-3"])
-    def test_remainder_command_rejects_a_repeated_eps(self, tmp_path, eps_list):
-        # repeats would pass as three points, and two distinct ones fit any line
-        text = f"""
-grid.n = 64
-kernel.c = 20
-kernel.lam = 0.05
-reaction.preset = logistic
-init.kind = cosine
-remainder.mode = 2
-remainder.t = 0.5
-remainder.eps_list = {eps_list}
-"""
-        assert execute(parse_config(text), tmp_path / "r", command="remainder") == 2
-        assert ("aborted: eps values must be distinct, 0.01 is repeated"
-                in (tmp_path / "r" / "report.txt").read_text())
-
     def test_an_unknown_command_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=re.escape("unknown command: 'jump'")):
             execute(parse_config(OONO_CFG), tmp_path / "o", command="jump")
         assert not (tmp_path / "o").exists()
 
 
+# -- the command-line contract: one row per case ---------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Case:
+    """``nlch <command>`` on ``base`` with ``edits`` (each line replaces the
+    base's line of its key) and then ``argv`` ends with ``status`` and writes
+    ``text`` to report.txt (``where = "report"``) or as its one stderr line
+    (``"stderr"``).  The output directory then holds exactly ``files``, or is
+    no directory (None).  "{tmp}" in ``edits``, ``text`` and ``argv`` is the
+    case's directory, which holds the files of ``INPUTS``.  ``warning`` is the
+    report's one ``warning:`` line, "" for none (checked in a process)."""
+    id: str
+    command: str
+    edits: str
+    status: int
+    text: str
+    where: str = "report"
+    files: tuple[str, ...] | None = ("report.txt",)
+    argv: tuple[str, ...] = ()
+    base: str = OONO_CFG
+    warning: str = ""
+
+
+RUN_FILES = ("report.txt", "series.csv", "u_final.nlch")
+NO_REPORT = {"where": "stderr", "files": None}
+
+
+def _half(dim: int, n: int, length: float = 1.0) -> bytes:
+    """The dump of the field 0.5 under this header."""
+    return _dump_bytes(dim, n, length, np.full(n ** dim, 0.5))
+
+
+# the files of every case's directory: dumps the grid or the reader rejects,
+# and a file where an output directory is asked for
+INPUTS = {
+    "header.nlch": _half(1, 64)[:20], "payload.nlch": _half(1, 64)[:-8],
+    "coarse.nlch": _half(1, 4),
+    "nan.nlch": _dump_bytes(1, 16, 1.0, np.r_[np.full(3, 0.5), np.nan, np.full(12, 0.5)]),
+    "n32.nlch": _half(1, 32), "dim2.nlch": _half(2, 8), "length2.nlch": _half(1, 64, 2.0),
+    "taken": b"not a directory",
+}
+
+CASES = [
+    Case("run_and_exit_codes", "run", "", 0, "[PASS] mass identity", files=RUN_FILES),
+    Case("bad_config", "run", "solver.dt = -1", 2,
+         "configuration error: dt must be positive and finite", base=""),
+    Case("infinite_t_end", "run", "solver.t_end = inf", 2, "t_end must be positive and finite"),
+    # the dump ends inside its header, or inside its payload
+    *[Case(f"truncated_init_file-{keep}", "run",
+           f"init.kind = file\ninit.path = {{tmp}}/{name}", 2, "truncated dump")
+      for keep, name in [(20, "header.nlch"), (-8, "payload.nlch")]],
+    Case("init_file_the_grid_rejects", "run", "init.kind = file\ninit.path = {tmp}/coarse.nlch",
+         2, "configuration error: {tmp}/coarse.nlch: n must be >= 8 per axis, got 4\n"),
+    *[Case(f"init_file_with_a_nan_node-{command}", command,
+           "grid.n = 16\ninit.kind = file\ninit.path = {tmp}/nan.nlch", 2,
+           "configuration error: {tmp}/nan.nlch: node 3 holds the non-finite value nan\n")
+      for command in ["run", "equilibrium", "trace", "remainder"]],
+    *[Case(f"bad_study_time-{id_}", command,
+           f"grid.n = 16\ntrace.n_max = 2\ntrace.samples = 1\n{line}", 2, text)
+      for id_, command, line, text in [
+          ("trace", "trace", "trace.t = 1e5",
+           "aborted: trace.t = 100000.0: t_end / dt = 1e+07 must round to a number of steps "
+           ">= 1 and <= MAX_STEPS = 1000000\n"),
+          ("remainder", "remainder", "remainder.t = 0",
+           "aborted: remainder.t = 0.0: t_end must be positive and finite, got 0.0\n"),
+          # checked before the first step, in the keys' names, not dimension_bound's T
+          ("trace_before_transient", "trace", "trace.t = 0.5",
+           "aborted: trace.t = 0.5 must be >= trace.transient = 1.0\n")]],
+    Case("zero_ortho_every", "trace", "trace.ortho_every = 0\ntrace.n_max = 2", 2,
+         "ortho_every must be >= 1"),
+    Case("empty_trace_scan-samples", "trace", "trace.samples = 0", 2,
+         "trace.samples must be >= 1"),
+    Case("empty_trace_scan-n_max", "trace", "trace.n_max = 0", 2, "n_max must be >= 1"),
+    # 30 directions swept once per 50 steps: the weakest stretch factors fall
+    # more than 14 decades below the leading one before the first sweep
+    Case("frame_rank_loss", "trace", "solver.record_every = 50\ntrace.ortho_every = 50\n"
+         "trace.n_max = 30\ntrace.t = 2\ntrace.samples = 1", 2,
+         "aborted: tangent frame lost rank (stretching factors span more than 14 decades "
+         "between sweeps; tighten ortho_every)"),
+    # a kernel this strong overshoots [0, 1] by O(dt) on 128 nodes
+    Case("bound_excursion", "run", "grid.n = 128\nkernel.c = 160\nkernel.lam = 0.05\n"
+         "reaction.preset = none\nsolver.dt = 1e-5\nsolver.t_end = 0.01\n"
+         "solver.record_every = 100\ninit.kind = random\ninit.lo = 0.1\ninit.hi = 0.9\n"
+         "init.seed = 1", 2, "aborted: phase bound excursion 1.751e-06 exceeds 1e-08 at "
+         "t = 0.00762: reduce dt or refine the grid\n", base=""),
+    # two distances fit a line exactly, and one makes the fit singular; the
+    # count is known before the first step, so nothing is stepped or written
+    *[Case(f"pair_too_short_to_judge_linearity-{id_}", "pair",
+           f"grid.n = 16\nsolver.t_end = {t_end}\nsolver.record_every = 1", 2,
+           f"aborted: {kept} recorded distances after the first quarter, need >= 3 to judge "
+           "linearity: raise solver.t_end or lower solver.record_every", base=OONO_CFG + INIT2)
+      for id_, t_end, kept in [("two_dt", 0.02, 2), ("one_dt", 0.01, 1)]],
+    Case("pair_command_needs_init2", "pair", "", 2,
+         "aborted: pair command needs an init2 section"),
+    # the second datum is checked before the first state is drawn, so no
+    # snapshot of the first is written either
+    *[Case(f"pair_with_a_datum_outside_the_bounds-{s}", "pair",
+           f"output.snapshot_every = 1\n{s}.kind = constant\n{s}.value = 1.5", 2,
+           "aborted: initial datum must satisfy 0 <= u <= 1 nodewise", base=OONO_CFG + INIT2)
+      for s in ["init", "init2"]],
+    # repeats would pass as three points, and two distinct ones fit any line
+    *[Case(f"remainder_repeated_eps-{eps}", "remainder", "grid.n = 64\nkernel.c = 20\n"
+           "kernel.lam = 0.05\nreaction.preset = logistic\ninit.kind = cosine\n"
+           f"remainder.mode = 2\nremainder.t = 0.5\nremainder.eps_list = {eps}", 2,
+           "aborted: eps values must be distinct, 0.01 is repeated", base="")
+      for eps in ["1e-2,1e-2,1e-2", "1e-2,1e-2,1e-3"]],
+    Case("run_without_reaction_checks_the_energy", "run", "reaction.preset = none", 0,
+         "[PASS] energy monotone (g = 0): max energy increment = ", files=RUN_FILES),
+    Case("pair_of_equal_data_coincides", "pair", "init2.seed = 7", 0,
+         "initial distance = 0, final distance = 0\ndistance hit zero; trajectories coincide",
+         files=("pair_distance.csv", *RUN_FILES), base=OONO_CFG + INIT2),
+    # the datum is constant: the bad bound is met only by the command's random seeds
+    Case("equilibrium_random_seed_with_nan_bound", "equilibrium",
+         "equilibrium.random_seeds = 1\ninit.lo = nan", 2,
+         "aborted: init.lo = nan and init.hi = 1 must be finite", base=EQ_CFG),
+    # the square of the amplitude underflows: the r2 solve runs on B / s^2
+    Case("tiny_kernel_amplitude_runs", "run", "kernel.c = 1e-200", 0, "r2_est = 1.30456e-200,",
+         files=RUN_FILES),
+    *[Case(f"command_ends_without_a_runtime_warning-{id_}", command, lines, status, text,
+           files=files)
+      for id_, command, lines, status, text, files in [
+          # the residual norm of an early iterate overflows; u = 0 is certified
+          ("equilibrium_sigma_huge", "equilibrium",
+           "grid.n = 16\nreaction.sigma = 1e308\nequilibrium.seed_values = 0.3", 0,
+           "[PASS] equilibrium 0 certified: residual = 0.000e+00, mass = 0,",
+           ("equilibrium_00.nlch", "report.txt")),
+          # the sweep's pseudo-time 1 / (sigma + EQ_SHIFT) is subnormal
+          ("equilibrium_tau_subnormal", "equilibrium", "grid.n = 16\nreaction.sigma = 1.7e308",
+           0,
+           "[PASS] equilibrium 0 certified: residual = 0.000e+00, mass = 0,",
+           ("equilibrium_00.nlch", "report.txt")),
+          # eps = 0.1 and 0.03 lift the datum above 1: two points lie on any line
+          ("remainder_two_eps", "remainder",
+           "grid.n = 64\nreaction.preset = logistic\ninit.kind = constant\ninit.value = 0.995\n"
+           "remainder.eps_list = 1e-1,3e-2,1e-3,3e-4\nremainder.t = 0.2", 2,
+           "aborted: fewer than 3 usable eps values after bound checks", ("report.txt",)),
+          # a subnormal width: the 2D Toeplitz factor's quotient overflows to -inf
+          ("gaussian_2d_lam_subnormal", "run", "grid.n = 16\ngrid.dim = 2\nkernel.lam = 1e-310",
+           0,
+           "[PASS] mass identity", RUN_FILES)]],
+    # parse_config rejects it, before any output exists
+    Case("negative_random_seeds", "equilibrium", "equilibrium.random_seeds = -3", 2,
+         "key 'equilibrium.random_seeds' needs a non-negative int, got '-3'", base=EQ_CFG,
+         **NO_REPORT),
+    Case("seed_outside_phase_bounds", "equilibrium", "equilibrium.seed_values = 1.5,-2", 2,
+         "equilibrium seed must satisfy 0 <= u <= 1", base=EQ_CFG),
+    # the datum is out of range, not the perturbations u0 + eps d: the one
+    # failure line is the datum's, not a count of usable eps values
+    Case("remainder_datum_outside_the_bounds", "remainder", "init.kind = constant\n"
+         "init.value = 1.2", 2, "aborted: initial datum must satisfy 0 <= u <= 1 nodewise, got "
+         "values in [1.2, 1.2]"),
+    # at n = 16, mode 20 would be mode 12 negated, mode -3 mode 3, and mode 16
+    # a round-off vector that the remainder study normalizes
+    Case("mode_outside_the_grid-init", "run", "grid.n = 16\ninit.kind = cosine\ninit.mode = 20",
+         2, "configuration error: init.mode = 20: mode indices (20,) must lie in [0, 15]"),
+    Case("mode_outside_the_grid-init2", "pair",
+         "grid.n = 16\ninit2.kind = cosine\ninit2.mode = -3", 2,
+         "configuration error: init2.mode = -3: mode indices (-3,) must lie in [0, 15]"),
+    Case("mode_outside_the_grid-remainder", "remainder", "grid.n = 16\nremainder.mode = 16", 2,
+         "aborted: remainder.mode = 16: mode indices (16,) must lie in [0, 15]"),
+    *[Case(f"invalid_kernel_or_solver_value-{id_}", "run", line, 2, text)
+      for id_, line, text in [
+          ("lam_inf", "kernel.lam = inf", "gaussian width lam must be finite and positive"),
+          ("dt_negative", "solver.dt = -0.1", "dt must be positive and finite"),
+          ("dt_zero", "solver.dt = 0", "dt must be positive and finite"),
+          ("t_end_negative", "solver.t_end = -1", "t_end must be positive and finite"),
+          ("grid_dim_3", "grid.dim = 3",
+           "configuration error: unsupported dimension: 3 (must be 1 or 2)"),
+          ("grid_n_4", "grid.n = 4", "configuration error: n must be >= 8 per axis, got 4"),
+          ("random_lo_nan", "init.lo = nan",
+           "configuration error: init.lo = nan and init.hi = 0.8 must be finite"),
+          ("random_hi_inf", "init.hi = inf",
+           "configuration error: init.lo = 0.2 and init.hi = inf must be finite"),
+          ("random_reversed", "init.lo = 0.9",
+           "init.lo = 0.9 and init.hi = 0.8 must be finite, with init.lo <= init.hi")]],
+    # a value its type rejects ends at parse time, on stderr
+    Case("invalid_kernel_or_solver_value-snapshot_every_negative", "run",
+         "output.snapshot_every = -1",
+         2, "key 'output.snapshot_every' needs a non-negative int, got '-1'", **NO_REPORT),
+    *[Case(f"malformed_list_entry-{id_}-{key}", key.split(".")[0], f"{key} = {value}", 2,
+           f"key {key!r} needs a comma-separated list of finite floats, got {value!r}",
+           base=EQ_CFG, **NO_REPORT)
+      for key in ["equilibrium.seed_values", "remainder.eps_list"]
+      for id_, value in [("empty_entry", "0.3,,0.6"), ("non_numeric", "1,x,0"),
+                         ("non_finite", "0.3,nan")]],
+    *[Case(f"negative_seed-{id_}", "run", line, 2, text, argv=argv, base=OONO_CFG + INIT2,
+           **NO_REPORT)
+      for id_, argv, line, text in [
+          ("flag", ("--seed", "-3"), "", "error: --seed needs a non-negative int, got '-3'"),
+          ("flag_fraction", ("--seed", "1.5"), "",
+           "error: --seed needs a non-negative int, got '1.5'"),
+          ("init_seed", (), "init.seed = -3", "key 'init.seed' needs a non-negative int, got '-3'"),
+          ("init2_seed", (), "init2.seed = -1",
+           "key 'init2.seed' needs a non-negative int, got '-1'")]],
+    *[Case(f"unreadable_init_file-{id_}", "run", lines, 2, text)
+      for id_, lines, text in [
+          ("no_path", "init.kind = file", "init.path is not set"),
+          ("directory", "init.kind = file\ninit.path = {tmp}", "cannot be read: Is a directory"),
+          ("missing", "init.kind = file\ninit.path = {tmp}/absent.nlch",
+           "cannot be read: No such file or directory"),
+          ("init2_no_path", "init.kind = constant\ninit2.kind = file", "init2.path is not set")]],
+    # the config's grid is 1D, n = 64, length 1 (8 x 8 has as many nodes)
+    *[Case(f"init_file_on_another_grid-{id_}", "run",
+           f"init.kind = file\ninit.path = {{tmp}}/{id_}{suffix}.nlch", 2,
+           "init.path field does not match the configured grid")
+      for id_, suffix in [("n", "32"), ("dim", "2"), ("length", "2")]],
+    # the file "taken" is kept as it is
+    *[Case(f"output_directory_not_creatable-{id_}", "run", "", 2,
+           "error: cannot create output directory", argv=("--out", f"{{tmp}}/{out}"),
+           **NO_REPORT)
+      for id_, out in [("file", "taken"), ("under_file", "taken/sub")]],
+    Case("missing_config", "run", "", 2, "No such file or directory",
+         argv=("--config", "{tmp}/nope.cfg"), **NO_REPORT),
+    Case("seed_flag", "run", "", 0, "seed = 123", files=RUN_FILES, argv=("--seed", "123")),
+    # a key that was removed is unknown: main exits 2 naming it
+    *[Case(f"removed_key-{key}", "equilibrium", f"{key} = {value}", 2, f"unknown key {key!r}",
+           **NO_REPORT)
+      for key, value in [("equilibrium.eps_schedule", "1,0"), ("equilibrium.damping", "0.5"),
+                         ("equilibrium.max_iter", "10")]],
+    # a constant or cosine datum with a non-finite node names its keys
+    Case("non_finite_datum-init", "run", "init.kind = constant\ninit.value = nan", 2,
+         "configuration error: init.value = nan must give a finite datum\n"),
+    Case("non_finite_datum-init2", "pair", "init2.kind = cosine\ninit2.value = 1e308\n"
+         "init2.amplitude = 1e308", 2, "configuration error: init2.value = 1e+308 and "
+         "init2.amplitude = 1e+308 must give a finite datum\n", base=OONO_CFG + INIT2),
+]
+
+# rows whose checks read the process's own stdout and stderr: LAPACK writes to
+# stdout, warnings go to stderr, and a run of 2e300 steps would not return
+PROCESS_CASES = [
+    *[Case(f"value_at_the_float_range-{id_}", "run", "grid.n = 16\n" + lines, 2,
+           "configuration error: " + text)
+      for id_, lines, text in [
+          ("length_tiny", "grid.length = 1e-300",
+           "length must be positive and finite, with (length / n)^2"),
+          ("length_huge", "grid.length = 1e300",
+           "length must be positive and finite, with (length / n)^2"),
+          ("amplitude_huge", "kernel.c = 1e308", "kernel amplitude c = 1e+308 is too large"),
+          ("row_sums_overflow", "kernel.c = 1e308\nkernel.lam = 1e300",
+           "kernel amplitude c = 1e+308 is too large: its weights or their row sums kbar "
+           "overflow"),
+          ("hcut_tiny", "kernel.family = mollifier\nkernel.hcut = 1e-300",
+           "mollifier cutoff hcut = 1e-300 must have hcut^2 a finite normal float"),
+          ("hcut_huge", "kernel.family = mollifier\nkernel.hcut = 1e300",
+           "mollifier cutoff hcut = 1e+300 must have hcut^2 a finite normal float"),
+          ("dt_tiny", "solver.dt = 1e-300",
+           "t_end / dt = 2e+300 must round to a number of steps")]],
+    Case("warning_goes_to_the_report", "run", "grid.n = 16\ninit.kind = constant\n"
+         "init.value = 0\nsolver.t_end = 0.05", 0, "steps = 5, t_end = 0.05, ", files=RUN_FILES,
+         base="", warning="warning: mean(u0) = 0.0 is a pure phase and the reaction does not "
+         "move mass there; the run will remain stationary"),
+    Case("horizon_off_the_step_grid_warns_in_the_report", "run",
+         "grid.n = 16\nsolver.dt = 0.3\nsolver.t_end = 1.0", 0, "steps = 3, t_end = 0.9, ",
+         files=RUN_FILES, warning="warning: t_end = 1.0 is not a whole number of steps of "
+         "dt = 0.3: the run takes 3 steps and ends at t = 0.9"),
+    # the 2D Gaussian's product of two factors of shape (2n - 1, 2n - 1)
+    Case("array_too_large_to_allocate", "run", "grid.dim = 2\ngrid.n = 100000", 2,
+         "configuration error: Unable to allocate 298. GiB for an array with shape "
+         "(199999, 199999)"),
+]
+
+# the address space of a case's process: far below what the row above asks
+# for, so that it fails in the process whatever the machine's overcommit policy
+PROCESS_AS_BYTES = 4 << 30
+
+
+def _cli_process(*args: str) -> subprocess.CompletedProcess:
+    """``python -m nlch.cli *args`` in a process of its own, on the package
+    under test, with its address space capped at ``PROCESS_AS_BYTES``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(nlch.cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (PROCESS_AS_BYTES, PROCESS_AS_BYTES))
+
+    return subprocess.run([sys.executable, "-m", "nlch.cli", *args], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _prepare(tmp_path: Path, case: Case) -> tuple[list[str], Path, str]:
+    """Write the case's inputs; return its argv, its output directory and
+    its expected text."""
+    for name, data in INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    edits = case.edits.replace("{tmp}", str(tmp_path)).splitlines()
+    keys = {ln.split(" = ")[0] for ln in edits}
+    kept = [ln for ln in case.base.splitlines() if ln.split(" = ")[0] not in keys]
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text("\n".join(kept + edits) + "\n")
+    out = tmp_path / "o"
+    argv = [case.command, "--config", str(cfg_path), "--out", str(out),
+            *(a.replace("{tmp}", str(tmp_path)) for a in case.argv)]
+    return argv, out, case.text.replace("{tmp}", str(tmp_path))
+
+
+def _listing(out: Path) -> tuple[str, ...] | None:
+    return tuple(sorted(p.name for p in out.iterdir())) if out.is_dir() else None
+
+
 class TestMain:
-    def test_cli_run_and_exit_codes(self, tmp_path):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(OONO_CFG)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "series.csv").exists()
-
-    def test_cli_bad_config_returns_2(self, tmp_path):
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("solver.dt = -1\n")
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-
-    def test_cli_infinite_t_end_returns_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "inf.cfg"
-        cfg_path.write_text(OONO_CFG.replace("solver.t_end = 2.0", "solver.t_end = inf"))
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert "t_end must be positive and finite" in (out / "report.txt").read_text()
-
-    @pytest.mark.parametrize("keep", [20, -8])   # inside the header, inside the payload
-    def test_cli_truncated_init_file_returns_2(self, tmp_path, capsys, keep):
-        dump = tmp_path / "ic.nlch"
-        write_field(dump, build_grid(1, 64, 1.0), np.full(64, 0.5), 0.0)
-        dump.write_bytes(dump.read_bytes()[:keep])
-        cfg_path = tmp_path / "trunc.cfg"
-        cfg_path.write_text(OONO_CFG.replace("init.kind = random", "init.kind = file")
-                            + f"init.path = {dump}\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert "truncated dump" in (out / "report.txt").read_text()
-
-    def test_cli_init_file_the_grid_rejects_returns_2_naming_it(self, tmp_path, capsys):
-        dump = tmp_path / "coarse.nlch"
-        dump.write_bytes(_dump_bytes(1, 4, 1.0, np.full(4, 0.5)))
-        cfg_path = tmp_path / "coarse.cfg"
-        cfg_path.write_text(OONO_CFG.replace("init.kind = random", "init.kind = file")
-                            + f"init.path = {dump}\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert (f"configuration error: {dump}: n must be >= 8 per axis, got 4\n"
-                in (out / "report.txt").read_text())
-        assert not (out / "series.csv").exists()
-
-    @pytest.mark.parametrize("command", ["run", "equilibrium", "trace", "remainder"])
-    def test_cli_init_file_with_a_nan_node_returns_2_naming_it(self, tmp_path, capsys, command):
-        values = np.full(16, 0.5)
-        values[3] = np.nan
-        dump = tmp_path / "nan.nlch"
-        dump.write_bytes(_dump_bytes(1, 16, 1.0, values))
-        cfg_path = tmp_path / "nan.cfg"
-        cfg_path.write_text(OONO_CFG.replace("grid.n = 64", "grid.n = 16")
-                            .replace("init.kind = random", "init.kind = file")
-                            + f"init.path = {dump}\n")
-        out = tmp_path / "o"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert (f"configuration error: {dump}: node 3 holds the non-finite value nan\n"
-                in (out / "report.txt").read_text())
-
-    @pytest.mark.parametrize("command,line,message", [
-        ("trace", "trace.t = 1e5", "aborted: trace.t = 100000.0: t_end / dt = 1e+07 must round "
-                                   "to a number of steps >= 1 and <= MAX_STEPS = 1000000\n"),
-        ("remainder", "remainder.t = 0",
-         "aborted: remainder.t = 0.0: t_end must be positive and finite, got 0.0\n"),
-        # checked before the first step, in the keys' names, not dimension_bound's T
-        ("trace", "trace.t = 0.5", "aborted: trace.t = 0.5 must be >= trace.transient = 1.0\n"),
-    ], ids=["trace", "remainder", "trace_before_transient"])
-    def test_cli_bad_study_time_returns_2_naming_the_key(self, tmp_path, capsys, command, line,
-                                                        message):
-        cfg_path = tmp_path / "t.cfg"
-        cfg_path.write_text(OONO_CFG.replace("grid.n = 64", "grid.n = 16")
-                            + f"trace.n_max = 2\ntrace.samples = 1\n{line}\n")
-        out = tmp_path / "o"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert message in (out / "report.txt").read_text()
-
-    def test_cli_zero_ortho_every_returns_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "trace.cfg"
-        cfg_path.write_text(OONO_CFG + "trace.ortho_every = 0\ntrace.n_max = 2\n")
-        out = tmp_path / "o"
-        assert main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert "ortho_every must be >= 1" in (out / "report.txt").read_text()
-
-    @pytest.mark.parametrize("line,message", [("trace.samples = 0", "trace.samples must be >= 1"),
-                                              ("trace.n_max = 0", "n_max must be >= 1")],
-                             ids=["samples", "n_max"])
-    def test_cli_empty_trace_scan_returns_2(self, tmp_path, capsys, line, message):
-        cfg_path = tmp_path / "trace.cfg"
-        cfg_path.write_text(OONO_CFG + line + "\n")
-        out = tmp_path / "o"
-        assert main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert message in (out / "report.txt").read_text()
-
-    def test_cli_frame_rank_loss_returns_2(self, tmp_path, capsys):
-        # 30 directions swept once per 50 steps: the weakest stretch factors
-        # fall more than 14 decades below the leading one before the first sweep
-        cfg_path = tmp_path / "trace.cfg"
-        cfg_path.write_text(OONO_CFG.replace("solver.record_every = 5", "solver.record_every = 50")
-                            + "trace.ortho_every = 50\ntrace.n_max = 30\ntrace.t = 2\n"
-                            "trace.samples = 1\n")
-        out = tmp_path / "o"
-        assert main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        report = (out / "report.txt").read_text()
-        assert "aborted: tangent frame lost rank" in report
-        assert "tighten ortho_every" in report
-
+    # every warning is an error here: no row's command warns (those that do
+    # run in a process of their own)
     @pytest.mark.filterwarnings("error")
-    def test_cli_bound_excursion_returns_2(self, tmp_path, capsys):
-        # a kernel this strong overshoots [0, 1] by O(dt) on 128 nodes
-        cfg_path = tmp_path / "stiff.cfg"
-        cfg_path.write_text("grid.n = 128\nkernel.c = 160\nkernel.lam = 0.05\n"
-                            "reaction.preset = none\nsolver.dt = 1e-5\nsolver.t_end = 0.01\n"
-                            "solver.record_every = 100\ninit.kind = random\ninit.lo = 0.1\n"
-                            "init.hi = 0.9\ninit.seed = 1\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert ("aborted: phase bound excursion 1.751e-06 exceeds 1e-08 at t = 0.00762: "
-                "reduce dt or refine the grid\n") in (out / "report.txt").read_text()
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+    def test_case(self, tmp_path, capsys, case):
+        argv, out, text = _prepare(tmp_path, case)
+        assert main(argv) == case.status
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if case.where == "stderr":
+            assert err.startswith("error: ") and err.count("\n") == 1 and text in err
+        else:
+            report = (out / "report.txt").read_text()
+            assert text in report
+            # an exit 2 with a report names one failure there
+            assert sum(ln.startswith(("configuration error:", "aborted:"))
+                       for ln in report.splitlines()) == (case.status == 2)
+        assert _listing(out) == case.files
+        assert all((tmp_path / name).read_bytes() == data for name, data in INPUTS.items())
 
-    @pytest.mark.parametrize("t_end,kept", [(0.02, 2), (0.01, 1)], ids=["two_dt", "one_dt"])
-    def test_cli_pair_too_short_to_judge_linearity_returns_2(self, tmp_path, capsys,
-                                                             t_end, kept):
-        # two distances fit a line exactly, and one makes the fit singular
-        cfg_path = tmp_path / "pair.cfg"
-        cfg_path.write_text(OONO_CFG.replace("grid.n = 64", "grid.n = 16")
-                            .replace("solver.t_end = 2.0", f"solver.t_end = {t_end}")
-                            .replace("solver.record_every = 5", "solver.record_every = 1")
-                            + INIT2)
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["pair", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+    @pytest.mark.parametrize("case", PROCESS_CASES, ids=lambda case: case.id)
+    def test_case_in_a_process(self, tmp_path, case):
+        argv, out, text = _prepare(tmp_path, case)
+        proc = _cli_process(*argv)
+        assert proc.returncode == case.status
+        assert proc.stdout == ""
+        assert proc.stderr == ("" if case.status == 0 else f"nlch {case.command}: finished with "
+                               f"status {case.status} (see {out / 'report.txt'})\n")
         report = (out / "report.txt").read_text()
-        assert f"aborted: {kept} recorded distances after the first quarter" in report
-        assert "solver.t_end" in report and "solver.record_every" in report
-        # the count is known before the first step: nothing was stepped or written
-        assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
-
-    def test_cli_run_without_reaction_checks_the_energy(self, tmp_path):
-        cfg_path = tmp_path / "free.cfg"
-        cfg_path.write_text(OONO_CFG.replace("reaction.preset = oono", "reaction.preset = none"))
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert "[PASS] energy monotone (g = 0): max energy increment = " in \
-            (out / "report.txt").read_text()
-
-    def test_cli_pair_of_equal_data_coincides(self, tmp_path):
-        cfg_path = tmp_path / "same.cfg"
-        cfg_path.write_text(OONO_CFG + INIT2.replace("init2.seed = 8", "init2.seed = 7"))
-        out = tmp_path / "o"
-        assert main(["pair", "--config", str(cfg_path), "--out", str(out)]) == 0
-        report = (out / "report.txt").read_text()
-        assert "initial distance = 0, final distance = 0" in report
-        assert "distance hit zero; trajectories coincide" in report
-
-    def test_cli_equilibrium_random_seed_with_nan_bound_returns_2(self, tmp_path, capsys):
-        # the datum is constant: the bad bound is met only by the command's random seeds
-        cfg_path = tmp_path / "eq.cfg"
-        cfg_path.write_text(EQ_CFG + "equilibrium.random_seeds = 1\ninit.lo = nan\n")
-        out = tmp_path / "o"
-        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert "aborted: init.lo = nan and init.hi = 1 must be finite" in \
-            (out / "report.txt").read_text()
-
-    def test_cli_tiny_kernel_amplitude_runs(self, tmp_path, capsys):
-        # the square of the amplitude underflows: the r2 solve runs on B / s^2
-        cfg_path = tmp_path / "tiny.cfg"
-        cfg_path.write_text(OONO_CFG.replace("kernel.c = 0.05", "kernel.c = 1e-200"))
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert "Traceback" not in capsys.readouterr().err
-        assert "r2_est = 1.30456e-200," in (out / "report.txt").read_text()
-
-    @pytest.mark.parametrize("line,message", [
-        ("grid.length = 1e-300", "length must be positive and finite, with (length / n)^2"),
-        ("grid.length = 1e300", "length must be positive and finite, with (length / n)^2"),
-        ("kernel.c = 1e308", "kernel amplitude c = 1e+308 is too large"),
-        ("kernel.c = 1e308\nkernel.lam = 1e300", "kernel amplitude c = 1e+308 is too large: "
-                                                 "its weights or their row sums kbar overflow"),
-        ("kernel.family = mollifier\nkernel.hcut = 1e-300",
-         "mollifier cutoff hcut = 1e-300 must have hcut^2 a finite normal float"),
-        ("kernel.family = mollifier\nkernel.hcut = 1e300",
-         "mollifier cutoff hcut = 1e+300 must have hcut^2 a finite normal float"),
-        ("solver.dt = 1e-300", "t_end / dt = 2e+300 must round to a number of steps"),
-    ], ids=["length_tiny", "length_huge", "amplitude_huge", "row_sums_overflow", "hcut_tiny",
-            "hcut_huge", "dt_tiny"])
-    def test_cli_value_at_the_float_range_returns_2(self, tmp_path, line, message):
-        # a process of its own: LAPACK writes to the process's stdout, and a
-        # run of 2e300 steps would not return
-        keys = {ln.split(" = ")[0] for ln in line.splitlines()}
-        text = "\n".join(ln for ln in OONO_CFG.replace("grid.n = 64", "grid.n = 16").splitlines()
-                         if ln.split(" = ")[0] not in keys)
-        cfg_path = tmp_path / "far.cfg"
-        cfg_path.write_text(text + f"\n{line}\n")
-        out = tmp_path / "o"
-        proc = _cli_process("run", "--config", str(cfg_path), "--out", str(out))
-        assert proc.returncode == 2
-        for marker in ("Traceback", "Warning", "DLASCL"):
-            assert marker not in proc.stdout + proc.stderr
-        report = (out / "report.txt").read_text()
-        assert f"configuration error: {message}" in report
-        # execute writes the warnings it records here, not to stderr
-        assert "warning:" not in report
-        # a configuration error's report ends with the resolved configuration too
-        assert report.endswith("resolved configuration:\n"
-                               + echo(parse_config(cfg_path.read_text())) + "\n")
-        assert not (out / "series.csv").exists()
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command,lines,status,message", [
-        # the residual norm of an early iterate overflows; u = 0 is certified
-        ("equilibrium", "reaction.sigma = 1e308\nequilibrium.seed_values = 0.3", 0,
-         "[PASS] equilibrium 0 certified: residual = 0.000e+00, mass = 0,"),
-        # the sweep's pseudo-time 1 / (sigma + EQ_SHIFT) is subnormal
-        ("equilibrium", "reaction.sigma = 1.7e308", 0,
-         "[PASS] equilibrium 0 certified: residual = 0.000e+00, mass = 0,"),
-        # eps = 0.1 and 0.03 lift the datum above 1: two points lie on any line
-        ("remainder", "grid.n = 64\nreaction.preset = logistic\ninit.kind = constant\n"
-         "init.value = 0.995\nremainder.eps_list = 1e-1,3e-2,1e-3,3e-4\nremainder.t = 0.2", 2,
-         "aborted: fewer than 3 usable eps values after bound checks"),
-        # a subnormal width: the 2D Toeplitz factor's quotient overflows to -inf
-        ("run", "grid.dim = 2\nkernel.lam = 1e-310", 0, "[PASS] mass identity"),
-    ], ids=["equilibrium_sigma_huge", "equilibrium_tau_subnormal", "remainder_two_eps",
-            "gaussian_2d_lam_subnormal"])
-    def test_cli_command_ends_without_a_runtime_warning(self, tmp_path, capsys, command, lines,
-                                                       status, message):
-        # a RuntimeWarning raised as an error would escape main as a traceback
-        keys = {ln.split(" = ")[0] for ln in lines.splitlines()}
-        base = OONO_CFG.replace("grid.n = 64", "grid.n = 16")
-        text = "\n".join(ln for ln in base.splitlines() if ln.split(" = ")[0] not in keys)
-        cfg_path = tmp_path / "far.cfg"
-        cfg_path.write_text(text + f"\n{lines}\n")
-        out = tmp_path / "o"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == status
-        assert "Traceback" not in capsys.readouterr().err
-        assert message in (out / "report.txt").read_text()
-
-    def test_cli_warning_goes_to_the_report(self, tmp_path):
-        # a process of its own, so that stderr is what a user sees
-        cfg_path = tmp_path / "pure.cfg"
-        cfg_path.write_text("grid.n = 16\ninit.kind = constant\ninit.value = 0\n"
-                            "solver.t_end = 0.05\n")
-        out = tmp_path / "o"
-        proc = _cli_process("run", "--config", str(cfg_path), "--out", str(out))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-        assert ("\nwarning: mean(u0) = 0.0 is a pure phase and the reaction does not move mass "
-                "there; the run will remain stationary\n\nresolved configuration:\n") in \
-            (out / "report.txt").read_text()
-
-    def test_cli_horizon_off_the_step_grid_warns_in_the_report(self, tmp_path, capsys):
-        cfg_path = tmp_path / "horizon.cfg"
-        cfg_path.write_text(OONO_CFG.replace("grid.n = 64", "grid.n = 16")
-                            .replace("solver.dt = 0.01", "solver.dt = 0.3")
-                            .replace("solver.t_end = 2.0", "solver.t_end = 1.0"))
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        report = (out / "report.txt").read_text()
-        assert "steps = 3, t_end = 0.9, " in report
-        assert ("\nwarning: t_end = 1.0 is not a whole number of steps of dt = 0.3: the run "
-                "takes 3 steps and ends at t = 0.9\n\nresolved configuration:\n") in report
+        assert text in report
+        # execute writes the warnings it records to the report, not to stderr,
+        # and every report ends with the resolved configuration
+        assert report.count("warning:") == bool(case.warning)
+        assert report.endswith((f"\n{case.warning}" if case.warning else "")
+                               + "\n\nresolved configuration:\n"
+                               + echo(parse_config((tmp_path / "case.cfg").read_text())) + "\n")
+        assert _listing(out) == case.files
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_warning_filtered_as_an_error_escapes_execute(self, tmp_path, monkeypatch):
@@ -814,172 +838,6 @@ class TestMain:
         monkeypatch.setitem(nlch.cli._COMMANDS, "run", warn)
         with pytest.raises(RuntimeWarning, match="probe"):
             execute(parse_config(OONO_CFG), tmp_path / "o", command="run")
-
-    def test_cli_negative_random_seeds_returns_2(self, tmp_path, capsys):
-        # parse_config rejects it, before any output exists
-        cfg_path = tmp_path / "eq.cfg"
-        cfg_path.write_text(EQ_CFG + "equilibrium.random_seeds = -3\n")
-        out = tmp_path / "o"
-        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert "key 'equilibrium.random_seeds' needs a non-negative int, got '-3'" in err
-        assert not out.exists()
-
-    def test_cli_seed_outside_phase_bounds_returns_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "eq.cfg"
-        cfg_path.write_text(EQ_CFG.replace("seed_values = 0,0.5,1", "seed_values = 1.5,-2"))
-        out = tmp_path / "o"
-        assert main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        report = (out / "report.txt").read_text()
-        assert "equilibrium seed must satisfy 0 <= u <= 1" in report
-        assert not list(out.glob("equilibrium_*.nlch"))
-
-    def test_cli_remainder_datum_outside_the_bounds_returns_2(self, tmp_path, capsys):
-        # the datum is out of range, not the perturbations u0 + eps d
-        cfg_path = tmp_path / "rem.cfg"
-        cfg_path.write_text(OONO_CFG.replace("init.kind = random",
-                                             "init.kind = constant\ninit.value = 1.2"))
-        out = tmp_path / "o"
-        assert main(["remainder", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        report = (out / "report.txt").read_text()
-        assert ("aborted: initial datum must satisfy 0 <= u <= 1 nodewise, got values in "
-                "[1.2, 1.2]") in report
-        assert "usable eps" not in report
-
-    @pytest.mark.parametrize("command,lines,message", [
-        ("run", "init.kind = cosine\ninit.mode = 20",
-         "configuration error: init.mode = 20: mode indices (20,) must lie in [0, 15]"),
-        ("pair", "init2.kind = cosine\ninit2.mode = -3",
-         "configuration error: init2.mode = -3: mode indices (-3,) must lie in [0, 15]"),
-        ("remainder", "remainder.mode = 16",
-         "aborted: remainder.mode = 16: mode indices (16,) must lie in [0, 15]"),
-    ], ids=["init", "init2", "remainder"])
-    def test_cli_mode_outside_the_grid_returns_2_naming_the_key(self, tmp_path, capsys, command,
-                                                               lines, message):
-        # at n = 16, mode 20 would be mode 12 negated, mode -3 mode 3, and
-        # mode 16 a round-off vector that the remainder study normalizes
-        keys = {ln.split(" = ")[0] for ln in lines.splitlines()}
-        base = OONO_CFG.replace("grid.n = 64", "grid.n = 16")
-        text = "\n".join(ln for ln in base.splitlines() if ln.split(" = ")[0] not in keys)
-        cfg_path = tmp_path / "mode.cfg"
-        cfg_path.write_text(text + f"\n{lines}\n")
-        out = tmp_path / "o"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert message in (out / "report.txt").read_text()
-
-    @pytest.mark.parametrize("line,message", [
-        ("kernel.lam = inf", "gaussian width lam must be finite and positive"),
-        ("solver.dt = -0.1", "dt must be positive and finite"),
-        ("solver.dt = 0", "dt must be positive and finite"),
-        ("solver.t_end = -1", "t_end must be positive and finite"),
-        ("grid.dim = 3", "configuration error: unsupported dimension: 3 (must be 1 or 2)"),
-        ("grid.n = 4", "configuration error: n must be >= 8 per axis, got 4"),
-        ("output.snapshot_every = -1",
-         "key 'output.snapshot_every' needs a non-negative int, got '-1'"),
-        ("init.lo = nan", "configuration error: init.lo = nan and init.hi = 0.8 must be finite"),
-        ("init.hi = inf", "configuration error: init.lo = 0.2 and init.hi = inf must be finite"),
-        ("init.lo = 0.9", "init.lo = 0.9 and init.hi = 0.8 must be finite, "
-                          "with init.lo <= init.hi"),
-    ], ids=["lam_inf", "dt_negative", "dt_zero", "t_end_negative", "grid_dim_3", "grid_n_4",
-            "snapshot_every_negative", "random_lo_nan", "random_hi_inf", "random_reversed"])
-    def test_cli_invalid_kernel_or_solver_value_returns_2(self, tmp_path, capsys, line,
-                                                          message):
-        key = line.split(" = ")[0]
-        text = "\n".join(ln for ln in OONO_CFG.splitlines() if not ln.startswith(key))
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(text + f"\n{line}\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        # a value its type rejects ("key ... needs a ...") ends at parse time, on
-        # stderr; one the scenario rejects ends in report.txt
-        assert message in (err if message.startswith("key ") else
-                           (out / "report.txt").read_text())
-        assert not (out / "series.csv").exists()
-
-    @pytest.mark.parametrize("key", ["equilibrium.seed_values", "remainder.eps_list"])
-    @pytest.mark.parametrize("value", ["0.3,,0.6", "1,x,0", "0.3,nan"],
-                             ids=["empty_entry", "non_numeric", "non_finite"])
-    def test_cli_malformed_list_entry_returns_2_naming_the_key(self, tmp_path, capsys, key,
-                                                                value):
-        command = key.split(".")[0]
-        text = "\n".join(ln for ln in EQ_CFG.splitlines() if not ln.startswith(key))
-        cfg_path = tmp_path / "list.cfg"
-        cfg_path.write_text(text + f"\n{key} = {value}\n")
-        out = tmp_path / "o"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert f"key {key!r} needs a comma-separated list of finite floats, got {value!r}" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("args,line,message", [
-        (["--seed", "-3"], "", "error: --seed needs a non-negative int, got '-3'"),
-        (["--seed", "1.5"], "", "error: --seed needs a non-negative int, got '1.5'"),
-        ([], "init.seed = -3", "key 'init.seed' needs a non-negative int, got '-3'"),
-        ([], "init2.seed = -1", "key 'init2.seed' needs a non-negative int, got '-1'"),
-    ], ids=["flag", "flag_fraction", "init_seed", "init2_seed"])
-    def test_cli_negative_seed_returns_2_naming_it(self, tmp_path, capsys, args, line, message):
-        text = "\n".join(ln for ln in (OONO_CFG + INIT2).splitlines()
-                         if not (line and ln.startswith(line.split(" = ")[0])))
-        cfg_path = tmp_path / "seed.cfg"
-        cfg_path.write_text(text + f"\n{line}\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)] + args) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert message in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("lines,message", [
-        ("init.kind = file", "init.path is not set"),
-        ("init.kind = file\ninit.path = {tmp}", "cannot be read: Is a directory"),
-        ("init.kind = file\ninit.path = {tmp}/absent.nlch",
-         "cannot be read: No such file or directory"),
-        ("init2.kind = file", "init2.path is not set"),
-    ], ids=["no_path", "directory", "missing", "init2_no_path"])
-    def test_cli_unreadable_init_file_returns_2(self, tmp_path, capsys, lines, message):
-        text = OONO_CFG.replace("init.kind = random\n", "")
-        cfg_path = tmp_path / "file.cfg"
-        cfg_path.write_text(text + lines.format(tmp=tmp_path) + "\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert message in (out / "report.txt").read_text()
-        assert not (out / "series.csv").exists()
-
-    @pytest.mark.parametrize("dump_grid", [(1, 32, 1.0), (2, 8, 1.0), (1, 64, 2.0)],
-                             ids=["n", "dim", "length"])
-    def test_cli_init_file_on_another_grid_returns_2(self, tmp_path, capsys, dump_grid):
-        # the config's grid is 1D, n = 64, length 1 (8 x 8 has as many nodes)
-        grid = build_grid(*dump_grid)
-        dump = tmp_path / "ic.nlch"
-        write_field(dump, grid, np.full(grid.num_nodes, 0.5), 0.0)
-        cfg_path = tmp_path / "file.cfg"
-        cfg_path.write_text(OONO_CFG.replace("init.kind = random", "init.kind = file")
-                            + f"init.path = {dump}\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert "init.path field does not match the configured grid" in \
-            (out / "report.txt").read_text()
-        assert not (out / "series.csv").exists()
-
-    @pytest.mark.parametrize("out_name", ["taken", "taken/sub"], ids=["file", "under_file"])
-    def test_cli_output_directory_not_creatable_returns_2(self, tmp_path, capsys, out_name):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(OONO_CFG)
-        (tmp_path / "taken").write_text("not a directory")
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out_name)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.count("\n") == 1 and err.startswith("error: cannot create output directory")
-        assert (tmp_path / "taken").read_text() == "not a directory"
 
     def test_cli_seed_run_reproduced_from_its_report(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -1033,17 +891,6 @@ class TestMain:
                     "equilibrium.max_iter"):
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 parse_config(f"{key} = 1")
-
-    def test_cli_missing_config_returns_2(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
-
-    def test_cli_seed_flag(self, tmp_path):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(OONO_CFG)
-        out = tmp_path / "s"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out),
-                     "--seed", "123"]) == 0
-        assert "seed = 123" in (out / "report.txt").read_text()
 
 
 # -- config fuzz: main ends in 0, 1 or 2 and never raises ------------------------

@@ -493,7 +493,9 @@ class TestTraceEstimates:
         cfg = SolverConfig(dt=0.3, t_end=1.0)
         message = ("no evaluation times fell inside [transient, T] = [1, 1]; the run of 3 "
                    "steps of dt = 0.3 ends at t = 0.9: increase T or lower record_every")
-        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        # the run warns where it ends as the first state is drawn
+        with (pytest.warns(UserWarning, match=re.escape("takes 3 steps and ends at t = 0.9")),
+              pytest.raises(ValueError, match="^" + re.escape(message) + "$")):
             dimension_bound(np.full(grid.num_nodes, 0.5), 1, 1.0, spec, null_op, cfg,
                             transient=1.0)
 
