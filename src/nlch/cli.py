@@ -244,15 +244,20 @@ class Scenario:
 
 
 def build_scenario(cfg: dict) -> Scenario:
+    """The scenario a configuration describes; an array too large to allocate
+    is a ValueError that names the grid keys which sized it."""
     grid = build_grid(cfg["grid.dim"], cfg["grid.n"], cfg["grid.length"])
-    return Scenario(
-        op=assemble_kernel(_KERNELS[cfg["kernel.family"]](cfg), grid),
-        spec=_REACTIONS[cfg["reaction.preset"]](cfg, grid),
-        solver_cfg=SolverConfig(dt=cfg["solver.dt"], t_end=cfg["solver.t_end"],
-                                record_every=cfg["solver.record_every"]),
-        u0=build_initial(cfg, grid, "init"),
-        u0_second=build_initial(cfg, grid, "init2") if cfg["init2.kind"] else None,
-    )
+    try:
+        return Scenario(
+            op=assemble_kernel(_KERNELS[cfg["kernel.family"]](cfg), grid),
+            spec=_REACTIONS[cfg["reaction.preset"]](cfg, grid),
+            solver_cfg=SolverConfig(dt=cfg["solver.dt"], t_end=cfg["solver.t_end"],
+                                    record_every=cfg["solver.record_every"]),
+            u0=build_initial(cfg, grid, "init"),
+            u0_second=build_initial(cfg, grid, "init2") if cfg["init2.kind"] else None,
+        )
+    except MemoryError as exc:
+        raise ValueError(f"grid.dim = {grid.dim}, grid.n = {grid.n}: {exc}") from None
 
 
 # -- output writers -------------------------------------------------------------

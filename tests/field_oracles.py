@@ -1,40 +1,93 @@
 """
-Oracles for the field path of a time step: the bodies of
-``grid.laplacian_neumann``, ``grid.div_flux``, ``SpdNeumannSolver.solve``
-and ``_residual`` as they were before a 1D field skipped their reshapes, the
-step built its right-hand side in place and the residual skipped its product
-by a unit mass coefficient.  They are kept verbatim, except that the solve
-and its residual take the live solver as ``self`` and call the oracle bodies
-here, and that the residual, written for (a I - b Lap), is the same body for
-(I - tau Lap): a = 1 and b = tau.  ``model.potential`` is pinned to its
-plain numpy form: each log of an argument floored at the smallest
-subnormal, so that 0 log 0 = 0, and NaN outside [0, 1].  The new bodies must
-keep every bit.  The H1 seminorm oracle and the two comparison helpers,
-``bits`` and ``rel_max_error``, are shared by several test modules.
+The past bodies of the operations whose rewrites kept every bit, each
+operation's side by side, the cases and the comparison helpers that the
+test modules share.  A bit-preserving rewrite adds its previous body here,
+beside its operation's others, and at most one case to that operation's one
+test in ``test_bit_identity.py``.  The bodies are verbatim, except that the
+solve and its residual take the live solver as ``self`` and call the bodies
+here, and that the residual, written for (a I - b Lap), serves
+(I - tau Lap): a = 1 and b = tau.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlch._cores import dctn, idctn
-from nlch.grid import Grid, _face_slices
+from nlch.grid import Grid, _face_slices, build_grid, check_field
+from nlch.model import potential
 from nlch.solvers import BACKWARD_ERROR_TOL, SolverError, _column_norms
 
 
-def oracle_laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float)      # the in-place flux needs a float difference
-    vf = f.reshape((grid.n,) * grid.dim + f.shape[1:])
-    out = np.zeros(vf.shape)
-    scale = 0.5 / grid.h**2
-    for lo, hi in _face_slices(grid.dim):
-        flux = vf[hi] - vf[lo]
-        flux += flux
-        flux *= scale
-        out_lo, out_hi = out[lo], out[hi]
-        out_lo += flux
-        out_hi -= flux
-    return out.reshape(f.shape)
+# -- the grid helpers: the per-dimension bodies that one formula replaced ------
+
+def oracle_coords(grid: Grid) -> np.ndarray:
+    x = grid.axis_coords()
+    if grid.dim == 1:
+        return x[:, None]
+    x0, x1 = np.meshgrid(x, x, indexing="ij")
+    return np.column_stack([x0.ravel(), x1.ravel()])
+
+
+def oracle_reshape(grid: Grid, f: np.ndarray) -> np.ndarray:
+    if grid.dim == 1:
+        return f.reshape(grid.n)
+    return f.reshape(grid.n, grid.n)
+
+
+def oracle_laplacian_eigenvalues(grid: Grid) -> np.ndarray:
+    k = np.arange(grid.n)
+    lam = (2.0 - 2.0 * np.cos(np.pi * k / grid.n)) / grid.h**2
+    if grid.dim == 1:
+        return lam
+    return (lam[:, None] + lam[None, :]).ravel()
+
+
+def oracle_neumann_mode(grid: Grid, modes) -> np.ndarray:
+    if isinstance(modes, int):
+        modes = (modes,)
+    x = np.arange(grid.n) + 0.5
+    axes = [np.cos(k * np.pi * x / grid.n) for k in modes]
+    if grid.dim == 1:
+        return axes[0].copy()
+    return np.outer(axes[0], axes[1]).ravel()
+
+
+# -- the Laplacian: the ghost-padded stencil before the face flux, then the
+# face flux, which is oracle_div_flux with a unit coefficient ----------------
+
+def oracle_laplacian_ghost_padded(grid: Grid, f: np.ndarray) -> np.ndarray:
+    v = grid.reshape(f)
+    out = np.zeros_like(v)
+    for axis in range(grid.dim):
+        p = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(grid.dim)], mode="edge")
+        sl = [slice(None)] * grid.dim
+        sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
+        sl_lo[axis] = slice(0, -2)
+        sl_mid[axis] = slice(1, -1)
+        sl_hi[axis] = slice(2, None)
+        out += (p[tuple(sl_lo)] - 2.0 * p[tuple(sl_mid)] + p[tuple(sl_hi)]) / grid.h**2
+    return out.ravel()
+
+
+# -- div_flux: the pad/take body, then the face flux before a 1D field
+# skipped its reshapes -----------------------------------------------------
+
+def oracle_div_flux_pad_take(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    va = grid.reshape(a)
+    vp = grid.reshape(p)
+    out = np.zeros_like(vp)
+    for axis in range(grid.dim):
+        a_face = 0.5 * (np.take(va, range(1, grid.n), axis=axis)
+                        + np.take(va, range(0, grid.n - 1), axis=axis))
+        dp = np.diff(vp, axis=axis) / grid.h
+        flux = a_face * dp
+        pad = [(1, 1) if ax == axis else (0, 0) for ax in range(grid.dim)]
+        flux = np.pad(flux, pad, mode="constant")          # zero boundary fluxes
+        out += np.diff(flux, axis=axis) / grid.h
+    return out.ravel()
 
 
 def oracle_div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -53,8 +106,40 @@ def oracle_div_flux(grid: Grid, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out.reshape((grid.num_nodes,) + cols)
 
 
+# -- the H1 seminorm before it dropped np.diff --------------------------------
+
+def oracle_h1_seminorm(grid: Grid, f: np.ndarray) -> float:
+    v = grid.reshape(f)
+    total = 0.0
+    for axis in range(grid.dim):
+        d = np.diff(v, axis=axis) / grid.h
+        total += float(np.sum(d * d))
+    return float(np.sqrt(grid.cell_volume * total))
+
+
+# -- the energy: its pair and bulk terms before the pair term read w, then
+# the body that computed w itself; its potential's clip changes no bit ------
+
+def oracle_energy_terms(u, op):
+    """h^dim (kbar . u - u . W u) and h^dim sum f(u)."""
+    pair = (float(op.kbar @ u) - float(u @ (op.weights @ u))) * op.grid.cell_volume
+    return pair, op.grid.cell_volume * float(np.sum(potential(u)))
+
+
+def oracle_energy(u, op):
+    """The pair term from w = K*(1-2u) = kbar - 2 W u, as h^dim/2 (kbar + w) . u."""
+    grid = op.grid
+    u = check_field(grid, u)
+    w = op.convolve(1.0 - 2.0 * u)
+    pair = 0.5 * grid.cell_volume * float((op.kbar + w) @ u)
+    bulk = grid.cell_volume * float(np.sum(oracle_potential(u)))
+    return pair + bulk
+
+
+# -- SpdNeumannSolver.solve before its residual skipped the product by a = 1 --
+
 def oracle_residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    r = oracle_laplacian_neumann(self.grid, x)
+    r = oracle_div_flux(self.grid, np.ones(self.grid.num_nodes), x)
     r *= -self.tau      # -(b / a) at a = 1
     r += x
     r *= 1.0            # the product by a = 1 that the live residual skips
@@ -87,6 +172,17 @@ def oracle_solve(self, b: np.ndarray) -> np.ndarray:
     return x
 
 
+# -- the pointwise functions: the np.where / np.clip bodies before the ufunc
+# rewrite; the potential's is this plain form after a clip that changes no
+# bit on [0, 1] (each log's argument floored at the smallest subnormal, so
+# that 0 log 0 = 0, and NaN outside [0, 1]) ----------------------------------
+
+def oracle_mobility(s):
+    s = np.asarray(s, dtype=float)
+    out = np.where((s >= 0.0) & (s <= 1.0), s * (1.0 - s), 0.0)
+    return out if out.ndim else float(out)
+
+
 def oracle_potential(s: np.ndarray | float) -> np.ndarray | float:
     s = np.asarray(s, dtype=float)
     t = 1.0 - s
@@ -95,18 +191,106 @@ def oracle_potential(s: np.ndarray | float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def oracle_h1_seminorm(grid: Grid, f: np.ndarray) -> float:
-    v = grid.reshape(f)
-    total = 0.0
-    for axis in range(grid.dim):
-        d = np.diff(v, axis=axis) / grid.h
-        total += float(np.sum(d * d))
-    return float(np.sqrt(grid.cell_volume * total))
+def oracle_reaction_eval(spec, u):
+    u = np.asarray(u, dtype=float)
+    return spec.g_fn(np.clip(u, 0.0, 1.0))
 
 
-def bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).view(np.uint64)
+def oracle_mobility_deriv(s):
+    s = np.asarray(s, dtype=float)
+    out = np.where((s >= 0.0) & (s <= 1.0), 1.0 - 2.0 * s, 0.0)
+    return out if out.ndim else float(out)
 
 
-def rel_max_error(got: np.ndarray, want: np.ndarray) -> float:
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+def oracle_reaction_deriv(spec, u):
+    u = np.asarray(u, dtype=float)
+    out = spec.dg_fn(np.clip(u, 0.0, 1.0))
+    return np.where((u >= 0.0) & (u <= 1.0), out, 0.0)
+
+
+# -- the line fits before they shared one (checks elided) ---------------------
+
+def oracle_fit_exponential_rate(times, values, window):
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    sel = (times >= window[0]) & (times <= window[1])
+    t = times[sel]
+    v = values[sel]
+    y = np.log(v)
+    slope, intercept = np.polyfit(t, y, 1)
+    fit = slope * t + intercept
+    ss_res = float(np.sum((y - fit) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return -float(slope), r2
+
+
+def oracle_linear_fit_residual_fraction(times, log_values):
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(log_values, dtype=float)
+    slope, intercept = np.polyfit(t, y, 1)
+    resid = y - (slope * t + intercept)
+    spread = max(float(np.max(y) - np.min(y)), 1e-300)
+    return float(np.max(np.abs(resid))) / spread
+
+
+# -- the comparison helpers ----------------------------------------------------
+
+def same_bits(got, want) -> bool:
+    """Same type and shape, NaN at the same entries, and the same bit pattern
+    at every other entry, the sign of zero included; a complex entry is read
+    as two words."""
+    if type(got) is not type(want) or np.shape(got) != np.shape(want):
+        return False
+    got, want = (np.ravel(x).astype(complex if np.iscomplexobj(x) else float).view(float)
+                 for x in (got, want))
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+def rel_max_error(got, want) -> float:
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+# -- the cases that two modules share -----------------------------------------
+
+# (dim, n, m[, cond]): the frame QR sweep's and householder_qr's matrices
+QR_CASES = {"1d-64-1": (1, 64, 1), "1d-64-30": (1, 64, 30), "1d-256-1": (1, 256, 1),
+            "1d-256-30": (1, 256, 30), "2d-16-30": (2, 16, 30), "1d-256-30-cond1e10":
+            (1, 256, 30, 1e10)}
+
+
+def qr_case(dim, n, m, cond=None) -> np.ndarray:
+    """m random columns on n^dim nodes, or with ``cond``, their singular values
+    spread evenly over log10(cond) decades."""
+    rng = np.random.default_rng(n + m)
+    a = rng.standard_normal((n**dim, m))
+    if cond is not None:
+        left, _ = np.linalg.qr(a)
+        right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        a = (left * np.logspace(0.0, -math.log10(cond), m)) @ right.T
+    return a
+
+
+_values = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+_coefs = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False))
+
+
+@st.composite
+def grid_and_fields(draw):
+    """A random grid (lengths 0.1 to 10), a nonnegative coefficient (zeros
+    likely) and two fields.
+
+    The coefficient and the pair of fields are each a single field (N,) or
+    a block (N, m) of m fields, with one m for both.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 64 if dim == 1 else 16))
+    length = draw(st.floats(0.1, 10.0))
+    g = build_grid(dim, n, length)
+    m = draw(st.integers(1, 3))
+    shapes = [(g.num_nodes,), (g.num_nodes, m)]
+    a = draw(hnp.arrays(float, draw(st.sampled_from(shapes)), elements=_coefs))
+    field = hnp.arrays(float, draw(st.sampled_from(shapes)), elements=_values)
+    return g, a, draw(field), draw(field)

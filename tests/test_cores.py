@@ -3,7 +3,6 @@ import, and called from ``nlch._cores`` only."""
 
 import ast
 import importlib.util
-import math
 import os
 import subprocess
 import sys
@@ -16,18 +15,13 @@ import scipy
 import scipy.fft
 from numpy._core import multiarray, umath
 from numpy.linalg import _umath_linalg
+from field_oracles import QR_CASES, qr_case, same_bits
 from scipy.fft._pocketfft import pypocketfft
 
 from nlch._cores import (_POCKETFFT, cholesky_lo, clip, correlate, dctn, householder_qr, idctn,
                          irfftn, linalg_errstate, rfftn, solve1)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nlch"
-
-
-def _bits(x):
-    """The bit patterns of a float or complex array, two words per complex entry."""
-    return np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float).view(
-        np.uint64)
 
 
 def _dct_case(dim, n, cols):
@@ -49,17 +43,6 @@ def _scipy_fft_pair(x, axes):
     shape = (2 * x.shape[0],) * len(axes)
     spectrum = scipy.fft.rfftn(x, s=shape, axes=axes)
     return spectrum, scipy.fft.irfftn(spectrum, s=shape, axes=axes)
-
-
-def _qr_case(dim, n, m, cond=None):
-    rng = np.random.default_rng(n + m)
-    a = rng.standard_normal((n**dim, m))
-    if cond is not None:
-        # singular values spread evenly over log10(cond) decades
-        left, _ = np.linalg.qr(a)
-        right, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        a = (left * np.logspace(0.0, -math.log10(cond), m)) @ right.T
-    return (a,)
 
 
 def _core_dct_pair(x, axes):
@@ -161,10 +144,7 @@ PINS = {
                 {"-".join(map(str, (f"{dim}d", n) + cols)): (dim, n, cols)
                  for dim, sizes in ((1, (512, 600)), (2, (24, 64))) for n in sizes
                  for cols in ((), (3,))}),
-    "householder_qr": (_core_qr, _numpy_qr, _qr_case,
-                       {"1d-64-1": (1, 64, 1), "1d-64-30": (1, 64, 30),
-                        "1d-256-1": (1, 256, 1), "1d-256-30": (1, 256, 30),
-                        "2d-16-30": (2, 16, 30), "1d-256-30-cond1e10": (1, 256, 30, 1e10)}),
+    "householder_qr": (_core_qr, _numpy_qr, lambda *case: (qr_case(*case),), QR_CASES),
     "cholesky_lo": (_core_cholesky, lambda gram, rhs: (np.linalg.cholesky(gram),), _gram_case,
                     GRAM_CASES),
     "solve1": (_core_solve, lambda gram, rhs: (np.linalg.solve(gram, rhs),), _gram_case,
@@ -185,7 +165,7 @@ def test_core_is_its_public_twin_bit_for_bit(core, twin, build, case):
     got, want = core(*args), twin(*args)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert np.array_equal(_bits(g), _bits(w))
+        assert same_bits(g, w)
 
 
 @pytest.mark.parametrize("core,twin,args", [

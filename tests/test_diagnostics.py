@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from field_oracles import oracle_energy_terms
 
 from nlch.diagnostics import (
     TrajectoryRecord,
@@ -123,13 +124,6 @@ class TestEnergy:
             energy(u, op, w)
 
 
-def _oracle_energy_terms(u, op):
-    """The pair and bulk terms of the energy before it read the pair term
-    from w: h^dim (kbar . u - u . W u) and h^dim sum f(u)."""
-    pair = (float(op.kbar @ u) - float(u @ (op.weights @ u))) * op.grid.cell_volume
-    return pair, op.grid.cell_volume * float(np.sum(potential(u)))
-
-
 ENERGY_CASES = {
     "1d-gaussian": (1, 256, gaussian_kernel(0.05, 0.05)),
     "1d-mollifier": (1, 256, mollifier_kernel(0.05, 0.2)),
@@ -148,7 +142,7 @@ class TestEnergyFromW:
         u = np.random.default_rng(n).uniform(0.1, 0.9, op.grid.num_nodes)
         e = energy(u, op)
         assert energy(u, op, op.convolve(1.0 - 2.0 * u)) == e
-        pair, bulk = _oracle_energy_terms(u, op)
+        pair, bulk = oracle_energy_terms(u, op)
         assert abs(e - (pair + bulk)) <= 1e-13 * (abs(pair) + abs(bulk))
 
     def test_a_sample_reads_the_states_w(self, grid, op, monkeypatch):
@@ -213,46 +207,6 @@ class TestRateFitting:
         t = np.linspace(0, 5, 50)
         assert linear_fit_residual_fraction(t, -2 * t + 1) < 1e-12
         assert linear_fit_residual_fraction(t, -(t**2)) > 0.05
-
-
-def _oracle_fit_exponential_rate(times, values, window):
-    """The rate fit before it shared a line fit, kept verbatim (checks elided)."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    sel = (times >= window[0]) & (times <= window[1])
-    t = times[sel]
-    v = values[sel]
-    y = np.log(v)
-    slope, intercept = np.polyfit(t, y, 1)
-    fit = slope * t + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return -float(slope), r2
-
-
-def _oracle_linear_fit_residual_fraction(times, log_values):
-    """The residual fraction before it shared a line fit, kept verbatim."""
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(log_values, dtype=float)
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = y - (slope * t + intercept)
-    spread = max(float(np.max(y) - np.min(y)), 1e-300)
-    return float(np.max(np.abs(resid))) / spread
-
-
-class TestSharedLineFit:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_fits_equal_their_old_bodies_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        t = np.sort(rng.uniform(0.0, 10.0, 40))
-        values = np.exp(-rng.uniform(0.1, 3.0) * t + 0.3 * rng.standard_normal(40))
-        window = (2.0, 9.0)
-        assert fit_exponential_rate(t, values, window) == \
-            _oracle_fit_exponential_rate(t, values, window)
-        log_values = np.log(values)
-        assert linear_fit_residual_fraction(t, log_values) == \
-            _oracle_linear_fit_residual_fraction(t, log_values)
 
 
 class TestMassBalance:

@@ -748,8 +748,8 @@ PROCESS_CASES = [
          "dt = 0.3: the run takes 3 steps and ends at t = 0.9"),
     # the 2D Gaussian's product of two factors of shape (2n - 1, 2n - 1)
     Case("array_too_large_to_allocate", "run", "grid.dim = 2\ngrid.n = 100000", 2,
-         "configuration error: Unable to allocate 298. GiB for an array with shape "
-         "(199999, 199999)"),
+         "configuration error: grid.dim = 2, grid.n = 100000: Unable to allocate 298. GiB for "
+         "an array with shape (199999, 199999)"),
 ]
 
 # the address space of a case's process: far below what the row above asks

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from field_oracles import rel_max_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
@@ -372,10 +373,6 @@ def _dense_constants(grid, w):
     return w.sum(axis=1), r2, (absw + gmag).sum(axis=1), k2_sup
 
 
-def _relative(a, b):
-    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
-
-
 # 1D n = 512 and 2D 24 x 24 lie above DENSE_MAX_NODES, so their r2 solve
 # runs on the FFT apply.  On the last two, the top eigenvectors of
 # W (I - Lap) W are odd under a reflection of the box, so a solve started
@@ -408,8 +405,8 @@ class TestDenseOracle:
         for _ in range(3):
             x = rng.standard_normal(op.grid.num_nodes)
             ref = op.weights @ x
-            assert _relative(op._apply_fft(x), ref) <= 1e-13
-            assert _relative(op.convolve(x), ref) <= 1e-13
+            assert rel_max_error(op._apply_fft(x), ref) <= 1e-13
+            assert rel_max_error(op.convolve(x), ref) <= 1e-13
 
     def test_fft_apply_is_self_adjoint(self, oracle_case):
         op, _ = oracle_case
@@ -422,10 +419,10 @@ class TestDenseOracle:
 
     def test_constants_match_dense_formulas(self, oracle_case):
         op, (kbar, r2, rinf_rows, k2_sup) = oracle_case
-        assert _relative(op.kbar, kbar) <= 1e-12
+        assert rel_max_error(op.kbar, kbar) <= 1e-12
         assert op.k2_sup == pytest.approx(k2_sup, rel=1e-12)
         # every row class, not only the row that attains the maximum
-        assert _relative(_gradient_row_sums(op), rinf_rows) <= 1e-12
+        assert rel_max_error(_gradient_row_sums(op), rinf_rows) <= 1e-12
         assert op.rinf_est == pytest.approx(float(np.max(rinf_rows)), rel=1e-12)
         assert op.r2_est == pytest.approx(r2, rel=1e-12)
 
@@ -480,7 +477,7 @@ class TestSeparableGaussian:
         got, ref = op.convolve(x), op.weights @ x
         assert got.shape == ref.shape
         if ref.size:
-            assert _relative(got, ref) <= 1e-13
+            assert rel_max_error(got, ref) <= 1e-13
 
     @pytest.mark.parametrize("m", [None, 0, 1, 5])
     def test_zero_amplitude_gives_exact_zeros(self, m):
@@ -505,7 +502,7 @@ class TestSeparableGaussian:
         d = np.abs(np.arange(1 - grid.n, grid.n)) * grid.h
         r = np.hypot(d[:, None], d[None, :])
         want = 0.7 * np.exp(-(r * r) / 0.03) * grid.cell_volume
-        assert _relative(op.generator, want) <= 1e-14
+        assert rel_max_error(op.generator, want) <= 1e-14
 
     # a subnormal amplitude leaves W itself with few significant bits
     @settings(max_examples=25, deadline=None)
@@ -518,8 +515,8 @@ class TestSeparableGaussian:
         if c == 0.0:
             assert not got.any()
         else:
-            assert _relative(got[:, 0], ref[:, 0]) <= 1e-13
-            assert _relative(got, ref) <= 1e-13
+            assert rel_max_error(got[:, 0], ref[:, 0]) <= 1e-13
+            assert rel_max_error(got, ref) <= 1e-13
 
     def test_1d_apply_is_the_matrix_product(self):
         """In 1D a Gaussian has no factors: a field goes through its taps and
@@ -554,7 +551,7 @@ class TestTaps:
         if name == "zero":
             assert not got.any() and op._taps.size == 1
         else:
-            assert _relative(got, ref) <= 1e-13
+            assert rel_max_error(got, ref) <= 1e-13
 
     @pytest.mark.parametrize("name", list(TAP_SPECS))
     def test_taps_are_the_nonzero_offsets(self, name):

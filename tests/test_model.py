@@ -6,10 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from field_oracles import oracle_potential
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
+from field_oracles import same_bits
 from scipy.special import xlogy
 
 from nlch.equilibrium import equilibrium_residual, multistart_equilibria, solve_equilibrium
@@ -30,7 +27,6 @@ from nlch.model import (
     potential,
     reaction_deriv,
     reaction_eval,
-    zero_reaction,
 )
 from nlch.tangent import dimension_bound, propagate_tangent, remainder_order
 from nlch.timestepper import SolverConfig, initial_state, pair_run, run, step
@@ -217,120 +213,6 @@ class TestDerivativeConsistency:
             assert reaction_deriv(spec, u)[node] == pytest.approx(fd[node], abs=1e-6)
 
 
-# -- oracle: the np.where / np.clip bodies before the ufunc rewrite, verbatim --
-
-def _oracle_mobility(s):
-    s = np.asarray(s, dtype=float)
-    out = np.where((s >= 0.0) & (s <= 1.0), s * (1.0 - s), 0.0)
-    return out if out.ndim else float(out)
-
-
-def _oracle_potential(s):
-    return oracle_potential(np.clip(np.asarray(s, dtype=float), 0.0, 1.0))
-
-
-def _oracle_reaction_eval(spec, u):
-    u = np.asarray(u, dtype=float)
-    return spec.g_fn(np.clip(u, 0.0, 1.0))
-
-
-def _oracle_mobility_deriv(s):
-    s = np.asarray(s, dtype=float)
-    out = np.where((s >= 0.0) & (s <= 1.0), 1.0 - 2.0 * s, 0.0)
-    return out if out.ndim else float(out)
-
-
-def _oracle_reaction_deriv(spec, u):
-    u = np.asarray(u, dtype=float)
-    out = spec.dg_fn(np.clip(u, 0.0, 1.0))
-    return np.where((u >= 0.0) & (u <= 1.0), out, 0.0)
-
-
-def _same_bits(got, want) -> bool:
-    """Same type, shape and bit pattern, sign of zero included; NaN entries
-    need only be NaN on both sides."""
-    if type(got) is not type(want):
-        return False
-    got, want = np.asarray(got), np.asarray(want)
-    nan = np.isnan(want)
-    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
-            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
-
-
-# the phase interval [0, 1] is the domain; its edges, -0.0 included
-_edges = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0**-53])
-_phase_values = st.one_of(st.floats(0.0, 1.0), _edges)
-# lengths from 1 to 40 reach both the vector loops and their scalar tails
-_phase_arrays = hnp.arrays(float, st.integers(1, 40), elements=_phase_values)
-_scalars = st.one_of(_phase_values, _phase_arrays.map(lambda a: a[0]))
-
-
-def _reaction_specs(data):
-    g = build_grid(1, data.draw(st.integers(8, 40)), 1.0)
-    coef = data.draw(hnp.arrays(float, g.num_nodes, elements=st.floats(0.0, 5.0)))
-    return data.draw(st.sampled_from([
-        lambda: logistic_reaction(g, coef),
-        lambda: bertozzi_reaction(g, coef, np.minimum(coef, 1.0)),
-        lambda: oono_reaction(g, coef),
-        lambda: balanced_cubic_reaction(g, coef),
-        lambda: zero_reaction(g),
-    ]))()
-
-
-class TestPointwiseBitIdentity:
-    """On [0, 1], mobility, potential, reaction_eval and the two derivatives
-    keep the bits of the np.where / np.clip bodies, which extended them
-    outside it."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(_phase_arrays, _scalars))
-    def test_mobility(self, s):
-        assert _same_bits(mobility(s), _oracle_mobility(s))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(_phase_arrays, _scalars))
-    def test_potential(self, s):
-        assert _same_bits(potential(s), _oracle_potential(s))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_reaction_eval(self, data):
-        spec = _reaction_specs(data)
-        u = data.draw(hnp.arrays(float, spec.grid.num_nodes, elements=_phase_values))
-        assert _same_bits(reaction_eval(spec, u), _oracle_reaction_eval(spec, u))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(_phase_arrays, _scalars))
-    def test_mobility_deriv(self, s):
-        assert _same_bits(mobility_deriv(s), _oracle_mobility_deriv(s))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_reaction_deriv(self, data):
-        spec = _reaction_specs(data)
-        u = data.draw(hnp.arrays(float, spec.grid.num_nodes, elements=_phase_values))
-        assert _same_bits(reaction_deriv(spec, u), _oracle_reaction_deriv(spec, u))
-
-    def test_potential_on_a_dense_sample(self):
-        """One fixed sample that reaches the ~0.2% of entries where numpy's
-        vector log and libm's differ by an ulp, which the 40-value draws above
-        seldom do: 10^6 uniform values, geomspace runs toward 0 and toward 1,
-        both zeros, subnormals and 1 - 2^-53."""
-        rng = np.random.default_rng(38)
-        s = np.concatenate([rng.uniform(0.0, 1.0, 10**6), np.geomspace(5e-324, 0.5, 20_000),
-                            1.0 - np.geomspace(2.0**-53, 0.5, 20_000),
-                            [0.0, -0.0, 5e-324, 1e-310, 2.0**-1022, 1.0 - 2.0**-53, 1.0]])
-        assert _same_bits(potential(s), _oracle_potential(s))
-
-    def test_mobility_propagates_nan(self):
-        """A NaN phase value has no mobility: it stays NaN (the np.where body
-        returned 0.0) and leaves the entries in [0, 1] alone."""
-        assert math.isnan(mobility(math.nan))
-        out = mobility(np.array([0.5, math.nan, 1.0, -0.0]))
-        assert math.isnan(out[1])
-        assert _same_bits(out[[0, 2, 3]], _oracle_mobility(np.array([0.5, 1.0, -0.0])))
-
-
 # -- the datum gate: every entry point of a trajectory or a solve -------------
 
 _GATE_CFG = SolverConfig(dt=0.01, t_end=0.05)
@@ -395,7 +277,7 @@ class TestCheckDatum:
         u = np.linspace(0.0, 1.0, 64)
         got = check_datum(u, spec, op, "datum")
         assert not np.shares_memory(got, u)
-        assert np.array_equal(got.view(np.uint64), u.view(np.uint64))
+        assert same_bits(got, u)
         with pytest.raises(ValueError, match="field contains non-finite entries"):
             check_datum(np.full(64, np.nan), spec, op, "datum")
         with pytest.raises(ValueError, match=re.escape("field has shape (32,)")):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.fftpack import dctn, idctn
 
 from nlch import solvers
 from nlch.grid import build_grid, laplacian_neumann, neumann_mode
@@ -43,25 +42,6 @@ def test_matches_dense_oracle(dim, n, tau):
     x = SpdNeumannSolver(grid, tau).solve(b)
     want = oracle_solve(grid, tau, b)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def transform_pair_solve(solver, b):
-    """The solve's transform pair as it was before the wrapper-cost rewrite
-    (``axes`` always given), without the certificate."""
-    diag, cols = solver._diag, b.shape[1:]
-    coef = dctn(b.reshape(diag.shape + cols), type=2, norm="ortho", axes=solver._axes)
-    coef /= diag.reshape(diag.shape + (1,) * len(cols))
-    return idctn(coef, type=2, norm="ortho", axes=solver._axes).reshape(b.shape)
-
-
-@pytest.mark.parametrize("cols", [(), (3,)])
-@pytest.mark.parametrize("tau", TAUS)
-@pytest.mark.parametrize("dim,n", GRIDS)
-def test_bit_identical_to_the_transform_pair_with_axes(dim, n, tau, cols):
-    grid = build_grid(dim, n, 1.0)
-    solver = SpdNeumannSolver(grid, tau)
-    b = np.random.default_rng(dim + n).standard_normal((grid.num_nodes,) + cols)
-    assert np.array_equal(solver.solve(b), transform_pair_solve(solver, b))
 
 
 @pytest.mark.parametrize("cols", [(), (3,)])

@@ -26,6 +26,17 @@ series, which grows from 0.0088 to 0.81 as the data phase-separate, and
 largest errors, relative to the largest distance or trace, are 4.4e-14 and
 1.0e-13, so ``SYMMETRY_TOL`` is 1000x above both; the lower-node face
 mobility broke them by 1.3e-3 and 3.6e-2.
+
+The equilibria keep the symmetries only to ``solve_equilibrium``'s stopping
+error, not to round-off: a solve stops on the first iterate whose residual
+is below RESIDUAL_TOL = 1e-9, and a mapped seed takes another path (127
+against 147 sweeps, say) to another such iterate.  At 1D n = 128 with a
+Gaussian at c = 20, from four uniform(0.1, 0.9) seeds, the reflected seed's
+limit was the reflected limit within 4.4e-10 in the max norm, and 1 - u0's
+limit was 1 - limit within 1.3e-9, with no reaction, Bertozzi's fidelity
+(beta = 5, h = 0.6; reflection only) and the balanced cubic.
+``EQUILIBRIUM_TOL`` is 7.7x the larger.  The lower-node face mobility broke
+the reflection by 1e-4 to 8.6e-3.
 """
 
 from dataclasses import replace
@@ -33,13 +44,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nlch.equilibrium import multistart_equilibria, solve_equilibrium
 from nlch.grid import build_grid
 from nlch.kernels import assemble_kernel, gaussian_kernel, mollifier_kernel, newton_kernel
-from nlch.model import balanced_cubic_reaction, zero_reaction
+from nlch.model import balanced_cubic_reaction, bertozzi_reaction, zero_reaction
 from nlch.tangent import dimension_bound, propagate_tangent
 from nlch.timestepper import SolverConfig, pair_run, run
 
 SYMMETRY_TOL = 1e-10    # max norm; 33x the largest error measured
+EQUILIBRIUM_TOL = 1e-8  # max norm; 7.7x the largest stopping error measured
 
 # one case per apply of the kernel: the 1D taps (the whole generator at
 # n = 128, the trimmed taps at n = 256), the 1D FFT, the 2D Gaussian's
@@ -124,3 +137,40 @@ def test_trace_curve_commutes_with_the_reflection(reaction):
     want = dimension_bound(u0, 4, 0.3, spec, op, cfg, transient=0.1).traces
     got = dimension_bound(reflect(u0), 4, 0.3, spec, op, cfg, transient=0.1).traces
     assert np.max(np.abs(got - want)) <= SYMMETRY_TOL * np.max(np.abs(want))
+
+
+# Bertozzi's fidelity maps h to 1 - h, so it keeps only the reflection
+EQUILIBRIUM_REACTIONS = {**REACTIONS, "bertozzi": lambda grid: bertozzi_reaction(grid, 5.0, 0.6)}
+
+
+@pytest.mark.parametrize("reaction", list(EQUILIBRIUM_REACTIONS))
+def test_equilibria_commute_with_the_symmetries(reaction):
+    grid = build_grid(1, 128, 1.0)
+    op = assemble_kernel(gaussian_kernel(20.0, 0.05), grid)
+    spec = EQUILIBRIUM_REACTIONS[reaction](grid)
+    maps = _symmetries(1, grid.n)
+    if reaction == "bertozzi":
+        del maps["u -> 1 - u"]
+    errors = {}
+    for seed in range(4):
+        u0 = np.random.default_rng(seed).uniform(0.1, 0.9, grid.num_nodes)
+        limit = solve_equilibrium(u0, spec, op)
+        for name, s in maps.items():
+            mapped = solve_equilibrium(s(u0), spec, op)
+            assert limit.converged and mapped.converged, (seed, name)
+            errors[seed, name] = float(np.max(np.abs(mapped.u - s(limit.u))))
+    assert max(errors.values()) <= EQUILIBRIUM_TOL, errors
+
+
+def test_criterion_07_constant_states_are_closed_under_the_flip():
+    """u -> 1 - u maps the balanced cubic's three constant equilibria, 0, 1/2
+    and 1, onto each other: it reverses the order of their means."""
+    grid = build_grid(1, 256, 1.0)
+    op = assemble_kernel(gaussian_kernel(0.05, 0.05), grid)
+    seeds = [np.full(grid.num_nodes, c) for c in (0.0, 0.5, 1.0)]
+    found = multistart_equilibria(seeds, balanced_cubic_reaction(grid, 1.0), op)
+    assert len(found) == 3
+    states = sorted((res.u for res in found), key=np.mean)
+    flip = _symmetries(1, grid.n)["u -> 1 - u"]
+    for u, partner in zip(states, states[::-1]):
+        assert np.max(np.abs(flip(u) - partner)) <= EQUILIBRIUM_TOL

@@ -8,7 +8,7 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from field_oracles import bits, rel_max_error
+from field_oracles import QR_CASES, qr_case, rel_max_error, same_bits
 
 import nlch.tangent
 from nlch._cores import householder_qr
@@ -328,8 +328,7 @@ class TestFrames:
     def test_cosine_frame_matches_the_per_dimension_body(self, dim, n, m):
         g = build_grid(dim, n, 1.0)
         got, want = cosine_frame(g, m).vectors, _oracle_cosine_frame(g, m).vectors
-        assert got.shape == want.shape == (g.num_nodes, m)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got.shape == (g.num_nodes, m) and same_bits(got, want)
 
 
 def _one_entry(shape, value):
@@ -339,23 +338,6 @@ def _one_entry(shape, value):
     return a
 
 
-def _qr_case(dim, n, m, cond=None):
-    g = build_grid(dim, n, 1.7)
-    rng = np.random.default_rng(n + m)
-    a = rng.standard_normal((g.num_nodes, m))
-    if cond is not None:
-        # singular values spread evenly over log10(cond) decades
-        left, _ = np.linalg.qr(a)
-        right, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        a = (left * np.logspace(0.0, -math.log10(cond), m)) @ right.T
-    return g, a
-
-
-QR_CASES = {"1d-64-1": (1, 64, 1), "1d-64-30": (1, 64, 30), "1d-256-1": (1, 256, 1),
-            "1d-256-30": (1, 256, 30), "2d-16-30": (2, 16, 30), "1d-256-30-cond1e10":
-            (1, 256, 30, 1e10)}
-
-
 class TestHouseholderCore:
     """The frame QR sweep against np.linalg.qr, bit for bit."""
 
@@ -363,10 +345,10 @@ class TestHouseholderCore:
     def test_orthonormalize_is_the_sign_normalized_numpy_qr(self, case):
         # the sweep runs the core that tests/test_cores.py pins to np.linalg.qr
         assert nlch.tangent.householder_qr is householder_qr
-        g, a = _qr_case(*QR_CASES[case])
+        g, a = build_grid(*QR_CASES[case][:2], 1.7), qr_case(*QR_CASES[case])
         frame = TangentFrame(grid=g, vectors=a)
         frame.orthonormalize()
-        assert np.array_equal(bits(frame.vectors), bits(_oracle_orthonormalized(g, a)))
+        assert same_bits(frame.vectors, _oracle_orthonormalized(g, a))
         if "cond" in case:
             # the spread is far below the 14-decade rank rule, and Q stays orthonormal
             assert np.linalg.cond(a) > 1e9
@@ -652,8 +634,8 @@ class TestStreamedFrames:
         g, op, spec, u0 = block_case
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=5)
         args = (u0, 6, 0.6, spec, op, cfg, ortho_every, 0.3)
-        assert np.array_equal(bits(dimension_bound(*args).traces),
-                              bits(np.cumsum(_oracle_streamed_traces(*args))))
+        assert same_bits(dimension_bound(*args).traces,
+                         np.cumsum(_oracle_streamed_traces(*args)))
 
     @pytest.mark.parametrize("T, record_every, transient", [
         (0.6, 5, 0.0),      # the initial state is a record state in the window, not sampled
@@ -666,8 +648,8 @@ class TestStreamedFrames:
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=record_every)
         # at T = 0.63 the 63 steps are no multiple of 4: the final sweep is the record rule's
         args = (u0, 6, T, spec, op, cfg, 4, transient)
-        assert np.array_equal(bits(dimension_bound(*args).traces),
-                              bits(np.cumsum(_oracle_streamed_traces(*args))))
+        assert same_bits(dimension_bound(*args).traces,
+                         np.cumsum(_oracle_streamed_traces(*args)))
 
     def test_remainders_match_replayed_tangent(self, block_case):
         g, op, spec, u0 = block_case
@@ -725,5 +707,5 @@ class TestOneRhsEvaluationPerStep:
         assert len(calls) == scan_case[5].n_steps + 1
 
     def test_traces_are_the_unshared_loop_bit_for_bit(self, scan_case):
-        assert np.array_equal(bits(dimension_bound(*scan_case).traces),
-                              bits(np.cumsum(_oracle_streamed_traces(*scan_case))))
+        assert same_bits(dimension_bound(*scan_case).traces,
+                         np.cumsum(_oracle_streamed_traces(*scan_case)))
