@@ -59,6 +59,11 @@ class SolverConfig:
         if not (math.isfinite(self.t_end / self.dt) and 1 <= self.n_steps <= MAX_STEPS):
             raise ValueError(f"t_end / dt = {self.t_end / self.dt:.3g} must round to "
                              f"a number of steps >= 1 and <= MAX_STEPS = {MAX_STEPS}")
+        # a run's length is its step count: a horizon between two steps is no run's
+        reached = self.n_steps * self.dt
+        if abs(reached - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end = {self.t_end!r} is not a whole number of steps of "
+                             f"dt = {self.dt!r}: {self.n_steps} steps reach t = {reached:.10g}")
         try:
             admitted = operator.index(self.record_every) >= 1
         except TypeError:       # a float, even an integral one, or a string
@@ -151,21 +156,15 @@ def _user_stacklevel() -> int:
 def _trajectory(u0: np.ndarray, spec: ReactionSpec, op: KernelOp,
                 cfg: SolverConfig) -> Iterator[State]:
     """Yield the states after k = 0..n_steps steps, at t = k dt exactly,
-    making every check on the datum as the first state is drawn.  A horizon
-    t_end that is not a whole number of steps, and a pure-phase mean that the
-    reaction does not move, warn, naming the first line outside nlch that
-    led to the first draw."""
+    making every check on the datum as the first state is drawn.  A
+    pure-phase mean that the reaction does not move warns, naming the first
+    line outside nlch that led to the first draw."""
     state = initial_state(u0, spec, op)
     if cfg.dt * spec.lipschitz_s >= 0.5:
         raise ValueError(
             f"dt * L_g = {cfg.dt * spec.lipschitz_s:.3g} >= 0.5: the explicit "
             f"reaction is unstable, reduce dt below {0.5 / spec.lipschitz_s:.3g}"
         )
-    reached = cfg.n_steps * cfg.dt
-    if abs(reached - cfg.t_end) > 1e-9 * cfg.t_end:
-        warnings.warn(f"t_end = {cfg.t_end!r} is not a whole number of steps of dt = "
-                      f"{cfg.dt!r}: the run takes {cfg.n_steps} steps and ends at "
-                      f"t = {reached:.10g}", stacklevel=_user_stacklevel())
     mean0 = state.mass
     if not (0.0 < mean0 < 1.0) and float(mean(reaction_eval(spec, state.u))) == 0.0:
         warnings.warn(f"mean(u0) = {mean0} is a pure phase and the reaction does not move "

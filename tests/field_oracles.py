@@ -3,20 +3,23 @@ The past bodies of the operations whose rewrites kept every bit, each
 operation's side by side, the cases and the comparison helpers that the
 test modules share.  A bit-preserving rewrite adds its previous body here,
 beside its operation's others, and at most one case to that operation's one
-test in ``test_bit_identity.py``.  The bodies are verbatim, except that the
-solve and its residual take the live solver as ``self`` and call the bodies
-here, and that the residual, written for (a I - b Lap), serves
-(I - tau Lap): a = 1 and b = tau.
+test in ``test_bit_identity.py``; a new kernel-apply path, or a moved size
+rule, changes rows of the one table of apply cases.  The bodies are
+verbatim, except that the solve and its residual take the live solver as
+``self`` and call the bodies here, and that the residual, written for
+(a I - b Lap), serves (I - tau Lap): a = 1 and b = tau.
 """
 
 import math
 
 import numpy as np
+from hypothesis import example
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nlch._cores import dctn, idctn
 from nlch.grid import Grid, _face_slices, build_grid, check_field
+from nlch.kernels import KernelOp, gaussian_kernel, mollifier_kernel, newton_kernel, zero_kernel
 from nlch.model import potential
 from nlch.solvers import BACKWARD_ERROR_TOL, SolverError, _column_norms
 
@@ -250,7 +253,9 @@ def same_bits(got, want) -> bool:
 
 
 def rel_max_error(got, want) -> float:
-    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+    """max |got - want| / max |want|; 0 where they are equal, empty or zero arrays too."""
+    diff = np.max(np.abs(np.asarray(got) - want), initial=0.0)
+    return float(diff and diff / np.max(np.abs(want)))
 
 
 # -- the cases that two modules share -----------------------------------------
@@ -271,6 +276,68 @@ def qr_case(dim, n, m, cond=None) -> np.ndarray:
         right, _ = np.linalg.qr(rng.standard_normal((m, m)))
         a = (left * np.logspace(0.0, -math.log10(cond), m)) @ right.T
     return a
+
+
+# -- the kernel's applies: which one ``convolve`` takes, case by case ----------
+
+# the suite's two kernels, a Gaussian whose tails underflow to 0 on every
+# grid here, a mollifier wider than most of the boxes, and the zero kernel
+TAP_SPECS = {
+    "gaussian": gaussian_kernel(0.05, 0.05),
+    "mollifier": mollifier_kernel(0.05, 0.2),
+    "narrow-gaussian": gaussian_kernel(1.0, 1e-4),
+    "wide-mollifier": mollifier_kernel(1.0, 0.9),
+    "zero": zero_kernel(),
+}
+
+# (dim, n, kernel, the paths of a field's and a block's apply) on a box of
+# length 1.  A 2D Gaussian takes its Toeplitz factors at every size; every other
+# kernel the padded FFT above 511 nodes (1D n = 512, 2D 23 x 23) and below it
+# the taps for a 1D field, trimmed to the generator's support where that fits
+# in the box and whole where it does not, and W for a block or a 2D field.
+APPLY_CASES = {
+    "1d-n64-gaussian": (1, 64, gaussian_kernel(1.0, 0.1), ("taps", "dense")),
+    "1d-n64-mollifier": (1, 64, mollifier_kernel(1.0, 0.25), ("taps", "dense")),
+    "1d-n64-weak-gaussian": (1, 64, gaussian_kernel(0.02, 0.05), ("taps", "dense")),
+    "1d-n128-mollifier": (1, 128, mollifier_kernel(1.0, 0.05), ("taps", "dense")),
+    "1d-n256-gaussian": (1, 256, gaussian_kernel(0.3, 0.05), ("taps", "dense")),
+    **{f"1d-n{n}-taps-{name}": (1, n, spec, ("taps", "dense"))
+       for name, spec in TAP_SPECS.items() for n in (8, 64, 256, 511)},
+    "1d-n512-gaussian": (1, 512, gaussian_kernel(0.3, 0.05), ("fft", "fft")),
+    "1d-n512-weak-gaussian": (1, 512, gaussian_kernel(0.02, 0.05), ("fft", "fft")),
+    "2d-n16-mollifier": (2, 16, mollifier_kernel(1.0, 0.25), ("dense", "dense")),
+    "2d-n16-narrow-mollifier": (2, 16, mollifier_kernel(1.0, 0.1), ("dense", "dense")),
+    "2d-n16-newton": (2, 16, newton_kernel(kd=1.0), ("dense", "dense")),
+    "2d-n22-newton": (2, 22, newton_kernel(kd=0.7), ("dense", "dense")),
+    "2d-n23-newton": (2, 23, newton_kernel(kd=0.7), ("fft", "fft")),
+    "2d-n24-newton": (2, 24, newton_kernel(kd=0.7), ("fft", "fft")),
+    "2d-n24-weak-newton": (2, 24, newton_kernel(kd=0.05), ("fft", "fft")),
+    "2d-n16-gaussian": (2, 16, gaussian_kernel(1.0, 0.1), ("factors", "factors")),
+    "2d-n23-gaussian": (2, 23, gaussian_kernel(1.0, 0.1), ("factors", "factors")),
+    **{f"2d-n{n}-sharp-gaussian": (2, n, gaussian_kernel(0.7, 0.03), ("factors", "factors"))
+       for n in (8, 16, 23, 64)},
+    "2d-n24-weak-gaussian": (2, 24, gaussian_kernel(0.02, 0.05), ("factors", "factors")),
+    "2d-n16-zero": (2, 16, zero_kernel(), ("factors", "factors")),
+}
+
+
+def apply_op(name: str) -> KernelOp:
+    dim, n, spec, _ = APPLY_CASES[name]
+    return KernelOp(build_grid(dim, n, 1.0), spec)
+
+
+def apply_paths(op: KernelOp) -> tuple[str, ...]:
+    """The (field, block) paths of ``op.convolve``, read from ``op._applies``."""
+    return tuple(f.__name__.removeprefix("_apply_") for f in op._applies)
+
+
+def on_every_row(args):
+    """Hypothesis runs the test on every row first, with the arguments ``args(name)``."""
+    def decorate(test):
+        for name in APPLY_CASES:
+            test = example(**args(name))(test)
+        return test
+    return decorate
 
 
 _values = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)

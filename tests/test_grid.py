@@ -379,14 +379,3 @@ class TestFaceFluxProperties:
         # one stencil: 0.5 (1 + 1) = 1 exactly, so the results are bitwise equal
         g, _, p, _ = case
         assert np.array_equal(laplacian_neumann(g, p), div_flux(g, np.ones(g.num_nodes), p))
-
-    @settings(max_examples=30, deadline=None)
-    @given(grid_and_fields())
-    def test_block_columns_are_the_single_field_results(self, case):
-        # the flux is elementwise in the columns, so a block changes no bit
-        g, a, p, _ = case
-        out = div_flux(g, a, p)
-        for j in range(out.shape[1] if out.ndim > 1 else 0):
-            col_a = a[:, j] if a.ndim > 1 else a
-            col_p = p[:, j] if p.ndim > 1 else p
-            assert np.array_equal(out[:, j], div_flux(g, col_a, col_p))

@@ -556,9 +556,21 @@ CASES = [
            ">= 1 and <= MAX_STEPS = 1000000\n"),
           ("remainder", "remainder", "remainder.t = 0",
            "aborted: remainder.t = 0.0: t_end must be positive and finite, got 0.0\n"),
+          # a run's length is a whole number of steps of solver.dt = 0.01
+          *[(f"{key}_off_the_step_grid", key, f"{key}.t = 2.004",
+             f"aborted: {key}.t = 2.004: t_end = 2.004 is not a whole number of steps of "
+             "dt = 0.01: 200 steps reach t = 2\n") for key in ("trace", "remainder")],
           # checked before the first step, in the keys' names, not dimension_bound's T
           ("trace_before_transient", "trace", "trace.t = 0.5",
            "aborted: trace.t = 0.5 must be >= trace.transient = 1.0\n")]],
+    Case("horizon_off_the_step_grid", "run", "grid.n = 16\nsolver.dt = 0.3\nsolver.t_end = 1.0",
+         2, "configuration error: t_end = 1.0 is not a whole number of steps of dt = 0.3: "
+         "3 steps reach t = 0.9\n"),
+    # 3 steps of dt = 0.3 end at t = 0.8999999999999999, and the final state is
+    # still in the window [0.9, 0.9]: it is read on the step grid
+    Case("trace_ending_at_its_transient", "trace", "grid.n = 32\nsolver.dt = 0.3\n"
+         "solver.t_end = 0.9\ntrace.t = 0.9\ntrace.transient = 0.9\ntrace.n_max = 2\n"
+         "trace.samples = 1", 0, "time average on [0.9, 0.9]:\n  n =   1   trace = "),
     Case("zero_ortho_every", "trace", "trace.ortho_every = 0\ntrace.n_max = 2", 2,
          "ortho_every must be >= 1"),
     Case("empty_trace_scan-samples", "trace", "trace.samples = 0", 2,
@@ -742,10 +754,6 @@ PROCESS_CASES = [
          "init.value = 0\nsolver.t_end = 0.05", 0, "steps = 5, t_end = 0.05, ", files=RUN_FILES,
          base="", warning="warning: mean(u0) = 0.0 is a pure phase and the reaction does not "
          "move mass there; the run will remain stationary"),
-    Case("horizon_off_the_step_grid_warns_in_the_report", "run",
-         "grid.n = 16\nsolver.dt = 0.3\nsolver.t_end = 1.0", 0, "steps = 3, t_end = 0.9, ",
-         files=RUN_FILES, warning="warning: t_end = 1.0 is not a whole number of steps of "
-         "dt = 0.3: the run takes 3 steps and ends at t = 0.9"),
     # the 2D Gaussian's product of two factors of shape (2n - 1, 2n - 1)
     Case("array_too_large_to_allocate", "run", "grid.dim = 2\ngrid.n = 100000", 2,
          "configuration error: grid.dim = 2, grid.n = 100000: Unable to allocate 298. GiB for "

@@ -20,6 +20,13 @@ separating modes: the largest error measured is 3.0e-12, on the 2D
 Gaussian with the balanced cubic, against 6.5e-14 in 1D and 1.8e-13
 (relative) for the tangent map.  ``SYMMETRY_TOL`` is 33x the largest.
 
+The recorded series (every 10th step) keep the maps too: the reflections
+and the swap keep each series, and u -> 1 - u takes the mass to 1 - mass
+and (min u, max u) to (1 - max u, 1 - min u) and keeps the H1 seminorm and
+the energy.  The largest error, relative to the series' largest value, is
+3.1e-13 (min u under the flip, 1D FFT, balanced cubic), 320x below
+``SYMMETRY_TOL``.
+
 On the 1D taps Gaussian the reflection also keeps ``pair_run``'s distance
 series, which grows from 0.0088 to 0.81 as the data phase-separate, and
 ``dimension_bound``'s trace curve over 4 columns and 300 steps.  Their
@@ -43,6 +50,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from field_oracles import apply_paths
 
 from nlch.equilibrium import multistart_equilibria, solve_equilibrium
 from nlch.grid import build_grid
@@ -54,16 +62,15 @@ from nlch.timestepper import SolverConfig, pair_run, run
 SYMMETRY_TOL = 1e-10    # max norm; 33x the largest error measured
 EQUILIBRIUM_TOL = 1e-8  # max norm; 7.7x the largest stopping error measured
 
-# one case per apply of the kernel: the 1D taps (the whole generator at
-# n = 128, the trimmed taps at n = 256), the 1D FFT, the 2D Gaussian's
-# Toeplitz factors, the 2D dense W and the 2D FFT
-APPLY_CASES = {
-    "1d-taps-gaussian": (1, 128, gaussian_kernel(20.0, 0.05)),
-    "1d-taps-mollifier": (1, 256, mollifier_kernel(20.0, 0.1)),
-    "1d-fft-gaussian": (1, 600, gaussian_kernel(20.0, 0.05)),
-    "2d-factors-gaussian": (2, 32, gaussian_kernel(80.0, 0.05)),
-    "2d-dense-newton": (2, 16, newton_kernel(10.0)),
-    "2d-fft-newton": (2, 32, newton_kernel(10.0)),
+# one case per path of a field's apply; the 1D taps take the whole generator
+# at n = 128 and the generator trimmed to its support at n = 256
+SYMMETRY_CASES = {
+    "1d-taps-gaussian": (1, 128, gaussian_kernel(20.0, 0.05), "taps"),
+    "1d-taps-mollifier": (1, 256, mollifier_kernel(20.0, 0.1), "taps"),
+    "1d-fft-gaussian": (1, 600, gaussian_kernel(20.0, 0.05), "fft"),
+    "2d-factors-gaussian": (2, 32, gaussian_kernel(80.0, 0.05), "factors"),
+    "2d-dense-newton": (2, 16, newton_kernel(10.0), "dense"),
+    "2d-fft-newton": (2, 32, newton_kernel(10.0), "fft"),
 }
 
 # both satisfy g(1 - u) = -g(u)
@@ -84,27 +91,51 @@ def _symmetries(dim: int, n: int) -> dict:
 
 
 def _setup(case: str):
-    dim, n, kernel = APPLY_CASES[case]
+    dim, n, kernel, path = SYMMETRY_CASES[case]
     grid = build_grid(dim, n, 1.0)
+    op = assemble_kernel(kernel, grid)
+    assert apply_paths(op)[0] == path
     u0 = 0.5 + 0.01 * np.random.default_rng(n + dim).uniform(-1.0, 1.0, grid.num_nodes)
     cfg = SolverConfig(dt=1e-3, t_end=0.5 if dim == 1 else 0.2, record_every=100)
-    return grid, assemble_kernel(kernel, grid), u0, cfg
+    return grid, op, u0, cfg
+
+
+def _mapped_series(name: str, series: dict) -> dict:
+    """The recorded series of the mapped run: the grid's isometries keep every
+    one, and u -> 1 - u maps the mass to 1 - mass and (min u, max u) to
+    (1 - max u, 1 - min u) and keeps the H1 seminorm and the energy, but not
+    the L2 norm."""
+    if name != "u -> 1 - u":
+        return series
+    flipped = dict(series, mass=1.0 - series["mass"], min_u=1.0 - series["max_u"],
+                   max_u=1.0 - series["min_u"])
+    del flipped["l2_norm"]
+    return flipped
 
 
 @pytest.mark.parametrize("reaction", list(REACTIONS))
-@pytest.mark.parametrize("case", list(APPLY_CASES))
+@pytest.mark.parametrize("case", list(SYMMETRY_CASES))
 def test_run_commutes_with_the_symmetries(case, reaction):
+    """The final state, and each recorded series relative to its largest value."""
     grid, op, u0, cfg = _setup(case)
+    cfg = replace(cfg, record_every=10)
     spec = REACTIONS[reaction](grid)
-    final = run(u0, spec, op, cfg)[0].u
-    errors = {name: float(np.max(np.abs(run(s(u0), spec, op, cfg)[0].u - s(final))))
-              for name, s in _symmetries(grid.dim, grid.n).items()}
+    final, rec = run(u0, spec, op, cfg)
+    errors = {}
+    for name, s in _symmetries(grid.dim, grid.n).items():
+        state, mapped = run(s(u0), spec, op, cfg)
+        errors[name] = float(np.max(np.abs(state.u - s(final.u))))
+        got, want = mapped.as_arrays(), _mapped_series(name, rec.as_arrays())
+        assert np.array_equal(got["t"], want["t"])
+        for key, series in want.items():
+            if not np.array_equal(got[key], series, equal_nan=True):
+                errors[name, key] = float(np.max(np.abs(got[key] - series))
+                                          / np.max(np.abs(series)))
     assert max(errors.values()) <= SYMMETRY_TOL, errors
 
 
 @pytest.mark.parametrize("case", ["1d-taps-gaussian", "1d-taps-mollifier"])
 def test_tangent_map_commutes_with_the_reflection(case):
-    # a 1D block of tangent vectors is applied by the dense W
     grid, op, u0, cfg = _setup(case)
     spec = balanced_cubic_reaction(grid)
     reflect = _symmetries(1, grid.n)["reflect axis 0"]

@@ -8,7 +8,10 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from field_oracles import QR_CASES, qr_case, rel_max_error, same_bits
+from field_oracles import (APPLY_CASES, QR_CASES, apply_op, apply_paths, grid_and_fields,
+                           on_every_row, qr_case, rel_max_error, same_bits)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nlch.tangent
 from nlch._cores import householder_qr
@@ -16,7 +19,7 @@ from nlch.equilibrium import _rhs
 from nlch.grid import (build_grid, div_flux, h1_seminorm, inner, l2_norm, laplacian_neumann,
                        neumann_mode)
 from nlch.kernels import (
-    DENSE_MAX_NODES,
+    KernelOp,
     assemble_kernel,
     gaussian_kernel,
     mollifier_kernel,
@@ -463,23 +466,28 @@ class TestTraceEstimates:
             dimension_bound(np.full(grid.num_nodes, 0.5), 2, 2.0, spec, null_op, cfg,
                             ortho_every=ortho_every)
 
-    def test_transient_requires_long_enough_run(self, grid, null_op):
+    @pytest.mark.parametrize("transient", [1.0, float("nan")])
+    def test_transient_requires_long_enough_run(self, grid, null_op, transient):
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=0.5)
-        with pytest.raises(ValueError, match="transient"):
-            dimension_bound(np.full(grid.num_nodes, 0.5), 1, 0.5, spec, null_op, cfg)
+        with pytest.raises(ValueError, match=f"must be >= the transient window {transient}"):
+            dimension_bound(np.full(grid.num_nodes, 0.5), 1, 0.5, spec, null_op, cfg,
+                            transient=transient)
 
-    def test_a_run_ending_before_the_transient_names_its_last_time(self, grid, null_op):
-        # T / dt = 3.33 rounds to 3 steps, which end at t = 0.9 < transient = T
+    def test_a_scan_ending_at_its_transient_samples_the_final_state(self, grid, null_op):
+        # 3 steps of dt = 0.3 end at t = 0.8999999999999999 < 0.9: the window
+        # is read on the step grid, as the float rule below 0.9 reads it
         spec = zero_reaction(grid)
-        cfg = SolverConfig(dt=0.3, t_end=1.0)
-        message = ("no evaluation times fell inside [transient, T] = [1, 1]; the run of 3 "
-                   "steps of dt = 0.3 ends at t = 0.9: increase T or lower record_every")
-        # the run warns where it ends as the first state is drawn
-        with (pytest.warns(UserWarning, match=re.escape("takes 3 steps and ends at t = 0.9")),
-              pytest.raises(ValueError, match="^" + re.escape(message) + "$")):
-            dimension_bound(np.full(grid.num_nodes, 0.5), 1, 1.0, spec, null_op, cfg,
-                            transient=1.0)
+        cfg = SolverConfig(dt=0.3, t_end=0.9)
+        u0 = np.random.default_rng(6).uniform(0.3, 0.7, grid.num_nodes)
+        assert same_bits(dimension_bound(u0, 2, 0.9, spec, null_op, cfg, transient=0.9).traces,
+                         np.cumsum(_oracle_streamed_traces(u0, 2, 0.9, spec, null_op, cfg, 10,
+                                                           0.9 * (1 - 1e-9))))
+        # a horizon between two steps is no run's
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "t_end = 1.0 is not a whole number of steps of dt = 0.3: 3 steps reach "
+                "t = 0.9") + "$"):
+            dimension_bound(u0, 2, 1.0, spec, null_op, cfg, transient=0.9)
 
 
 # -- oracle: the per-column frame evolution, kept verbatim ----------------------
@@ -554,59 +562,68 @@ def _oracle_remainders(u0, direction, eps_list, spec, op, cfg, t):
                      for eps in sorted(eps_list, reverse=True)])
 
 
-# the four applies of the kernel: GEMV/GEMM, 1D FFT, 2D FFT and the 2D
-# Gaussian's Toeplitz factors
-BLOCK_CASES = {
-    "1d-64-dense": (1, 64, gaussian_kernel(0.02, 0.05)),
-    "1d-512-fft": (1, 512, gaussian_kernel(0.02, 0.05)),
-    "2d-24-newton-fft": (2, 24, newton_kernel(kd=0.05)),
-    "2d-24-gaussian-factors": (2, 24, gaussian_kernel(0.02, 0.05)),
-}
+# four rows of the apply table, one per path of a block
+BLOCK_CASES = {"1d-64-dense": "1d-n64-weak-gaussian", "1d-512-fft": "1d-n512-weak-gaussian",
+               "2d-24-newton-fft": "2d-n24-weak-newton",
+               "2d-24-gaussian-factors": "2d-n24-weak-gaussian"}
 
 
 @pytest.fixture(scope="module", params=list(BLOCK_CASES))
 def block_case(request):
-    dim, n, kspec = BLOCK_CASES[request.param]
-    g = build_grid(dim, n, 1.0)
-    op = assemble_kernel(kspec, g)
-    # the case name says which apply convolve takes
-    factors = kspec.family == "gaussian" and dim == 2
-    assert ("factors" in request.param) == factors
-    assert ("fft" in request.param) == (not factors and g.num_nodes > DENSE_MAX_NODES)
-    u0 = np.random.default_rng(n).uniform(0.3, 0.7, g.num_nodes)
-    return g, op, logistic_reaction(g, 1.0), u0
+    op = apply_op(BLOCK_CASES[request.param])
+    assert apply_paths(op)[1] == request.param.rsplit("-", 1)[1]
+    u0 = np.random.default_rng(op.grid.n).uniform(0.3, 0.7, op.grid.num_nodes)
+    return op.grid, op, logistic_reaction(op.grid, 1.0), u0
+
+
+def _row_blocks(name):
+    """A row's grid, a 5-column mobility and 5 fields, as ``grid_and_fields`` returns them."""
+    g, rng = apply_op(name).grid, np.random.default_rng(11)
+    size = (g.num_nodes, 5)
+    return g, mobility(rng.uniform(0.0, 1.0, size)), rng.standard_normal(size), None
 
 
 class TestBlockOperators:
     """Every operator on an (N, m) block against a loop over its columns."""
 
-    def test_operators_match_column_loops(self, block_case):
-        g, op, spec, u0 = block_case
-        rng = np.random.default_rng(11)
-        m = 5
-        A = mobility(rng.uniform(0.0, 1.0, (g.num_nodes, m)))
-        P = rng.standard_normal((g.num_nodes, m))
+    @on_every_row(lambda name: {"case": _row_blocks(name), "name": name})
+    @settings(max_examples=30, deadline=None)
+    @given(case=grid_and_fields(), name=st.sampled_from(list(APPLY_CASES)))
+    def test_columns_are_the_field_results(self, case, name):
+        """Bit for bit but for the kernel's applies, and those too where a field
+        and a block both take the FFT; elsewhere a block's products sum in
+        another order than a field's, within 1e-13 (1e-12 propagated)."""
+        g, a, p, _ = case
+        spec = APPLY_CASES[name][2]
+        assume(spec.family != "newton" or g.dim == 2)
+        op = KernelOp(g, spec)
+        m = max((x.shape[1] for x in (a, p) if x.ndim == 2), default=1)
+        A, P = (x if x.ndim == 2 else np.repeat(x[:, None], m, axis=1) for x in (a, p))
         a, p = A[:, 0].copy(), P[:, 0].copy()
+        cfg, reaction = SolverConfig(dt=0.01, t_end=0.2), logistic_reaction(g, 1.0)
+        u0 = np.random.default_rng(g.n).uniform(0.3, 0.7, g.num_nodes)
+        w = op.convolve(1.0 - 2.0 * u0)
 
         def columns(f, *blocks):
             return np.column_stack([f(*(b[:, j] for b in blocks)) for j in range(m)])
 
         pairs = [
-            (div_flux(g, A, p), columns(lambda c: div_flux(g, c, p), A)),
-            (div_flux(g, a, P), columns(lambda c: div_flux(g, a, c), P)),
-            (div_flux(g, A, P), columns(lambda c, q: div_flux(g, c, q), A, P)),
-            (laplacian_neumann(g, P), columns(lambda c: laplacian_neumann(g, c), P)),
-            (op.convolve(P), columns(op.convolve, P)),
+            (div_flux(g, A, p), columns(lambda c: div_flux(g, c, p), A), 0.0),
+            (div_flux(g, a, P), columns(lambda c: div_flux(g, a, c), P), 0.0),
+            (div_flux(g, A, P), columns(lambda c, q: div_flux(g, c, q), A, P), 0.0),
+            (laplacian_neumann(g, P), columns(lambda c: laplacian_neumann(g, c), P), 0.0),
+            *[(solver.solve(P), columns(solver.solve, P), 0.0)
+              for solver in (SpdNeumannSolver(g, 0.01), SpdNeumannSolver(g, 2.0))],
+            (op.convolve(P), columns(op.convolve, P), 1e-13),
+            (tangent_step(P, u0, w, reaction, op, cfg),
+             columns(lambda c: tangent_step(c, u0, w, reaction, op, cfg), P), 1e-13),
+            (propagate_tangent(P, u0, reaction, op, cfg),
+             columns(lambda c: propagate_tangent(c, u0, reaction, op, cfg), P), 1e-12),
         ]
-        for solver in (SpdNeumannSolver(g, 0.01), SpdNeumannSolver(g, 2.0)):
-            pairs.append((solver.solve(P), columns(solver.solve, P)))
-        cfg = SolverConfig(dt=0.01, t_end=1.0)
-        w = op.convolve(1.0 - 2.0 * u0)
-        pairs.append((tangent_step(P, u0, w, spec, op, cfg),
-                      columns(lambda c: tangent_step(c, u0, w, spec, op, cfg), P)))
-        for got, want in pairs:
-            assert got.shape == want.shape == (g.num_nodes, m)
-            assert rel_max_error(got, want) <= 1e-13
+        exact = apply_paths(op) == ("fft", "fft")
+        for got, want, tol in pairs:
+            assert got.shape == want.shape == P.shape
+            assert same_bits(got, want) if exact or not tol else rel_max_error(got, want) <= tol
 
     def test_trace_form_matches_column_loop(self, block_case):
         g, op, spec, u0 = block_case
@@ -660,15 +677,6 @@ class TestStreamedFrames:
         want = _oracle_remainders(u0, direction, eps_list, spec, op, cfg, 0.3)
         assert not study.exact
         assert rel_max_error(study.remainders, want) <= 1e-12
-
-    def test_propagated_block_matches_columns(self, block_case):
-        g, op, spec, u0 = block_case
-        cfg = SolverConfig(dt=0.01, t_end=0.2)
-        U0 = np.random.default_rng(12).standard_normal((g.num_nodes, 3))
-        got = propagate_tangent(U0, u0, spec, op, cfg)
-        want = np.column_stack([propagate_tangent(U0[:, j], u0, spec, op, cfg)
-                                for j in range(3)])
-        assert rel_max_error(got, want) <= 1e-12
 
     def test_base_trajectory_is_the_run(self, grid, weak_op):
         """dimension_bound steps the same trajectory as run, bit for bit."""
