@@ -243,15 +243,19 @@ class Scenario:
     u0_second: np.ndarray | None = None
 
 
-def build_scenario(cfg: dict) -> Scenario:
-    """The scenario a configuration describes; an array too large to allocate
+def build_scenario(cfg: dict, horizon: str | None = "solver.t_end") -> Scenario:
+    """The scenario a configuration describes, its solver run for
+    cfg[horizon] (one step with no horizon); an array too large to allocate
     is a ValueError that names the grid keys which sized it."""
     grid = build_grid(cfg["grid.dim"], cfg["grid.n"], cfg["grid.length"])
     try:
         return Scenario(
             op=assemble_kernel(_KERNELS[cfg["kernel.family"]](cfg), grid),
             spec=_REACTIONS[cfg["reaction.preset"]](cfg, grid),
-            solver_cfg=SolverConfig(dt=cfg["solver.dt"], t_end=cfg["solver.t_end"],
+            # with no horizon, one step: a command that runs for a horizon of
+            # its own checks it before its first step (``_run_length``)
+            solver_cfg=SolverConfig(dt=cfg["solver.dt"],
+                                    t_end=cfg[horizon] if horizon else cfg["solver.dt"],
                                     record_every=cfg["solver.record_every"]),
             u0=build_initial(cfg, grid, "init"),
             u0_second=build_initial(cfg, grid, "init2") if cfg["init2.kind"] else None,
@@ -329,7 +333,7 @@ def execute(cfg: dict, out_dir, command: str,
     # the filters stay as they are, so a warning turned into an error escapes
     with warnings.catch_warnings(record=True) as caught:
         try:
-            scen = build_scenario(cfg)
+            scen = build_scenario(cfg, _HORIZONS.get(command))
             r2, rinf, k2 = kernel_constants(scen.op)
             report.add(f"seed = {cfg['init.seed']}")
             report.add(f"kernel constants: r2_est = {r2:.6g}, rinf_est = {rinf:.6g}, "
@@ -497,6 +501,10 @@ def _cmd_trace(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
 _COMMANDS = {"run": _cmd_run, "pair": _cmd_pair, "equilibrium": _cmd_equilibrium,
              "remainder": _cmd_remainder, "trace": _cmd_trace}
 COMMANDS = tuple(_COMMANDS)
+# the key of the run length that a command's scenario is built with: trace
+# and remainder check their own before their first step, and equilibrium
+# takes no step
+_HORIZONS = {"run": "solver.t_end", "pair": "solver.t_end"}
 
 # parse_config admits a name for a choice key only if it is in the key's table
 _CHOICES = {"kernel.family": _KERNELS, "reaction.preset": _REACTIONS,

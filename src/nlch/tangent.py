@@ -174,8 +174,9 @@ def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
     A single n_max-column frame rides along with the run from u0 to T, and
     the traces (L phi_j, phi_j) are averaged over the record states after the
     first step that lie in [transient, T], read on the step grid: state k is
-    in the window when k dt >= transient to 1e-9 relative.  T is a whole
-    number of steps (``SolverConfig``), so the final state always is.
+    in the window when k dt reaches transient (``SolverConfig.first_step_at``).
+    T is a whole number of steps (``SolverConfig``), so the final state
+    always is.
     Nested partial sums over its leading columns reproduce the individual
     trace estimates exactly because QR orthonormalization is
     column-sequential.
@@ -189,7 +190,7 @@ def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
     run_cfg = replace(cfg, t_end=float(T))
     frame = cosine_frame(op.grid, n_max)
 
-    first = max(1, math.ceil((1.0 - 1e-9) * max(transient, 0.0) / cfg.dt))
+    first = max(1, cfg.first_step_at(transient))
 
     def sampled(s: State) -> bool:
         return s.step_count >= first and run_cfg.is_record_step(s.step_count)

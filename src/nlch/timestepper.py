@@ -43,6 +43,8 @@ BOUND_TOL = 1e-8   # the largest phase-bound excursion clipped; larger ones abor
 # (``step`` alone 33 us; timeit best of 7, 2-core VM), so this is also a run
 # of about 35 to 55 s, far longer than any study here needs (4000 steps).
 MAX_STEPS = 10**6
+# a time within this relative distance of a step's time k dt is that step's
+STEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class SolverConfig:
                              f"a number of steps >= 1 and <= MAX_STEPS = {MAX_STEPS}")
         # a run's length is its step count: a horizon between two steps is no run's
         reached = self.n_steps * self.dt
-        if abs(reached - self.t_end) > 1e-9 * self.t_end:
+        if abs(reached - self.t_end) > STEP_RTOL * self.t_end:
             raise ValueError(f"t_end = {self.t_end!r} is not a whole number of steps of "
                              f"dt = {self.dt!r}: {self.n_steps} steps reach t = {reached:.10g}")
         try:
@@ -76,6 +78,11 @@ class SolverConfig:
         # cached in the instance's __dict__, which the frozen dataclass keeps;
         # ``replace`` builds a new instance and so counts afresh
         return int(round(self.t_end / self.dt))
+
+    def first_step_at(self, t: float) -> int:
+        """The first step k whose time k dt reaches t, to STEP_RTOL relative
+        (0 for t <= 0): a time on the step grid is its own step's."""
+        return math.ceil((1.0 - STEP_RTOL) * max(t, 0.0) / self.dt)
 
     def is_record_step(self, k: int) -> bool:
         """Whether the state after k steps is sampled: every record_every-th

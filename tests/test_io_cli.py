@@ -567,10 +567,22 @@ CASES = [
          2, "configuration error: t_end = 1.0 is not a whole number of steps of dt = 0.3: "
          "3 steps reach t = 0.9\n"),
     # 3 steps of dt = 0.3 end at t = 0.8999999999999999, and the final state is
-    # still in the window [0.9, 0.9]: it is read on the step grid
-    Case("trace_ending_at_its_transient", "trace", "grid.n = 32\nsolver.dt = 0.3\n"
-         "solver.t_end = 0.9\ntrace.t = 0.9\ntrace.transient = 0.9\ntrace.n_max = 2\n"
-         "trace.samples = 1", 0, "time average on [0.9, 0.9]:\n  n =   1   trace = "),
+    # still in the window [0.9, 0.9]: it is read on the step grid.  A trace
+    # runs for trace.t, so the default solver.t_end = 1.0, off the grid, is
+    # no error of its own; nor is it one of remainder's, nor of equilibrium's,
+    # which takes no step
+    Case("trace_ending_at_its_transient", "trace", "grid.n = 32\nkernel.c = 0.05\n"
+         "kernel.lam = 0.05\nreaction.preset = oono\nsolver.dt = 0.3\ntrace.t = 0.9\n"
+         "trace.transient = 0.9\ntrace.n_max = 2\ntrace.samples = 1\ninit.kind = random", 0,
+         "time average on [0.9, 0.9]:\n  n =   1   trace = ", base=""),
+    *[Case(f"own_horizon_with_solver_t_end_off_the_step_grid-{command}", command,
+           f"grid.n = 16\nsolver.dt = 0.3\nsolver.t_end = 1.0\n{line}", 0, text, files=files,
+           base=base)
+      for command, line, text, files, base in [
+          ("remainder", "remainder.t = 0.9", "tangent remainder study at t = 0.9, ",
+           ("report.txt",), OONO_CFG),
+          ("equilibrium", "equilibrium.seed_values = 0.5", "distinct converged equilibria = 1",
+           ("equilibrium_00.nlch", "report.txt"), EQ_CFG)]],
     Case("zero_ortho_every", "trace", "trace.ortho_every = 0\ntrace.n_max = 2", 2,
          "ortho_every must be >= 1"),
     Case("empty_trace_scan-samples", "trace", "trace.samples = 0", 2,

@@ -476,13 +476,14 @@ class TestTraceEstimates:
 
     def test_a_scan_ending_at_its_transient_samples_the_final_state(self, grid, null_op):
         # 3 steps of dt = 0.3 end at t = 0.8999999999999999 < 0.9: the window
-        # is read on the step grid, as the float rule below 0.9 reads it
+        # is read on the step grid, as the float rule from that time reads it
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.3, t_end=0.9)
         u0 = np.random.default_rng(6).uniform(0.3, 0.7, grid.num_nodes)
+        assert cfg.first_step_at(0.9) == 3
         assert same_bits(dimension_bound(u0, 2, 0.9, spec, null_op, cfg, transient=0.9).traces,
                          np.cumsum(_oracle_streamed_traces(u0, 2, 0.9, spec, null_op, cfg, 10,
-                                                           0.9 * (1 - 1e-9))))
+                                                           3 * cfg.dt)))
         # a horizon between two steps is no run's
         with pytest.raises(ValueError, match="^" + re.escape(
                 "t_end = 1.0 is not a whole number of steps of dt = 0.3: 3 steps reach "

@@ -117,6 +117,12 @@ class TestConfigValidation:
                 "t = 0.9") + "$"):
             SolverConfig(dt=0.3, t_end=1.0)
 
+    # 3 steps of dt = 0.3 reach t = 0.8999999999999999, the step of t = 0.9
+    @pytest.mark.parametrize("t,k", [(-1.0, 0), (0.0, 0), (0.6, 2), (0.9, 3), (0.90000001, 4),
+                                     (0.95, 4)])
+    def test_first_step_at_reads_a_time_on_the_step_grid(self, t, k):
+        assert SolverConfig(dt=0.3, t_end=0.9).first_step_at(t) == k
+
     @pytest.mark.parametrize("dt,t_end", [(0.01, 0.1), (0.005, 0.5), (0.01, 4.0), (1e-3, 0.7)])
     def test_a_whole_number_of_steps_runs_without_a_warning(self, grid, weak_op, dt, t_end):
         with warnings.catch_warnings():
