@@ -243,20 +243,24 @@ class Scenario:
     u0_second: np.ndarray | None = None
 
 
-def build_scenario(cfg: dict, horizon: str | None = "solver.t_end") -> Scenario:
-    """The scenario a configuration describes, its solver run for
-    cfg[horizon] (one step with no horizon); an array too large to allocate
-    is a ValueError that names the grid keys which sized it."""
+def build_scenario(cfg: dict, command: str = "run") -> Scenario:
+    """The scenario a configuration describes, its solver run for the length
+    of the command's key in ``_RUN_LENGTHS`` (one step for a command that
+    takes none); a bad length, or an array too large to allocate, is a
+    ValueError that names the keys which set it."""
     grid = build_grid(cfg["grid.dim"], cfg["grid.n"], cfg["grid.length"])
+    solver = SolverConfig(dt=cfg["solver.dt"], t_end=cfg["solver.dt"],
+                          record_every=cfg["solver.record_every"])
+    if key := _RUN_LENGTHS.get(command):
+        try:
+            solver = replace(solver, t_end=cfg[key])
+        except ValueError as exc:
+            raise ValueError(f"{key} = {cfg[key]}: {exc}") from None
     try:
         return Scenario(
             op=assemble_kernel(_KERNELS[cfg["kernel.family"]](cfg), grid),
             spec=_REACTIONS[cfg["reaction.preset"]](cfg, grid),
-            # with no horizon, one step: a command that runs for a horizon of
-            # its own checks it before its first step (``_run_length``)
-            solver_cfg=SolverConfig(dt=cfg["solver.dt"],
-                                    t_end=cfg[horizon] if horizon else cfg["solver.dt"],
-                                    record_every=cfg["solver.record_every"]),
+            solver_cfg=solver,
             u0=build_initial(cfg, grid, "init"),
             u0_second=build_initial(cfg, grid, "init2") if cfg["init2.kind"] else None,
         )
@@ -333,7 +337,7 @@ def execute(cfg: dict, out_dir, command: str,
     # the filters stay as they are, so a warning turned into an error escapes
     with warnings.catch_warnings(record=True) as caught:
         try:
-            scen = build_scenario(cfg, _HORIZONS.get(command))
+            scen = build_scenario(cfg, command)
             r2, rinf, k2 = kernel_constants(scen.op)
             report.add(f"seed = {cfg['init.seed']}")
             report.add(f"kernel constants: r2_est = {r2:.6g}, rinf_est = {rinf:.6g}, "
@@ -449,21 +453,11 @@ def _cmd_equilibrium(cfg: dict, scen: Scenario, out: Path, report: Report) -> No
         )
 
 
-def _run_length(cfg: dict, scen: Scenario, key: str) -> float:
-    """cfg[key], checked before the first step as the t_end of a run of the
-    scenario's solver."""
-    try:
-        replace(scen.solver_cfg, t_end=cfg[key])
-    except ValueError as exc:
-        raise ValueError(f"{key} = {cfg[key]}: {exc}") from None
-    return cfg[key]
-
-
 def _cmd_remainder(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     mode = cfg["remainder.mode"]
     direction = _cosine_mode(cfg, scen.op.grid, "remainder.mode")
     study = remainder_order(scen.u0, direction, cfg["remainder.eps_list"], scen.spec, scen.op,
-                            scen.solver_cfg, t=_run_length(cfg, scen, "remainder.t"))
+                            scen.solver_cfg, t=scen.solver_cfg.t_end)
     report.add(f"tangent remainder study at t = {cfg['remainder.t']:g}, "
                f"direction = cosine mode {mode}")
     for e, r in zip(study.eps, study.remainders):
@@ -477,16 +471,16 @@ def _cmd_trace(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
     samples = cfg["trace.samples"]
     if samples < 1:
         raise ValueError(f"trace.samples must be >= 1, got {samples}")
-    t = _run_length(cfg, scen, "trace.t")
-    if t < cfg["trace.transient"]:
-        raise ValueError(f"trace.t = {t} must be >= trace.transient = {cfg['trace.transient']}")
+    t, transient = scen.solver_cfg.t_end, cfg["trace.transient"]
+    if not transient <= t:      # a NaN transient too
+        raise ValueError(f"trace.t = {t} must be >= trace.transient = {transient}")
     curves = []
     for k in range(samples):
         u0 = scen.u0 if k == 0 else _random_datum(cfg, scen.op.grid, "init", cfg["init.seed"] + k)
         curves.append(dimension_bound(u0, cfg["trace.n_max"], t, scen.spec,
                                       scen.op, scen.solver_cfg,
                                       ortho_every=cfg["trace.ortho_every"],
-                                      transient=cfg["trace.transient"]).traces)
+                                      transient=transient).traces)
     # the trace functional is a sup over initial data: take the worst case
     scan = DimensionScan(traces=np.max(np.vstack(curves), axis=0))
     report.add(f"trace curve over {samples} initial data (worst case), "
@@ -501,10 +495,9 @@ def _cmd_trace(cfg: dict, scen: Scenario, out: Path, report: Report) -> None:
 _COMMANDS = {"run": _cmd_run, "pair": _cmd_pair, "equilibrium": _cmd_equilibrium,
              "remainder": _cmd_remainder, "trace": _cmd_trace}
 COMMANDS = tuple(_COMMANDS)
-# the key of the run length that a command's scenario is built with: trace
-# and remainder check their own before their first step, and equilibrium
-# takes no step
-_HORIZONS = {"run": "solver.t_end", "pair": "solver.t_end"}
+# the key of the run length each command steps for; equilibrium takes no step
+_RUN_LENGTHS = {"run": "solver.t_end", "pair": "solver.t_end", "remainder": "remainder.t",
+                "trace": "trace.t"}
 
 # parse_config admits a name for a choice key only if it is in the key's table
 _CHOICES = {"kernel.family": _KERNELS, "reaction.preset": _REACTIONS,

@@ -58,6 +58,8 @@ MAX_SWEEPS = 10000
 
 @dataclass
 class EquilibriumResult:
+    """A solve's last iterate, its residual, the residuals taken and mean |g(u)|."""
+
     u: np.ndarray
     residual: float
     iterations: int

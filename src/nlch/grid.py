@@ -62,18 +62,9 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
-    @property
-    def domain_volume(self) -> float:
-        return self.length ** self.dim
-
     def axis_coords(self) -> np.ndarray:
         """Cell-center coordinates along one axis (all axes are identical)."""
         return (np.arange(self.n) + 0.5) * self.h
-
-    def coords(self) -> np.ndarray:
-        """(num_nodes, dim) array of node coordinates, row-major ordering."""
-        axes = np.meshgrid(*(self.axis_coords(),) * self.dim, indexing="ij")
-        return np.stack(axes, axis=-1).reshape(self.num_nodes, self.dim)
 
     def reshape(self, f: np.ndarray) -> np.ndarray:
         """View a flat field as (n,) in 1D or (n, n) in 2D."""
@@ -81,6 +72,7 @@ class Grid:
 
 
 def build_grid(dim: int, n: int, length: float) -> Grid:
+    """The grid ``Grid(dim, n, length)``, checked as ``Grid`` checks it."""
     return Grid(dim, n, length)
 
 
@@ -129,14 +121,8 @@ def mean(f: np.ndarray) -> np.floating | np.ndarray:
     return np.add.reduce(f) / f.shape[0]
 
 
-def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    """Discrete L2 inner product."""
-    check_rows(grid, np.shape(f))
-    check_rows(grid, np.shape(g))
-    return grid.cell_volume * float(np.dot(f, g))
-
-
 def l2_norm(grid: Grid, f: np.ndarray) -> float:
+    """Discrete L2 norm sqrt(h^dim * sum(f^2)) of a field, or of a block as one vector."""
     v = np.asarray(f, dtype=float)
     check_rows(grid, v.shape)
     v = v.ravel(order="K")
@@ -146,8 +132,8 @@ def l2_norm(grid: Grid, f: np.ndarray) -> float:
 def h1_seminorm(grid: Grid, f: np.ndarray) -> float:
     """Discrete H1 seminorm from face-centered differences.
 
-    Consistent with the conservative operators below: for any field,
-    inner(-laplacian_neumann(f), f) == h1_seminorm(f)**2 exactly
+    Consistent with the conservative operators below: for any field, the
+    L2 product of -laplacian_neumann(f) with f is h1_seminorm(f)**2 exactly
     (summation by parts with zero boundary flux).
     """
     f = np.asarray(f, dtype=float)

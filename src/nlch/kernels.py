@@ -105,10 +105,12 @@ class KernelSpec:
 
 
 def gaussian_kernel(c: float = 1.0, lam: float = 1.0) -> KernelSpec:
+    """The Gaussian c exp(-r^2 / lam)."""
     return KernelSpec(family="gaussian", c=c, lam=lam)
 
 
 def mollifier_kernel(c: float = 1.0, hcut: float = 0.25) -> KernelSpec:
+    """The mollifier c exp(-hcut^2 / (hcut^2 - r^2)), zero from r = hcut on."""
     return KernelSpec(family="mollifier", c=c, hcut=hcut)
 
 
@@ -419,6 +421,7 @@ def _row_sums(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def assemble_kernel(spec: KernelSpec, grid: Grid) -> KernelOp:
+    """The operator ``KernelOp(grid, spec)`` of the kernel on the grid."""
     return KernelOp(grid, spec)
 
 

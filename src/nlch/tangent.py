@@ -120,10 +120,8 @@ def cosine_frame(grid: Grid, n: int) -> TangentFrame:
 
     These are exact discrete eigenvectors of the stencil, so reaction-free
     dynamics leaves the frame invariant and the trace hierarchy matches the
-    analytic Neumann spectrum.
+    analytic Neumann spectrum.  ``n`` lies in [1, grid.num_nodes].
     """
-    if n < 1 or n > grid.num_nodes:
-        raise ValueError(f"frame size must be in [1, {grid.num_nodes}], got {n}")
     # by squared wavenumber; the sort is stable, so ties keep product's
     # lexicographic order of the mode indices
     modes = sorted(product(range(grid.n), repeat=grid.dim), key=lambda m: sum(k * k for k in m))[:n]
@@ -181,8 +179,8 @@ def dimension_bound(u0: np.ndarray, n_max: int, T: float, spec: ReactionSpec,
     trace estimates exactly because QR orthonormalization is
     column-sequential.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= op.grid.num_nodes:
+        raise ValueError(f"n_max must be >= 1 and <= N = {op.grid.num_nodes}, got {n_max}")
     if not transient <= T:      # a NaN transient too
         raise ValueError(f"T = {T} must be >= the transient window {transient}")
     if ortho_every < 1:

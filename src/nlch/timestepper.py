@@ -49,6 +49,8 @@ STEP_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A run of t_end / dt steps, a whole number, recording every record_every-th state."""
+
     dt: float
     t_end: float
     record_every: int = 1

@@ -26,14 +26,6 @@ from nlch.solvers import BACKWARD_ERROR_TOL, SolverError, _column_norms
 
 # -- the grid helpers: the per-dimension bodies that one formula replaced ------
 
-def oracle_coords(grid: Grid) -> np.ndarray:
-    x = grid.axis_coords()
-    if grid.dim == 1:
-        return x[:, None]
-    x0, x1 = np.meshgrid(x, x, indexing="ij")
-    return np.column_stack([x0.ravel(), x1.ravel()])
-
-
 def oracle_reshape(grid: Grid, f: np.ndarray) -> np.ndarray:
     if grid.dim == 1:
         return f.reshape(grid.n)

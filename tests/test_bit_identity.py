@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from field_oracles import (grid_and_fields, oracle_coords, oracle_div_flux,
+from field_oracles import (grid_and_fields, oracle_div_flux,
                            oracle_fit_exponential_rate, oracle_h1_seminorm,
                            oracle_laplacian_eigenvalues, oracle_linear_fit_residual_fraction,
                            oracle_mobility, oracle_mobility_deriv, oracle_neumann_mode,
@@ -67,7 +67,6 @@ class TestOneFormulaForAnyDimension:
                                               (2, 16, 0.7)])
     def test_helpers_match_the_per_dimension_bodies(self, dim, n, length):
         g = build_grid(dim, n, length)
-        assert same_bits(g.coords(), oracle_coords(g))
         assert same_bits(laplacian_eigenvalues(g), oracle_laplacian_eigenvalues(g))
         f = np.random.default_rng(n).standard_normal(g.num_nodes)
         assert same_bits(g.reshape(f), oracle_reshape(g, f))

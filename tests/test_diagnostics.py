@@ -86,7 +86,7 @@ class TestEnergy:
     def test_half_state_value(self, grid, op):
         e = energy(np.full(grid.num_nodes, 0.5), op)
         pair = 0.25 * float(np.sum(op.weights)) * grid.cell_volume
-        assert e == pytest.approx(-grid.domain_volume * math.log(2.0) + pair, rel=1e-12)
+        assert e == pytest.approx(-grid.length ** grid.dim * math.log(2.0) + pair, rel=1e-12)
 
     def test_pure_phase_energy_vanishes(self, grid, op):
         assert energy(np.zeros(grid.num_nodes), op) == pytest.approx(0.0, abs=1e-12)
@@ -236,6 +236,6 @@ class TestMassBalance:
             oracle = oracle * (1.0 - sigma * dt)
         assert rec.step_mass[-1] == pytest.approx(oracle, rel=1e-12)
 
-        vol = grid.domain_volume
+        vol = grid.length ** grid.dim
         for l2, m in zip(rec.l2_norm, rec.mass):
             assert l2**2 <= 3.0 * vol * m + 1e-15

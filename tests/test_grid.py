@@ -15,7 +15,6 @@ from nlch.grid import (
     check_field,
     div_flux,
     h1_seminorm,
-    inner,
     integrate,
     l2_norm,
     laplacian_neumann,
@@ -143,8 +142,8 @@ class TestLaplacian:
         rng = np.random.default_rng(1)
         f = rng.standard_normal(g.num_nodes)
         q = rng.standard_normal(g.num_nodes)
-        a = inner(g, laplacian_neumann(g, f), q)
-        b = inner(g, f, laplacian_neumann(g, q))
+        a = integrate(g, laplacian_neumann(g, f) * q)
+        b = integrate(g, f * laplacian_neumann(g, q))
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_matches_h1_seminorm(self):
@@ -152,7 +151,7 @@ class TestLaplacian:
         g = build_grid(2, 12, 1.0)
         rng = np.random.default_rng(2)
         f = rng.standard_normal(g.num_nodes)
-        assert inner(g, -laplacian_neumann(g, f), f) == pytest.approx(
+        assert integrate(g, -laplacian_neumann(g, f) * f) == pytest.approx(
             h1_seminorm(g, f) ** 2, rel=1e-12)
 
 
@@ -198,8 +197,8 @@ class TestDivMuGrad:
         a = rng.uniform(0, 1, g.num_nodes)
         p = rng.standard_normal(g.num_nodes)
         q = rng.standard_normal(g.num_nodes)
-        assert inner(g, div_flux(g, a, p), q) == pytest.approx(
-            inner(g, div_flux(g, a, q), p), rel=1e-11, abs=1e-12)
+        assert integrate(g, div_flux(g, a, p) * q) == pytest.approx(
+            integrate(g, div_flux(g, a, q) * p), rel=1e-11, abs=1e-12)
 
 
 class TestNeumannModes:
@@ -238,12 +237,10 @@ class TestNeumannModes:
             neumann_mode(g, modes)
 
 
-# each of the seven functions with the field of the wrong length in one of
+# each of the six functions with the field of the wrong length in one of
 # its field arguments; ``ok`` is a field of the right length
 _WRONG_LENGTH_CALLS = {
     "integrate": lambda g, ok, bad: integrate(g, bad),
-    "inner(f)": lambda g, ok, bad: inner(g, bad, ok),
-    "inner(g)": lambda g, ok, bad: inner(g, ok, bad),
     "l2_norm": lambda g, ok, bad: l2_norm(g, bad),
     "h1_seminorm": lambda g, ok, bad: h1_seminorm(g, bad),
     "laplacian_neumann": lambda g, ok, bad: laplacian_neumann(g, bad),
@@ -253,9 +250,8 @@ _WRONG_LENGTH_CALLS = {
 }
 
 
-@pytest.mark.parametrize("norm", [integrate, l2_norm, h1_seminorm,
-                                  lambda g, f: inner(g, f, f)],
-                         ids=["integrate", "l2_norm", "h1_seminorm", "inner"])
+@pytest.mark.parametrize("norm", [integrate, l2_norm, h1_seminorm],
+                         ids=["integrate", "l2_norm", "h1_seminorm"])
 def test_a_norm_takes_a_list(norm):
     g = build_grid(1, 16, 1.0)
     values = list(np.linspace(0.1, 0.9, 16))
@@ -333,7 +329,7 @@ class TestFaceFluxOracle:
 
 def _flux_scale(g: Grid, a: np.ndarray, *fields: np.ndarray) -> float:
     """Size of a face-flux sum over the whole domain: round-off is relative to it."""
-    scale = g.domain_volume * max(float(np.max(a)), 1.0) / g.h**2
+    scale = g.length ** g.dim * max(float(np.max(a)), 1.0) / g.h**2
     for f in fields:
         scale *= max(float(np.max(np.abs(f))), 1.0)
     return scale
@@ -344,7 +340,7 @@ def _column_integrals(g: Grid, f: np.ndarray) -> np.ndarray:
     return g.cell_volume * np.sum(f, axis=0)
 
 
-def _column_inner(g: Grid, f: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _column_dot(g: Grid, f: np.ndarray, q: np.ndarray) -> np.ndarray:
     """L2 inner product of each column of f with q, a field or a like block."""
     return g.cell_volume * np.sum(f * q.reshape(q.shape + (1,) * (f.ndim - q.ndim)), axis=0)
 
@@ -369,8 +365,8 @@ class TestFaceFluxProperties:
     @given(grid_and_fields())
     def test_div_flux_symmetric_in_p_and_q(self, case):
         g, a, p, q = case
-        lhs = _column_inner(g, div_flux(g, a, p), q)
-        rhs = _column_inner(g, div_flux(g, a, q), p)
+        lhs = _column_dot(g, div_flux(g, a, p), q)
+        rhs = _column_dot(g, div_flux(g, a, q), p)
         assert np.all(np.abs(lhs - rhs) <= 1e-13 * _flux_scale(g, a, p, q))
 
     @settings(max_examples=30, deadline=None)

@@ -551,21 +551,25 @@ CASES = [
     *[Case(f"bad_study_time-{id_}", command,
            f"grid.n = 16\ntrace.n_max = 2\ntrace.samples = 1\n{line}", 2, text)
       for id_, command, line, text in [
+          # a command's run length is checked with the scenario, naming its key
           ("trace", "trace", "trace.t = 1e5",
-           "aborted: trace.t = 100000.0: t_end / dt = 1e+07 must round to a number of steps "
-           ">= 1 and <= MAX_STEPS = 1000000\n"),
+           "configuration error: trace.t = 100000.0: t_end / dt = 1e+07 must round to a "
+           "number of steps >= 1 and <= MAX_STEPS = 1000000\n"),
           ("remainder", "remainder", "remainder.t = 0",
-           "aborted: remainder.t = 0.0: t_end must be positive and finite, got 0.0\n"),
+           "configuration error: remainder.t = 0.0: t_end must be positive and finite, "
+           "got 0.0\n"),
           # a run's length is a whole number of steps of solver.dt = 0.01
           *[(f"{key}_off_the_step_grid", key, f"{key}.t = 2.004",
-             f"aborted: {key}.t = 2.004: t_end = 2.004 is not a whole number of steps of "
-             "dt = 0.01: 200 steps reach t = 2\n") for key in ("trace", "remainder")],
+             f"configuration error: {key}.t = 2.004: t_end = 2.004 is not a whole number of "
+             "steps of dt = 0.01: 200 steps reach t = 2\n") for key in ("trace", "remainder")],
           # checked before the first step, in the keys' names, not dimension_bound's T
           ("trace_before_transient", "trace", "trace.t = 0.5",
-           "aborted: trace.t = 0.5 must be >= trace.transient = 1.0\n")]],
+           "aborted: trace.t = 0.5 must be >= trace.transient = 1.0\n"),
+          ("trace_before_a_nan_transient", "trace", "trace.t = 0.5\ntrace.transient = nan",
+           "aborted: trace.t = 0.5 must be >= trace.transient = nan\n")]],
     Case("horizon_off_the_step_grid", "run", "grid.n = 16\nsolver.dt = 0.3\nsolver.t_end = 1.0",
-         2, "configuration error: t_end = 1.0 is not a whole number of steps of dt = 0.3: "
-         "3 steps reach t = 0.9\n"),
+         2, "configuration error: solver.t_end = 1.0: t_end = 1.0 is not a whole number of "
+         "steps of dt = 0.3: 3 steps reach t = 0.9\n"),
     # 3 steps of dt = 0.3 end at t = 0.8999999999999999, and the final state is
     # still in the window [0.9, 0.9]: it is read on the step grid.  A trace
     # runs for trace.t, so the default solver.t_end = 1.0, off the grid, is
@@ -587,7 +591,9 @@ CASES = [
          "ortho_every must be >= 1"),
     Case("empty_trace_scan-samples", "trace", "trace.samples = 0", 2,
          "trace.samples must be >= 1"),
-    Case("empty_trace_scan-n_max", "trace", "trace.n_max = 0", 2, "n_max must be >= 1"),
+    *[Case(f"{id_}-n_max", "trace", f"grid.n = 16\ntrace.n_max = {n_max}", 2,
+           f"aborted: n_max must be >= 1 and <= N = 16, got {n_max}\n")
+      for id_, n_max in [("empty_trace_scan", 0), ("trace_scan_wider_than_the_grid", 17)]],
     # 30 directions swept once per 50 steps: the weakest stretch factors fall
     # more than 14 decades below the leading one before the first sweep
     Case("frame_rank_loss", "trace", "solver.record_every = 50\ntrace.ortho_every = 50\n"
@@ -761,7 +767,7 @@ PROCESS_CASES = [
           ("hcut_huge", "kernel.family = mollifier\nkernel.hcut = 1e300",
            "mollifier cutoff hcut = 1e+300 must have hcut^2 a finite normal float"),
           ("dt_tiny", "solver.dt = 1e-300",
-           "t_end / dt = 2e+300 must round to a number of steps")]],
+           "solver.t_end = 2.0: t_end / dt = 2e+300 must round to a number of steps")]],
     Case("warning_goes_to_the_report", "run", "grid.n = 16\ninit.kind = constant\n"
          "init.value = 0\nsolver.t_end = 0.05", 0, "steps = 5, t_end = 0.05, ", files=RUN_FILES,
          base="", warning="warning: mean(u0) = 0.0 is a pure phase and the reaction does not "

@@ -255,7 +255,7 @@ class TestCheckDatum:
     @pytest.fixture(scope="class")
     def spec(self, grid):
         # alpha = 1 on x < 0.5
-        return logistic_reaction(grid, (grid.coords()[:, 0] < 0.5).astype(float))
+        return logistic_reaction(grid, (grid.axis_coords() < 0.5).astype(float))
 
     @pytest.mark.parametrize("entry", _GATED)
     def test_a_reaction_on_another_grid_is_rejected(self, spec, entry):

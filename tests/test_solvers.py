@@ -50,11 +50,11 @@ def test_solve_makes_one_transform_pair_and_leaves_b_alone(monkeypatch, dim, n, 
     calls = {"dctn": 0, "idctn": 0}
 
     def counted(name):
-        inner = getattr(solvers, name)
+        wrapped = getattr(solvers, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return inner(*args, **kwargs)
+            return wrapped(*args, **kwargs)
         return wrapper
 
     for name in calls:

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from nlch.diagnostics import fit_exponential_rate, mass_balance_residual
-from nlch.grid import build_grid, inner, l2_norm, neumann_mode
+from nlch.grid import build_grid, integrate, l2_norm, neumann_mode
 from nlch.kernels import assemble_kernel, gaussian_kernel, mollifier_kernel
 from nlch.model import bertozzi_reaction, logistic_reaction, oono_reaction, zero_reaction
 from nlch.timestepper import SolverConfig, run
@@ -47,7 +47,7 @@ def _mode_one_run(c: float):
     u0 = 0.5 + 0.01 * phi
     op = assemble_kernel(gaussian_kernel(c, 0.05), grid)
     state, rec = run(u0, zero_reaction(grid), op, SolverConfig(dt=2e-3, t_end=1.0))
-    coefficient = lambda u: inner(grid, u, phi) / l2_norm(grid, phi)
+    coefficient = lambda u: integrate(grid, u * phi) / l2_norm(grid, phi)
     return coefficient(u0), coefficient(state.u), rec
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import nlch.tangent
 from nlch._cores import householder_qr
 from nlch.equilibrium import _rhs
-from nlch.grid import (build_grid, div_flux, h1_seminorm, inner, l2_norm, laplacian_neumann,
+from nlch.grid import (build_grid, div_flux, h1_seminorm, integrate, l2_norm, laplacian_neumann,
                        neumann_mode)
 from nlch.kernels import (
     KernelOp,
@@ -322,10 +322,6 @@ class TestFrames:
             with pytest.raises(FrameDegeneracyError, match="tighten ortho_every"):
                 frame.orthonormalize()
 
-    def test_frame_size_validation(self, grid):
-        with pytest.raises(ValueError):
-            cosine_frame(grid, 0)
-
     @pytest.mark.parametrize("dim,n,m", [(1, 64, 1), (1, 64, 30), (2, 16, 1), (2, 16, 30),
                                          (2, 8, 64)])
     def test_cosine_frame_matches_the_per_dimension_body(self, dim, n, m):
@@ -451,11 +447,12 @@ class TestTraceEstimates:
         scan = DimensionScan(traces=np.array([1.0, 0.5, -1e-12]))
         assert scan.n_bound is None and scan.describe() == "none <= 3"
 
-    def test_empty_scan_rejected(self, grid, null_op):
+    def test_a_frame_outside_1_to_n_is_rejected(self, grid, null_op):
         spec = zero_reaction(grid)
         cfg = SolverConfig(dt=0.01, t_end=2.0)
-        for n_max in (0, -1):
-            with pytest.raises(ValueError, match="n_max must be >= 1"):
+        for n_max in (0, -1, grid.num_nodes + 1):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n_max must be >= 1 and <= N = {grid.num_nodes}, got {n_max}")):
                 dimension_bound(np.full(grid.num_nodes, 0.5), n_max, 2.0, spec, null_op, cfg)
 
     @pytest.mark.parametrize("ortho_every", [0, -1])
@@ -500,7 +497,7 @@ def _oracle_trace_form(cols, u, w, spec, op):
     for j in range(cols.shape[1]):
         phi = cols[:, j]
         lphi = laplacian_neumann(grid, phi) + _tangent_rhs_terms(phi, u, w, spec, op)
-        out[j] = inner(grid, lphi, phi)
+        out[j] = integrate(grid, lphi * phi)
     return out
 
 
@@ -672,7 +669,7 @@ class TestStreamedFrames:
     def test_remainders_match_replayed_tangent(self, block_case):
         g, op, spec, u0 = block_case
         cfg = SolverConfig(dt=0.01, t_end=1.0)
-        direction = np.cos(np.pi * g.coords()[:, 0])
+        direction = np.cos(np.pi * g.axis_coords()).repeat(g.n ** (g.dim - 1))
         eps_list = [1e-2, 3e-3, 1e-3, 3e-4]
         study = remainder_order(u0, direction, eps_list, spec, op, cfg, t=0.3)
         want = _oracle_remainders(u0, direction, eps_list, spec, op, cfg, 0.3)
